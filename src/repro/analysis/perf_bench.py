@@ -116,62 +116,23 @@ def _kernel_sim_replication_h500_compiled() -> Callable[[], object]:
     """The same replication as ``sim_replication_h500`` on the compiled
     C event-loop kernel.
 
-    Setup enforces the acceptance floor: it times both backends once
-    (min over 3) and **raises** when the compiled kernel is less than
-    10x faster than the pure-Python loop — a silent fallback or a
-    de-optimized kernel is a correctness-of-claim regression, not a
-    slowdown, and must fail the bench outright. Hosts without a C
-    toolchain skip via :class:`BenchSkip` (which still fails the gate
-    under ``--check``).
+    Setup enforces the acceptance floor through
+    :func:`_compiled_floor_setup`: it **raises** when the compiled
+    kernel is less than 10x faster than the pure-Python loop — a silent
+    fallback or a de-optimized kernel is a correctness-of-claim
+    regression, not a slowdown, and must fail the bench outright. Hosts
+    without a C toolchain skip via :class:`BenchSkip` (which still
+    fails the gate under ``--check``).
     """
-    import os
-
     from repro.experiments.common import canonical_cluster, canonical_workload
     from repro.simulation import simulate
-    from repro.simulation.compiled import kernel_available, kernel_status
 
-    if not kernel_available():
-        raise BenchSkip(f"compiled kernel unavailable: {kernel_status()['error']}")
     cluster, workload = canonical_cluster(), canonical_workload()
 
-    def once(backend: str) -> float:
-        prev = os.environ.get("REPRO_SIM_BACKEND")
-        os.environ["REPRO_SIM_BACKEND"] = backend
-        try:
-            best = float("inf")
-            for _ in range(3):
-                t0 = time.perf_counter()
-                simulate(cluster, workload, horizon=500.0, seed=99)
-                best = min(best, time.perf_counter() - t0)
-            return best
-        finally:
-            if prev is None:
-                os.environ.pop("REPRO_SIM_BACKEND", None)
-            else:
-                os.environ["REPRO_SIM_BACKEND"] = prev
+    def once() -> object:
+        return simulate(cluster, workload, horizon=500.0, seed=99)
 
-    t_compiled = once("compiled")  # first call also pays the one-time build
-    t_python = once("python")
-    speedup = t_python / t_compiled if t_compiled > 0 else float("inf")
-    if speedup < 10.0:
-        raise RuntimeError(
-            f"compiled backend speedup {speedup:.1f}x below the 10x acceptance "
-            f"floor (python {t_python * 1e3:.2f} ms, compiled {t_compiled * 1e3:.2f} ms)"
-        )
-    extra = {"speedup_vs_python": round(speedup, 2)}
-
-    def run() -> dict:
-        prev = os.environ.get("REPRO_SIM_BACKEND")
-        os.environ["REPRO_SIM_BACKEND"] = "compiled"
-        try:
-            simulate(cluster, workload, horizon=500.0, seed=99)
-        finally:
-            if prev is None:
-                os.environ.pop("REPRO_SIM_BACKEND", None)
-            else:
-                os.environ["REPRO_SIM_BACKEND"] = prev
-        return {"bench_extra": extra}
-
+    _extra, run = _compiled_floor_setup(once, 10.0, "sim_replication_h500_compiled")
     return run
 
 

@@ -91,11 +91,13 @@
 #define RC_ABORT 2
 #define RC_INVARIANT 3
 
-typedef double (*service_cb_t)(int sampler_id);
-typedef double (*arrival_cb_t)(int cls, long long *batch_out);
-typedef long long (*refill_cb_t)(int block_id, double *buf, long long cap);
-typedef int (*epoch_cb_t)(double t);
-typedef int (*sample_cb_t)(const double *ts, const long long *vals, long long n_rows);
+/* Every callback receives the index of the replication it serves, so
+ * one set of Python closures drives a whole batch. */
+typedef double (*service_cb_t)(int rep, int sampler_id);
+typedef double (*arrival_cb_t)(int rep, int cls, long long *batch_out);
+typedef long long (*refill_cb_t)(int rep, int block_id, double *buf, long long cap);
+typedef int (*epoch_cb_t)(int rep, double t);
+typedef int (*sample_cb_t)(int rep, const double *ts, const long long *vals, long long n_rows);
 
 /* ---- descriptors passed from Python (layout mirrored in ctypes) ---- */
 
@@ -407,6 +409,7 @@ typedef struct {
     int M;
     double horizon;
     double warmup;
+    int rep;                 /* index of the running replication */
     SamplerDesc *samplers;   /* M*K, row-major by station */
     ArrivalDesc *arrivals;   /* K */
     int has_routing;
@@ -415,7 +418,7 @@ typedef struct {
     double **entry_cum;      /* K x M (routing mode) */
     double **trans_cum;      /* K x (M*M) row-major cumulative rows */
     void **routing_bg;       /* K bitgen_t* (routing mode) */
-    int *routing_block;      /* K block ids (antithetic routing), or NULL */
+    int *routing_block;      /* K block ids, -1 = draw from routing_bg */
     service_cb_t service_cb;
     arrival_cb_t arrival_cb;
     refill_cb_t refill_cb;
@@ -457,17 +460,16 @@ typedef struct {
     long long *n_blocked;
     long long *offered;
     long long *out_scalars;  /* jid, n_events, n_warmup_discarded, hit_horizon */
-    dbuf_t *delay_buf;       /* K growable buffers */
-    /* inline per-class delay accumulation (batch mode): the scalar
-     * Welford recurrence on doubles, bitwise identical to
-     * stats.Welford.add_batch replaying the same values. */
-    int use_welford;
+    /* inline per-class delay accumulation: the scalar Welford
+     * recurrence on doubles, bitwise identical to stats.Welford.add_batch
+     * replaying the same values. */
     long long *wf_n;         /* K */
     double *wf_mean;         /* K */
     double *wf_m2;           /* K */
-    logbuf_t log;
+    int collect_delays;
+    dbuf_t *delay_buf;       /* K growable buffers (collect_delays) */
     int collect_log;
-    int oom;
+    logbuf_t log;
 } ctx_t;
 
 /* Next value from a Python-refilled variate buffer.  The refill
@@ -478,7 +480,7 @@ typedef struct {
 static double block_next(ctx_t *c, int id) {
     blockbuf_t *b = &c->blocks[id];
     if (b->pos >= b->len) {
-        long long n = c->refill_cb(id, b->buf, b->cap);
+        long long n = c->refill_cb(c->rep, id, b->buf, b->cap);
         if (n <= 0 || n > b->cap) {
             *c->abort_flag = 1; /* refill raised (or misbehaved) */
             return 0.0;
@@ -529,7 +531,7 @@ static double draw_sampler(ctx_t *c, const SamplerDesc *sd) {
         v = block_next(c, sd->py_id);
         break;
     default: /* SK_PYCALL */
-        v = c->service_cb(sd->py_id);
+        v = c->service_cb(c->rep, sd->py_id);
         break;
     }
     /* Scaled/Shifted wrappers: ops are stored outermost-first, applied
@@ -574,7 +576,7 @@ static double next_gap(ctx_t *c, int k, long long *batch) {
         return gap;
     }
     default: /* SK_PYCALL */
-        return c->arrival_cb(k, batch);
+        return c->arrival_cb(c->rep, k, batch);
     }
 }
 
@@ -737,17 +739,8 @@ static int station_arrive(ctx_t *c, station_t *st, double t, int jidx) {
     if (st->n_busy < st->n_servers) {
         int idx = 0;
         while (st->srv_job[idx] >= 0) idx++;
-        double r = draw_service(c, st, j->cls);
-        if (*c->abort_flag) return -1;
-        j->remaining = r;
-        j->service_total = r;
-        st->srv_job[idx] = jidx;
-        st->srv_busy_since[idx] = t;
-        double comp = t + r;
-        st->srv_completion[idx] = comp;
-        st->start_counter++;
-        st->srv_seq[idx] = st->start_counter;
-        st->n_busy++;
+        if (start_service(c, st, jidx, idx, t)) return -1;
+        double comp = st->srv_completion[idx];
         if (comp < st->sched_time) {
             st->sched_epoch++;
             st->sched_time = comp;
@@ -871,11 +864,32 @@ static int sample_queues_c(ctx_t *c, double t) {
 
 static int flush_samples(ctx_t *c) {
     if (c->sample_cb == NULL || c->sample_ts.len == 0) return 0;
-    int rc = c->sample_cb(c->sample_ts.buf, c->sample_vals.buf, c->sample_ts.len);
+    int rc = c->sample_cb(c->rep, c->sample_ts.buf, c->sample_vals.buf, c->sample_ts.len);
     c->sample_ts.len = 0;
     c->sample_vals.len = 0;
     if (rc < 0 || *c->abort_flag) return 1;
     return 0;
+}
+
+/* Close every station's open busy intervals at t (server order, like
+ * the engine's close_open_intervals; PS stations elapse to t) and
+ * publish the busy totals. */
+static void close_intervals(ctx_t *c, double t) {
+    for (int i = 0; i < c->M; i++) {
+        station_t *st = &c->stations[i];
+        if (st->discipline == DISC_PS) {
+            ps_elapse(c, st, t);
+        } else {
+            for (int s = 0; s < st->n_servers; s++) {
+                int ji = st->srv_job[s];
+                if (ji >= 0) {
+                    record_busy(st, c->jobs.pool[ji].cls, st->srv_busy_since[s], t);
+                    st->srv_busy_since[s] = t;
+                }
+            }
+        }
+        c->busy_out[i] = st->busy_total;
+    }
 }
 
 /* One epoch boundary: close busy intervals at tb (exactly like the
@@ -885,20 +899,9 @@ static int flush_samples(ctx_t *c) {
  * the engine's work-preserving remaining-time rescale.  Returns
  * non-zero on error (abort flag distinguishes callback exceptions). */
 static int fire_epoch(ctx_t *c, double tb) {
+    close_intervals(c, tb);
     for (int i = 0; i < c->M; i++) {
         station_t *st = &c->stations[i];
-        if (st->discipline == DISC_PS) {
-            ps_elapse(c, st, tb);
-        } else {
-            for (int s = 0; s < st->n_servers; s++) {
-                int ji = st->srv_job[s];
-                if (ji >= 0) {
-                    record_busy(st, c->jobs.pool[ji].cls, st->srv_busy_since[s], tb);
-                    st->srv_busy_since[s] = tb;
-                }
-            }
-        }
-        c->busy_out[i] = st->busy_total;
         /* Queue counts in SimStation.class_counts order (servers, then
          * FIFO, then priority queues) -- integer adds, order-free. */
         long long *row = c->counts_out + (long long)i * c->K;
@@ -925,13 +928,14 @@ static int fire_epoch(ctx_t *c, double tb) {
     /* Samples recorded before this boundary reach the sink before the
      * epoch's own telemetry event, matching the engine's inline order. */
     if (flush_samples(c)) return 1;
-    int decision = c->epoch_cb(tb);
+    int decision = c->epoch_cb(c->rep, tb);
     if (decision < 0 || *c->abort_flag) return 1;
     if (decision > 0) {
         /* The callback wrote the full clipped speed vector into the
          * shared array; apply SimStation.rescale_remaining per tier.
          * (PS tiers cannot occur here: dynamic+PS is rejected at
-         * validation.)  ratio > 0 was checked on the Python side. */
+         * validation.)  Speeds are clipped to the tier's DVFS range,
+         * whose lower bound is positive, so ratio > 0. */
         for (int i = 0; i < c->M; i++) {
             station_t *st = &c->stations[i];
             double s_new = c->speeds[i];
@@ -964,6 +968,22 @@ static int fire_epoch(ctx_t *c, double tb) {
     return 0;
 }
 
+/* Free the growable delay/log buffers the caller was not handed (a
+ * failed replication's, or anything left at teardown) and leave them
+ * empty for the next replication. */
+static void drop_outputs(ctx_t *c) {
+    if (c->delay_buf != NULL)
+        for (int k = 0; k < c->K; k++) {
+            free(c->delay_buf[k].buf);
+            memset(&c->delay_buf[k], 0, sizeof(dbuf_t));
+        }
+    free(c->log.jid);
+    free(c->log.cls);
+    free(c->log.arrival);
+    free(c->log.exit_t);
+    memset(&c->log, 0, sizeof(logbuf_t));
+}
+
 static void free_ctx(ctx_t *c) {
     if (c->stations != NULL) {
         for (int i = 0; i < c->M; i++) {
@@ -992,8 +1012,8 @@ static void free_ctx(ctx_t *c) {
     free(c->heap.buf);
     free(c->jobs.pool);
     free(c->jobs.free_list);
-    /* delay/log buffers are handed to the caller on success and freed
-     * via k_free; on failure they are freed here */
+    drop_outputs(c);
+    free(c->delay_buf);
 }
 
 void k_free(void *p) { free(p); }
@@ -1001,7 +1021,8 @@ void k_free(void *p) { free(p); }
 /* ------------------- allocation / reset / core loop ------------------ */
 
 /* One-time arena allocation: event heap, job pool, scratch, Python
- * block buffers and the per-station server arrays / queues / PS pools.
+ * block buffers, speed and delay-buffer slots, and the per-station
+ * server arrays / queues / PS pools.
  * Station geometry comes from the descriptors and never changes across
  * the replications of a batch; ctx_reset() rewinds the mutable state
  * between runs without touching any of these allocations.  Returns
@@ -1014,6 +1035,14 @@ static int ctx_alloc(ctx_t *c, const StationDesc *station_desc,
 
     c->scratch_counts = (int *)malloc(sizeof(int) * c->K);
     if (c->scratch_counts == NULL) return 1;
+    if (c->dynamic) {
+        c->cur_speed = (double *)malloc(sizeof(double) * c->M);
+        if (c->cur_speed == NULL) return 1;
+    }
+    if (c->collect_delays) {
+        c->delay_buf = (dbuf_t *)calloc(c->K, sizeof(dbuf_t));
+        if (c->delay_buf == NULL) return 1;
+    }
 
     c->n_blocks = n_blocks;
     if (n_blocks > 0) {
@@ -1064,6 +1093,8 @@ static void ctx_reset(ctx_t *c) {
     c->heap.len = 0;
     c->jobs.used = 0;
     c->jobs.free_len = 0;
+    c->sample_ts.len = 0;
+    c->sample_vals.len = 0;
     for (int i = 0; i < c->M; i++) {
         station_t *st = &c->stations[i];
         for (int s = 0; s < st->n_servers; s++) {
@@ -1095,11 +1126,17 @@ static void ctx_reset(ctx_t *c) {
     }
 }
 
+/* One routing uniform for class k: from the class's Python-refilled
+ * block (antithetic streams) or straight off its bit generator. */
+static double route_uniform(ctx_t *c, int k) {
+    int blk = c->routing_block[k];
+    if (blk >= 0) return block_next(c, blk);
+    return random_standard_uniform((bitgen_t *)c->routing_bg[k]);
+}
+
 /* Seed the initial arrivals, run the event loop to the horizon, flush
  * buffered samples, close open busy intervals and write the four out
- * scalars.  Identical control flow to the pre-batch monolith -- the
- * refactor only moved state into ctx_t so a batch can reuse it.  All
- * error paths leave buffers owned by the ctx (the caller frees). */
+ * scalars.  All error paths leave buffers owned by the ctx. */
 static int run_core(ctx_t *c) {
     double horizon = c->horizon;
     double warmup = c->warmup;
@@ -1163,13 +1200,8 @@ static int run_core(ctx_t *c) {
             int nxt_station;
             int continuing;
             if (c->has_routing) {
-                double u;
-                if (c->routing_block != NULL) {
-                    u = block_next(c, c->routing_block[k]);
-                    if (*c->abort_flag) return RC_ABORT;
-                } else {
-                    u = random_standard_uniform((bitgen_t *)c->routing_bg[k]);
-                }
+                double u = route_uniform(c, k);
+                if (*c->abort_flag) return RC_ABORT;
                 const double *row = c->trans_cum[k] + (long long)here * M;
                 int nxt = -1;
                 if (u <= row[M - 1]) {
@@ -1194,17 +1226,16 @@ static int run_core(ctx_t *c) {
                 }
                 if (!accepted && jp_release(&c->jobs, jidx)) return RC_NOMEM;
             } else if (counted) {
-                if (c->use_welford) {
-                    /* stats.Welford.add: n += 1; delta = x - mean;
-                     * mean += delta / n; m2 += delta * (x - mean). */
-                    double x = t - j->arrival;
-                    long long n = ++c->wf_n[k];
-                    double delta = x - c->wf_mean[k];
-                    c->wf_mean[k] += delta / (double)n;
-                    c->wf_m2[k] += delta * (x - c->wf_mean[k]);
-                } else {
-                    if (dbuf_push(&c->delay_buf[k], t - j->arrival)) return RC_NOMEM;
-                }
+                /* stats.Welford.add: n += 1; delta = x - mean;
+                 * mean += delta / n; m2 += delta * (x - mean).  The
+                 * build passes -ffp-contract=off so no target fuses the
+                 * last line into an FMA. */
+                double x = t - j->arrival;
+                long long n = ++c->wf_n[k];
+                double delta = x - c->wf_mean[k];
+                c->wf_mean[k] += delta / (double)n;
+                c->wf_m2[k] += delta * (x - c->wf_mean[k]);
+                if (c->collect_delays && dbuf_push(&c->delay_buf[k], x)) return RC_NOMEM;
                 if (c->collect_log && logbuf_push(&c->log, j->jid, k, j->arrival, t))
                     return RC_NOMEM;
                 if (jp_release(&c->jobs, jidx)) return RC_NOMEM;
@@ -1221,13 +1252,8 @@ static int run_core(ctx_t *c) {
                 if (jidx < 0) return RC_NOMEM;
                 job_t *j = &c->jobs.pool[jidx];
                 if (c->has_routing) {
-                    double u;
-                    if (c->routing_block != NULL) {
-                        u = block_next(c, c->routing_block[k]);
-                        if (*c->abort_flag) return RC_ABORT;
-                    } else {
-                        u = random_standard_uniform((bitgen_t *)c->routing_bg[k]);
-                    }
+                    double u = route_uniform(c, k);
+                    if (*c->abort_flag) return RC_ABORT;
                     const double *cum = c->entry_cum[k];
                     entry = -1;
                     if (u <= cum[M - 1]) {
@@ -1265,23 +1291,7 @@ static int run_core(ctx_t *c) {
      * when no controller is attached) flush once, after the loop. */
     if (flush_samples(c)) return *c->abort_flag ? RC_ABORT : RC_NOMEM;
 
-    /* close open busy intervals at the horizon (server order, like the
-     * Python finalizer) */
-    for (int i = 0; i < M; i++) {
-        station_t *st = &c->stations[i];
-        if (st->discipline == DISC_PS) {
-            ps_elapse(c, st, horizon);
-        } else {
-            for (int s = 0; s < st->n_servers; s++) {
-                int ji = st->srv_job[s];
-                if (ji >= 0) {
-                    record_busy(st, c->jobs.pool[ji].cls, st->srv_busy_since[s], horizon);
-                    st->srv_busy_since[s] = horizon;
-                }
-            }
-        }
-        c->busy_out[i] = st->busy_total;
-    }
+    close_intervals(c, horizon);
 
     /* processed events = pushes - still-enqueued - the post-horizon pop */
     long long pushes = c->next_seq - 1;
@@ -1292,25 +1302,51 @@ static int run_core(ctx_t *c) {
     return RC_OK;
 }
 
+/* The kernel's one entry point: run n_reps independent replications of
+ * one scenario back to back on a single arena (a single simulate() call
+ * is a batch of one).  Station geometry, routes/routing tables and the
+ * epoch schedule are shared; every replication brings its own sampler,
+ * arrival and routing descriptors (its own bit generators and Python
+ * block ids) and gets its own output slices.  The event heap, job pool,
+ * station arrays and Python block buffers are allocated once by
+ * ctx_alloc and rewound by ctx_reset between replications, so the
+ * Python->C boundary is crossed once per batch.
+ *
+ * Optional features switch on by pointer: routing tables (entry_cum_v
+ * non-NULL, fixed routes otherwise), epoch yields (epoch_cb non-NULL),
+ * queue sampling (sample_interval > 0), per-job delay samples
+ * (delay_ptrs) and the job log (log_ptrs).  Delay moments are always
+ * folded inline through the Welford recurrence.  Growable delay/log
+ * buffers are handed to the caller, who copies them and k_free()s.
+ *
+ * Each replication's RC_* code goes to rc_out; a failed replication
+ * costs only itself (the next one starts on reset state), and the
+ * return value is the first failure's code, or RC_OK. */
 int run_kernel(
-    int K, int M, double horizon, double warmup,
-    StationDesc *station_desc, SamplerDesc *samplers, ArrivalDesc *arrivals,
-    int has_routing,
+    int n_reps, int K, int M, double horizon, double warmup,
+    const StationDesc *station_desc,
+    SamplerDesc *samplers,          /* n_reps blocks of M*K */
+    ArrivalDesc *arrivals,          /* n_reps blocks of K */
     void **routes_v, int *route_len,
-    void **entry_cum_v, void **trans_cum_v, void **routing_bg,
-    int *routing_block,
-    refill_cb_t refill_cb, int n_blocks, long long block_size,
-    int dynamic, long long n_epochs, const double *epoch_times,
-    double *speeds, long long *counts_out, epoch_cb_t epoch_cb,
-    double sample_interval, sample_cb_t sample_cb,
-    int collect_log,
-    service_cb_t service_cb, arrival_cb_t arrival_cb, int *abort_flag,
+    void **entry_cum_v, void **trans_cum_v,
+    void **routing_bg,              /* n_reps blocks of K (routing mode) */
+    int *routing_block,             /* n_reps blocks of K (routing mode) */
+    int n_blocks, long long block_size, /* Python block buffers per replication */
+    long long n_epochs, const double *epoch_times,
+    double *speeds,                 /* n_reps blocks of M (epoch mode) */
+    long long *counts_out,          /* M*K queue counts per epoch */
+    double sample_interval,
+    service_cb_t service_cb, arrival_cb_t arrival_cb, refill_cb_t refill_cb,
+    epoch_cb_t epoch_cb, sample_cb_t sample_cb, int *abort_flag,
     double *wait_sum, double *sojourn_sum, long long *visit_count,
-    long long *n_blocked, long long *offered,
-    double *busy_total, double *class_busy,
-    long long *out_scalars,
-    void **delay_ptrs, long long *delay_counts,
-    void **log_ptrs, long long *log_count)
+    long long *n_blocked, long long *offered, /* n_reps blocks of K*M */
+    double *busy_total,             /* n_reps blocks of M */
+    double *class_busy,             /* n_reps blocks of M*K */
+    long long *out_scalars,         /* n_reps blocks of 4 */
+    long long *wf_n, double *wf_mean, double *wf_m2, /* n_reps blocks of K */
+    void **delay_ptrs, long long *delay_counts,      /* n_reps blocks of K */
+    void **log_ptrs, long long *log_count,           /* n_reps blocks of 4 / 1 */
+    int *rc_out)
 {
     ctx_t c;
     memset(&c, 0, sizeof(c));
@@ -1318,139 +1354,44 @@ int run_kernel(
     c.M = M;
     c.horizon = horizon;
     c.warmup = warmup;
-    c.samplers = samplers;
-    c.arrivals = arrivals;
-    c.has_routing = has_routing;
+    c.has_routing = entry_cum_v != NULL;
     c.routes = (int **)routes_v;
     c.route_len = route_len;
     c.entry_cum = (double **)entry_cum_v;
     c.trans_cum = (double **)trans_cum_v;
-    c.routing_bg = routing_bg;
-    c.routing_block = routing_block;
     c.service_cb = service_cb;
     c.arrival_cb = arrival_cb;
     c.refill_cb = refill_cb;
     c.abort_flag = abort_flag;
-    c.dynamic = dynamic;
+    c.dynamic = epoch_cb != NULL;
     c.n_epochs = n_epochs;
     c.epoch_times = epoch_times;
-    c.speeds = speeds;
     c.counts_out = counts_out;
-    c.busy_out = busy_total;
     c.epoch_cb = epoch_cb;
     c.sample_interval = sample_interval;
     c.sample_cb = sample_cb;
-    c.wait_sum = wait_sum;
-    c.sojourn_sum = sojourn_sum;
-    c.visit_count = visit_count;
-    c.n_blocked = n_blocked;
-    c.offered = offered;
-    c.out_scalars = out_scalars;
-    c.collect_log = collect_log;
+    c.collect_delays = delay_ptrs != NULL;
+    c.collect_log = log_ptrs != NULL;
 
-    int rc = RC_NOMEM;
-    dbuf_t *delay_buf = (dbuf_t *)calloc(K, sizeof(dbuf_t));
-    c.delay_buf = delay_buf;
-    if (delay_buf == NULL) return RC_NOMEM;
-
-    if (ctx_alloc(&c, station_desc, n_blocks, block_size)) goto fail;
-
-    if (dynamic) {
-        c.cur_speed = (double *)malloc(sizeof(double) * M);
-        if (c.cur_speed == NULL) goto fail;
-        for (int i = 0; i < M; i++) c.cur_speed[i] = speeds[i];
-    }
-
-    for (int i = 0; i < M; i++)
-        c.stations[i].class_busy = class_busy + (long long)i * K;
-    ctx_reset(&c);
-
-    rc = run_core(&c);
-    if (rc != RC_OK) goto fail;
-
-    for (int k = 0; k < K; k++) {
-        delay_ptrs[k] = delay_buf[k].buf; /* caller copies then k_free()s */
-        delay_counts[k] = delay_buf[k].len;
-    }
-    log_ptrs[0] = c.log.jid;
-    log_ptrs[1] = c.log.cls;
-    log_ptrs[2] = c.log.arrival;
-    log_ptrs[3] = c.log.exit_t;
-    *log_count = c.log.len;
-
-    free(delay_buf);
-    free_ctx(&c);
-    return RC_OK;
-
-fail:
-    if (delay_buf != NULL) {
-        for (int k = 0; k < K; k++) free(delay_buf[k].buf);
-        free(delay_buf);
-    }
-    free(c.log.jid);
-    free(c.log.cls);
-    free(c.log.arrival);
-    free(c.log.exit_t);
-    free_ctx(&c);
-    return rc;
-}
-
-/* Batched entry point for fleet sweeps: run n_reps independent static
- * replications of one scenario back to back on a single arena.  Each
- * replication brings its own sampler/arrival descriptors (fresh
- * per-seed bit generator pointers) and its own output slices; the
- * event heap, job pool and station arrays are allocated once by
- * ctx_alloc and rewound by ctx_reset between runs, so the Python->C
- * boundary is crossed once per batch instead of once per replication.
- * End-to-end delays accumulate inline through the scalar Welford
- * recurrence (use_welford) -- the exact IEEE expression sequence
- * stats.Welford.add_batch replays -- so no per-job delay buffers cross
- * the boundary either.
- *
- * On failure the index of the failing replication goes to *fail_index
- * and its RC_* code is returned; outputs for replications before it
- * are complete and valid, and the caller may re-invoke with offset
- * arrays to resume at fail_index + 1.  Dynamic speed control, routing
- * matrices, Python block buffers, job logs and queue sampling are
- * unit-path features: batch callers fall back to run_kernel for those
- * (enforced on the Python side). */
-int run_kernel_batch(
-    int n_reps, int K, int M, double horizon, double warmup,
-    StationDesc *station_desc,
-    SamplerDesc *samplers,       /* n_reps blocks of M*K */
-    ArrivalDesc *arrivals,       /* n_reps blocks of K */
-    void **routes_v, int *route_len,
-    service_cb_t service_cb, arrival_cb_t arrival_cb, int *abort_flag,
-    double *wait_sum, double *sojourn_sum, long long *visit_count,
-    long long *n_blocked, long long *offered,
-    double *busy_total,          /* n_reps blocks of M */
-    double *class_busy,          /* n_reps blocks of M*K */
-    long long *out_scalars,      /* n_reps blocks of 4 */
-    long long *wf_n, double *wf_mean, double *wf_m2, /* n_reps blocks of K */
-    long long *fail_index)
-{
-    ctx_t c;
-    memset(&c, 0, sizeof(c));
-    c.K = K;
-    c.M = M;
-    c.horizon = horizon;
-    c.warmup = warmup;
-    c.routes = (int **)routes_v;
-    c.route_len = route_len;
-    c.service_cb = service_cb;
-    c.arrival_cb = arrival_cb;
-    c.abort_flag = abort_flag;
-    c.use_welford = 1;
-    *fail_index = -1;
-
-    if (ctx_alloc(&c, station_desc, 0, 0)) {
+    if (ctx_alloc(&c, station_desc, n_blocks, block_size)) {
         free_ctx(&c);
+        for (int b = 0; b < n_reps; b++) rc_out[b] = RC_NOMEM;
         return RC_NOMEM;
     }
+    int first_rc = RC_OK;
     size_t km = (size_t)K * M;
     for (int b = 0; b < n_reps; b++) {
+        c.rep = b;
         c.samplers = samplers + (size_t)b * km;
         c.arrivals = arrivals + (size_t)b * K;
+        if (c.has_routing) {
+            c.routing_bg = routing_bg + (size_t)b * K;
+            c.routing_block = routing_block + (size_t)b * K;
+        }
+        if (c.dynamic) {
+            c.speeds = speeds + (size_t)b * M;
+            for (int i = 0; i < M; i++) c.cur_speed[i] = c.speeds[i];
+        }
         c.wait_sum = wait_sum + (size_t)b * km;
         c.sojourn_sum = sojourn_sum + (size_t)b * km;
         c.visit_count = visit_count + (size_t)b * km;
@@ -1463,14 +1404,31 @@ int run_kernel_batch(
         c.wf_m2 = wf_m2 + (size_t)b * K;
         for (int i = 0; i < M; i++)
             c.stations[i].class_busy = class_busy + ((size_t)b * M + i) * K;
+        *abort_flag = 0;
         ctx_reset(&c);
         int rc = run_core(&c);
+        rc_out[b] = rc;
         if (rc != RC_OK) {
-            *fail_index = b;
-            free_ctx(&c);
-            return rc;
+            if (first_rc == RC_OK) first_rc = rc;
+        } else {
+            if (c.collect_delays)
+                for (int k = 0; k < K; k++) {
+                    delay_ptrs[(size_t)b * K + k] = c.delay_buf[k].buf;
+                    delay_counts[(size_t)b * K + k] = c.delay_buf[k].len;
+                    c.delay_buf[k].buf = NULL;
+                }
+            if (c.collect_log) {
+                void **lp = log_ptrs + (size_t)b * 4;
+                lp[0] = c.log.jid;
+                lp[1] = c.log.cls;
+                lp[2] = c.log.arrival;
+                lp[3] = c.log.exit_t;
+                log_count[b] = c.log.len;
+                memset(&c.log, 0, sizeof(logbuf_t));
+            }
         }
+        drop_outputs(&c);
     }
     free_ctx(&c);
-    return RC_OK;
+    return first_rc;
 }

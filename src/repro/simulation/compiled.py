@@ -13,11 +13,20 @@ has a C toolchain, and NumPy exports its C distribution functions plus
 per-``Generator`` ``bitgen_t`` pointers precisely for this kind of
 extension.  The kernel draws every variate through the *same* NumPy C
 functions the ``Generator`` methods call, on the *same* per-stream bit
-generators :class:`~repro.simulation.rng.RngStreams` creates — so the
+generators :class:`~repro.simulation.rng.RngStreams` derives — so the
 bit-stream consumption, and therefore every simulated metric, is
 bit-identical to the pure-Python engine (enforced by
 ``tests/test_golden_sim_metrics.py`` and
 ``tests/test_compiled_backend.py``).
+
+One driver serves every caller.  The kernel exports a single
+``run_kernel`` that runs ``n_reps`` replications of one scenario on one
+reused arena: :func:`maybe_simulate_compiled` (behind ``simulate()``)
+is a batch of one, and :func:`maybe_simulate_fleet_batch` passes a
+fleet chunk.  :func:`_run_kernel` builds every replication's
+descriptors, makes the call and maps each replication's return code to
+its tallies or its exception; the result formulas live in
+:mod:`repro.simulation.simulator`, shared with the Python engine.
 
 Backend selection (``REPRO_SIM_BACKEND`` environment variable):
 
@@ -90,11 +99,26 @@ from repro.exceptions import (
     CompiledFallbackWarning,
     ModelValidationError,
     SimulationError,
-    WarmupDiscardWarning,
 )
 from repro.simulation.rng import AntitheticSeed, RngStreams, fnv1a64
 from repro.simulation.rng import _TINY as _RNG_TINY
-from repro.simulation.stats import Welford, confidence_halfwidth
+from repro.simulation.simulator import (
+    _JOB_LOG_DTYPE,
+    SimulationResult,
+    _account,
+    _average_power,
+    _build_routes,
+    _build_routing_tables,
+    _emit_queue_sample,
+    _energy_per_request,
+    _finalize,
+    _make_sampler,
+    _mean_delay,
+    _SpeedLedger,
+    _Tallies,
+    _validate,
+)
+from repro.simulation.stats import Welford
 from repro.workload.arrivals import PoissonProcess
 from repro.workload.traces import TraceArrivalProcess
 
@@ -105,11 +129,8 @@ __all__ = [
     "load_kernel",
     "maybe_simulate_compiled",
     "maybe_simulate_fleet_batch",
-    "resolve_backend",
     "warm_kernel",
 ]
-
-_BACKENDS = ("python", "compiled", "auto")
 
 # ---------------------------------------------------------------------------
 # build & load
@@ -136,6 +157,9 @@ _POST_ADD = 1
 # stream identically to the Python engine's pregenerated blocks.
 _BLOCK_SIZE = 4096
 
+# numpy.random.SeedSequence's default entropy pool size, in uint32 words.
+_SEED_POOL_SIZE = 4
+
 _RC_OK = 0
 _RC_NOMEM = 1
 _RC_ABORT = 2
@@ -161,25 +185,23 @@ def _warn_fallback(reason: str) -> None:
             f"REPRO_SIM_BACKEND=compiled requested but falling back to the "
             f"pure-Python engine: {reason} (results are bit-identical)"
         ),
-        stacklevel=4,
+        stacklevel=5,
     )
 
 
-def resolve_backend(raw: str | None) -> str:
-    """Validate and normalize a backend selector string."""
-    if raw is None:
-        return "python"
-    value = raw.strip().lower()
-    if value not in _BACKENDS:
-        raise ModelValidationError(
-            f"REPRO_SIM_BACKEND must be one of {_BACKENDS}, got {raw!r}"
-        )
-    return value
+#: Compiler flags of the kernel build.  ``-ffp-contract=off`` keeps
+#: every floating-point expression unfused on every target, so the
+#: kernel's arithmetic (e.g. the inline Welford update) stays
+#: bit-identical to the Python engine's even where FMA is baseline ISA.
+_CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 
 
 def _source_digest() -> str:
     payload = _KERNEL_SOURCE.read_bytes()
-    tag = f"|numpy={np.__version__}|py={sys.version_info[:2]}|{platform.machine()}"
+    tag = (
+        f"|numpy={np.__version__}|py={sys.version_info[:2]}|{platform.machine()}"
+        f"|cflags={' '.join(_CFLAGS)}"
+    )
     return hashlib.sha256(payload + tag.encode()).hexdigest()[:16]
 
 
@@ -202,9 +224,9 @@ def build_kernel() -> Path:
     """Compile ``_kernel.c`` into the cache (no-op when already built).
 
     The shared object is keyed by a digest of the source, the NumPy and
-    Python versions and the machine architecture, and installed with an
-    atomic rename so concurrent processes (e.g. a fleet's workers) can
-    race the build safely.
+    Python versions, the machine architecture and the compiler flags,
+    and installed with an atomic rename so concurrent processes (e.g. a
+    fleet's workers) can race the build safely.
     """
     cache = _cache_dir()
     try:
@@ -231,9 +253,7 @@ def build_kernel() -> Path:
     tmp = target.with_suffix(f".tmp.{os.getpid()}.so")
     cmd = [
         compiler,
-        "-O2",
-        "-fPIC",
-        "-shared",
+        *_CFLAGS,
         "-o",
         str(tmp),
         str(_KERNEL_SOURCE),
@@ -256,14 +276,17 @@ def build_kernel() -> Path:
     return target
 
 
-_SERVICE_CB = CFUNCTYPE(c_double, c_int)
-_ARRIVAL_CB = CFUNCTYPE(c_double, c_int, POINTER(c_longlong))
-# (block_id, buf, cap) -> number of variates written (0 = error/abort)
-_REFILL_CB = CFUNCTYPE(c_longlong, c_int, POINTER(c_double), c_longlong)
-# (t_boundary) -> -1 error, 0 keep speeds, 1 apply the shared speeds array
-_EPOCH_CB = CFUNCTYPE(c_int, c_double)
-# (ts[n], vals[n*2M], n) -> 0 ok, -1 error
-_SAMPLE_CB = CFUNCTYPE(c_int, POINTER(c_double), POINTER(c_longlong), c_longlong)
+# Every callback's first argument is the replication index in the call.
+# (rep, sampler_id) -> variate
+_SERVICE_CB = CFUNCTYPE(c_double, c_int, c_int)
+# (rep, class, batch_out) -> gap
+_ARRIVAL_CB = CFUNCTYPE(c_double, c_int, c_int, POINTER(c_longlong))
+# (rep, block_id, buf, cap) -> number of variates written (0 = error/abort)
+_REFILL_CB = CFUNCTYPE(c_longlong, c_int, c_int, POINTER(c_double), c_longlong)
+# (rep, t_boundary) -> -1 error, 0 keep speeds, 1 apply the speeds slice
+_EPOCH_CB = CFUNCTYPE(c_int, c_int, c_double)
+# (rep, ts[n], vals[n*2M], n) -> 0 ok, -1 error
+_SAMPLE_CB = CFUNCTYPE(c_int, c_int, POINTER(c_double), POINTER(c_longlong), c_longlong)
 
 
 class _SamplerDesc(ctypes.Structure):
@@ -314,50 +337,6 @@ def load_kernel() -> ctypes.CDLL:
         lib = ctypes.CDLL(str(path))
         lib.run_kernel.restype = c_int
         lib.run_kernel.argtypes = [
-            c_int,  # K
-            c_int,  # M
-            c_double,  # horizon
-            c_double,  # warmup
-            POINTER(_StationDesc),
-            POINTER(_SamplerDesc),
-            POINTER(_ArrivalDesc),
-            c_int,  # has_routing
-            POINTER(c_void_p),  # routes
-            POINTER(c_int),  # route_len
-            POINTER(c_void_p),  # entry_cum
-            POINTER(c_void_p),  # trans_cum
-            POINTER(c_void_p),  # routing_bg
-            POINTER(c_int),  # routing_block (antithetic uniforms)
-            _REFILL_CB,
-            c_int,  # n_blocks
-            c_longlong,  # block_size
-            c_int,  # dynamic (epoch-yield protocol active)
-            c_longlong,  # n_epochs
-            POINTER(c_double),  # epoch_times
-            POINTER(c_double),  # speeds (shared decision channel)
-            POINTER(c_longlong),  # counts_out (M*K queue counts)
-            _EPOCH_CB,
-            c_double,  # sample_interval
-            _SAMPLE_CB,
-            c_int,  # collect_log
-            _SERVICE_CB,
-            _ARRIVAL_CB,
-            POINTER(c_int),  # abort_flag
-            POINTER(c_double),  # wait_sum
-            POINTER(c_double),  # sojourn_sum
-            POINTER(c_longlong),  # visit_count
-            POINTER(c_longlong),  # n_blocked
-            POINTER(c_longlong),  # offered
-            POINTER(c_double),  # busy_total
-            POINTER(c_double),  # class_busy
-            POINTER(c_longlong),  # out_scalars
-            POINTER(c_void_p),  # delay_ptrs
-            POINTER(c_longlong),  # delay_counts
-            POINTER(c_void_p),  # log_ptrs
-            POINTER(c_longlong),  # log_count
-        ]
-        lib.run_kernel_batch.restype = c_int
-        lib.run_kernel_batch.argtypes = [
             c_int,  # n_reps
             c_int,  # K
             c_int,  # M
@@ -368,8 +347,22 @@ def load_kernel() -> ctypes.CDLL:
             POINTER(_ArrivalDesc),  # n_reps blocks of K
             POINTER(c_void_p),  # routes
             POINTER(c_int),  # route_len
+            POINTER(c_void_p),  # entry_cum (NULL = fixed routes)
+            POINTER(c_void_p),  # trans_cum
+            POINTER(c_void_p),  # routing_bg (n_reps blocks of K)
+            POINTER(c_int),  # routing_block (n_reps blocks of K)
+            c_int,  # n_blocks (Python refill buffers per replication)
+            c_longlong,  # block_size
+            c_longlong,  # n_epochs
+            POINTER(c_double),  # epoch_times
+            POINTER(c_double),  # speeds (n_reps blocks of M)
+            POINTER(c_longlong),  # counts_out (M*K queue counts)
+            c_double,  # sample_interval
             _SERVICE_CB,
             _ARRIVAL_CB,
+            _REFILL_CB,
+            _EPOCH_CB,  # NULL = static speeds
+            _SAMPLE_CB,
             POINTER(c_int),  # abort_flag
             POINTER(c_double),  # wait_sum
             POINTER(c_double),  # sojourn_sum
@@ -382,7 +375,11 @@ def load_kernel() -> ctypes.CDLL:
             POINTER(c_longlong),  # wf_n
             POINTER(c_double),  # wf_mean
             POINTER(c_double),  # wf_m2
-            POINTER(c_longlong),  # fail_index
+            POINTER(c_void_p),  # delay_ptrs (NULL = no samples)
+            POINTER(c_longlong),  # delay_counts
+            POINTER(c_void_p),  # log_ptrs (NULL = no job log)
+            POINTER(c_longlong),  # log_count
+            POINTER(c_int),  # rc_out
         ]
         lib.k_free.restype = None
         lib.k_free.argtypes = [c_void_p]
@@ -429,18 +426,14 @@ def warm_kernel() -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _unsupported_reason(cluster, seed, epoch_controller) -> str | None:
+def _unsupported_reason(cluster) -> str | None:
     """Why this configuration cannot run on the C kernel (``None`` =
     supported).
 
-    Epoch controllers, antithetic seeds, PS tiers and telemetry queue
-    sampling are all inside the envelope now; the remaining exclusion
-    is a tier discipline the kernel has no state machine for.  The
-    ``seed``/``epoch_controller`` parameters stay in the signature so
-    the decision matrix is explicit at the call site (and future
-    exclusions slot in without touching callers).
+    Epoch controllers, antithetic seeds, PS tiers, routing, traces and
+    telemetry queue sampling are all inside the envelope; the one
+    exclusion is a tier discipline the kernel has no state machine for.
     """
-    del seed, epoch_controller  # fully supported; kept for the call-site contract
     for tier in cluster.tiers:
         if tier.discipline not in _DISCIPLINES:
             return (
@@ -472,18 +465,29 @@ def _annotate_backend(resolved: str, requested: str, fallback: str | None = None
 # ---------------------------------------------------------------------------
 
 
-def _bitgen_ptr(rng: np.random.Generator) -> int:
-    return ctypes.cast(rng.bit_generator.ctypes.bit_generator, c_void_p).value
+# PyCapsule_GetPointer through a private prototype (the shared
+# ctypes.pythonapi entry keeps its default signature).
+_capsule_pointer = ctypes.PYFUNCTYPE(c_void_p, ctypes.py_object, ctypes.c_char_p)(
+    ("PyCapsule_GetPointer", ctypes.pythonapi)
+)
 
 
-def _sampler_descriptor(dist, rng, keep: list, py_samplers: list) -> _SamplerDesc:
-    """Map one (distribution, stream) pair to a kernel descriptor.
+def _bitgen_ptr(bitgen: np.random.BitGenerator) -> int:
+    """The ``bitgen_t*`` of a NumPy bit generator, read from its capsule
+    (building the ``bitgen.ctypes`` interface costs ~10x more, once per
+    stream)."""
+    return _capsule_pointer(bitgen.capsule, b"BitGenerator")
+
+
+def _sampler_template(dist, keep: list) -> _SamplerDesc:
+    """Map one distribution to a kernel descriptor, minus its stream.
 
     ``Scaled``/``Shifted`` wrappers unwrap into a post-op chain
     (outermost first; the kernel applies them innermost first, matching
     the Python nesting).  Families with a native NumPy C counterpart
-    draw inside the kernel; anything else falls back to a per-draw
-    Python callback that performs the engine's exact scalar draw.
+    draw inside the kernel once the caller patches in the stream's bit
+    generator; anything else is ``_SK_PYCALL``, for which the caller
+    binds a per-draw Python callback.
     """
     post_ops: list[int] = []
     post_vals: list[float] = []
@@ -540,26 +544,500 @@ def _sampler_descriptor(dist, rng, keep: list, py_samplers: list) -> _SamplerDes
         desc.cdf = cdf.ctypes.data_as(POINTER(c_double))
         desc.scales = scales.ctypes.data_as(POINTER(c_double))
     else:
-        # Per-draw Python callback: the engine's own scalar draw (the
-        # block-sampling contract makes it equal to the BlockCursor
-        # path for block-safe families; non-safe families already use
-        # this exact call).
         desc.kind = _SK_PYCALL
         desc.n_post = 0  # wrappers sample through dist directly
-        desc.py_id = len(py_samplers)
-
-        def _draw(sample=dist.sample, rng=rng) -> float:
-            return float(sample(rng))
-
-        py_samplers.append(_draw)
-        return desc
-    desc.bg = _bitgen_ptr(rng)
     return desc
 
 
+def _pump_fill(dist, rng):
+    """fill(n) for one antithetic service stream: block-safe families
+    draw one vectorized block (n == the BlockCursor block size, so the
+    draw equals the engine's pregenerated chunk exactly); everything
+    else pumps the engine's own scalar sampler n times.
+
+    HyperExponential — the canonical high-variability demand, so the
+    hot unsafe family — is vectorized with interleaved uniforms: the
+    scalar sampler consumes (u_select, u_expo) per draw, so one
+    ``random(2n)`` batch sliced even/odd reproduces the exact stream
+    consumption and values (``random(2n)`` advances the bit generator
+    identically to 2n scalar calls, and ``searchsorted(side="right")``
+    matches ``bisect_right``).
+    """
+    if dist.block_sampling_safe:
+
+        def fill(n, sample=dist.sample, rng=rng):
+            return sample(rng, n)
+
+    elif isinstance(dist, HyperExponential):
+        cdf = np.asarray(dist._cdf, dtype=np.float64)
+        hyper_scales = np.asarray(dist._scales, dtype=np.float64)
+
+        def fill(n, cdf=cdf, hyper_scales=hyper_scales, rng=rng):
+            u = rng.random(2 * n)
+            idx = np.searchsorted(cdf, u[0::2], side="right")
+            w = 1.0 - u[1::2]
+            return hyper_scales[idx] * -np.log(np.maximum(w, _RNG_TINY))
+
+    else:
+        scalar = _make_sampler(dist, rng)
+
+        def fill(n, scalar=scalar):
+            return [scalar() for _ in range(n)]
+
+    return fill
+
+
 # ---------------------------------------------------------------------------
-# the compiled run
+# the driver
 # ---------------------------------------------------------------------------
+
+
+class _Rep:
+    """The Python side of one replication in a kernel call: what its
+    callbacks draw from, and the first exception one of them raised."""
+
+    __slots__ = ("samplers", "pulls", "fills", "ledger", "epoch", "error")
+
+    def __init__(self, k_classes: int) -> None:
+        self.samplers: list[Any] = []  # SK_PYCALL service draws, by py_id
+        self.pulls: list[Any] = [None] * k_classes  # SK_PYCALL arrivals, by class
+        self.fills: list[Any] = []  # SK_PYBLOCK refills, by block id
+        self.ledger: _SpeedLedger | None = None
+        self.epoch: Any = None  # epoch decision (dynamic speed control)
+        self.error: BaseException | None = None
+
+    def block(self, fill) -> int:
+        """Register a refill ``fill(n)``; returns its block id."""
+        self.fills.append(fill)
+        return len(self.fills) - 1
+
+
+def _u32_words(x) -> list[int]:
+    """A non-negative int, or a sequence of them, as the little-endian
+    uint32 words ``SeedSequence`` hashes."""
+    if not isinstance(x, (int, np.integer)):
+        return [w for v in x for w in _u32_words(v)]
+    n = int(x)
+    words = [n & 0xFFFFFFFF]
+    while n >> 32:
+        n >>= 32
+        words.append(n & 0xFFFFFFFF)
+    return words
+
+
+def _seed_words(seed) -> list[int]:
+    """The entropy words of RngStreams' per-stream
+    ``SeedSequence(entropy, spawn_key + (fnv1a64(name),))`` for a plain
+    seed, up to the name digest: the run entropy zero-padded to the
+    pool size (SeedSequence pads it whenever a spawn key follows), then
+    the spawn key.  A SeedSequence seeded with the full word array
+    builds the same pool without re-coercing the key tuple per stream."""
+    if isinstance(seed, np.random.SeedSequence):
+        entropy, spawn_key = seed.entropy, seed.spawn_key
+    elif not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ModelValidationError(f"seed must be a non-negative integer, got {seed}")
+    else:
+        entropy, spawn_key = seed, ()
+    run = _u32_words(entropy)
+    return run + [0] * (_SEED_POOL_SIZE - len(run)) + _u32_words(spawn_key)
+
+
+def _stream_bitgen(words: list[int], name: str) -> np.random.PCG64:
+    """Stream ``name``'s bit generator under a plain seed's ``words``:
+    the state ``RngStreams(seed).stream(name)`` starts from."""
+    entropy = np.array(words + _u32_words(fnv1a64(name)), dtype=np.uint32)
+    return np.random.PCG64(np.random.SeedSequence(entropy))
+
+
+def _describe(cluster, workload, seeds, reps, arrival_processes, routed, dynamic, keep):
+    """Every replication's sampler, arrival and routing descriptors.
+
+    Streams are the ones :class:`RngStreams` would hand the engine.
+    For int/SeedSequence seeds each is derived leanly — the stream's
+    ``SeedSequence`` state (see :func:`_seed_words`) feeding ``PCG64``,
+    without the ``Generator`` wrapper the kernel does not need — and a
+    native sampler descriptor is a struct copy of its (tier, class)
+    template with only the bit-generator pointer patched.
+    Antithetic seeds go through ``RngStreams``' coupled generators,
+    whose mirrored inverse transforms (``np.log``, not bitwise libm
+    ``log``) the kernel cannot reproduce, so all their streams are
+    pre-drawn in Python into refill blocks.  Streams are
+    consumer-private, so drawing ahead yields the exact sequence the
+    engine would see.
+    """
+    k_classes, m_stations = workload.num_classes, cluster.num_tiers
+    # Under dynamic speed control the sampler yields the *demand* (work
+    # at speed 1) and the kernel divides by the current speed at pull
+    # time, mirroring simulator._make_dynamic_sampler.
+    dists = [
+        [tier.demands[k] if dynamic else tier.demands[k].scaled(1.0 / tier.speed)
+         for k in range(k_classes)]
+        for tier in cluster.tiers
+    ]
+    keep.append(dists)
+    templates = [[_sampler_template(d, keep) for d in row] for row in dists]
+    poisson = [PoissonProcess(c.arrival_rate) for c in workload.classes]
+
+    n = len(seeds)
+    sampler_desc = (_SamplerDesc * (n * m_stations * k_classes))()
+    arrival_desc = (_ArrivalDesc * (n * k_classes))()
+    routing_bg = (c_void_p * (n * k_classes))() if routed else None
+    routing_block = (c_int * (n * k_classes))() if routed else None
+    for b, (seed, rep) in enumerate(zip(seeds, reps)):
+        coupled = isinstance(seed, AntitheticSeed)
+        if coupled:
+            stream = RngStreams(seed).stream
+        else:
+
+            def stream(name, words=_seed_words(seed)):
+                bitgen = _stream_bitgen(words, name)
+                keep.append(bitgen)
+                return bitgen
+
+        if routed:
+            for k in range(k_classes):
+                src = stream(f"routing/{k}")
+                if coupled:
+                    # Mirrored uniforms (min(1-u, 1^-) per draw) cannot
+                    # come off the raw bit generator.
+                    routing_block[b * k_classes + k] = rep.block(src.random)
+                else:
+                    routing_block[b * k_classes + k] = -1
+                    routing_bg[b * k_classes + k] = _bitgen_ptr(src)
+
+        procs = poisson if arrival_processes is None else [p.fresh() for p in arrival_processes]
+        for k, proc in enumerate(procs):
+            desc = arrival_desc[b * k_classes + k]
+            if type(proc) is TraceArrivalProcess:
+                # RNG-free timestamp replay runs natively in C.
+                ts = np.ascontiguousarray(proc.timestamps, dtype=np.float64)
+                keep.append(ts)
+                desc.kind = _SK_TRACE
+                desc.ts = ts.ctypes.data_as(POINTER(c_double))
+                desc.n_ts = ts.size
+                continue
+            src = stream(f"arrivals/{k}")
+            if type(proc) is PoissonProcess and coupled:
+                # Coupled exponential gaps: the engine's BlockCursor
+                # draw, one block per refill.
+                desc.kind = _SK_PYBLOCK
+
+                def gap_fill(n_draws, src=src, scale=1.0 / proc.rate):
+                    return src.exponential(scale, n_draws)
+
+                desc.py_id = rep.block(gap_fill)
+            elif type(proc) is PoissonProcess:
+                desc.kind = _SK_EXPO
+                desc.scale = 1.0 / proc.rate
+                desc.bg = _bitgen_ptr(src)
+            else:
+                desc.kind = _SK_PYCALL
+                rng = src if coupled else np.random.Generator(src)
+
+                def pull(proc=proc, rng=rng):
+                    return proc.next_arrival(rng)
+
+                rep.pulls[k] = pull
+
+        for i in range(m_stations):
+            for k in range(k_classes):
+                src = stream(f"service/{i}/{k}")
+                idx = (b * m_stations + i) * k_classes + k
+                if coupled:
+                    sampler_desc[idx].kind = _SK_PYBLOCK
+                    sampler_desc[idx].py_id = rep.block(_pump_fill(dists[i][k], src))
+                elif templates[i][k].kind == _SK_PYCALL:
+                    # Per-draw Python callback: the engine's own sampler.
+                    sampler_desc[idx].py_id = len(rep.samplers)
+                    rep.samplers.append(_make_sampler(dists[i][k], np.random.Generator(src)))
+                else:
+                    sampler_desc[idx] = templates[i][k]
+                    sampler_desc[idx].bg = _bitgen_ptr(src)
+    return sampler_desc, arrival_desc, routing_bg, routing_block
+
+
+def _epoch_decision(ledger, busy, class_busy, counts, speeds):
+    """The Python half of the epoch-yield protocol for one replication:
+    bill the busy time the kernel closed at the boundary (it flushed
+    the totals into ``busy``/``class_busy``), let the controller decide
+    on the published queue ``counts``, and hand the clamped speeds back
+    through ``speeds`` (return 1 = apply, 0 = keep)."""
+
+    def decide(t: float) -> int:
+        ledger.bill(busy.tolist(), class_busy.tolist())
+        # One counts array per epoch, shared by the controller and the
+        # trace row (the engine passes the trace's own array too).
+        if not ledger.decide(t, counts.copy()):
+            return 0
+        speeds[:] = ledger.speeds
+        return 1
+
+    return decide
+
+
+def _kernel_error(rc: int, callback_error: BaseException | None) -> BaseException:
+    """The exception a failed replication raises: what its callback
+    raised, or the engine's exception for the kernel's error code."""
+    if rc == _RC_ABORT:
+        return callback_error or SimulationError(
+            "compiled kernel aborted without a recorded error"
+        )
+    if rc == _RC_NOMEM:
+        return MemoryError("compiled simulation kernel ran out of memory")
+    return SimulationError("completion with no busy server (compiled kernel)")
+
+
+def _take(lib, ptr, n: int, ctype) -> np.ndarray:
+    """Copy a kernel-owned buffer of ``n`` values, then free it."""
+    if not ptr:
+        return np.empty(0)
+    out = np.ctypeslib.as_array(ctypes.cast(ptr, POINTER(ctype)), shape=(n,)).copy()
+    lib.k_free(ptr)
+    return out
+
+
+def _ptr(arr: np.ndarray | None, ctype):
+    return None if arr is None else arr.ctypes.data_as(POINTER(ctype))
+
+
+def _run_kernel(
+    lib,
+    cluster,
+    workload,
+    horizon: float,
+    warmup: float,
+    seeds: list,
+    arrival_processes=None,
+    collect_delay_samples: bool = False,
+    collect_job_log: bool = False,
+    routing=None,
+    epoch_times=None,
+    epoch_controller=None,
+) -> list[_Tallies | BaseException]:
+    """Run one replication per seed of a validated scenario in a single
+    kernel call; returns each replication's tallies, or the exception
+    it failed with (a failure costs only that replication)."""
+    k_classes, m_stations = workload.num_classes, cluster.num_tiers
+    n = len(seeds)
+    dynamic = epoch_controller is not None
+    keep: list[Any] = []  # keep-alive for every object the kernel reads
+    reps = [_Rep(k_classes) for _ in seeds]
+    abort = (c_int * 1)(0)
+
+    with obs.span("sim.setup", classes=k_classes, stations=m_stations, horizon=horizon, reps=n):
+        station_desc = (_StationDesc * m_stations)()
+        for i, tier in enumerate(cluster.tiers):
+            station_desc[i].servers = tier.servers
+            station_desc[i].discipline = _DISCIPLINES[tier.discipline]
+            station_desc[i].capacity = -1 if tier.capacity is None else tier.capacity
+        routes_v = route_len = entry_v = trans_v = None
+        if routing is None:
+            route_arrays = [np.asarray(r, dtype=np.int32) for r in _build_routes(cluster)]
+            keep.append(route_arrays)
+            routes_v = (c_void_p * k_classes)(*[r.ctypes.data for r in route_arrays])
+            route_len = (c_int * k_classes)(*[r.size for r in route_arrays])
+        else:
+            tables = _build_routing_tables(cluster, routing)
+            entry = [np.ascontiguousarray(t[0], dtype=np.float64) for t in tables]
+            trans = [np.ascontiguousarray(np.stack(t[1]), dtype=np.float64) for t in tables]
+            keep.append((entry, trans))
+            entry_v = (c_void_p * k_classes)(*[a.ctypes.data for a in entry])
+            trans_v = (c_void_p * k_classes)(*[a.ctypes.data for a in trans])
+        sampler_desc, arrival_desc, routing_bg, routing_block = _describe(
+            cluster, workload, seeds, reps, arrival_processes, routing is not None, dynamic, keep
+        )
+
+        shape = (n, k_classes, m_stations)
+        wait, sojourn = np.zeros(shape), np.zeros(shape)
+        visit, blocked, offered = (np.zeros(shape, dtype=np.int64) for _ in range(3))
+        busy = np.zeros((n, m_stations))
+        class_busy = np.zeros((n, m_stations, k_classes))
+        scalars = np.zeros((n, 4), dtype=np.int64)
+        wf_n = np.zeros((n, k_classes), dtype=np.int64)
+        wf_mean, wf_m2 = np.zeros((n, k_classes)), np.zeros((n, k_classes))
+        rc_out = np.zeros(n, dtype=np.int32)
+        delay_ptrs = delay_counts = log_ptrs = log_count = None
+        if collect_delay_samples:
+            delay_ptrs = (c_void_p * (n * k_classes))()
+            delay_counts = np.zeros((n, k_classes), dtype=np.int64)
+        if collect_job_log:
+            log_ptrs = (c_void_p * (n * 4))()
+            log_count = np.zeros(n, dtype=np.int64)
+
+        # Epoch-boundary yield protocol: the kernel pauses at each
+        # boundary, publishes the queue counts and closed busy totals,
+        # and calls the replication's decision; a positive return
+        # applies its speeds slice with the work-preserving rescale.
+        epoch_sched = speeds = counts = None
+        if dynamic:
+            epoch_sched = np.ascontiguousarray(epoch_times, dtype=np.float64)
+            speeds = np.tile([float(t.speed) for t in cluster.tiers], (n, 1))
+            counts = np.zeros((m_stations, k_classes), dtype=np.int64)
+            for b, rep in enumerate(reps):
+                rep.ledger = _SpeedLedger(cluster, epoch_controller)
+                rep.epoch = _epoch_decision(rep.ledger, busy[b], class_busy[b], counts, speeds[b])
+
+        # Buffered queue-length sampling: the kernel records (t,
+        # populations, busy) rows and batch-flushes them at epoch
+        # boundaries and at the end of each replication, in the
+        # engine's exact emission order.
+        tel = obs.TELEMETRY
+        sample_interval = (
+            tel.queue_sample_interval if (tel.enabled and tel.sample_queues) else 0.0
+        )
+
+        def _guard(callback, failed_value):
+            """A kernel callback run for one replication: an exception is
+            recorded on the replication and aborts it through the flag."""
+
+            def guarded(rep: int, *args):
+                try:
+                    return callback(reps[rep], *args)
+                except BaseException as exc:
+                    if reps[rep].error is None:
+                        reps[rep].error = exc
+                    abort[0] = 1
+                    return failed_value
+
+            return guarded
+
+        def _arrival(rep: _Rep, cls: int, batch_out) -> float:
+            gap, batch = rep.pulls[cls]()
+            batch_out[0] = int(batch)
+            return float(gap)
+
+        def _refill(rep: _Rep, block_id: int, buf, cap: int) -> int:
+            arr = np.ascontiguousarray(rep.fills[block_id](int(cap)), dtype=np.float64)
+            ctypes.memmove(buf, arr.ctypes.data, arr.size * 8)
+            return arr.size
+
+        def _samples(_rep: _Rep, ts, vals, n_rows: int) -> int:
+            rows = np.ctypeslib.as_array(vals, shape=(n_rows, 2, m_stations)).tolist()
+            for r, (pops, busy_now) in enumerate(rows):
+                _emit_queue_sample(tel, float(ts[r]), pops, busy_now)
+            return 0
+
+        n_blocks = max(len(rep.fills) for rep in reps)
+        callbacks = (
+            _SERVICE_CB(_guard(lambda rep, i: rep.samplers[i](), 0.0))
+            if any(rep.samplers for rep in reps)
+            else _SERVICE_CB(),
+            _ARRIVAL_CB(_guard(_arrival, 0.0))
+            if any(any(rep.pulls) for rep in reps)
+            else _ARRIVAL_CB(),
+            _REFILL_CB(_guard(_refill, 0)) if n_blocks else _REFILL_CB(),
+            _EPOCH_CB(_guard(lambda rep, t: rep.epoch(t), -1)) if dynamic else _EPOCH_CB(),
+            _SAMPLE_CB(_guard(_samples, -1)) if sample_interval > 0.0 else _SAMPLE_CB(),
+        )
+
+    with obs.span("sim.event_loop", horizon=horizon, backend="compiled", reps=n):
+        lib.run_kernel(
+            n,
+            k_classes,
+            m_stations,
+            float(horizon),
+            float(warmup),
+            station_desc,
+            sampler_desc,
+            arrival_desc,
+            routes_v,
+            route_len,
+            entry_v,
+            trans_v,
+            routing_bg,
+            routing_block,
+            n_blocks,
+            _BLOCK_SIZE,
+            0 if epoch_sched is None else epoch_sched.size,
+            _ptr(epoch_sched, c_double),
+            _ptr(speeds, c_double),
+            _ptr(counts, c_longlong),
+            float(sample_interval),
+            *callbacks,
+            abort,
+            _ptr(wait, c_double),
+            _ptr(sojourn, c_double),
+            _ptr(visit, c_longlong),
+            _ptr(blocked, c_longlong),
+            _ptr(offered, c_longlong),
+            _ptr(busy, c_double),
+            _ptr(class_busy, c_double),
+            _ptr(scalars, c_longlong),
+            _ptr(wf_n, c_longlong),
+            _ptr(wf_mean, c_double),
+            _ptr(wf_m2, c_double),
+            delay_ptrs,
+            _ptr(delay_counts, c_longlong),
+            log_ptrs,
+            _ptr(log_count, c_longlong),
+            _ptr(rc_out, c_int),
+        )
+    del keep  # the kernel has returned; arrays may be collected now
+
+    out: list[_Tallies | BaseException] = []
+    for b, rep in enumerate(reps):
+        if rc_out[b] != _RC_OK:
+            out.append(_kernel_error(int(rc_out[b]), rep.error))
+            continue
+        delay_samples = job_log = None
+        if collect_delay_samples:
+            delay_samples = [
+                _take(lib, delay_ptrs[b * k_classes + k], int(delay_counts[b, k]), c_double)
+                for k in range(k_classes)
+            ]
+        if collect_job_log:
+            n_log = int(log_count[b])
+            job_log = np.empty(n_log, dtype=_JOB_LOG_DTYPE)
+            log_types = (c_longlong, c_int, c_double, c_double)
+            for j, (name, ctype) in enumerate(zip(_JOB_LOG_DTYPE.names, log_types)):
+                job_log[name] = _take(lib, log_ptrs[b * 4 + j], n_log, ctype)
+        busy_b, class_busy_b = busy[b].tolist(), class_busy[b].tolist()
+        if rep.ledger is not None:
+            # The kernel closed the busy intervals at the horizon; billing
+            # them closes the last constant-speed segment.
+            rep.ledger.bill(busy_b, class_busy_b)
+        jid, n_events, n_warmup_discarded, _hit_horizon = scalars[b].tolist()
+        out.append(
+            _Tallies(
+                e2e=[
+                    Welford.from_moments(*m)
+                    for m in zip(wf_n[b].tolist(), wf_mean[b].tolist(), wf_m2[b].tolist())
+                ],
+                busy=busy_b,
+                class_busy=class_busy_b,
+                wait_sum=wait[b],
+                sojourn_sum=sojourn[b],
+                visit_count=visit[b],
+                n_blocked=blocked[b],
+                offered=offered[b],
+                n_jobs=jid,
+                n_events=n_events,
+                n_warmup_discarded=n_warmup_discarded,
+                ledger=rep.ledger,
+                delay_samples=delay_samples,
+                job_log=job_log,
+            )
+        )
+    return out
+
+
+def _kernel_for(backend: str, cluster) -> ctypes.CDLL | None:
+    """The loaded kernel, or ``None`` when this configuration must fall
+    back to the Python engine (warning once per reason under
+    ``compiled``; silent under ``auto``)."""
+    reason = _unsupported_reason(cluster)
+    if reason is None:
+        try:
+            lib = load_kernel()
+        except KernelBuildError as exc:
+            reason = str(exc)
+        else:
+            _annotate_backend("compiled", backend)
+            return lib
+    if backend == "compiled":
+        _warn_fallback(reason)
+    _annotate_backend("python", backend, fallback=reason)
+    return None
 
 
 def maybe_simulate_compiled(
@@ -575,33 +1053,24 @@ def maybe_simulate_compiled(
     routing,
     epoch_times,
     epoch_controller,
-):
-    """Run the replication on the C kernel, or return ``None`` to make
+) -> SimulationResult | None:
+    """Run the (validated) replication on the C kernel as a batch of
+    one, or return ``None`` to make
     :func:`~repro.simulation.simulator.simulate` fall back to the
-    Python engine.  ``backend`` is ``"compiled"`` or ``"auto"``
-    (validated by the caller); only ``"compiled"`` warns on fallback.
+    Python engine.  ``backend`` is ``"compiled"`` or ``"auto"``; only
+    ``"compiled"`` warns on fallback.
     """
-    reason = _unsupported_reason(cluster, seed, epoch_controller)
-    if reason is not None:
-        if backend == "compiled":
-            _warn_fallback(reason)
-        _annotate_backend("python", backend, fallback=reason)
+    lib = _kernel_for(backend, cluster)
+    if lib is None:
         return None
-    try:
-        lib = load_kernel()
-    except KernelBuildError as exc:
-        if backend == "compiled":
-            _warn_fallback(str(exc))
-        _annotate_backend("python", backend, fallback=str(exc))
-        return None
-    _annotate_backend("compiled", backend)
-    return _simulate_compiled(
+    warmup = warmup_fraction * horizon
+    (tallies,) = _run_kernel(
         lib,
         cluster,
         workload,
         horizon,
-        warmup_fraction,
-        seed,
+        warmup,
+        [seed],
         arrival_processes,
         collect_delay_samples,
         collect_job_log,
@@ -609,637 +1078,9 @@ def maybe_simulate_compiled(
         epoch_times,
         epoch_controller,
     )
-
-
-def _simulate_compiled(
-    lib,
-    cluster,
-    workload,
-    horizon,
-    warmup_fraction,
-    seed,
-    arrival_processes,
-    collect_delay_samples,
-    collect_job_log,
-    routing,
-    epoch_times,
-    epoch_controller,
-):
-    # Import here: simulator imports this module lazily, so a top-level
-    # import would be circular.
-    from repro.simulation.simulator import (
-        SimulationResult,
-        _build_routes,
-        _build_routing_tables,
-        _make_sampler,
-    )
-
-    k_classes = workload.num_classes
-    m_stations = cluster.num_tiers
-    warmup = warmup_fraction * horizon
-    antithetic = isinstance(seed, AntitheticSeed)
-    dynamic = epoch_controller is not None
-    keep: list[Any] = []  # keep-alive for every array the kernel reads
-    py_samplers: list[Any] = []
-    abort = (c_int * 1)(0)
-    cb_error: list[BaseException] = []
-
-    # Python-refilled variate buffers.  Antithetic (coupled) streams go
-    # through ``np.log``/``np.minimum``, which are not bitwise libm, so
-    # the kernel cannot draw them natively; instead each stream gets a
-    # block id whose fill(n) closure pre-draws n variates with the
-    # engine's own sampling code.  Streams are consumer-private, so
-    # drawing ahead yields the exact sequence the engine would see.
-    block_fills: list[Any] = []
-
-    def _new_block(fill) -> int:
-        block_fills.append(fill)
-        return len(block_fills) - 1
-
-    def _refill(block_id: int, buf, cap: int) -> int:
-        try:
-            arr = np.ascontiguousarray(block_fills[block_id](int(cap)), dtype=np.float64)
-            ctypes.memmove(buf, arr.ctypes.data, arr.size * 8)
-            return arr.size
-        except BaseException as exc:  # propagate through the abort flag
-            cb_error.append(exc)
-            abort[0] = 1
-            return 0
-
-    def _pump_fill(dist, rng):
-        """fill(n) for one service stream: block-safe families draw one
-        vectorized block (n == the BlockCursor block size, so the draw
-        equals the engine's pregenerated chunk exactly); everything else
-        pumps the engine's own scalar sampler n times.
-
-        HyperExponential — the canonical high-variability demand, so
-        the hot unsafe family — is vectorized with interleaved
-        uniforms: the scalar sampler consumes (u_select, u_expo) per
-        draw, so one ``random(2n)`` batch sliced even/odd reproduces
-        the exact stream consumption and values (``random(2n)``
-        advances the bit generator identically to 2n scalar calls,
-        and ``searchsorted(side="right")`` matches ``bisect_right``).
-        """
-        if dist.block_sampling_safe:
-
-            def fill(n, sample=dist.sample, rng=rng):
-                return sample(rng, n)
-
-        elif isinstance(dist, HyperExponential):
-            cdf = np.asarray(dist._cdf, dtype=np.float64)
-            hyper_scales = np.asarray(dist._scales, dtype=np.float64)
-
-            def fill(n, cdf=cdf, hyper_scales=hyper_scales, rng=rng):
-                u = rng.random(2 * n)
-                idx = np.searchsorted(cdf, u[0::2], side="right")
-                w = 1.0 - u[1::2]
-                return hyper_scales[idx] * -np.log(np.maximum(w, _RNG_TINY))
-
-        else:
-            scalar = _make_sampler(dist, rng)
-
-            def fill(n, scalar=scalar):
-                return [scalar() for _ in range(n)]
-
-        return fill
-
-    with obs.span("sim.setup", classes=k_classes, stations=m_stations, horizon=horizon):
-        streams = RngStreams(seed)
-        keep.append(streams)
-
-        routing_block = None
-        if routing is None:
-            routes = _build_routes(cluster)
-            has_routing = 0
-            route_arrays = [np.asarray(r, dtype=np.int32) for r in routes]
-            keep.extend(route_arrays)
-            routes_v = (c_void_p * k_classes)(
-                *[r.ctypes.data_as(c_void_p).value for r in route_arrays]
-            )
-            route_len = (c_int * k_classes)(*[r.size for r in route_arrays])
-            entry_v = trans_v = routing_bg = None
-        else:
-            tables = _build_routing_tables(cluster, routing)
-            has_routing = 1
-            routes_v = route_len = None
-            entry_arrays = [
-                np.ascontiguousarray(tables[k][0], dtype=np.float64)
-                for k in range(k_classes)
-            ]
-            trans_arrays = [
-                np.ascontiguousarray(np.stack(tables[k][1]), dtype=np.float64)
-                for k in range(k_classes)
-            ]
-            keep.extend(entry_arrays)
-            keep.extend(trans_arrays)
-            entry_v = (c_void_p * k_classes)(
-                *[a.ctypes.data_as(c_void_p).value for a in entry_arrays]
-            )
-            trans_v = (c_void_p * k_classes)(
-                *[a.ctypes.data_as(c_void_p).value for a in trans_arrays]
-            )
-            if antithetic:
-                # Mirrored uniforms (min(1-u, 1^-) per draw) cannot come
-                # off the raw bit generator; pre-draw them through the
-                # coupled generators instead (Generator.random is the
-                # engine's _draw_uniform block draw).
-                routing_bg = None
-                block_ids = []
-                for k in range(k_classes):
-                    rng = streams.stream(f"routing/{k}")
-
-                    def _uniform_fill(n, rng=rng):
-                        return rng.random(n)
-
-                    block_ids.append(_new_block(_uniform_fill))
-                routing_block = (c_int * k_classes)(*block_ids)
-            else:
-                routing_bg = (c_void_p * k_classes)(
-                    *[_bitgen_ptr(streams.stream(f"routing/{k}")) for k in range(k_classes)]
-                )
-
-        if arrival_processes is None:
-            arrivals = [PoissonProcess(c.arrival_rate) for c in workload.classes]
-        else:
-            if len(arrival_processes) != k_classes:
-                raise ModelValidationError(
-                    f"expected {k_classes} arrival processes, got {len(arrival_processes)}"
-                )
-            arrivals = [p.fresh() for p in arrival_processes]
-        arrival_desc = (_ArrivalDesc * k_classes)()
-        arrival_pull: list[Any] = [None] * k_classes
-        for k, proc in enumerate(arrivals):
-            rng = streams.stream(f"arrivals/{k}")
-            if type(proc) is PoissonProcess and not antithetic:
-                arrival_desc[k].kind = _SK_EXPO
-                arrival_desc[k].scale = 1.0 / proc.rate
-                arrival_desc[k].bg = _bitgen_ptr(rng)
-            elif type(proc) is PoissonProcess:
-                # Coupled exponential gaps: same vectorized draw the
-                # engine's BlockCursor makes, one block per refill.
-                arrival_desc[k].kind = _SK_PYBLOCK
-
-                def _gap_fill(n, rng=rng, scale=1.0 / proc.rate):
-                    return rng.exponential(scale, n)
-
-                arrival_desc[k].py_id = _new_block(_gap_fill)
-            elif type(proc) is TraceArrivalProcess:
-                # RNG-free timestamp replay runs natively in C.
-                ts = np.ascontiguousarray(proc.timestamps, dtype=np.float64)
-                keep.append(ts)
-                arrival_desc[k].kind = _SK_TRACE
-                arrival_desc[k].ts = ts.ctypes.data_as(POINTER(c_double))
-                arrival_desc[k].n_ts = ts.size
-                arrival_desc[k].cursor = 0
-                arrival_desc[k].clock = 0.0
-            else:
-                arrival_desc[k].kind = _SK_PYCALL
-
-                def _pull(proc=proc, rng=rng):
-                    return proc.next_arrival(rng)
-
-                arrival_pull[k] = _pull
-
-        station_desc = (_StationDesc * m_stations)()
-        sampler_desc = (_SamplerDesc * (m_stations * k_classes))()
-        for i, tier in enumerate(cluster.tiers):
-            if tier.discipline == "ps" and tier.capacity is not None:
-                # The Python engine rejects this during station setup —
-                # after backend dispatch — so the compiled path must
-                # raise the identical error itself.
-                raise ModelValidationError(
-                    f"tier {tier.name!r}: finite buffers are not supported for PS tiers"
-                )
-            station_desc[i].servers = tier.servers
-            station_desc[i].discipline = _DISCIPLINES[tier.discipline]
-            station_desc[i].capacity = -1 if tier.capacity is None else tier.capacity
-            for k in range(k_classes):
-                rng = streams.stream(f"service/{i}/{k}")
-                # Under dynamic speed control the sampler yields the
-                # *demand* (work at speed 1) and the kernel divides by
-                # the current speed at pull time, mirroring
-                # _make_dynamic_sampler's base()/cell[0].
-                if dynamic:
-                    dist = tier.demands[k]
-                else:
-                    dist = tier.demands[k].scaled(1.0 / tier.speed)
-                keep.append(dist)
-                if antithetic:
-                    desc = _SamplerDesc()
-                    desc.kind = _SK_PYBLOCK
-                    desc.py_id = _new_block(_pump_fill(dist, rng))
-                    sampler_desc[i * k_classes + k] = desc
-                else:
-                    sampler_desc[i * k_classes + k] = _sampler_descriptor(
-                        dist, rng, keep, py_samplers
-                    )
-
-        # outputs
-        wait_np = np.zeros((k_classes, m_stations))
-        sojourn_np = np.zeros((k_classes, m_stations))
-        visit_np = np.zeros((k_classes, m_stations), dtype=np.int64)
-        blocked_np = np.zeros((k_classes, m_stations), dtype=np.int64)
-        offered_np = np.zeros((k_classes, m_stations), dtype=np.int64)
-        busy_np = np.zeros(m_stations)
-        class_busy_np = np.zeros((m_stations, k_classes))
-        out_scalars = np.zeros(4, dtype=np.int64)
-        delay_ptrs = (c_void_p * k_classes)()
-        delay_counts = (c_longlong * k_classes)()
-        log_ptrs = (c_void_p * 4)()
-        log_count = c_longlong(0)
-
-        # --- epoch-boundary yield protocol (dynamic speed control) ---
-        # The kernel pauses at each scheduled boundary, publishes the
-        # per-tier queue counts (counts_np) and closed busy totals
-        # (busy_np / class_busy_np), and calls _epoch_decide; a positive
-        # return applies the clipped speeds written into speeds_arr via
-        # the work-preserving remaining-time rescale, in C.
-        epoch_sched = None
-        counts_np = None
-        speeds_arr = None
-        epoch_cb = _EPOCH_CB()  # NULL function pointer when static
-        n_epochs = 0
-        if dynamic:
-            epoch_sched = np.ascontiguousarray(epoch_times, dtype=np.float64)
-            n_epochs = int(epoch_sched.size)
-            counts_np = np.zeros((m_stations, k_classes), dtype=np.int64)
-            cur_speeds = [float(tier.speed) for tier in cluster.tiers]
-            speeds_arr = np.array(cur_speeds)
-            tier_power = [(t.spec.power.kappa, t.spec.power.alpha) for t in cluster.tiers]
-            speed_bounds = [(t.spec.min_speed, t.spec.max_speed) for t in cluster.tiers]
-            busy_mark = [0.0] * m_stations
-            class_busy_mark = [[0.0] * k_classes for _ in range(m_stations)]
-            epoch_trace: list[dict[str, Any]] = []
-            energy = {"dyn": 0.0}
-            per_class_dyn_energy = np.zeros(k_classes)
-
-            def _accrue_segments(tb: float) -> None:
-                """Bill busy time closed at ``tb`` (already flushed into
-                busy_np/class_busy_np by the kernel) at each segment's
-                current speed — the engine's exact accumulation order
-                and expression shapes."""
-                for i in range(m_stations):
-                    kappa, alpha = tier_power[i]
-                    p_dyn = kappa * cur_speeds[i] ** alpha
-                    bt = float(busy_np[i])
-                    delta = bt - busy_mark[i]
-                    if delta > 0.0:
-                        energy["dyn"] += p_dyn * delta
-                        busy_mark[i] = bt
-                    mark = class_busy_mark[i]
-                    for k in range(k_classes):
-                        cbk = float(class_busy_np[i, k])
-                        dk = cbk - mark[k]
-                        if dk > 0.0:
-                            per_class_dyn_energy[k] += p_dyn * dk
-                            mark[k] = cbk
-
-            def _epoch_decide(tb: float) -> int:
-                try:
-                    _accrue_segments(tb)
-                    # One counts array per epoch, shared between the
-                    # controller and the trace row (the engine passes
-                    # the trace's own array to the controller).
-                    counts = counts_np.copy()
-                    speeds_now = np.array(cur_speeds)
-                    new_speeds = epoch_controller(tb, counts, speeds_now.copy())
-                    apply = 0
-                    if new_speeds is not None:
-                        new_arr = np.asarray(new_speeds, dtype=float)
-                        if new_arr.shape != (m_stations,):
-                            raise ModelValidationError(
-                                f"epoch controller must return {m_stations} speeds, "
-                                f"got shape {new_arr.shape}"
-                            )
-                        for i in range(m_stations):
-                            lo, hi = speed_bounds[i]
-                            s_new = min(max(float(new_arr[i]), lo), hi)
-                            s_old = cur_speeds[i]
-                            if s_new != s_old:
-                                ratio = s_old / s_new
-                                if ratio <= 0.0:
-                                    raise SimulationError(
-                                        f"speed rescale ratio must be positive, got {ratio}"
-                                    )
-                                cur_speeds[i] = s_new
-                                speeds_now[i] = s_new
-                                apply = 1
-                            speeds_arr[i] = s_new
-                    epoch_trace.append(
-                        {
-                            "t": tb,
-                            "queues": counts,
-                            "speeds": speeds_now,
-                            "dynamic_energy": energy["dyn"],
-                        }
-                    )
-                    obs.event(
-                        "sim.epoch",
-                        epoch=len(epoch_trace) - 1,
-                        t=tb,
-                        queues=counts,
-                        speeds=speeds_now,
-                        dynamic_energy=energy["dyn"],
-                    )
-                    return apply
-                except BaseException as exc:
-                    cb_error.append(exc)
-                    abort[0] = 1
-                    return -1
-
-            epoch_cb = _EPOCH_CB(_epoch_decide)
-
-        # --- buffered queue-length sampling -------------------------
-        # The kernel records (t, populations, busy) rows and batch-
-        # flushes them here at epoch boundaries and at end of run; the
-        # replay preserves the engine's exact gauge/event emission
-        # order, so telemetry output is byte-identical.
-        tel = obs.TELEMETRY
-        sample_interval = (
-            tel.queue_sample_interval if (tel.enabled and tel.sample_queues) else 0.0
-        )
-        sample_cb = _SAMPLE_CB()  # NULL function pointer when sampling is off
-        if sample_interval > 0.0:
-            gauge = tel.metrics.gauge
-            tracer_event = tel.tracer.event
-
-            def _flush_samples(ts_ptr, vals_ptr, n_rows: int) -> int:
-                try:
-                    for r in range(int(n_rows)):
-                        base = r * 2 * m_stations
-                        pops = [int(vals_ptr[base + i]) for i in range(m_stations)]
-                        busy = [
-                            int(vals_ptr[base + m_stations + i]) for i in range(m_stations)
-                        ]
-                        for i in range(m_stations):
-                            gauge(f"sim.tier.{i}.population").set(pops[i])
-                            gauge(f"sim.tier.{i}.busy_servers").set(busy[i])
-                        tracer_event(
-                            "sim.queue_sample",
-                            t=float(ts_ptr[r]),
-                            population=pops,
-                            busy=busy,
-                        )
-                    return 0
-                except BaseException as exc:
-                    cb_error.append(exc)
-                    abort[0] = 1
-                    return -1
-
-            sample_cb = _SAMPLE_CB(_flush_samples)
-
-        refill_cb = _REFILL_CB(_refill) if block_fills else _REFILL_CB()
-
-        def _service_cb(sampler_id: int) -> float:
-            try:
-                return py_samplers[sampler_id]()
-            except BaseException as exc:  # propagate through the abort flag
-                cb_error.append(exc)
-                abort[0] = 1
-                return 0.0
-
-        def _arrival_cb(cls: int, batch_out) -> float:
-            try:
-                gap, batch = arrival_pull[cls]()
-                batch_out[0] = int(batch)
-                return float(gap)
-            except BaseException as exc:
-                cb_error.append(exc)
-                abort[0] = 1
-                return 0.0
-
-        service_cb = _SERVICE_CB(_service_cb)
-        arrival_cb = _ARRIVAL_CB(_arrival_cb)
-
-    def _as_ll(a):
-        return a.ctypes.data_as(POINTER(c_longlong))
-
-    def _as_d(a):
-        return a.ctypes.data_as(POINTER(c_double))
-
-    with obs.span("sim.event_loop", horizon=horizon, backend="compiled"):
-        rc = lib.run_kernel(
-            k_classes,
-            m_stations,
-            float(horizon),
-            float(warmup),
-            station_desc,
-            sampler_desc,
-            arrival_desc,
-            has_routing,
-            routes_v,
-            route_len,
-            entry_v,
-            trans_v,
-            routing_bg,
-            routing_block,
-            refill_cb,
-            len(block_fills),
-            _BLOCK_SIZE,
-            1 if dynamic else 0,
-            n_epochs,
-            None if epoch_sched is None else epoch_sched.ctypes.data_as(POINTER(c_double)),
-            None if speeds_arr is None else speeds_arr.ctypes.data_as(POINTER(c_double)),
-            None if counts_np is None else counts_np.ctypes.data_as(POINTER(c_longlong)),
-            epoch_cb,
-            float(sample_interval),
-            sample_cb,
-            1 if collect_job_log else 0,
-            service_cb,
-            arrival_cb,
-            abort,
-            _as_d(wait_np),
-            _as_d(sojourn_np),
-            _as_ll(visit_np),
-            _as_ll(blocked_np),
-            _as_ll(offered_np),
-            _as_d(busy_np),
-            _as_d(class_busy_np),
-            _as_ll(out_scalars),
-            delay_ptrs,
-            delay_counts,
-            log_ptrs,
-            ctypes.byref(log_count),
-        )
-    del keep  # the kernel has returned; arrays may be collected now
-    if rc == _RC_ABORT:
-        if cb_error:
-            raise cb_error[0]
-        raise SimulationError("compiled kernel aborted without a recorded error")
-    if rc == _RC_NOMEM:
-        raise MemoryError("compiled simulation kernel ran out of memory")
-    if rc == _RC_INVARIANT:
-        raise SimulationError("completion with no busy server (compiled kernel)")
-
-    with obs.span("sim.finalize"):
-        # Copy the kernel-owned growable buffers, then release them.
-        delay_buf: list[np.ndarray] = []
-        for k in range(k_classes):
-            n = delay_counts[k]
-            if n:
-                src = ctypes.cast(delay_ptrs[k], POINTER(c_double))
-                delay_buf.append(np.ctypeslib.as_array(src, shape=(int(n),)).copy())
-            else:
-                delay_buf.append(np.empty(0))
-            if delay_ptrs[k]:
-                lib.k_free(delay_ptrs[k])
-        job_log = None
-        if collect_job_log:
-            n = int(log_count.value)
-            job_log = np.empty(
-                n,
-                dtype=[
-                    ("jid", np.int64),
-                    ("cls", np.int32),
-                    ("arrival", float),
-                    ("exit", float),
-                ],
-            )
-            if n:
-                job_log["jid"] = np.ctypeslib.as_array(
-                    ctypes.cast(log_ptrs[0], POINTER(c_longlong)), shape=(n,)
-                )
-                job_log["cls"] = np.ctypeslib.as_array(
-                    ctypes.cast(log_ptrs[1], POINTER(c_int)), shape=(n,)
-                )
-                job_log["arrival"] = np.ctypeslib.as_array(
-                    ctypes.cast(log_ptrs[2], POINTER(c_double)), shape=(n,)
-                )
-                job_log["exit"] = np.ctypeslib.as_array(
-                    ctypes.cast(log_ptrs[3], POINTER(c_double)), shape=(n,)
-                )
-        for p in log_ptrs:
-            if p:
-                lib.k_free(p)
-
-        # Welford flush: same scalar recurrence over the same values in
-        # the same order as the Python engine (.tolist() hands the
-        # accumulator the exact Python-float sequence it sees there).
-        e2e = [Welford() for _ in range(k_classes)]
-        for k in range(k_classes):
-            e2e[k].add_batch(delay_buf[k].tolist())
-
-        jid = int(out_scalars[0])
-        n_events = int(out_scalars[1])
-        n_warmup_discarded = int(out_scalars[2])
-
-        window = horizon - warmup
-        busy_list = [float(b) for b in busy_np]
-        class_busy_list = [[float(x) for x in row] for row in class_busy_np]
-        utilizations = np.array(
-            [
-                busy_list[i] / (tier.servers * window)
-                for i, tier in enumerate(cluster.tiers)
-            ]
-        )
-
-        if dynamic:
-            # The kernel wrote horizon-closed busy totals into
-            # busy_np/class_busy_np; billing them closes the last
-            # constant-speed segment exactly like the engine's final
-            # _accrue_segments(horizon).
-            _accrue_segments(horizon)
-            dynamic_power = energy["dyn"] / window
-            per_class_dyn_energy_rate = per_class_dyn_energy / window
-        else:
-            dynamic_power = 0.0
-            per_class_dyn_energy_rate = np.zeros(k_classes)
-            for i, tier in enumerate(cluster.tiers):
-                p_dyn = tier.spec.power.kappa * tier.speed**tier.spec.power.alpha
-                dynamic_power += p_dyn * busy_list[i] / window
-                for k in range(k_classes):
-                    per_class_dyn_energy_rate[k] += p_dyn * class_busy_list[i][k] / window
-        idle_power = float(sum(t.servers * t.spec.power.idle for t in cluster.tiers))
-        average_power = idle_power + dynamic_power
-
-        n_completed = np.array([w.n for w in e2e], dtype=np.int64)
-        delays = np.array([w.mean for w in e2e])
-        stds = np.array([w.std for w in e2e])
-        cis = np.array([confidence_halfwidth(w.std, w.n) for w in e2e])
-
-        throughput = n_completed / window
-        with np.errstate(divide="ignore", invalid="ignore"):
-            per_class_dyn = np.where(
-                throughput > 0,
-                per_class_dyn_energy_rate / np.maximum(throughput, 1e-300),
-                np.nan,
-            )
-        total_throughput = float(throughput.sum())
-        energy_per_request = (
-            average_power / total_throughput if total_throughput > 0 else float("nan")
-        )
-
-        station_completions = visit_np.copy()
-        with np.errstate(divide="ignore", invalid="ignore"):
-            station_waits = np.where(
-                visit_np > 0, wait_np / np.maximum(visit_np, 1), np.nan
-            )
-            station_sojourns = np.where(
-                visit_np > 0, sojourn_np / np.maximum(visit_np, 1), np.nan
-            )
-
-    n_counted_total = int(n_completed.sum())
-    n_finished_total = n_counted_total + n_warmup_discarded
-    if n_finished_total > 0 and n_warmup_discarded > 0.5 * n_finished_total:
-        discard_fraction = n_warmup_discarded / n_finished_total
-        warnings.warn(
-            WarmupDiscardWarning(
-                f"warmup window ({warmup:g} of horizon {horizon:g}) discarded "
-                f"{n_warmup_discarded} of {n_finished_total} completed jobs "
-                f"({discard_fraction:.0%}); delay statistics rest on only "
-                f"{n_counted_total} jobs — lengthen the horizon or shrink "
-                f"warmup_fraction"
-            ),
-            stacklevel=3,
-        )
-        obs.event(
-            "sim.warmup_discard",
-            warmup=warmup,
-            horizon=horizon,
-            n_discarded=n_warmup_discarded,
-            n_counted=n_counted_total,
-            discard_fraction=discard_fraction,
-        )
-    obs.counter("sim.events").add(n_events)
-    obs.counter("sim.jobs_created").add(jid)
-    obs.counter("sim.jobs_counted").add(n_counted_total)
-
-    meta: dict[str, Any] = {
-        "n_jobs_created": jid,
-        "n_events": n_events,
-        "n_warmup_discarded": n_warmup_discarded,
-        "station_completions": station_completions,
-        "n_blocked": blocked_np.copy(),
-        "n_offered": offered_np.copy(),
-    }
-    if dynamic:
-        meta["epoch_trace"] = epoch_trace
-        meta["final_speeds"] = np.array(cur_speeds)
-        meta["dynamic_energy"] = float(energy["dyn"])
-
-    return SimulationResult(
-        class_names=tuple(workload.names),
-        n_completed=n_completed,
-        delays=delays,
-        delay_std=stds,
-        delay_ci=cis,
-        station_waits=station_waits,
-        station_sojourns=station_sojourns,
-        utilizations=utilizations,
-        average_power=average_power,
-        energy_per_request=energy_per_request,
-        per_class_dynamic_energy=per_class_dyn,
-        horizon=horizon,
-        warmup=warmup,
-        meta=meta,
-        delay_samples=(delay_buf if collect_delay_samples else None),
-        job_log=job_log,
-    )
-
-
-# ---------------------------------------------------------------------------
-# batched fleet dispatch
-# ---------------------------------------------------------------------------
+    if isinstance(tallies, BaseException):
+        raise tallies
+    return _finalize(cluster, workload, horizon, warmup, tallies)
 
 
 def maybe_simulate_fleet_batch(
@@ -1250,331 +1091,55 @@ def maybe_simulate_fleet_batch(
     warmup_fraction: float,
     seeds: list,
 ):
-    """Run a batch of static replications in one kernel call, or return
-    ``None`` so the fleet runner falls back to unit-at-a-time dispatch
-    (which itself picks the best available engine and emits the usual
-    fallback warnings).
+    """Run a chunk of replications of one fleet scenario in one kernel
+    call, or return ``None`` when the kernel is unavailable or a tier
+    discipline is not modeled, so the fleet runner falls back to
+    unit-at-a-time dispatch.
 
-    The batch path covers exactly the fleet configuration space: fixed
-    routes, default Poisson arrivals, no epoch controller, no
-    antithetic seeds, no per-job delay samples or job logs.  Telemetry
-    queue sampling needs the unit path (the batch kernel skips the
-    sampling tap), so it returns ``None`` there too.
-
-    Returns ``(rows, failures)``: ``rows[b]`` is the metric dict for
-    ``seeds[b]`` (the fleet row minus the unit/scenario/replication/
-    wall_s bookkeeping columns) or ``None`` if that replication failed;
-    ``failures`` lists ``(index, "ExcType: message")`` pairs formatted
-    exactly like the fleet's per-unit failure records.
+    The scenario is validated once for the whole chunk (it is
+    deterministic in the scenario, so raising once is observably the
+    same as raising per unit).  Returns ``(rows, failures)``:
+    ``rows[b]`` is the metric dict for ``seeds[b]`` (the fleet row
+    minus the unit/scenario/replication/wall_s bookkeeping columns) or
+    ``None`` if that replication failed; ``failures`` lists ``(index,
+    "ExcType: message")`` pairs formatted exactly like the fleet's
+    per-unit failure records.
     """
-    if _unsupported_reason(cluster, None, None) is not None:
+    lib = _kernel_for(backend, cluster)
+    if lib is None:
         return None
-    if any(isinstance(s, AntitheticSeed) for s in seeds):
-        return None
-    tel = obs.TELEMETRY
-    if tel.enabled and tel.sample_queues and tel.queue_sample_interval > 0.0:
-        return None
-    try:
-        lib = load_kernel()
-    except KernelBuildError:
-        return None
-    _annotate_backend("compiled", backend)
-    return _simulate_fleet_batch(lib, cluster, workload, horizon, warmup_fraction, seeds)
-
-
-def _simulate_fleet_batch(lib, cluster, workload, horizon, warmup_fraction, seeds):
-    from repro.simulation.simulator import (
-        _build_routes,
-        _validate_basic_inputs,
-        _validate_stability,
-    )
-
-    # The same validation gate simulate() applies per unit, with the
-    # same messages — deterministic in the scenario, so raising once
-    # for the whole batch is observably identical to raising per unit
-    # (the fleet runner fans the message out to every unit).
-    _validate_basic_inputs(cluster, workload, horizon, warmup_fraction)
-    _validate_stability(cluster, workload)
-
-    k_classes = workload.num_classes
-    m_stations = cluster.num_tiers
+    _validate(cluster, workload, horizon, warmup_fraction)
     warmup = warmup_fraction * horizon
-    n_reps = len(seeds)
-    keep: list[Any] = []  # keep-alive for every object the kernel reads
-    py_samplers: list[Any] = []
-    abort = (c_int * 1)(0)
-    cb_error: list[BaseException] = []
+    window = horizon - warmup
+    outcomes = _run_kernel(lib, cluster, workload, horizon, warmup, seeds)
 
-    def _as_ll(a):
-        return a.ctypes.data_as(POINTER(c_longlong))
-
-    def _as_d(a):
-        return a.ctypes.data_as(POINTER(c_double))
-
-    with obs.span(
-        "sim.batch_setup", classes=k_classes, stations=m_stations, reps=n_reps
-    ):
-        routes = _build_routes(cluster)
-        route_arrays = [np.asarray(r, dtype=np.int32) for r in routes]
-        keep.extend(route_arrays)
-        routes_v = (c_void_p * k_classes)(
-            *[r.ctypes.data_as(c_void_p).value for r in route_arrays]
-        )
-        route_len = (c_int * k_classes)(*[r.size for r in route_arrays])
-
-        # Station geometry and the speed-scaled demand distributions are
-        # shared by every replication; only the per-seed bit generators
-        # differ, so the descriptor template work happens once.
-        station_desc = (_StationDesc * m_stations)()
-        dists: list[list[Any]] = []
-        for i, tier in enumerate(cluster.tiers):
-            if tier.discipline == "ps" and tier.capacity is not None:
-                raise ModelValidationError(
-                    f"tier {tier.name!r}: finite buffers are not supported for PS tiers"
-                )
-            station_desc[i].servers = tier.servers
-            station_desc[i].discipline = _DISCIPLINES[tier.discipline]
-            station_desc[i].capacity = -1 if tier.capacity is None else tier.capacity
-            row = [tier.demands[k].scaled(1.0 / tier.speed) for k in range(k_classes)]
-            dists.append(row)
-            keep.extend(row)
-
-        arrival_procs = [PoissonProcess(c.arrival_rate) for c in workload.classes]
-        arrival_scales = [1.0 / p.rate for p in arrival_procs]
-
-        # Per-stream bit generators, derived exactly as
-        # RngStreams.stream does — SeedSequence(entropy, spawn_key +
-        # (fnv1a64(name),)) feeding PCG64 — but without the Generator
-        # wrapper or per-call hashing: the name digests are fixed
-        # across the batch, and the kernel only needs the bitgen_t
-        # pointer. Descriptor *templates* (distribution parameters,
-        # post-op chains) are built once per (station, class) and
-        # struct-copied per replication with only the stream pointer
-        # patched; families needing the per-draw Python callback get a
-        # fresh closure per replication over that replication's stream.
-        arrival_hashes = [fnv1a64(f"arrivals/{k}") for k in range(k_classes)]
-        service_hashes = [
-            [fnv1a64(f"service/{i}/{k}") for k in range(k_classes)]
-            for i in range(m_stations)
-        ]
-        template_rng = np.random.Generator(np.random.PCG64(0))
-        templates: list[list[_SamplerDesc | None]] = []
-        for i in range(m_stations):
-            row_t: list[_SamplerDesc | None] = []
-            for k in range(k_classes):
-                t = _sampler_descriptor(dists[i][k], template_rng, keep, [])
-                row_t.append(None if t.kind == _SK_PYCALL else t)
-            templates.append(row_t)
-
-        def _stream_bg(entropy, spawn_key: tuple, name_hash: int):
-            child = np.random.SeedSequence(
-                entropy=entropy, spawn_key=spawn_key + (name_hash,)
-            )
-            bg = np.random.PCG64(child)
-            keep.append(bg)
-            return bg, ctypes.cast(bg.ctypes.bit_generator, c_void_p).value
-
-        sampler_desc = (_SamplerDesc * (n_reps * m_stations * k_classes))()
-        arrival_desc = (_ArrivalDesc * (n_reps * k_classes))()
-        for b, seed in enumerate(seeds):
-            if isinstance(seed, np.random.SeedSequence):
-                entropy = seed.entropy
-                spawn_key = tuple(seed.spawn_key)
-            else:
-                if not isinstance(seed, (int, np.integer)) or seed < 0:
-                    raise ModelValidationError(
-                        f"seed must be a non-negative integer, got {seed}"
-                    )
-                entropy = int(seed)
-                spawn_key = ()
-            base_a = b * k_classes
-            for k in range(k_classes):
-                _bg, ptr = _stream_bg(entropy, spawn_key, arrival_hashes[k])
-                arrival_desc[base_a + k].kind = _SK_EXPO
-                arrival_desc[base_a + k].scale = arrival_scales[k]
-                arrival_desc[base_a + k].bg = ptr
-            base_s = b * m_stations * k_classes
-            for i in range(m_stations):
-                for k in range(k_classes):
-                    bg, ptr = _stream_bg(entropy, spawn_key, service_hashes[i][k])
-                    idx = base_s + i * k_classes + k
-                    template = templates[i][k]
-                    if template is None:
-                        sampler_desc[idx] = _sampler_descriptor(
-                            dists[i][k], np.random.Generator(bg), keep, py_samplers
-                        )
-                    else:
-                        sampler_desc[idx] = template
-                        sampler_desc[idx].bg = ptr
-
-        wait_np = np.zeros((n_reps, k_classes, m_stations))
-        sojourn_np = np.zeros((n_reps, k_classes, m_stations))
-        visit_np = np.zeros((n_reps, k_classes, m_stations), dtype=np.int64)
-        blocked_np = np.zeros((n_reps, k_classes, m_stations), dtype=np.int64)
-        offered_np = np.zeros((n_reps, k_classes, m_stations), dtype=np.int64)
-        busy_np = np.zeros((n_reps, m_stations))
-        class_busy_np = np.zeros((n_reps, m_stations, k_classes))
-        out_scalars = np.zeros((n_reps, 4), dtype=np.int64)
-        wf_n = np.zeros((n_reps, k_classes), dtype=np.int64)
-        wf_mean = np.zeros((n_reps, k_classes))
-        wf_m2 = np.zeros((n_reps, k_classes))
-        fail_index = (c_longlong * 1)(-1)
-
-        def _service_cb(sampler_id: int) -> float:
-            try:
-                return py_samplers[sampler_id]()
-            except BaseException as exc:  # propagate through the abort flag
-                cb_error.append(exc)
-                abort[0] = 1
-                return 0.0
-
-        service_cb = _SERVICE_CB(_service_cb)
-        arrival_cb = _ARRIVAL_CB()  # NULL: fleet arrivals are all native
-
+    rows: list[dict[str, Any] | None] = []
     failures: list[tuple[int, str]] = []
-    failed: set[int] = set()
-    base = 0
-    with obs.span("sim.event_loop", horizon=horizon, backend="compiled", batch=n_reps):
-        while base < n_reps:
-            abort[0] = 0
-            sampler_off = base * m_stations * k_classes * ctypes.sizeof(_SamplerDesc)
-            arrival_off = base * k_classes * ctypes.sizeof(_ArrivalDesc)
-            rc = lib.run_kernel_batch(
-                n_reps - base,
-                k_classes,
-                m_stations,
-                float(horizon),
-                float(warmup),
-                station_desc,
-                ctypes.cast(
-                    ctypes.byref(sampler_desc, sampler_off), POINTER(_SamplerDesc)
-                ),
-                ctypes.cast(
-                    ctypes.byref(arrival_desc, arrival_off), POINTER(_ArrivalDesc)
-                ),
-                routes_v,
-                route_len,
-                service_cb,
-                arrival_cb,
-                abort,
-                _as_d(wait_np[base:]),
-                _as_d(sojourn_np[base:]),
-                _as_ll(visit_np[base:]),
-                _as_ll(blocked_np[base:]),
-                _as_ll(offered_np[base:]),
-                _as_d(busy_np[base:]),
-                _as_d(class_busy_np[base:]),
-                _as_ll(out_scalars[base:]),
-                _as_ll(wf_n[base:]),
-                _as_d(wf_mean[base:]),
-                _as_d(wf_m2[base:]),
-                fail_index,
-            )
-            if rc == _RC_OK:
-                break
-            fb = base + int(fail_index[0])
-            if fail_index[0] < 0 or fb >= n_reps:
-                raise SimulationError(
-                    "compiled batch kernel failed without a failing index"
-                )
-            # Mirror the unit path's exception types/messages exactly,
-            # pre-formatted the way the fleet records per-unit failures;
-            # replications after the failing one resume on fresh state
-            # (their streams are per-seed, so results are unaffected).
-            if rc == _RC_ABORT:
-                exc: BaseException = (
-                    cb_error[0]
-                    if cb_error
-                    else SimulationError(
-                        "compiled kernel aborted without a recorded error"
-                    )
-                )
-            elif rc == _RC_NOMEM:
-                exc = MemoryError("compiled simulation kernel ran out of memory")
-            else:
-                exc = SimulationError("completion with no busy server (compiled kernel)")
-            failures.append((fb, f"{type(exc).__name__}: {exc}"))
-            failed.add(fb)
-            cb_error.clear()
-            base = fb + 1
-    del keep  # the kernel has returned; arrays may be collected now
-
-    with obs.span("sim.batch_finalize", reps=n_reps):
-        window = horizon - warmup
-        idle_power = float(sum(t.servers * t.spec.power.idle for t in cluster.tiers))
-        # Same expression as the unit finalize's per-tier p_dyn; hoisted
-        # because it does not depend on the replication.
-        tier_p_dyn = [
-            t.spec.power.kappa * t.speed**t.spec.power.alpha for t in cluster.tiers
-        ]
-        rows: list[dict[str, Any] | None] = [None] * n_reps
-        for b in range(n_reps):
-            if b in failed:
+    with obs.span("sim.finalize", reps=len(seeds)):
+        for b, t in enumerate(outcomes):
+            if isinstance(t, BaseException):
+                if not isinstance(t, Exception):
+                    raise t  # an interrupt or exit is not a unit failure
+                rows.append(None)
+                failures.append((b, f"{type(t).__name__}: {t}"))
                 continue
-            busy_list = [float(x) for x in busy_np[b]]
-            dynamic_power = 0.0
-            for i in range(m_stations):
-                dynamic_power += tier_p_dyn[i] * busy_list[i] / window
-            average_power = idle_power + dynamic_power
-
-            # wf_* hold the C-side Welford state, bitwise equal to the
-            # Python accumulators the unit path folds delay buffers
-            # into; .mean is NaN on an empty accumulator.
-            ncomp = wf_n[b]
-            delays = np.array(
-                [
-                    float(wf_mean[b, k]) if ncomp[k] else float("nan")
-                    for k in range(k_classes)
-                ]
-            )
-            n_total = ncomp.sum()
-            mean_delay = (
-                float(np.dot(ncomp, delays) / n_total) if n_total else float("nan")
-            )
-            throughput = ncomp / window
-            total_throughput = float(throughput.sum())
-            energy_per_request = (
-                average_power / total_throughput
-                if total_throughput > 0
-                else float("nan")
-            )
-
-            n_events = int(out_scalars[b, 1])
-            n_warmup_discarded = int(out_scalars[b, 2])
-            n_counted_total = int(n_total)
-            n_finished_total = n_counted_total + n_warmup_discarded
-            if n_finished_total > 0 and n_warmup_discarded > 0.5 * n_finished_total:
-                discard_fraction = n_warmup_discarded / n_finished_total
-                warnings.warn(
-                    WarmupDiscardWarning(
-                        f"warmup window ({warmup:g} of horizon {horizon:g}) discarded "
-                        f"{n_warmup_discarded} of {n_finished_total} completed jobs "
-                        f"({discard_fraction:.0%}); delay statistics rest on only "
-                        f"{n_counted_total} jobs — lengthen the horizon or shrink "
-                        f"warmup_fraction"
-                    ),
-                    stacklevel=3,
-                )
-                obs.event(
-                    "sim.warmup_discard",
-                    warmup=warmup,
-                    horizon=horizon,
-                    n_discarded=n_warmup_discarded,
-                    n_counted=n_counted_total,
-                    discard_fraction=discard_fraction,
-                )
-            obs.counter("sim.events").add(n_events)
-            obs.counter("sim.jobs_created").add(int(out_scalars[b, 0]))
-            obs.counter("sim.jobs_counted").add(n_counted_total)
-
+            # The lean per-row view of _finalize: the same helpers,
+            # without a SimulationResult per unit.
+            average_power, _ = _average_power(cluster, t.busy, t.class_busy, window)
+            n_completed = np.array([w.n for w in t.e2e], dtype=np.int64)
+            delays = np.array([w.mean for w in t.e2e])
+            n_counted = int(n_completed.sum())
+            _account(t, n_counted, horizon, warmup)
             row: dict[str, Any] = {
-                "n_events": n_events,
-                "n_completed": n_counted_total,
-                "mean_delay": mean_delay,
+                "n_events": t.n_events,
+                "n_completed": n_counted,
+                "mean_delay": _mean_delay(n_completed, delays),
                 "average_power": average_power,
-                "energy_per_request": energy_per_request,
+                "energy_per_request": _energy_per_request(
+                    average_power, n_completed / window
+                ),
             }
-            for k in range(k_classes):
-                row[f"delay_c{k}"] = float(delays[k])
-            rows[b] = row
+            for k, delay in enumerate(delays.tolist()):
+                row[f"delay_c{k}"] = delay
+            rows.append(row)
     return rows, failures

@@ -63,9 +63,9 @@ import numpy as np
 
 from repro import obs
 from repro.exceptions import ModelValidationError
-from repro.simulation.compiled import resolve_backend
 from repro.simulation.parallel import resolve_n_jobs
 from repro.simulation.results_store import FleetStore, _column_dtype
+from repro.simulation.simulator import resolve_backend, simulate
 
 __all__ = ["FleetScenario", "FleetSummary", "run_fleet", "fleet_columns"]
 
@@ -175,8 +175,6 @@ def _run_unit(
     n_replications: int,
 ) -> dict[str, Any]:
     """Simulate one unit and distill it into a store row."""
-    from repro.simulation.simulator import simulate
-
     sid, rep = divmod(unit, n_replications)
     sc = scenarios[sid]
     start = time.perf_counter()
@@ -218,8 +216,8 @@ def _run_chunk(
     Tries the batched compiled path first (one kernel call for the
     whole chunk); falls back to unit-at-a-time :func:`simulate` when
     batching does not apply (python backend, single-unit chunk, kernel
-    unavailable, or telemetry queue sampling on). Either way the rows
-    are bit-identical.
+    unavailable, or a tier discipline the kernel does not model).
+    Either way the rows are bit-identical.
 
     Returns ``(ok_units, columns, failures)``: the absolute unit ids
     that succeeded, their rows as schema-dtyped column arrays (row i =

@@ -54,6 +54,11 @@ __all__ = ["SimulationResult", "simulate"]
 _ARRIVAL = 0
 _COMPLETION = 1
 
+#: Record layout of ``SimulationResult.job_log``.
+_JOB_LOG_DTYPE = np.dtype(
+    [("jid", np.int64), ("cls", np.int32), ("arrival", float), ("exit", float)]
+)
+
 
 @dataclass
 class SimulationResult:
@@ -102,10 +107,15 @@ class SimulationResult:
     @property
     def mean_delay(self) -> float:
         """Completion-weighted mean end-to-end delay over all classes."""
-        n = self.n_completed.sum()
-        if n == 0:
-            return float("nan")
-        return float(np.dot(self.n_completed, self.delays) / n)
+        return _mean_delay(self.n_completed, self.delays)
+
+
+def _mean_delay(n_completed: np.ndarray, delays: np.ndarray) -> float:
+    """Completion-weighted mean of per-class delays (NaN when empty)."""
+    n = n_completed.sum()
+    if n == 0:
+        return float("nan")
+    return float(np.dot(n_completed, delays) / n)
 
 
 def simulate(
@@ -189,26 +199,16 @@ def simulate(
         On class-count mismatch, non-integer visit ratios, bad horizon,
         or (unless ``allow_unstable``) a saturated tier.
     """
-    _validate_basic_inputs(cluster, workload, horizon, warmup_fraction)
-    if (epoch_controller is None) != (epoch_times is None):
-        raise ModelValidationError("epoch_times and epoch_controller must be provided together")
-    dynamic_speed = epoch_controller is not None
-    if dynamic_speed:
-        epoch_schedule = np.asarray(epoch_times, dtype=float)
-        if epoch_schedule.ndim != 1 or epoch_schedule.size == 0:
-            raise ModelValidationError("epoch_times must be a non-empty 1-D sequence")
-        if not np.all(np.isfinite(epoch_schedule)) or epoch_schedule[0] < 0.0:
-            raise ModelValidationError("epoch times must be finite and non-negative")
-        if np.any(np.diff(epoch_schedule) <= 0.0):
-            raise ModelValidationError("epoch times must be strictly increasing")
-        for tier in cluster.tiers:
-            if tier.discipline == "ps":
-                raise ModelValidationError(
-                    f"tier {tier.name!r}: dynamic speed control does not support PS "
-                    "tiers (their shared-rate completions cannot be rescaled mid-run)"
-                )
-    if not allow_unstable:
-        _validate_stability(cluster, workload)
+    _validate(
+        cluster,
+        workload,
+        horizon,
+        warmup_fraction,
+        arrival_processes,
+        allow_unstable,
+        epoch_times,
+        epoch_controller,
+    )
 
     # Backend dispatch: REPRO_SIM_BACKEND selects the C event-loop
     # kernel (repro.simulation.compiled), which produces bit-identical
@@ -217,7 +217,7 @@ def simulate(
     # antithetic seeds (Python-refilled variate blocks), PS tiers and
     # telemetry queue sampling — and returns None to fall back to this
     # engine otherwise (unknown tier disciplines, kernel build failure).
-    backend = _env_backend()
+    backend = resolve_backend(os.environ.get("REPRO_SIM_BACKEND"))
     if backend != "python":
         from repro.simulation import compiled as _compiled
 
@@ -242,9 +242,12 @@ def simulate(
         # annotates its own resolution, including fallbacks).
         obs.TELEMETRY.annotate(sim_backend="python", sim_backend_requested="python")
 
+    # The pure-Python event loop: the oracle the compiled kernel is held
+    # to bit for bit.
+    warmup = warmup_fraction * horizon
     k_classes = workload.num_classes
     m_stations = cluster.num_tiers
-    warmup = warmup_fraction * horizon
+    ledger = None if epoch_controller is None else _SpeedLedger(cluster, epoch_controller)
 
     with obs.span("sim.setup", classes=k_classes, stations=m_stations, horizon=horizon):
         streams = RngStreams(seed)
@@ -267,10 +270,6 @@ def simulate(
                 PoissonProcess(c.arrival_rate) for c in workload.classes
             ]
         else:
-            if len(arrival_processes) != k_classes:
-                raise ModelValidationError(
-                    f"expected {k_classes} arrival processes, got {len(arrival_processes)}"
-                )
             arrivals = [p.fresh() for p in arrival_processes]
         arrival_pull = [
             _make_arrival_puller(proc, streams.stream(f"arrivals/{k}"))
@@ -286,30 +285,24 @@ def simulate(
         heappush = heapq.heappush
 
         stations: list[SimStation | PSStation] = []
-        # Under dynamic speed control each station's speed lives in a
-        # one-element mutable cell: samplers draw the *demand* (work at
-        # speed 1) and divide by the cell at pull time, so a mid-run
-        # speed change affects every subsequent draw without rebinding.
-        speed_cells: list[list[float]] = []
         for i, tier in enumerate(cluster.tiers):
             samplers = []
-            if dynamic_speed:
-                cell = [float(tier.speed)]
-                speed_cells.append(cell)
             for k in range(k_classes):
                 rng = streams.stream(f"service/{i}/{k}")
-                if dynamic_speed:
+                if ledger is not None:
+                    # Under dynamic speed control samplers draw the
+                    # *demand* (work at speed 1) and divide by the
+                    # tier's current speed at pull time, so a mid-run
+                    # speed change affects every subsequent draw.
                     samplers.append(
-                        _make_dynamic_sampler(_make_sampler(tier.demands[k], rng), cell)
+                        _make_dynamic_sampler(
+                            _make_sampler(tier.demands[k], rng), ledger.speeds, i
+                        )
                     )
                 else:
                     dist = tier.demands[k].scaled(1.0 / tier.speed)
                     samplers.append(_make_sampler(dist, rng))
             if tier.discipline == "ps":
-                if tier.capacity is not None:
-                    raise ModelValidationError(
-                        f"tier {tier.name!r}: finite buffers are not supported for PS tiers"
-                    )
                 st = PSStation(i, k_classes, tier.servers, samplers, heap, next_seq)
             else:
                 st = SimStation(
@@ -370,80 +363,24 @@ def simulate(
     # Epoch-boundary controller hook. Mirrors the telemetry sampler
     # above: with no controller attached, next_epoch stays +inf and the
     # hook costs one float comparison per event.
-    dyn_energy = 0.0
-    per_class_dyn_energy = np.zeros(k_classes)
-    if dynamic_speed:
-        tier_power = [(t.spec.power.kappa, t.spec.power.alpha) for t in cluster.tiers]
-        speed_bounds = [(t.spec.min_speed, t.spec.max_speed) for t in cluster.tiers]
-        busy_mark = [0.0] * m_stations
-        class_busy_mark = [[0.0] * k_classes for _ in range(m_stations)]
-        epoch_trace: list[dict[str, Any]] = []
+    if ledger is not None:
+        epoch_schedule = np.asarray(epoch_times, dtype=float)
         epoch_idx = 0
         next_epoch = float(epoch_schedule[0])
 
-        def _accrue_segments(tb: float) -> None:
-            """Close every station's busy intervals at ``tb`` and bill
-            the elapsed busy time at the segment's (current) speed."""
-            nonlocal dyn_energy
-            for i, st in enumerate(stations):
-                st.close_open_intervals(tb)
-                kappa, alpha = tier_power[i]
-                p_dyn = kappa * speed_cells[i][0] ** alpha
-                delta = st.busy_total - busy_mark[i]
-                if delta > 0.0:
-                    dyn_energy += p_dyn * delta
-                    busy_mark[i] = st.busy_total
-                cb = st.class_busy_totals
-                mark = class_busy_mark[i]
-                for k in range(k_classes):
-                    dk = cb[k] - mark[k]
-                    if dk > 0.0:
-                        per_class_dyn_energy[k] += p_dyn * dk
-                        mark[k] = cb[k]
-
         def _fire_epoch(tb: float) -> None:
-            """One controller decision at boundary ``tb``: flush energy
-            segments, observe queues, apply the returned speeds (work-
-            preserving rescale of in-service jobs), record the trace."""
-            _accrue_segments(tb)
+            """One controller decision at boundary ``tb``: close and bill
+            the busy segments, observe queues, apply the returned speeds
+            (work-preserving rescale of in-service jobs)."""
+            for st in stations:
+                st.close_open_intervals(tb)
+            ledger.bill(
+                [st.busy_total for st in stations],
+                [st.class_busy_totals for st in stations],
+            )
             counts = np.array([st.class_counts() for st in stations], dtype=np.int64)
-            speeds_now = np.array([c[0] for c in speed_cells])
-            new_speeds = epoch_controller(tb, counts, speeds_now.copy())
-            if new_speeds is not None:
-                new_arr = np.asarray(new_speeds, dtype=float)
-                if new_arr.shape != (m_stations,):
-                    raise ModelValidationError(
-                        f"epoch controller must return {m_stations} speeds, "
-                        f"got shape {new_arr.shape}"
-                    )
-                for i, st in enumerate(stations):
-                    lo, hi = speed_bounds[i]
-                    s_new = min(max(float(new_arr[i]), lo), hi)
-                    s_old = speed_cells[i][0]
-                    if s_new != s_old:
-                        st.rescale_remaining(tb, s_old / s_new)
-                        speed_cells[i][0] = s_new
-                        speeds_now[i] = s_new
-            epoch_trace.append(
-                {
-                    "t": tb,
-                    "queues": counts,
-                    "speeds": speeds_now,
-                    "dynamic_energy": dyn_energy,
-                }
-            )
-            # Controller-trace telemetry: epochs are decision instants
-            # (hundreds per run, never per-event), so emitting here
-            # keeps the epoch trace ingestable from events.jsonl
-            # without touching the hot loop. No-op while disabled.
-            obs.event(
-                "sim.epoch",
-                epoch=len(epoch_trace) - 1,
-                t=tb,
-                queues=counts,
-                speeds=speeds_now,
-                dynamic_energy=dyn_energy,
-            )
+            for i, ratio in ledger.decide(tb, counts):
+                stations[i].rescale_remaining(tb, ratio)
     else:
         next_epoch = float("inf")
 
@@ -555,47 +492,79 @@ def simulate(
     # per-event increment in the hot loop.
     n_events = (next_seq() - 1) - len(heap) - (1 if hit_horizon else 0)
 
-    with obs.span("sim.finalize"):
-        for st in stations:
-            st.close_open_intervals(horizon)
-        # Flush the per-class delay buffers into the Welford
-        # accumulators in one batched pass (bit-identical to per-event
-        # adds; see Welford.add_batch).
-        for k in range(k_classes):
-            e2e[k].add_batch(delay_buf[k])
+    for st in stations:
+        st.close_open_intervals(horizon)
+    busy = [st.busy_total for st in stations]
+    class_busy = [st.class_busy_totals for st in stations]
+    if ledger is not None:
+        ledger.bill(busy, class_busy)  # the horizon closes the last segment
+    # Flush the per-class delay buffers into the Welford accumulators in
+    # one batched pass (bit-identical to per-event adds; see
+    # Welford.add_batch).
+    for k in range(k_classes):
+        e2e[k].add_batch(delay_buf[k])
+    tallies = _Tallies(
+        e2e=e2e,
+        busy=busy,
+        class_busy=class_busy,
+        wait_sum=wait_sum,
+        sojourn_sum=sojourn_sum,
+        visit_count=visit_count,
+        n_blocked=n_blocked,
+        offered=offered,
+        n_jobs=jid,
+        n_events=n_events,
+        n_warmup_discarded=n_warmup_discarded,
+        ledger=ledger,
+        delay_samples=[np.asarray(s) for s in delay_buf] if collect_delay_samples else None,
+        job_log=None if log_rows is None else np.array(log_rows, dtype=_JOB_LOG_DTYPE),
+    )
+    return _finalize(cluster, workload, horizon, warmup, tallies)
 
+
+@dataclass
+class _Tallies:
+    """One replication's raw measurements, as either engine leaves them.
+
+    :func:`_finalize` turns them into a :class:`SimulationResult`, so
+    every result formula, warning and ``sim.*`` counter is defined once
+    for the Python engine and the compiled kernel. Per-visit matrices
+    are ``[class][tier]``; busy times are ``[tier]`` and
+    ``[tier][class]``.
+    """
+
+    e2e: list[Welford]
+    busy: Sequence[float]
+    class_busy: Sequence[Sequence[float]]
+    wait_sum: Any
+    sojourn_sum: Any
+    visit_count: Any
+    n_blocked: Any
+    offered: Any
+    n_jobs: int
+    n_events: int
+    n_warmup_discarded: int
+    ledger: _SpeedLedger | None = None
+    delay_samples: list[np.ndarray] | None = None
+    job_log: np.ndarray | None = None
+
+
+def _finalize(
+    cluster: ClusterModel, workload: Workload, horizon: float, warmup: float, t: _Tallies
+) -> SimulationResult:
+    """The :class:`SimulationResult` of one replication's tallies."""
+    with obs.span("sim.finalize"):
         window = horizon - warmup
         utilizations = np.array(
-            [
-                st.busy_total / (tier.servers * window)
-                for st, tier in zip(stations, cluster.tiers)
-            ]
+            [t.busy[i] / (tier.servers * window) for i, tier in enumerate(cluster.tiers)]
         )
-
-        # Power: idle floor plus measured dynamic draw.
-        if dynamic_speed:
-            # The horizon closes the last constant-speed segment (the
-            # busy intervals were already flushed above); the energy is
-            # the sum over segments of busy-time x kappa*s^alpha at that
-            # segment's speed.
-            _accrue_segments(horizon)
-            dynamic_power = dyn_energy / window
-            per_class_dyn_energy_rate = per_class_dyn_energy / window
-        else:
-            dynamic_power = 0.0
-            per_class_dyn_energy_rate = np.zeros(k_classes)
-            for st, tier in zip(stations, cluster.tiers):
-                p_dyn = tier.spec.power.kappa * tier.speed**tier.spec.power.alpha
-                dynamic_power += p_dyn * st.busy_total / window
-                for k in range(k_classes):
-                    per_class_dyn_energy_rate[k] += p_dyn * st.class_busy_totals[k] / window
-        idle_power = float(sum(t.servers * t.spec.power.idle for t in cluster.tiers))
-        average_power = idle_power + dynamic_power
-
-        n_completed = np.array([w.n for w in e2e], dtype=np.int64)
-        delays = np.array([w.mean for w in e2e])
-        stds = np.array([w.std for w in e2e])
-        cis = np.array([confidence_halfwidth(w.std, w.n) for w in e2e])
+        average_power, per_class_dyn_energy_rate = _average_power(
+            cluster, t.busy, t.class_busy, window, t.ledger
+        )
+        n_completed = np.array([w.n for w in t.e2e], dtype=np.int64)
+        delays = np.array([w.mean for w in t.e2e])
+        stds = np.array([w.std for w in t.e2e])
+        cis = np.array([confidence_halfwidth(w.std, w.n) for w in t.e2e])
 
         # Per-class dynamic energy per completed request: measured energy
         # rate divided by the class's measured throughput.
@@ -604,67 +573,36 @@ def simulate(
             per_class_dyn = np.where(
                 throughput > 0, per_class_dyn_energy_rate / np.maximum(throughput, 1e-300), np.nan
             )
-        total_throughput = float(throughput.sum())
-        energy_per_request = (
-            average_power / total_throughput if total_throughput > 0 else float("nan")
-        )
+        energy_per_request = _energy_per_request(average_power, throughput)
 
-        wait_sum_arr = np.array(wait_sum)
-        sojourn_sum_arr = np.array(sojourn_sum)
-        visit_count_arr = np.array(visit_count, dtype=np.int64)
-        # A counted visit completes at the station exactly when it is
-        # counted toward per-visit delay statistics, so the completion
-        # matrix equals the visit-count matrix (kept as separate meta
-        # arrays for API compatibility).
-        station_completions = visit_count_arr.copy()
+        wait_sum = np.array(t.wait_sum, dtype=float)
+        sojourn_sum = np.array(t.sojourn_sum, dtype=float)
+        visit_count = np.array(t.visit_count, dtype=np.int64)
         with np.errstate(divide="ignore", invalid="ignore"):
             station_waits = np.where(
-                visit_count_arr > 0, wait_sum_arr / np.maximum(visit_count_arr, 1), np.nan
+                visit_count > 0, wait_sum / np.maximum(visit_count, 1), np.nan
             )
             station_sojourns = np.where(
-                visit_count_arr > 0, sojourn_sum_arr / np.maximum(visit_count_arr, 1), np.nan
+                visit_count > 0, sojourn_sum / np.maximum(visit_count, 1), np.nan
             )
 
-    # Delay statistics on a thin post-warmup tail are noisy; surface it
-    # both as a Python warning and as a structured telemetry event.
-    n_counted_total = int(n_completed.sum())
-    n_finished_total = n_counted_total + n_warmup_discarded
-    if n_finished_total > 0 and n_warmup_discarded > 0.5 * n_finished_total:
-        discard_fraction = n_warmup_discarded / n_finished_total
-        warnings.warn(
-            WarmupDiscardWarning(
-                f"warmup window ({warmup:g} of horizon {horizon:g}) discarded "
-                f"{n_warmup_discarded} of {n_finished_total} completed jobs "
-                f"({discard_fraction:.0%}); delay statistics rest on only "
-                f"{n_counted_total} jobs — lengthen the horizon or shrink "
-                f"warmup_fraction"
-            ),
-            stacklevel=2,
-        )
-        obs.event(
-            "sim.warmup_discard",
-            warmup=warmup,
-            horizon=horizon,
-            n_discarded=n_warmup_discarded,
-            n_counted=n_counted_total,
-            discard_fraction=discard_fraction,
-        )
-    obs.counter("sim.events").add(n_events)
-    obs.counter("sim.jobs_created").add(jid)
-    obs.counter("sim.jobs_counted").add(n_counted_total)
-
+    _account(t, int(n_completed.sum()), horizon, warmup)
+    # A counted visit completes at the station exactly when it is
+    # counted toward per-visit delay statistics, so the completion
+    # matrix equals the visit-count matrix (kept as separate meta arrays
+    # for API compatibility).
     meta: dict[str, Any] = {
-        "n_jobs_created": jid,
-        "n_events": n_events,
-        "n_warmup_discarded": n_warmup_discarded,
-        "station_completions": station_completions,
-        "n_blocked": np.array(n_blocked, dtype=np.int64),
-        "n_offered": np.array(offered, dtype=np.int64),
+        "n_jobs_created": t.n_jobs,
+        "n_events": t.n_events,
+        "n_warmup_discarded": t.n_warmup_discarded,
+        "station_completions": visit_count.copy(),
+        "n_blocked": np.array(t.n_blocked, dtype=np.int64),
+        "n_offered": np.array(t.offered, dtype=np.int64),
     }
-    if dynamic_speed:
-        meta["epoch_trace"] = epoch_trace
-        meta["final_speeds"] = np.array([c[0] for c in speed_cells])
-        meta["dynamic_energy"] = float(dyn_energy)
+    if t.ledger is not None:
+        meta["epoch_trace"] = t.ledger.trace
+        meta["final_speeds"] = np.array(t.ledger.speeds)
+        meta["dynamic_energy"] = float(t.ledger.energy)
 
     return SimulationResult(
         class_names=tuple(workload.names),
@@ -681,43 +619,181 @@ def simulate(
         horizon=horizon,
         warmup=warmup,
         meta=meta,
-        delay_samples=(
-            [np.asarray(s) for s in delay_buf] if collect_delay_samples else None
-        ),
-        job_log=(
-            np.array(
-                log_rows,
-                dtype=[("jid", np.int64), ("cls", np.int32), ("arrival", float), ("exit", float)],
-            )
-            if log_rows is not None
-            else None
-        ),
+        delay_samples=t.delay_samples,
+        job_log=t.job_log,
     )
 
 
-def _env_backend() -> str:
-    """The ``REPRO_SIM_BACKEND`` selector, validated.
+def _average_power(
+    cluster: ClusterModel,
+    busy: Sequence[float],
+    class_busy: Sequence[Sequence[float]],
+    window: float,
+    ledger: _SpeedLedger | None = None,
+) -> tuple[float, np.ndarray]:
+    """Average power (idle floor plus measured dynamic draw) and the
+    per-class dynamic energy rate over the measurement window."""
+    k_classes = cluster.num_classes
+    if ledger is not None:
+        # Energy billed per constant-speed segment: busy time x
+        # kappa*s^alpha at that segment's speed.
+        dynamic_power = ledger.energy / window
+        per_class_rate = ledger.class_energy / window
+    else:
+        dynamic_power = 0.0
+        per_class_rate = np.zeros(k_classes)
+        for i, tier in enumerate(cluster.tiers):
+            p_dyn = tier.spec.power.kappa * tier.speed**tier.spec.power.alpha
+            dynamic_power += p_dyn * busy[i] / window
+            for k in range(k_classes):
+                per_class_rate[k] += p_dyn * class_busy[i][k] / window
+    idle_power = float(sum(t.servers * t.spec.power.idle for t in cluster.tiers))
+    return idle_power + dynamic_power, per_class_rate
 
-    ``python`` (default) runs this engine; ``compiled`` requires the C
-    kernel (warns once and falls back if unavailable); ``auto`` uses
-    the kernel opportunistically and falls back silently.
+
+def _energy_per_request(average_power: float, throughput: np.ndarray) -> float:
+    """Average power divided by total measured throughput."""
+    total_throughput = float(throughput.sum())
+    return average_power / total_throughput if total_throughput > 0 else float("nan")
+
+
+def _account(t: _Tallies, n_counted: int, horizon: float, warmup: float) -> None:
+    """Warn when the warmup window discarded most completions, and add
+    the replication to the ``sim.*`` telemetry counters."""
+    n_discarded = t.n_warmup_discarded
+    n_finished = n_counted + n_discarded
+    # Delay statistics on a thin post-warmup tail are noisy; surface it
+    # both as a Python warning and as a structured telemetry event.
+    if n_finished > 0 and n_discarded > 0.5 * n_finished:
+        discard_fraction = n_discarded / n_finished
+        warnings.warn(
+            WarmupDiscardWarning(
+                f"warmup window ({warmup:g} of horizon {horizon:g}) discarded "
+                f"{n_discarded} of {n_finished} completed jobs "
+                f"({discard_fraction:.0%}); delay statistics rest on only "
+                f"{n_counted} jobs — lengthen the horizon or shrink "
+                f"warmup_fraction"
+            ),
+            stacklevel=4,
+        )
+        obs.event(
+            "sim.warmup_discard",
+            warmup=warmup,
+            horizon=horizon,
+            n_discarded=n_discarded,
+            n_counted=n_counted,
+            discard_fraction=discard_fraction,
+        )
+    obs.counter("sim.events").add(t.n_events)
+    obs.counter("sim.jobs_created").add(t.n_jobs)
+    obs.counter("sim.jobs_counted").add(n_counted)
+
+
+class _SpeedLedger:
+    """Online speed control state shared by both engines: the current
+    per-tier speeds, the controller's decisions, dynamic energy billed
+    per constant-speed segment, and the epoch trace."""
+
+    def __init__(self, cluster: ClusterModel, controller: Callable) -> None:
+        self.controller = controller
+        self.power = [(t.spec.power.kappa, t.spec.power.alpha) for t in cluster.tiers]
+        self.bounds = [(t.spec.min_speed, t.spec.max_speed) for t in cluster.tiers]
+        self.speeds = [float(t.speed) for t in cluster.tiers]
+        self.busy_mark = [0.0] * cluster.num_tiers
+        self.class_busy_mark = [[0.0] * cluster.num_classes for _ in cluster.tiers]
+        self.energy = 0.0
+        self.class_energy = np.zeros(cluster.num_classes)
+        self.trace: list[dict[str, Any]] = []
+
+    def bill(self, busy: Sequence[float], class_busy: Sequence[Sequence[float]]) -> None:
+        """Bill the busy time closed since the last call at each tier's
+        current speed."""
+        for i, (kappa, alpha) in enumerate(self.power):
+            p_dyn = kappa * self.speeds[i] ** alpha
+            delta = busy[i] - self.busy_mark[i]
+            if delta > 0.0:
+                self.energy += p_dyn * delta
+                self.busy_mark[i] = busy[i]
+            mark = self.class_busy_mark[i]
+            for k, cbk in enumerate(class_busy[i]):
+                dk = cbk - mark[k]
+                if dk > 0.0:
+                    self.class_energy[k] += p_dyn * dk
+                    mark[k] = cbk
+
+    def decide(self, t: float, counts: np.ndarray) -> list[tuple[int, float]]:
+        """One controller decision at boundary ``t`` on the ``(tiers,
+        classes)`` queue ``counts``: clamp the returned speeds to each
+        tier's DVFS range, record the epoch, and return the ``(tier,
+        old_speed / new_speed)`` rescales to apply."""
+        speeds_now = np.array(self.speeds)
+        new_speeds = self.controller(t, counts, speeds_now.copy())
+        changes: list[tuple[int, float]] = []
+        if new_speeds is not None:
+            new_arr = np.asarray(new_speeds, dtype=float)
+            if new_arr.shape != (len(self.speeds),):
+                raise ModelValidationError(
+                    f"epoch controller must return {len(self.speeds)} speeds, "
+                    f"got shape {new_arr.shape}"
+                )
+            for i, (lo, hi) in enumerate(self.bounds):
+                s_new = min(max(float(new_arr[i]), lo), hi)
+                s_old = self.speeds[i]
+                if s_new != s_old:
+                    changes.append((i, s_old / s_new))
+                    self.speeds[i] = s_new
+                    speeds_now[i] = s_new
+        self.trace.append(
+            {"t": t, "queues": counts, "speeds": speeds_now, "dynamic_energy": self.energy}
+        )
+        # Controller-trace telemetry: epochs are decision instants
+        # (hundreds per run, never per-event), so emitting here keeps
+        # the epoch trace ingestable from events.jsonl without touching
+        # the hot loop. No-op while disabled.
+        obs.event(
+            "sim.epoch",
+            epoch=len(self.trace) - 1,
+            t=t,
+            queues=counts,
+            speeds=speeds_now,
+            dynamic_energy=self.energy,
+        )
+        return changes
+
+
+_BACKENDS = ("python", "compiled", "auto")
+
+
+def resolve_backend(raw: str | None) -> str:
+    """Validate and normalize a ``REPRO_SIM_BACKEND`` selector.
+
+    ``python`` (default, also for ``None``) runs this engine;
+    ``compiled`` requires the C kernel (warns once and falls back if
+    unavailable); ``auto`` uses the kernel opportunistically and falls
+    back silently.
     """
-    raw = os.environ.get("REPRO_SIM_BACKEND")
     if raw is None:
         return "python"
     value = raw.strip().lower()
-    if value not in ("python", "compiled", "auto"):
+    if value not in _BACKENDS:
         raise ModelValidationError(
-            f"REPRO_SIM_BACKEND must be one of ('python', 'compiled', 'auto'), "
-            f"got {raw!r}"
+            f"REPRO_SIM_BACKEND must be one of {_BACKENDS}, got {raw!r}"
         )
     return value
 
 
-def _validate_basic_inputs(
-    cluster: ClusterModel, workload: Workload, horizon: float, warmup_fraction: float
+def _validate(
+    cluster: ClusterModel,
+    workload: Workload,
+    horizon: float,
+    warmup_fraction: float,
+    arrival_processes: list[ArrivalProcess] | None = None,
+    allow_unstable: bool = False,
+    epoch_times: Sequence[float] | None = None,
+    epoch_controller: Callable | None = None,
 ) -> None:
-    """Shared input gate for :func:`simulate` and the batched fleet path."""
+    """The input gate of both engines and the batched fleet path, run
+    once before backend dispatch so every message comes from here."""
     if cluster.num_classes != workload.num_classes:
         raise ModelValidationError(
             f"cluster is parameterized for {cluster.num_classes} classes "
@@ -727,23 +803,43 @@ def _validate_basic_inputs(
         raise ModelValidationError(f"horizon must be positive and finite, got {horizon}")
     if not 0.0 <= warmup_fraction <= 0.9:
         raise ModelValidationError(f"warmup fraction must be in [0, 0.9], got {warmup_fraction}")
-
-
-def _validate_stability(cluster: ClusterModel, workload: Workload) -> None:
-    """Reject saturated open queueing tiers (``allow_unstable`` bypass).
-
-    Loss and finite-buffer tiers cannot be unstable (nothing unbounded
-    can accumulate); only open queueing tiers gate.
-    """
-    rho = cluster.utilizations(workload.arrival_rates)
-    queueing = np.array(
-        [t.discipline != "loss" and t.capacity is None for t in cluster.tiers]
-    )
-    if np.any(rho[queueing] >= 1.0):
-        raise ModelValidationError(
-            f"configuration is unstable (utilizations {np.round(rho, 4).tolist()}); "
-            "pass allow_unstable=True to simulate it anyway"
+    if (epoch_controller is None) != (epoch_times is None):
+        raise ModelValidationError("epoch_times and epoch_controller must be provided together")
+    if epoch_controller is not None:
+        epoch_schedule = np.asarray(epoch_times, dtype=float)
+        if epoch_schedule.ndim != 1 or epoch_schedule.size == 0:
+            raise ModelValidationError("epoch_times must be a non-empty 1-D sequence")
+        if not np.all(np.isfinite(epoch_schedule)) or epoch_schedule[0] < 0.0:
+            raise ModelValidationError("epoch times must be finite and non-negative")
+        if np.any(np.diff(epoch_schedule) <= 0.0):
+            raise ModelValidationError("epoch times must be strictly increasing")
+        for tier in cluster.tiers:
+            if tier.discipline == "ps":
+                raise ModelValidationError(
+                    f"tier {tier.name!r}: dynamic speed control does not support PS "
+                    "tiers (their shared-rate completions cannot be rescaled mid-run)"
+                )
+    if not allow_unstable:
+        # Loss and finite-buffer tiers cannot be unstable (nothing
+        # unbounded can accumulate); only open queueing tiers gate.
+        rho = cluster.utilizations(workload.arrival_rates)
+        queueing = np.array(
+            [t.discipline != "loss" and t.capacity is None for t in cluster.tiers]
         )
+        if np.any(rho[queueing] >= 1.0):
+            raise ModelValidationError(
+                f"configuration is unstable (utilizations {np.round(rho, 4).tolist()}); "
+                "pass allow_unstable=True to simulate it anyway"
+            )
+    if arrival_processes is not None and len(arrival_processes) != workload.num_classes:
+        raise ModelValidationError(
+            f"expected {workload.num_classes} arrival processes, got {len(arrival_processes)}"
+        )
+    for tier in cluster.tiers:
+        if tier.discipline == "ps" and tier.capacity is not None:
+            raise ModelValidationError(
+                f"tier {tier.name!r}: finite buffers are not supported for PS tiers"
+            )
 
 
 def _build_routes(cluster: ClusterModel) -> list[tuple[int, ...]]:
@@ -816,9 +912,16 @@ def _sample_queues(tel, t: float, stations: list) -> None:
             busy = st.n_busy
         populations.append(n)
         busy_counts.append(busy)
-        tel.metrics.gauge(f"sim.tier.{st.index}.population").set(n)
-        tel.metrics.gauge(f"sim.tier.{st.index}.busy_servers").set(busy)
-    tel.tracer.event("sim.queue_sample", t=t, population=populations, busy=busy_counts)
+    _emit_queue_sample(tel, t, populations, busy_counts)
+
+
+def _emit_queue_sample(tel, t: float, populations: list[int], busy: list[int]) -> None:
+    """Publish one queue-length sample: per-tier gauges, then the
+    ``sim.queue_sample`` event (both engines emit through here)."""
+    for i, (n, b) in enumerate(zip(populations, busy)):
+        tel.metrics.gauge(f"sim.tier.{i}.population").set(n)
+        tel.metrics.gauge(f"sim.tier.{i}.busy_servers").set(b)
+    tel.tracer.event("sim.queue_sample", t=t, population=populations, busy=busy)
 
 
 def _draw_uniform(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -872,16 +975,16 @@ def _make_sampler(dist, rng):
     return generic_sampler
 
 
-def _make_dynamic_sampler(base, cell):
+def _make_dynamic_sampler(base, speeds, i):
     """Service sampler under dynamic speed control.
 
     ``base`` draws the class's *demand* (work at speed 1); every pull
-    divides by the station's current speed, read from the one-element
-    ``cell`` that the epoch controller mutates on DVFS changes.
+    divides by tier ``i``'s current speed, read from the ``speeds``
+    list the epoch controller mutates on DVFS changes.
     """
 
     def sampler() -> float:
-        return base() / cell[0]
+        return base() / speeds[i]
 
     return sampler
 

@@ -134,6 +134,43 @@ def test_single_run_bit_identical_delay_samples_and_log(monkeypatch):
     )
 
 
+@needs_kernel
+def test_delay_moments_independent_of_sample_collection(monkeypatch):
+    """Delay moments always come from the kernel's inline Welford fold,
+    so collecting per-job delay samples cannot change a bit of them."""
+    cluster = golden_mod._two_tier("priority_np")
+    workload = golden_mod._workload()
+    monkeypatch.setenv("REPRO_SIM_BACKEND", "compiled")
+    kept = simulate(cluster, workload, horizon=120.0, seed=31, collect_delay_samples=True)
+    lean = simulate(cluster, workload, horizon=120.0, seed=31, collect_delay_samples=False)
+    assert lean.delay_samples is None
+    assert [s.size for s in kept.delay_samples] == kept.n_completed.tolist()
+    for field in ("delays", "delay_std", "delay_ci"):
+        assert getattr(kept, field).tobytes() == getattr(lean, field).tobytes(), field
+
+
+@pytest.mark.parametrize(
+    "seed",
+    [
+        0,
+        7,
+        2**40 + 3,
+        2**200 + 5,
+        np.random.SeedSequence(7, spawn_key=(2, 17)),
+        np.random.SeedSequence([1, 2, 3, 4, 5, 6]),
+        np.random.SeedSequence(9).spawn(3)[2],
+    ],
+)
+def test_lean_stream_seeding_matches_rngstreams(seed):
+    """The compiled driver's lean per-stream seeding starts every bit
+    generator in the state RngStreams gives the Python engine, for
+    every seed shape simulate() accepts."""
+    words = compiled_mod._seed_words(seed)
+    for name in ("arrivals/0", "service/1/0", "routing/3"):
+        lean = compiled_mod._stream_bitgen(words, name)
+        assert lean.state == RngStreams(seed).stream(name).bit_generator.state, name
+
+
 # ---------------------------------------------------------------------------
 # backend selection and fallback semantics
 # ---------------------------------------------------------------------------
@@ -321,7 +358,7 @@ def test_queue_sampling_telemetry_identical(monkeypatch, tmp_path):
 
 
 def _decision(cluster, seed=0, epoch_controller=None):
-    return compiled_mod._unsupported_reason(cluster, seed, epoch_controller)
+    return compiled_mod._unsupported_reason(cluster)
 
 
 def test_unsupported_reason_none_for_epoch_controller():
@@ -374,7 +411,7 @@ def test_unsupported_reason_fallback_matches_and_auto_silent(monkeypatch):
     monkeypatch.setattr(
         compiled_mod,
         "_unsupported_reason",
-        lambda cluster, seed, epoch_controller: "synthetic out-of-envelope reason",
+        lambda cluster: "synthetic out-of-envelope reason",
     )
     monkeypatch.setenv("REPRO_SIM_BACKEND", "python")
     ref = simulate(canonical_cluster(), canonical_workload(), horizon=30.0, seed=4)

@@ -115,6 +115,41 @@ def test_fleet_batched_chunk_boundaries(tmp_path):
     assert _canonical_rows(tmp_path / "got") == _canonical_rows(tmp_path / "ref")
 
 
+@needs_kernel
+def test_queue_sampling_chunk_runs_batched(tmp_path):
+    # Telemetry queue sampling is inside the batched driver's envelope:
+    # the chunk runs as one kernel call (rows, not None) with the
+    # sampling tap live, and its rows equal the python backend's.
+    import json
+
+    from repro.obs import telemetry_session
+    from repro.simulation.compiled import maybe_simulate_fleet_batch
+    from repro.simulation.fleet import _run_chunk, _unit_seed
+
+    scenarios = _scenarios(loads=(0.7,))
+    sc = scenarios[0]
+    seeds = [_unit_seed(5, 0, r) for r in range(4)]
+    with telemetry_session(tmp_path / "tel", sample_queues=True, queue_sample_interval=1.0):
+        batched = maybe_simulate_fleet_batch(
+            "compiled", sc.cluster, sc.workload, sc.horizon, sc.warmup_fraction, seeds
+        )
+    assert batched is not None
+    rows, failures = batched
+    assert failures == []
+    samples = [
+        rec
+        for path in (tmp_path / "tel").glob("*.jsonl")
+        for rec in map(json.loads, path.read_text().splitlines())
+        if rec.get("name") == "sim.queue_sample"
+    ]
+    assert samples
+
+    ok_units, cols, ref_failures = _run_chunk(scenarios, 5, 4, 0, 0, 4, "python")
+    assert ok_units == [0, 1, 2, 3] and ref_failures == []
+    for j, row in enumerate(rows):
+        assert row == {c: cols[c][j].item() for c in row}, j
+
+
 def test_fleet_batch_size_recorded_and_validated(tmp_path):
     summary = run_fleet(
         _scenarios(loads=(0.5,)),
