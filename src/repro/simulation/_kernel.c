@@ -6,14 +6,24 @@
  * repro/simulation/simulator.py -- the (time, seq) event heap, the
  * array-backed SimStation state machine, the processor-sharing station
  * and the per-event statistics tallies -- in C, while drawing every
- * random variate through NumPy's own C distribution functions on the
- * *same* per-stream bit generators the pure-Python engine uses.
+ * random variate through NumPy's own C distribution functions on
+ * per-stream bit generators in the *same* states the pure-Python
+ * engine's streams start from.
  *
  * Bit-identity contract: for any configuration this kernel accepts,
  * the produced metrics are bit-identical to the pure-Python engine
  * (enforced by tests/test_golden_sim_metrics.py and
  * tests/test_compiled_backend.py).  That is possible because
  *
+ *  - every natively drawn stream is seeded here, per replication, from
+ *    the same SeedSequence words RngStreams hashes (the replication's
+ *    run entropy padded to the pool size, its spawn key, then the
+ *    stream name's FNV-1a digest): NumPy's published SeedSequence
+ *    mixing and generate_state feed pcg64_set_seed, and the stream's
+ *    bitgen_t is this file's own PCG64 XSL-RR with NumPy's 32-bit
+ *    buffering, so every draw consumes the bits RngStreams' PCG64
+ *    would (RngStreams is the oracle: the differential seeding test
+ *    compares states and interleaved outputs through k_stream_probe);
  *  - the heap is ordered by the same unique (time, push-sequence) key,
  *    so pop order is a total order independent of heap internals;
  *  - every floating-point update (busy-time clipping, wait/sojourn
@@ -22,7 +32,7 @@
  *    order exactly (IEEE doubles are deterministic);
  *  - service and arrival variates are drawn by the exact NumPy C
  *    functions (random_exponential, random_gamma, ziggurat
- *    standard-exponential, ...) on the stream's own bitgen_t, which
+ *    standard-exponential, ...) on the stream's bitgen_t, which
  *    consume the bit stream exactly as the Generator methods do; the
  *    block-sampling contract (tests/test_block_rng.py) makes one
  *    scalar draw per event equal to the Python engine's
@@ -59,6 +69,7 @@
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
+#include <time.h>
 
 #include "numpy/random/bitgen.h"
 #include "numpy/random/distributions.h"
@@ -108,8 +119,8 @@ typedef struct {
     int py_id;         /* callback id (PYCALL) or block id (PYBLOCK) */
     double p1;
     double p2;
-    void *bg;          /* bitgen_t*, NULL for DET / PYCALL / PYBLOCK */
-    double *cdf;       /* hyperexponential branch CDF */
+    void *bg;          /* the slot's bitgen_t, set by the kernel */
+    double *cdf;      /* hyperexponential branch CDF */
     double *scales;    /* hyperexponential branch scales */
     int *post_op;      /* POST_MUL / POST_ADD, innermost last */
     double *post_val;
@@ -125,12 +136,149 @@ typedef struct {
     int kind;          /* SK_PYCALL, SK_EXPO, SK_PYBLOCK or SK_TRACE */
     int py_id;         /* callback slot (PYCALL) or block id (PYBLOCK) */
     double scale;
-    void *bg;
+    void *bg;          /* the slot's bitgen_t, set by the kernel */
     const double *ts;  /* SK_TRACE: sorted arrival timestamps */
     long long n_ts;
-    long long cursor;  /* SK_TRACE replay state (starts at 0) */
-    double clock;      /* SK_TRACE replay state (starts at 0.0) */
+    long long cursor;  /* SK_TRACE replay state (ctx_reset rewinds it) */
+    double clock;
 } ArrivalDesc;
+
+/* ------------------------- stream seeding --------------------------- */
+
+/* numpy.random.SeedSequence (pool of 4 uint32 words), transcribed from
+ * NumPy's bit_generator.pyx: mix_entropy and generate_state. */
+#define SS_POOL 4
+#define SS_INIT_A 0x43b0d7e5u
+#define SS_MULT_A 0x931e8875u
+#define SS_INIT_B 0x8b51f9ddu
+#define SS_MULT_B 0x58f38dedu
+#define SS_MIX_L 0xca01f9ddu
+#define SS_MIX_R 0x4973f715u
+
+typedef struct {
+    uint32_t pool[SS_POOL];
+    uint32_t hash_const;
+} seedseq_t;
+
+static uint32_t ss_hashmix(seedseq_t *s, uint32_t v) {
+    v ^= s->hash_const;
+    s->hash_const *= SS_MULT_A;
+    v *= s->hash_const;
+    v ^= v >> 16;
+    return v;
+}
+
+static uint32_t ss_mix(uint32_t x, uint32_t y) {
+    uint32_t r = SS_MIX_L * x - SS_MIX_R * y;
+    r ^= r >> 16;
+    return r;
+}
+
+/* Mix one entropy word beyond the pool size into every pool word. */
+static void ss_absorb(seedseq_t *s, uint32_t w) {
+    for (int dst = 0; dst < SS_POOL; dst++) s->pool[dst] = ss_mix(s->pool[dst], ss_hashmix(s, w));
+}
+
+/* mix_entropy over words[0..n): fill the pool, cross-mix it, then
+ * absorb the remaining words.  A stream's entropy is its replication's
+ * words followed by the name digest, and the replication's words
+ * already fill the pool (the run entropy is padded to SS_POOL), so one
+ * ss_init per replication is shared by all its streams and each stream
+ * only absorbs its digest words on a copy. */
+static void ss_init(seedseq_t *s, const uint32_t *words, long long n) {
+    s->hash_const = SS_INIT_A;
+    for (int i = 0; i < SS_POOL; i++) s->pool[i] = ss_hashmix(s, i < n ? words[i] : 0);
+    for (int src = 0; src < SS_POOL; src++)
+        for (int dst = 0; dst < SS_POOL; dst++)
+            if (src != dst) s->pool[dst] = ss_mix(s->pool[dst], ss_hashmix(s, s->pool[src]));
+    for (long long i = SS_POOL; i < n; i++) ss_absorb(s, words[i]);
+}
+
+/* The digest as SeedSequence coerces an int: little-endian uint32
+ * words, the high one only when non-zero. */
+static void ss_absorb_digest(seedseq_t *s, uint64_t digest) {
+    ss_absorb(s, (uint32_t)digest);
+    if (digest >> 32) ss_absorb(s, (uint32_t)(digest >> 32));
+}
+
+/* generate_state(4, np.uint64): 8 uint32 words viewed little-endian. */
+static void ss_generate_u64x4(const seedseq_t *s, uint64_t out[4]) {
+    uint32_t hash_const = SS_INIT_B;
+    uint32_t w[8];
+    for (int i = 0; i < 8; i++) {
+        uint32_t v = s->pool[i % SS_POOL];
+        v ^= hash_const;
+        hash_const *= SS_MULT_B;
+        v *= hash_const;
+        v ^= v >> 16;
+        w[i] = v;
+    }
+    for (int i = 0; i < 4; i++) out[i] = (uint64_t)w[2 * i] | ((uint64_t)w[2 * i + 1] << 32);
+}
+
+/* PCG64 (XSL-RR 128/64) with NumPy's pcg64_state 32-bit buffering. */
+typedef __uint128_t u128;
+#define PCG_MULT (((u128)2549297995355413924ULL << 64) | 4865540595714422341ULL)
+
+typedef struct {
+    u128 state;
+    u128 inc;
+    int has_uint32;
+    uint32_t uinteger;
+} pcg64_t;
+
+static uint64_t pcg64_next64(void *st) {
+    pcg64_t *p = (pcg64_t *)st;
+    p->state = p->state * PCG_MULT + p->inc;
+    uint64_t x = (uint64_t)(p->state >> 64) ^ (uint64_t)p->state;
+    unsigned rot = (unsigned)(p->state >> 122);
+    return (x >> rot) | (x << ((-rot) & 63u));
+}
+
+static uint32_t pcg64_next32(void *st) {
+    pcg64_t *p = (pcg64_t *)st;
+    if (p->has_uint32) {
+        p->has_uint32 = 0;
+        return p->uinteger;
+    }
+    uint64_t next = pcg64_next64(st);
+    p->has_uint32 = 1;
+    p->uinteger = (uint32_t)(next >> 32);
+    return (uint32_t)(next & 0xffffffffu);
+}
+
+static double pcg64_next_double(void *st) {
+    return (double)(pcg64_next64(st) >> 11) * (1.0 / 9007199254740992.0);
+}
+
+/* pcg64_set_seed(seed = v[0..1], inc = v[2..3]), high word first. */
+static void pcg64_seed(pcg64_t *p, const uint64_t v[4]) {
+    u128 initstate = ((u128)v[0] << 64) | v[1];
+    u128 initseq = ((u128)v[2] << 64) | v[3];
+    p->inc = (initseq << 1) | 1u;
+    p->state = p->inc; /* 0 * PCG_MULT + inc */
+    p->state += initstate;
+    p->state = p->state * PCG_MULT + p->inc;
+    p->has_uint32 = 0;
+    p->uinteger = 0;
+}
+
+static void bind_stream(bitgen_t *bg, pcg64_t *p) {
+    bg->state = p;
+    bg->next_uint64 = pcg64_next64;
+    bg->next_uint32 = pcg64_next32;
+    bg->next_double = pcg64_next_double;
+    bg->next_raw = pcg64_next64;
+}
+
+/* One stream: the replication's mixed pool plus the name digest. */
+static void seed_stream(pcg64_t *p, const seedseq_t *rep_pool, uint64_t digest) {
+    seedseq_t s = *rep_pool;
+    uint64_t v[4];
+    ss_absorb_digest(&s, digest);
+    ss_generate_u64x4(&s, v);
+    pcg64_seed(p, v);
+}
 
 /* ------------------------------- deque ------------------------------ */
 
@@ -410,15 +558,22 @@ typedef struct {
     double horizon;
     double warmup;
     int rep;                 /* index of the running replication */
-    SamplerDesc *samplers;   /* M*K, row-major by station */
-    ArrivalDesc *arrivals;   /* K */
+    SamplerDesc *samplers;   /* M*K arena copy of the template, by station */
+    ArrivalDesc *arrivals;   /* K arena copy of the template */
     int has_routing;
     int **routes;            /* K itineraries (fixed-route mode) */
     int *route_len;
     double **entry_cum;      /* K x M (routing mode) */
     double **trans_cum;      /* K x (M*M) row-major cumulative rows */
-    void **routing_bg;       /* K bitgen_t* (routing mode) */
-    int *routing_block;      /* K block ids, -1 = draw from routing_bg */
+    int *routing_block;      /* K block ids, -1 = draw from the routing slot */
+
+    /* Kernel-seeded streams, one slot per stream name: arrivals/k at
+     * k, service/i/k at K + i*K + k, routing/k at K + M*K + k. */
+    pcg64_t *streams;
+    bitgen_t *bitgens;
+    const uint64_t *digests; /* FNV-1a digest of each slot's name */
+    int *seeded;             /* slots drawn natively, reseeded per replication */
+    int n_seeded;
     service_cb_t service_cb;
     arrival_cb_t arrival_cb;
     refill_cb_t refill_cb;
@@ -459,7 +614,7 @@ typedef struct {
     long long *visit_count;
     long long *n_blocked;
     long long *offered;
-    long long *out_scalars;  /* jid, n_events, n_warmup_discarded, hit_horizon */
+    long long *out_scalars;  /* jid, n_events, n_warmup_discarded, hit_horizon, wall ns */
     /* inline per-class delay accumulation: the scalar Welford
      * recurrence on doubles, bitwise identical to stats.Welford.add_batch
      * replaying the same values. */
@@ -1005,6 +1160,11 @@ static void free_ctx(ctx_t *c) {
         for (int b = 0; b < c->n_blocks; b++) free(c->blocks[b].buf);
         free(c->blocks);
     }
+    free(c->samplers);
+    free(c->arrivals);
+    free(c->streams);
+    free(c->bitgens);
+    free(c->seeded);
     free(c->cur_speed);
     free(c->scratch_counts);
     free(c->sample_ts.buf);
@@ -1020,15 +1180,59 @@ void k_free(void *p) { free(p); }
 
 /* ------------------- allocation / reset / core loop ------------------ */
 
-/* One-time arena allocation: event heap, job pool, scratch, Python
- * block buffers, speed and delay-buffer slots, and the per-station
- * server arrays / queues / PS pools.
+static int native_kind(int kind) {
+    return kind == SK_EXPO || kind == SK_GAMMA || kind == SK_UNIFORM ||
+           kind == SK_LOGNORMAL || kind == SK_WEIBULL || kind == SK_HYPER;
+}
+
+/* Copy the call's descriptor templates into the arena and bind every
+ * natively drawn slot (SK_EXPO arrivals, native samplers, routing
+ * classes without a Python block) to its own stream; those slots are
+ * the ones ctx_reset seeds.  Returns non-zero on OOM. */
+static int bind_slots(ctx_t *c, const SamplerDesc *sampler_tpl, const ArrivalDesc *arrival_tpl) {
+    int K = c->K;
+    int km = K * c->M;
+    int n_slots = 2 * K + km;
+    c->samplers = (SamplerDesc *)malloc(sizeof(SamplerDesc) * km);
+    c->arrivals = (ArrivalDesc *)malloc(sizeof(ArrivalDesc) * K);
+    c->streams = (pcg64_t *)calloc(n_slots, sizeof(pcg64_t));
+    c->bitgens = (bitgen_t *)calloc(n_slots, sizeof(bitgen_t));
+    c->seeded = (int *)malloc(sizeof(int) * n_slots);
+    if (c->samplers == NULL || c->arrivals == NULL || c->streams == NULL ||
+        c->bitgens == NULL || c->seeded == NULL)
+        return 1;
+    memcpy(c->samplers, sampler_tpl, sizeof(SamplerDesc) * km);
+    memcpy(c->arrivals, arrival_tpl, sizeof(ArrivalDesc) * K);
+    for (int s = 0; s < n_slots; s++) bind_stream(&c->bitgens[s], &c->streams[s]);
+    c->n_seeded = 0;
+    for (int k = 0; k < K; k++)
+        if (c->arrivals[k].kind == SK_EXPO) {
+            c->arrivals[k].bg = &c->bitgens[k];
+            c->seeded[c->n_seeded++] = k;
+        }
+    for (int x = 0; x < km; x++)
+        if (native_kind(c->samplers[x].kind)) {
+            c->samplers[x].bg = &c->bitgens[K + x];
+            c->seeded[c->n_seeded++] = K + x;
+        }
+    if (c->has_routing)
+        for (int k = 0; k < K; k++)
+            if (c->routing_block[k] < 0) c->seeded[c->n_seeded++] = K + km + k;
+    return 0;
+}
+
+/* One-time arena allocation: descriptor copies and stream slots, event
+ * heap, job pool, scratch, Python block buffers, speed and
+ * delay-buffer slots, and the per-station server arrays / queues / PS
+ * pools.
  * Station geometry comes from the descriptors and never changes across
  * the replications of a batch; ctx_reset() rewinds the mutable state
  * between runs without touching any of these allocations.  Returns
  * non-zero on OOM (free_ctx cleans up whatever was allocated). */
 static int ctx_alloc(ctx_t *c, const StationDesc *station_desc,
+                     const SamplerDesc *sampler_tpl, const ArrivalDesc *arrival_tpl,
                      int n_blocks, long long block_size) {
+    if (bind_slots(c, sampler_tpl, arrival_tpl)) return 1;
     c->heap.cap = 256;
     c->heap.buf = (ev_t *)malloc(sizeof(ev_t) * c->heap.cap);
     if (c->heap.buf == NULL || jp_init(&c->jobs)) return 1;
@@ -1085,10 +1289,24 @@ static int ctx_alloc(ctx_t *c, const StationDesc *station_desc,
     return 0;
 }
 
-/* Rewind every piece of mutable state to time zero.  Callers point the
- * per-run outputs (class_busy, wait_sum, ..., wf_*) at the right
- * slices before run_core; allocations made by ctx_alloc are reused. */
-static void ctx_reset(ctx_t *c) {
+/* Rewind every piece of mutable state to time zero and seed the
+ * replication's native streams from its n_words seed words.  Callers
+ * point the per-run outputs (class_busy, wait_sum, ..., wf_*) at the
+ * right slices before run_core; allocations made by ctx_alloc are
+ * reused. */
+static void ctx_reset(ctx_t *c, const uint32_t *words, long long n_words) {
+    if (c->n_seeded > 0) {
+        seedseq_t pool;
+        ss_init(&pool, words, n_words);
+        for (int i = 0; i < c->n_seeded; i++) {
+            int slot = c->seeded[i];
+            seed_stream(&c->streams[slot], &pool, c->digests[slot]);
+        }
+    }
+    for (int k = 0; k < c->K; k++) {
+        c->arrivals[k].cursor = 0;
+        c->arrivals[k].clock = 0.0;
+    }
     c->next_seq = 1;
     c->heap.len = 0;
     c->jobs.used = 0;
@@ -1127,11 +1345,11 @@ static void ctx_reset(ctx_t *c) {
 }
 
 /* One routing uniform for class k: from the class's Python-refilled
- * block (antithetic streams) or straight off its bit generator. */
+ * block (antithetic streams) or straight off its routing slot. */
 static double route_uniform(ctx_t *c, int k) {
     int blk = c->routing_block[k];
     if (blk >= 0) return block_next(c, blk);
-    return random_standard_uniform((bitgen_t *)c->routing_bg[k]);
+    return random_standard_uniform(&c->bitgens[c->K + c->K * c->M + k]);
 }
 
 /* Seed the initial arrivals, run the event loop to the horizon, flush
@@ -1302,15 +1520,27 @@ static int run_core(ctx_t *c) {
     return RC_OK;
 }
 
+
+static long long monotonic_ns(void) {
+    struct timespec ts;
+    clock_gettime(CLOCK_MONOTONIC, &ts);
+    return (long long)ts.tv_sec * 1000000000LL + ts.tv_nsec;
+}
+
 /* The kernel's one entry point: run n_reps independent replications of
  * one scenario back to back on a single arena (a single simulate() call
- * is a batch of one).  Station geometry, routes/routing tables and the
- * epoch schedule are shared; every replication brings its own sampler,
- * arrival and routing descriptors (its own bit generators and Python
- * block ids) and gets its own output slices.  The event heap, job pool,
- * station arrays and Python block buffers are allocated once by
- * ctx_alloc and rewound by ctx_reset between replications, so the
+ * is a batch of one).  Station geometry, routes/routing tables, the
+ * epoch schedule and one sampler/arrival/routing descriptor template
+ * are shared; every replication brings its own seed words and gets its
+ * own output slices.  The descriptor copies, stream slots, event heap,
+ * job pool, station arrays and Python block buffers are allocated once
+ * by ctx_alloc and rewound by ctx_reset between replications, so the
  * Python->C boundary is crossed once per batch.
+ *
+ * Replication b's native streams are seeded from seed_words[seed_off[b]
+ * .. seed_off[b+1]) and the slot digests (see ctx_t.streams).
+ * seed_words may be NULL only when no slot draws natively (antithetic
+ * seeds, whose streams all come through Python blocks).
  *
  * Optional features switch on by pointer: routing tables (entry_cum_v
  * non-NULL, fixed routes otherwise), epoch yields (epoch_cb non-NULL),
@@ -1319,18 +1549,20 @@ static int run_core(ctx_t *c) {
  * folded inline through the Welford recurrence.  Growable delay/log
  * buffers are handed to the caller, who copies them and k_free()s.
  *
- * Each replication's RC_* code goes to rc_out; a failed replication
- * costs only itself (the next one starts on reset state), and the
- * return value is the first failure's code, or RC_OK. */
+ * Each replication's RC_* code goes to rc_out and its CLOCK_MONOTONIC
+ * time (seeding, loop and output handoff) to the fifth out scalar; a
+ * failed replication costs only itself (the next one starts on reset
+ * state), and the return value is the first failure's code, or RC_OK. */
 int run_kernel(
     int n_reps, int K, int M, double horizon, double warmup,
     const StationDesc *station_desc,
-    SamplerDesc *samplers,          /* n_reps blocks of M*K */
-    ArrivalDesc *arrivals,          /* n_reps blocks of K */
+    const SamplerDesc *samplers,    /* M*K template */
+    const ArrivalDesc *arrivals,    /* K template */
     void **routes_v, int *route_len,
     void **entry_cum_v, void **trans_cum_v,
-    void **routing_bg,              /* n_reps blocks of K (routing mode) */
-    int *routing_block,             /* n_reps blocks of K (routing mode) */
+    int *routing_block,             /* K (routing mode) */
+    const uint32_t *seed_words, const long long *seed_off, /* flat words, n_reps+1 offsets */
+    const uint64_t *digests,        /* 2K + M*K slot name digests */
     int n_blocks, long long block_size, /* Python block buffers per replication */
     long long n_epochs, const double *epoch_times,
     double *speeds,                 /* n_reps blocks of M (epoch mode) */
@@ -1342,7 +1574,7 @@ int run_kernel(
     long long *n_blocked, long long *offered, /* n_reps blocks of K*M */
     double *busy_total,             /* n_reps blocks of M */
     double *class_busy,             /* n_reps blocks of M*K */
-    long long *out_scalars,         /* n_reps blocks of 4 */
+    long long *out_scalars,         /* n_reps blocks of 5 */
     long long *wf_n, double *wf_mean, double *wf_m2, /* n_reps blocks of K */
     void **delay_ptrs, long long *delay_counts,      /* n_reps blocks of K */
     void **log_ptrs, long long *log_count,           /* n_reps blocks of 4 / 1 */
@@ -1359,6 +1591,8 @@ int run_kernel(
     c.route_len = route_len;
     c.entry_cum = (double **)entry_cum_v;
     c.trans_cum = (double **)trans_cum_v;
+    c.routing_block = routing_block;
+    c.digests = digests;
     c.service_cb = service_cb;
     c.arrival_cb = arrival_cb;
     c.refill_cb = refill_cb;
@@ -1373,21 +1607,19 @@ int run_kernel(
     c.collect_delays = delay_ptrs != NULL;
     c.collect_log = log_ptrs != NULL;
 
-    if (ctx_alloc(&c, station_desc, n_blocks, block_size)) {
+    int alloc_rc = ctx_alloc(&c, station_desc, samplers, arrivals, n_blocks, block_size)
+                       ? RC_NOMEM
+                       : (c.n_seeded > 0 && seed_words == NULL) ? RC_INVARIANT : RC_OK;
+    if (alloc_rc != RC_OK) {
         free_ctx(&c);
-        for (int b = 0; b < n_reps; b++) rc_out[b] = RC_NOMEM;
-        return RC_NOMEM;
+        for (int b = 0; b < n_reps; b++) rc_out[b] = alloc_rc;
+        return alloc_rc;
     }
     int first_rc = RC_OK;
     size_t km = (size_t)K * M;
     for (int b = 0; b < n_reps; b++) {
+        long long t0 = monotonic_ns();
         c.rep = b;
-        c.samplers = samplers + (size_t)b * km;
-        c.arrivals = arrivals + (size_t)b * K;
-        if (c.has_routing) {
-            c.routing_bg = routing_bg + (size_t)b * K;
-            c.routing_block = routing_block + (size_t)b * K;
-        }
         if (c.dynamic) {
             c.speeds = speeds + (size_t)b * M;
             for (int i = 0; i < M; i++) c.cur_speed[i] = c.speeds[i];
@@ -1398,14 +1630,17 @@ int run_kernel(
         c.n_blocked = n_blocked + (size_t)b * km;
         c.offered = offered + (size_t)b * km;
         c.busy_out = busy_total + (size_t)b * M;
-        c.out_scalars = out_scalars + (size_t)b * 4;
+        c.out_scalars = out_scalars + (size_t)b * 5;
         c.wf_n = wf_n + (size_t)b * K;
         c.wf_mean = wf_mean + (size_t)b * K;
         c.wf_m2 = wf_m2 + (size_t)b * K;
         for (int i = 0; i < M; i++)
             c.stations[i].class_busy = class_busy + ((size_t)b * M + i) * K;
         *abort_flag = 0;
-        ctx_reset(&c);
+        if (seed_words != NULL)
+            ctx_reset(&c, seed_words + seed_off[b], seed_off[b + 1] - seed_off[b]);
+        else
+            ctx_reset(&c, NULL, 0);
         int rc = run_core(&c);
         rc_out[b] = rc;
         if (rc != RC_OK) {
@@ -1428,7 +1663,39 @@ int run_kernel(
             }
         }
         drop_outputs(&c);
+        c.out_scalars[4] = monotonic_ns() - t0;
     }
     free_ctx(&c);
     return first_rc;
+}
+
+/* Test probe for the differential seeding test: seed one stream exactly
+ * as ctx_reset does (n_words >= 4 seed words, then the name digest),
+ * write its initial (state_hi, state_lo, inc_hi, inc_lo), then run ops
+ * through the stream's bitgen_t (0 next_uint64, 1 next_uint32,
+ * 2 next_double as its bit pattern, 3 next_raw) into draws_out. */
+void k_stream_probe(const uint32_t *words, long long n_words, uint64_t digest,
+                    const int *ops, long long n_ops, uint64_t *state_out, uint64_t *draws_out) {
+    seedseq_t pool;
+    pcg64_t p;
+    bitgen_t bg;
+    ss_init(&pool, words, n_words);
+    seed_stream(&p, &pool, digest);
+    bind_stream(&bg, &p);
+    state_out[0] = (uint64_t)(p.state >> 64);
+    state_out[1] = (uint64_t)p.state;
+    state_out[2] = (uint64_t)(p.inc >> 64);
+    state_out[3] = (uint64_t)p.inc;
+    for (long long i = 0; i < n_ops; i++) {
+        double d;
+        switch (ops[i]) {
+        case 0: draws_out[i] = bg.next_uint64(bg.state); break;
+        case 1: draws_out[i] = bg.next_uint32(bg.state); break;
+        case 2:
+            d = bg.next_double(bg.state);
+            memcpy(&draws_out[i], &d, sizeof(d));
+            break;
+        default: draws_out[i] = bg.next_raw(bg.state); break;
+        }
+    }
 }

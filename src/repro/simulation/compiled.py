@@ -9,24 +9,28 @@ through :mod:`ctypes`.
 
 Why C + ctypes rather than Numba: the container this project targets
 ships only the base scientific stack (no Numba, no Cython) but always
-has a C toolchain, and NumPy exports its C distribution functions plus
-per-``Generator`` ``bitgen_t`` pointers precisely for this kind of
-extension.  The kernel draws every variate through the *same* NumPy C
-functions the ``Generator`` methods call, on the *same* per-stream bit
-generators :class:`~repro.simulation.rng.RngStreams` derives — so the
-bit-stream consumption, and therefore every simulated metric, is
-bit-identical to the pure-Python engine (enforced by
-``tests/test_golden_sim_metrics.py`` and
-``tests/test_compiled_backend.py``).
+has a C toolchain, and NumPy exports its C distribution functions
+precisely for this kind of extension.  The kernel draws every variate
+through the *same* NumPy C functions the ``Generator`` methods call,
+on PCG64 streams it seeds itself in the *same* states
+:class:`~repro.simulation.rng.RngStreams` derives (NumPy's
+``SeedSequence`` mixing over the replication's seed words and the
+stream name's digest, then ``pcg64_set_seed``) — so the bit-stream
+consumption, and therefore every simulated metric, is bit-identical to
+the pure-Python engine (enforced by ``tests/test_golden_sim_metrics.py``
+and ``tests/test_compiled_backend.py``, whose differential seeding test
+holds the kernel's streams to ``RngStreams`` as the oracle).
 
 One driver serves every caller.  The kernel exports a single
 ``run_kernel`` that runs ``n_reps`` replications of one scenario on one
 reused arena: :func:`maybe_simulate_compiled` (behind ``simulate()``)
 is a batch of one, and :func:`maybe_simulate_fleet_batch` passes a
-fleet chunk.  :func:`_run_kernel` builds every replication's
-descriptors, makes the call and maps each replication's return code to
-its tallies or its exception; the result formulas live in
-:mod:`repro.simulation.simulator`, shared with the Python engine.
+fleet chunk.  :func:`_run_kernel` builds one descriptor template for
+the call plus each replication's seed words (the whole per-replication
+Python cost for a plain seed), makes the call and maps each
+replication's return code to its tallies or its exception; the result
+formulas live in :mod:`repro.simulation.simulator`, shared with the
+Python engine.
 
 Backend selection (``REPRO_SIM_BACKEND`` environment variable):
 
@@ -78,8 +82,12 @@ from ctypes import (
     c_double,
     c_int,
     c_longlong,
+    c_uint32,
+    c_uint64,
     c_void_p,
 )
+from functools import lru_cache, partial
+from itertools import chain
 from pathlib import Path
 from typing import Any
 
@@ -297,7 +305,7 @@ class _SamplerDesc(ctypes.Structure):
         ("py_id", c_int),
         ("p1", c_double),
         ("p2", c_double),
-        ("bg", c_void_p),
+        ("bg", c_void_p),  # set by the kernel
         ("cdf", POINTER(c_double)),
         ("scales", POINTER(c_double)),
         ("post_op", POINTER(c_int)),
@@ -314,10 +322,10 @@ class _ArrivalDesc(ctypes.Structure):
         ("kind", c_int),
         ("py_id", c_int),
         ("scale", c_double),
-        ("bg", c_void_p),
+        ("bg", c_void_p),  # set by the kernel
         ("ts", POINTER(c_double)),  # SK_TRACE: sorted timestamps
         ("n_ts", c_longlong),
-        ("cursor", c_longlong),  # SK_TRACE replay state
+        ("cursor", c_longlong),  # SK_TRACE replay state, kernel-owned
         ("clock", c_double),
     ]
 
@@ -343,14 +351,16 @@ def load_kernel() -> ctypes.CDLL:
             c_double,  # horizon
             c_double,  # warmup
             POINTER(_StationDesc),
-            POINTER(_SamplerDesc),  # n_reps blocks of M*K
-            POINTER(_ArrivalDesc),  # n_reps blocks of K
+            POINTER(_SamplerDesc),  # M*K template
+            POINTER(_ArrivalDesc),  # K template
             POINTER(c_void_p),  # routes
             POINTER(c_int),  # route_len
             POINTER(c_void_p),  # entry_cum (NULL = fixed routes)
             POINTER(c_void_p),  # trans_cum
-            POINTER(c_void_p),  # routing_bg (n_reps blocks of K)
-            POINTER(c_int),  # routing_block (n_reps blocks of K)
+            POINTER(c_int),  # routing_block (K)
+            POINTER(c_uint32),  # seed_words (NULL = no native streams)
+            POINTER(c_longlong),  # seed_off (n_reps + 1)
+            POINTER(c_uint64),  # stream name digests (2K + M*K slots)
             c_int,  # n_blocks (Python refill buffers per replication)
             c_longlong,  # block_size
             c_longlong,  # n_epochs
@@ -371,7 +381,7 @@ def load_kernel() -> ctypes.CDLL:
             POINTER(c_longlong),  # offered
             POINTER(c_double),  # busy_total
             POINTER(c_double),  # class_busy
-            POINTER(c_longlong),  # out_scalars (n_reps blocks of 4)
+            POINTER(c_longlong),  # out_scalars (n_reps blocks of 5)
             POINTER(c_longlong),  # wf_n
             POINTER(c_double),  # wf_mean
             POINTER(c_double),  # wf_m2
@@ -465,29 +475,15 @@ def _annotate_backend(resolved: str, requested: str, fallback: str | None = None
 # ---------------------------------------------------------------------------
 
 
-# PyCapsule_GetPointer through a private prototype (the shared
-# ctypes.pythonapi entry keeps its default signature).
-_capsule_pointer = ctypes.PYFUNCTYPE(c_void_p, ctypes.py_object, ctypes.c_char_p)(
-    ("PyCapsule_GetPointer", ctypes.pythonapi)
-)
-
-
-def _bitgen_ptr(bitgen: np.random.BitGenerator) -> int:
-    """The ``bitgen_t*`` of a NumPy bit generator, read from its capsule
-    (building the ``bitgen.ctypes`` interface costs ~10x more, once per
-    stream)."""
-    return _capsule_pointer(bitgen.capsule, b"BitGenerator")
-
-
 def _sampler_template(dist, keep: list) -> _SamplerDesc:
-    """Map one distribution to a kernel descriptor, minus its stream.
+    """Map one distribution to a kernel descriptor.
 
     ``Scaled``/``Shifted`` wrappers unwrap into a post-op chain
     (outermost first; the kernel applies them innermost first, matching
     the Python nesting).  Families with a native NumPy C counterpart
-    draw inside the kernel once the caller patches in the stream's bit
-    generator; anything else is ``_SK_PYCALL``, for which the caller
-    binds a per-draw Python callback.
+    draw inside the kernel on the slot's kernel-seeded stream; anything
+    else is ``_SK_PYCALL``, for which the caller binds a per-draw
+    Python callback.
     """
     post_ops: list[int] = []
     post_vals: list[float] = []
@@ -630,8 +626,8 @@ def _seed_words(seed) -> list[int]:
     ``SeedSequence(entropy, spawn_key + (fnv1a64(name),))`` for a plain
     seed, up to the name digest: the run entropy zero-padded to the
     pool size (SeedSequence pads it whenever a spawn key follows), then
-    the spawn key.  A SeedSequence seeded with the full word array
-    builds the same pool without re-coercing the key tuple per stream."""
+    the spawn key.  The kernel mixes these words once per replication
+    and each stream's name digest on top of them."""
     if isinstance(seed, np.random.SeedSequence):
         entropy, spawn_key = seed.entropy, seed.spawn_key
     elif not isinstance(seed, (int, np.integer)) or seed < 0:
@@ -642,30 +638,48 @@ def _seed_words(seed) -> list[int]:
     return run + [0] * (_SEED_POOL_SIZE - len(run)) + _u32_words(spawn_key)
 
 
-def _stream_bitgen(words: list[int], name: str) -> np.random.PCG64:
-    """Stream ``name``'s bit generator under a plain seed's ``words``:
-    the state ``RngStreams(seed).stream(name)`` starts from."""
-    entropy = np.array(words + _u32_words(fnv1a64(name)), dtype=np.uint32)
-    return np.random.PCG64(np.random.SeedSequence(entropy))
+def _seed_block(seeds: list) -> tuple[np.ndarray, np.ndarray]:
+    """Every plain seed's :func:`_seed_words` as one flat uint32 array,
+    plus the ``len(seeds) + 1`` offsets that delimit them."""
+    words = [_seed_words(seed) for seed in seeds]
+    offsets = np.zeros(len(words) + 1, dtype=np.int64)
+    np.cumsum([len(w) for w in words], out=offsets[1:])
+    flat = np.fromiter(chain.from_iterable(words), dtype=np.uint32, count=int(offsets[-1]))
+    return flat, offsets
+
+
+@lru_cache(maxsize=None)
+def _stream_digests(k_classes: int, m_stations: int) -> np.ndarray:
+    """The FNV-1a digest of every kernel stream slot's name, in slot
+    order: ``arrivals/k``, then ``service/i/k``, then ``routing/k``."""
+    names = [f"arrivals/{k}" for k in range(k_classes)]
+    names += [f"service/{i}/{k}" for i in range(m_stations) for k in range(k_classes)]
+    names += [f"routing/{k}" for k in range(k_classes)]
+    return np.array([fnv1a64(name) for name in names], dtype=np.uint64)
 
 
 def _describe(cluster, workload, seeds, reps, arrival_processes, routed, dynamic, keep):
-    """Every replication's sampler, arrival and routing descriptors.
+    """The call's sampler, arrival and routing descriptor templates,
+    plus the Python side of every replication's streams.
 
-    Streams are the ones :class:`RngStreams` would hand the engine.
-    For int/SeedSequence seeds each is derived leanly — the stream's
-    ``SeedSequence`` state (see :func:`_seed_words`) feeding ``PCG64``,
-    without the ``Generator`` wrapper the kernel does not need — and a
-    native sampler descriptor is a struct copy of its (tier, class)
-    template with only the bit-generator pointer patched.
-    Antithetic seeds go through ``RngStreams``' coupled generators,
-    whose mirrored inverse transforms (``np.log``, not bitwise libm
-    ``log``) the kernel cannot reproduce, so all their streams are
-    pre-drawn in Python into refill blocks.  Streams are
+    One template serves every replication of the call.  For int and
+    SeedSequence seeds the kernel seeds each native slot's PCG64 stream
+    itself (see :func:`_seed_words`), in the state
+    ``RngStreams(seed).stream(name)`` starts from.  The streams Python
+    still draws from come from ``RngStreams(seed)``, the oracle:
+    ``_SK_PYCALL`` samplers (e.g. Pareto), non-Poisson arrival
+    processes, and every stream of an antithetic seed.  Antithetic
+    streams are coupled generators whose mirrored inverse transforms
+    (``np.log``, not bitwise libm ``log``) the kernel cannot reproduce,
+    so they are pre-drawn in Python into refill blocks; streams are
     consumer-private, so drawing ahead yields the exact sequence the
-    engine would see.
+    engine would see.  Every replication registers its callbacks and
+    blocks in the same order, so the template's ids fit all of them.
     """
     k_classes, m_stations = workload.num_classes, cluster.num_tiers
+    coupled = isinstance(seeds[0], AntitheticSeed)
+    if any(isinstance(seed, AntitheticSeed) is not coupled for seed in seeds):
+        raise ModelValidationError("one kernel call cannot mix antithetic and plain seeds")
     # Under dynamic speed control the sampler yields the *demand* (work
     # at speed 1) and the kernel divides by the current speed at pull
     # time, mirroring simulator._make_dynamic_sampler.
@@ -675,85 +689,61 @@ def _describe(cluster, workload, seeds, reps, arrival_processes, routed, dynamic
         for tier in cluster.tiers
     ]
     keep.append(dists)
-    templates = [[_sampler_template(d, keep) for d in row] for row in dists]
-    poisson = [PoissonProcess(c.arrival_rate) for c in workload.classes]
+    procs = (
+        [PoissonProcess(c.arrival_rate) for c in workload.classes]
+        if arrival_processes is None
+        else list(arrival_processes)
+    )
 
-    n = len(seeds)
-    sampler_desc = (_SamplerDesc * (n * m_stations * k_classes))()
-    arrival_desc = (_ArrivalDesc * (n * k_classes))()
-    routing_bg = (c_void_p * (n * k_classes))() if routed else None
-    routing_block = (c_int * (n * k_classes))() if routed else None
-    for b, (seed, rep) in enumerate(zip(seeds, reps)):
-        coupled = isinstance(seed, AntitheticSeed)
-        if coupled:
-            stream = RngStreams(seed).stream
+    sampler_desc = (_SamplerDesc * (m_stations * k_classes))()
+    for i in range(m_stations):
+        for k in range(k_classes):
+            if coupled:
+                sampler_desc[i * k_classes + k].kind = _SK_PYBLOCK
+            else:
+                sampler_desc[i * k_classes + k] = _sampler_template(dists[i][k], keep)
+    arrival_desc = (_ArrivalDesc * k_classes)()
+    for desc, proc in zip(arrival_desc, procs):
+        if type(proc) is TraceArrivalProcess:
+            # RNG-free timestamp replay runs natively in C.
+            ts = np.ascontiguousarray(proc.timestamps, dtype=np.float64)
+            keep.append(ts)
+            desc.kind = _SK_TRACE
+            desc.ts = ts.ctypes.data_as(POINTER(c_double))
+            desc.n_ts = ts.size
+        elif type(proc) is PoissonProcess:
+            desc.kind = _SK_PYBLOCK if coupled else _SK_EXPO
+            desc.scale = 1.0 / proc.rate
         else:
+            desc.kind = _SK_PYCALL
+    routing_block = (c_int * k_classes)(*[-1] * k_classes) if routed else None
 
-            def stream(name, words=_seed_words(seed)):
-                bitgen = _stream_bitgen(words, name)
-                keep.append(bitgen)
-                return bitgen
-
-        if routed:
+    if not coupled and all(d.kind != _SK_PYCALL for d in (*sampler_desc, *arrival_desc)):
+        return sampler_desc, arrival_desc, routing_block  # every stream is kernel-seeded
+    for seed, rep in zip(seeds, reps):
+        stream = RngStreams(seed).stream
+        if routed and coupled:
+            # Mirrored uniforms (min(1-u, 1^-) per draw) cannot come
+            # off a raw bit generator.
             for k in range(k_classes):
-                src = stream(f"routing/{k}")
-                if coupled:
-                    # Mirrored uniforms (min(1-u, 1^-) per draw) cannot
-                    # come off the raw bit generator.
-                    routing_block[b * k_classes + k] = rep.block(src.random)
-                else:
-                    routing_block[b * k_classes + k] = -1
-                    routing_bg[b * k_classes + k] = _bitgen_ptr(src)
-
-        procs = poisson if arrival_processes is None else [p.fresh() for p in arrival_processes]
-        for k, proc in enumerate(procs):
-            desc = arrival_desc[b * k_classes + k]
-            if type(proc) is TraceArrivalProcess:
-                # RNG-free timestamp replay runs natively in C.
-                ts = np.ascontiguousarray(proc.timestamps, dtype=np.float64)
-                keep.append(ts)
-                desc.kind = _SK_TRACE
-                desc.ts = ts.ctypes.data_as(POINTER(c_double))
-                desc.n_ts = ts.size
-                continue
-            src = stream(f"arrivals/{k}")
-            if type(proc) is PoissonProcess and coupled:
+                routing_block[k] = rep.block(stream(f"routing/{k}").random)
+        for k, (desc, proc) in enumerate(zip(arrival_desc, procs)):
+            if desc.kind == _SK_PYBLOCK:
                 # Coupled exponential gaps: the engine's BlockCursor
                 # draw, one block per refill.
-                desc.kind = _SK_PYBLOCK
-
-                def gap_fill(n_draws, src=src, scale=1.0 / proc.rate):
-                    return src.exponential(scale, n_draws)
-
-                desc.py_id = rep.block(gap_fill)
-            elif type(proc) is PoissonProcess:
-                desc.kind = _SK_EXPO
-                desc.scale = 1.0 / proc.rate
-                desc.bg = _bitgen_ptr(src)
-            else:
-                desc.kind = _SK_PYCALL
-                rng = src if coupled else np.random.Generator(src)
-
-                def pull(proc=proc, rng=rng):
-                    return proc.next_arrival(rng)
-
-                rep.pulls[k] = pull
-
+                desc.py_id = rep.block(partial(stream(f"arrivals/{k}").exponential, desc.scale))
+            elif desc.kind == _SK_PYCALL:
+                rep.pulls[k] = partial(proc.fresh().next_arrival, stream(f"arrivals/{k}"))
         for i in range(m_stations):
             for k in range(k_classes):
-                src = stream(f"service/{i}/{k}")
-                idx = (b * m_stations + i) * k_classes + k
-                if coupled:
-                    sampler_desc[idx].kind = _SK_PYBLOCK
-                    sampler_desc[idx].py_id = rep.block(_pump_fill(dists[i][k], src))
-                elif templates[i][k].kind == _SK_PYCALL:
+                desc = sampler_desc[i * k_classes + k]
+                if desc.kind == _SK_PYBLOCK:
+                    desc.py_id = rep.block(_pump_fill(dists[i][k], stream(f"service/{i}/{k}")))
+                elif desc.kind == _SK_PYCALL:
                     # Per-draw Python callback: the engine's own sampler.
-                    sampler_desc[idx].py_id = len(rep.samplers)
-                    rep.samplers.append(_make_sampler(dists[i][k], np.random.Generator(src)))
-                else:
-                    sampler_desc[idx] = templates[i][k]
-                    sampler_desc[idx].bg = _bitgen_ptr(src)
-    return sampler_desc, arrival_desc, routing_bg, routing_block
+                    desc.py_id = len(rep.samplers)
+                    rep.samplers.append(_make_sampler(dists[i][k], stream(f"service/{i}/{k}")))
+    return sampler_desc, arrival_desc, routing_block
 
 
 def _epoch_decision(ledger, busy, class_busy, counts, speeds):
@@ -813,10 +803,11 @@ def _run_kernel(
     routing=None,
     epoch_times=None,
     epoch_controller=None,
-) -> list[_Tallies | BaseException]:
+) -> tuple[list[_Tallies | BaseException], np.ndarray]:
     """Run one replication per seed of a validated scenario in a single
-    kernel call; returns each replication's tallies, or the exception
-    it failed with (a failure costs only that replication)."""
+    kernel call.  Returns each replication's tallies, or the exception
+    it failed with (a failure costs only that replication), and each
+    replication's wall time in the kernel, in seconds."""
     k_classes, m_stations = workload.num_classes, cluster.num_tiers
     n = len(seeds)
     dynamic = epoch_controller is not None
@@ -843,16 +834,19 @@ def _run_kernel(
             keep.append((entry, trans))
             entry_v = (c_void_p * k_classes)(*[a.ctypes.data for a in entry])
             trans_v = (c_void_p * k_classes)(*[a.ctypes.data for a in trans])
-        sampler_desc, arrival_desc, routing_bg, routing_block = _describe(
+        sampler_desc, arrival_desc, routing_block = _describe(
             cluster, workload, seeds, reps, arrival_processes, routing is not None, dynamic, keep
         )
+        seed_words = seed_off = None
+        if not isinstance(seeds[0], AntitheticSeed):
+            seed_words, seed_off = _seed_block(seeds)
 
         shape = (n, k_classes, m_stations)
         wait, sojourn = np.zeros(shape), np.zeros(shape)
         visit, blocked, offered = (np.zeros(shape, dtype=np.int64) for _ in range(3))
         busy = np.zeros((n, m_stations))
         class_busy = np.zeros((n, m_stations, k_classes))
-        scalars = np.zeros((n, 4), dtype=np.int64)
+        scalars = np.zeros((n, 5), dtype=np.int64)
         wf_n = np.zeros((n, k_classes), dtype=np.int64)
         wf_mean, wf_m2 = np.zeros((n, k_classes)), np.zeros((n, k_classes))
         rc_out = np.zeros(n, dtype=np.int32)
@@ -944,8 +938,10 @@ def _run_kernel(
             route_len,
             entry_v,
             trans_v,
-            routing_bg,
             routing_block,
+            _ptr(seed_words, c_uint32),
+            _ptr(seed_off, c_longlong),
+            _ptr(_stream_digests(k_classes, m_stations), c_uint64),
             n_blocks,
             _BLOCK_SIZE,
             0 if epoch_sched is None else epoch_sched.size,
@@ -996,7 +992,7 @@ def _run_kernel(
             # The kernel closed the busy intervals at the horizon; billing
             # them closes the last constant-speed segment.
             rep.ledger.bill(busy_b, class_busy_b)
-        jid, n_events, n_warmup_discarded, _hit_horizon = scalars[b].tolist()
+        jid, n_events, n_warmup_discarded, _hit_horizon, _wall_ns = scalars[b].tolist()
         out.append(
             _Tallies(
                 e2e=[
@@ -1018,7 +1014,7 @@ def _run_kernel(
                 job_log=job_log,
             )
         )
-    return out
+    return out, scalars[:, 4] / 1e9
 
 
 def _kernel_for(backend: str, cluster) -> ctypes.CDLL | None:
@@ -1064,7 +1060,7 @@ def maybe_simulate_compiled(
     if lib is None:
         return None
     warmup = warmup_fraction * horizon
-    (tallies,) = _run_kernel(
+    (tallies,), _wall = _run_kernel(
         lib,
         cluster,
         workload,
@@ -1100,7 +1096,8 @@ def maybe_simulate_fleet_batch(
     deterministic in the scenario, so raising once is observably the
     same as raising per unit).  Returns ``(rows, failures)``:
     ``rows[b]`` is the metric dict for ``seeds[b]`` (the fleet row
-    minus the unit/scenario/replication/wall_s bookkeeping columns) or
+    minus the unit/scenario/replication bookkeeping columns; ``wall_s``
+    is the replication's own time in the kernel) or
     ``None`` if that replication failed; ``failures`` lists ``(index,
     "ExcType: message")`` pairs formatted exactly like the fleet's
     per-unit failure records.
@@ -1111,12 +1108,12 @@ def maybe_simulate_fleet_batch(
     _validate(cluster, workload, horizon, warmup_fraction)
     warmup = warmup_fraction * horizon
     window = horizon - warmup
-    outcomes = _run_kernel(lib, cluster, workload, horizon, warmup, seeds)
+    outcomes, walls = _run_kernel(lib, cluster, workload, horizon, warmup, seeds)
 
     rows: list[dict[str, Any] | None] = []
     failures: list[tuple[int, str]] = []
     with obs.span("sim.finalize", reps=len(seeds)):
-        for b, t in enumerate(outcomes):
+        for b, (t, wall) in enumerate(zip(outcomes, walls.tolist())):
             if isinstance(t, BaseException):
                 if not isinstance(t, Exception):
                     raise t  # an interrupt or exit is not a unit failure
@@ -1138,6 +1135,7 @@ def maybe_simulate_fleet_batch(
                 "energy_per_request": _energy_per_request(
                     average_power, n_completed / window
                 ),
+                "wall_s": wall,
             }
             for k, delay in enumerate(delays.tolist()):
                 row[f"delay_c{k}"] = delay

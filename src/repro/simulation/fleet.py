@@ -233,7 +233,6 @@ def _run_chunk(
         from repro.simulation.compiled import maybe_simulate_fleet_batch
 
         seeds = [_unit_seed(master_seed, sid, rep0 + j) for j in range(count)]
-        start = time.perf_counter()
         try:
             res = maybe_simulate_fleet_batch(
                 backend, sc.cluster, sc.workload, sc.horizon, sc.warmup_fraction, seeds
@@ -246,15 +245,14 @@ def _run_chunk(
             return [], {}, [(base_unit + j, msg) for j in range(count)]
         if res is not None:
             brows, bfailures = res
-            wall = (time.perf_counter() - start) / count
             for j, metrics in enumerate(brows):
                 if metrics is None:
                     continue
+                # wall_s is the unit's own kernel time, from the batch.
                 rows[j] = {
                     "unit": base_unit + j,
                     "scenario": sid,
                     "replication": rep0 + j,
-                    "wall_s": wall,
                     **metrics,
                 }
             failures = [(base_unit + j, msg) for j, msg in bfailures]

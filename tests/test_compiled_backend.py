@@ -16,15 +16,20 @@ and reason (and silently under ``REPRO_SIM_BACKEND=auto``).
 
 from __future__ import annotations
 
+import struct
 import warnings
+from ctypes import POINTER, c_int, c_longlong, c_uint32, c_uint64
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import CompiledFallbackWarning, ModelValidationError
 from repro.simulation import RngStreams, simulate
 from repro.simulation import compiled as compiled_mod
 from repro.simulation.parallel import ProcessPoolBackend, SerialBackend
+from repro.simulation.rng import fnv1a64
 
 import test_golden_sim_metrics as golden_mod
 
@@ -161,14 +166,105 @@ def test_delay_moments_independent_of_sample_collection(monkeypatch):
         np.random.SeedSequence(9).spawn(3)[2],
     ],
 )
+@needs_kernel
 def test_lean_stream_seeding_matches_rngstreams(seed):
-    """The compiled driver's lean per-stream seeding starts every bit
-    generator in the state RngStreams gives the Python engine, for
+    """The kernel's per-stream seeding starts every stream in the state
+    RngStreams gives the Python engine, and draws the same bits, for
     every seed shape simulate() accepts."""
+    _assert_kernel_streams_match(seed, ("arrivals/0", "service/1/0", "routing/3"))
+
+
+_seed_shapes = st.one_of(
+    # ints beyond the 4-word pool: the excess entropy is mixed in
+    st.integers(0, 2**256),
+    # spawn keys with entries of one, two and three uint32 words
+    st.builds(
+        lambda entropy, key: np.random.SeedSequence(entropy, spawn_key=tuple(key)),
+        st.integers(0, 2**128),
+        st.lists(st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**96)), max_size=4),
+    ),
+    # list entropy
+    st.builds(np.random.SeedSequence, st.lists(st.integers(0, 2**64), min_size=1, max_size=9)),
+    # spawn() children and grandchildren
+    st.builds(
+        lambda entropy, n, deep: (
+            np.random.SeedSequence(entropy).spawn(n)[-1].spawn(2)[1]
+            if deep
+            else np.random.SeedSequence(entropy).spawn(n)[-1]
+        ),
+        st.integers(0, 2**64),
+        st.integers(1, 5),
+        st.booleans(),
+    ),
+)
+
+
+@needs_kernel
+@settings(max_examples=60, deadline=None)
+@given(seed=_seed_shapes, digest=st.integers(0, 2**64 - 1))
+def test_kernel_stream_seeding_differential(seed, digest):
+    """Kernel-side seeding against NumPy's SeedSequence + PCG64 over
+    random seed shapes: the stream states and >= 1000 interleaved
+    64-bit, 32-bit (buffered halves) and double draws agree.  A raw
+    digest (possibly below 2**32, a single key word) is checked against
+    the SeedSequence RngStreams would build for a name hashing to it."""
+    _assert_kernel_streams_match(seed, ("arrivals/2", "service/0/1", "service/11/7", "routing/0"))
+    streams = RngStreams(seed)
+    reference = np.random.PCG64(
+        np.random.SeedSequence(
+            streams._base_entropy, spawn_key=streams._base_spawn_key + (digest,)
+        )
+    )
+    _assert_probe_matches(compiled_mod._seed_words(seed), digest, reference)
+
+
+# Interleaved draw kinds for the probe: 0 next_uint64, 1 next_uint32,
+# 2 next_double, 3 next_raw.
+_PROBE_OPS = np.random.default_rng(2024).integers(0, 4, size=1200).astype(np.int32)
+
+
+def _assert_kernel_streams_match(seed, names) -> None:
     words = compiled_mod._seed_words(seed)
-    for name in ("arrivals/0", "service/1/0", "routing/3"):
-        lean = compiled_mod._stream_bitgen(words, name)
-        assert lean.state == RngStreams(seed).stream(name).bit_generator.state, name
+    for name in names:
+        reference = RngStreams(seed).stream(name).bit_generator
+        _assert_probe_matches(words, fnv1a64(name), reference)
+
+
+def _assert_probe_matches(words, digest, reference) -> None:
+    """Seed one stream in the kernel (``k_stream_probe``) and compare its
+    state and draws with the NumPy bit generator ``reference``."""
+    probe = compiled_mod.load_kernel().k_stream_probe
+    probe.restype = None
+    probe.argtypes = [
+        POINTER(c_uint32), c_longlong, c_uint64, POINTER(c_int), c_longlong,
+        POINTER(c_uint64), POINTER(c_uint64),
+    ]
+    words = np.asarray(words, dtype=np.uint32)
+    state = np.zeros(4, dtype=np.uint64)
+    draws = np.zeros(_PROBE_OPS.size, dtype=np.uint64)
+    probe(
+        words.ctypes.data_as(POINTER(c_uint32)), words.size, digest,
+        _PROBE_OPS.ctypes.data_as(POINTER(c_int)), _PROBE_OPS.size,
+        state.ctypes.data_as(POINTER(c_uint64)), draws.ctypes.data_as(POINTER(c_uint64)),
+    )
+    hi_lo = [int(w) for w in state]
+    expected_state = reference.state["state"]
+    assert (hi_lo[0] << 64) | hi_lo[1] == expected_state["state"]
+    assert (hi_lo[2] << 64) | hi_lo[3] == expected_state["inc"]
+
+    iface = reference.ctypes
+    expected = []
+    for op in _PROBE_OPS.tolist():
+        if op == 0:
+            expected.append(iface.next_uint64(iface.state))
+        elif op == 1:
+            expected.append(iface.next_uint32(iface.state))
+        elif op == 2:
+            value = iface.next_double(iface.state)
+            expected.append(struct.unpack("<Q", struct.pack("<d", value))[0])
+        else:
+            expected.append(int(reference.random_raw()))
+    assert draws.tolist() == expected
 
 
 # ---------------------------------------------------------------------------

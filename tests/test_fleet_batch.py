@@ -11,16 +11,19 @@ aggregate must hold at most one row group in memory.
 
 from __future__ import annotations
 
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from repro.cluster import ClusterModel, Tier
+from repro.distributions import Exponential, Gamma, HyperExponential, Pareto
 from repro.distributions.base import Distribution
 from repro.exceptions import ModelValidationError
 from repro.experiments.common import small_cluster, small_workload
-from repro.simulation import FleetScenario, FleetStore, run_fleet
+from repro.queueing.routing import ClassRouting, visit_ratio_matrix
+from repro.simulation import FleetScenario, FleetStore, run_fleet, simulate
 from repro.simulation.compiled import kernel_available
 from repro.simulation.fleet import _chunk_plan, _resolve_batch_size
 
@@ -147,7 +150,8 @@ def test_queue_sampling_chunk_runs_batched(tmp_path):
     ok_units, cols, ref_failures = _run_chunk(scenarios, 5, 4, 0, 0, 4, "python")
     assert ok_units == [0, 1, 2, 3] and ref_failures == []
     for j, row in enumerate(rows):
-        assert row == {c: cols[c][j].item() for c in row}, j
+        metrics = {c: v for c, v in row.items() if c != "wall_s"}
+        assert metrics == {c: cols[c][j].item() for c in metrics}, j
 
 
 def test_fleet_batch_size_recorded_and_validated(tmp_path):
@@ -323,6 +327,97 @@ def test_unstable_scenario_fails_whole_chunks_batched(tmp_path):
     assert len(failures) == 4
     assert all(u >= 4 for u, _ in failures)
     assert all("unstable" in msg for _, msg in failures)
+
+
+def _mixed_stream_scenario(pareto):
+    """Three tiers, two classes, Markov routing: Pareto (drawn through
+    the per-draw Python callback, on RngStreams' stream) next to
+    HyperExponential / Gamma / Exponential tiers and Poisson arrivals
+    and routing uniforms (all seeded inside the kernel)."""
+    spec = small_cluster().tiers[0].spec
+    p0 = np.array([[0.0, 0.6, 0.3], [0.0, 0.0, 0.5], [0.2, 0.0, 0.0]])
+    p1 = np.array([[0.0, 0.5, 0.5], [0.0, 0.0, 0.4], [0.0, 0.1, 0.0]])
+    entries = [np.array([1.0, 0.0, 0.0]), np.array([0.5, 0.0, 0.5])]
+    tiers = [
+        Tier("pareto", (pareto, Pareto(2.5, 0.03)), spec, servers=2),
+        Tier(
+            "hyper",
+            (HyperExponential(probs=[0.3, 0.7], rates=[5.0, 30.0]), Gamma(2.0, 30.0)),
+            spec,
+            servers=2,
+        ),
+        Tier("gamma", (Gamma(3.0, 60.0), Exponential(25.0)), spec, servers=2),
+    ]
+    cluster = ClusterModel(tiers, visit_ratios=visit_ratio_matrix([p0, p1], entries=entries))
+    routing = [ClassRouting(p, e) for p, e in zip((p0, p1), entries)]
+    return cluster, small_workload(0.5), routing
+
+
+@needs_kernel
+@pytest.mark.parametrize("batch_size", [1, 7])
+def test_mixed_stream_batch_bit_identical_after_failure(batch_size, monkeypatch):
+    # Kernel-seeded and Python-seeded streams in one multi-replication
+    # call, with one replication failing mid-batch: every other
+    # replication's slots take its own seed (the b-th), so its metrics
+    # equal the python engine's for that seed bit for bit.  (Fleet
+    # scenarios carry no routing, so this drives the batch driver
+    # directly.)
+    from repro.simulation.compiled import _run_kernel, load_kernel
+    from repro.simulation.fleet import _unit_seed
+    from repro.simulation.simulator import _finalize
+
+    seeds = [_unit_seed(9, 0, r) for r in range(7)]
+    horizon = 30.0
+    warmup = 0.1 * horizon
+    clean, workload, routing = _mixed_stream_scenario(Pareto(2.5, 0.03))
+    monkeypatch.setenv("REPRO_SIM_BACKEND", "python")
+    ref = [
+        simulate(clean, workload, horizon=horizon, warmup_fraction=0.1, seed=s, routing=routing)
+        for s in seeds
+    ]
+
+    # Count the class-0 Pareto draws of replications 0-2 (fail_at=0
+    # never fires), then arm the 40th draw of replication 3.
+    bombed = _FailingNthDraw(Pareto(2.5, 0.03), fail_at=0)
+    cluster, _, _ = _mixed_stream_scenario(bombed)
+    _run_kernel(load_kernel(), cluster, workload, horizon, warmup, seeds[:3], routing=routing)
+    bombed.calls, bombed.fail_at = 0, bombed.calls + 40
+
+    got = []
+    for b0 in range(0, len(seeds), batch_size):
+        outcomes, _walls = _run_kernel(
+            load_kernel(), cluster, workload, horizon, warmup, seeds[b0 : b0 + batch_size],
+            routing=routing,
+        )
+        got.extend(outcomes)
+    failed = [b for b, t in enumerate(got) if isinstance(t, BaseException)]
+    assert failed == [3], failed
+    assert "injected draw failure" in str(got[3])
+    for b, t in enumerate(got):
+        if b == 3:
+            continue
+        res = _finalize(cluster, workload, horizon, warmup, t)
+        assert res.delays.tobytes() == ref[b].delays.tobytes(), b
+        assert res.average_power == ref[b].average_power, b
+        assert res.meta["n_events"] == ref[b].meta["n_events"], b
+
+
+@needs_kernel
+def test_batched_rows_carry_per_unit_kernel_wall():
+    # wall_s of a batched row is that unit's own time in the kernel,
+    # not the chunk average: positive, not all equal, and summing to
+    # no more than the chunk's wall time.
+    from repro.simulation.fleet import _run_chunk
+
+    scenarios = _scenarios(loads=(0.7,), horizon=20.0)
+    start = time.perf_counter()
+    ok_units, cols, failures = _run_chunk(scenarios, 3, 8, 0, 0, 8, "compiled")
+    chunk_wall = time.perf_counter() - start
+    walls = cols["wall_s"]
+    assert failures == [] and ok_units == list(range(8))
+    assert (walls > 0).all()
+    assert len(set(walls.tolist())) > 1
+    assert walls.sum() <= chunk_wall
 
 
 # ---------------------------------------------------------------------------
