@@ -33,8 +33,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.optimize import brentq
 
 from repro.cluster.model import ClusterModel
 from repro.core.delay import per_tier_delays
@@ -84,6 +82,8 @@ def hypoexponential_survival(t: float, rates: Sequence[float]) -> float:
     repeated or nearly-equal rates where the textbook partial-fraction
     formula cancels catastrophically.
     """
+    from scipy.linalg import expm
+
     r = np.asarray(rates, dtype=float)
     if r.ndim != 1 or r.size == 0:
         raise ModelValidationError("need at least one phase rate")
@@ -138,6 +138,8 @@ def class_delay_percentile(
     p:
         Percentile level in (0, 1), e.g. ``0.95``.
     """
+    from scipy.optimize import brentq
+
     if not 0.0 < p < 1.0:
         raise ModelValidationError(f"percentile level must be in (0, 1), got {p}")
     rates = _class_phase_rates(cluster, workload, k)

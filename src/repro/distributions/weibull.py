@@ -3,12 +3,17 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
 
 from repro.distributions.base import Distribution
 from repro.exceptions import ModelValidationError
 
 __all__ = ["Weibull"]
+
+
+def _gamma(x: float) -> float:
+    from scipy.special import gamma
+
+    return float(gamma(x))
 
 
 class Weibull(Distribution):
@@ -33,20 +38,20 @@ class Weibull(Distribution):
         """Weibull with the given mean and shape."""
         if mean <= 0.0:
             raise ModelValidationError(f"mean must be positive, got {mean}")
-        lam = mean / gamma_fn(1.0 + 1.0 / k)
+        lam = mean / _gamma(1.0 + 1.0 / k)
         return cls(k=k, lam=lam)
 
     @property
     def mean(self) -> float:
-        return self.lam * float(gamma_fn(1.0 + 1.0 / self.k))
+        return self.lam * _gamma(1.0 + 1.0 / self.k)
 
     @property
     def second_moment(self) -> float:
-        return self.lam**2 * float(gamma_fn(1.0 + 2.0 / self.k))
+        return self.lam**2 * _gamma(1.0 + 2.0 / self.k)
 
     @property
     def third_moment(self) -> float:
-        return self.lam**3 * float(gamma_fn(1.0 + 3.0 / self.k))
+        return self.lam**3 * _gamma(1.0 + 3.0 / self.k)
 
     def sample(self, rng: np.random.Generator, size: int | None = None):
         return self.lam * rng.weibull(self.k, size=size)

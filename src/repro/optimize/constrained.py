@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from collections.abc import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from repro import obs
 from repro.exceptions import ModelValidationError, UnstableSystemError
@@ -150,6 +149,8 @@ def minimize_box_constrained(
         and ``meta["constraint_residuals"]`` maps each constraint name
         to its final slack ``g_j(x)`` (negative = violated).
     """
+    from scipy.optimize import minimize
+
     evals = [0]
     safe_obj = _safe(objective, evals)
     scipy_constraints = [

@@ -25,7 +25,6 @@ burstier (SCV > 1) wait more.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import brentq
 
 from repro.distributions.base import Distribution
 from repro.distributions.deterministic import Deterministic
@@ -91,6 +90,7 @@ class GM1:
         ``f(1) = 0``; stability (ρ < 1) makes the interior root unique
         and ``f`` crosses from + to − before 1.
         """
+        from scipy.optimize import brentq
 
         def f(x: float) -> float:
             return interarrival_lst(self.interarrival, self.mu * (1.0 - x)) - x

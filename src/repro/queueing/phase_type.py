@@ -29,7 +29,6 @@ the tool for priority tiers, where no finite PH form exists).
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import expm
 
 from repro.distributions.base import Distribution, ScaledDistribution
 from repro.distributions.erlang import Erlang
@@ -107,6 +106,8 @@ class PhaseType:
 
     def survival(self, x: float | np.ndarray) -> float | np.ndarray:
         """``P(X > x) = α exp(T x) 1`` (plus nothing for the zero atom)."""
+        from scipy.linalg import expm
+
         xs = np.atleast_1d(np.asarray(x, dtype=float))
         out = np.empty(xs.shape)
         for i, xi in enumerate(xs):

@@ -52,26 +52,7 @@ from repro.simulation.stats import confidence_halfwidth, confidence_halfwidths
 from repro.workload.arrivals import ArrivalProcess
 from repro.workload.classes import Workload
 
-__all__ = [
-    "ReplicatedResult",
-    "simulate_replications",
-    # re-exported lazily from the adaptive layer (module __getattr__)
-    "simulate_replications_adaptive",
-    "compare_scenarios",
-]
-
-_ADAPTIVE_NAMES = ("simulate_replications_adaptive", "compare_scenarios")
-
-
-def __getattr__(name: str):
-    # Lazy re-export: the adaptive engine imports this module's runner
-    # machinery, so a top-level import here would be circular. PEP 562
-    # resolution is import-order safe and costs nothing until used.
-    if name in _ADAPTIVE_NAMES:
-        from repro.simulation import adaptive
-
-        return getattr(adaptive, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__all__ = ["ReplicatedResult", "simulate_replications"]
 
 
 @dataclass

@@ -5,7 +5,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy import stats as sps
 
 from repro.exceptions import ModelValidationError
 
@@ -22,11 +21,15 @@ __all__ = [
 def _t_quantile(n: int, level: float) -> float:
     """Student-t two-sided quantile for ``n`` observations.
 
-    ``sps.t.ppf`` costs ~50µs per call and dominates ``_aggregate``
-    for small replication counts; every half-width in a run shares a
-    handful of ``(n, level)`` pairs, so the quantile is memoized.
+    ``stdtrit(df, p)`` is the inverse CDF that ``scipy.stats.t.ppf``
+    itself evaluates (with ``loc=0``, ``scale=1``), so the result is
+    bit-identical without importing ``scipy.stats``. Every half-width
+    in a run shares a handful of ``(n, level)`` pairs, so the quantile
+    is memoized.
     """
-    return float(sps.t.ppf(0.5 + level / 2.0, df=n - 1))
+    from scipy.special import stdtrit
+
+    return float(stdtrit(n - 1, 0.5 + level / 2.0))
 
 
 class Welford:

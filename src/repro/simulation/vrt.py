@@ -35,7 +35,6 @@ from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
-from scipy import stats as sps
 
 from repro.exceptions import ModelValidationError
 from repro.simulation.stats import confidence_halfwidth
@@ -224,6 +223,8 @@ def independent_difference(values_a, values_b, level: float = 0.95) -> VrEstimat
     The no-pairing baseline :func:`paired_difference` is compared
     against; uses the Welch–Satterthwaite degrees of freedom.
     """
+    from scipy.special import stdtrit
+
     a = _as_1d(values_a, "values_a")
     b = _as_1d(values_b, "values_b")
     value = float(a.mean() - b.mean()) if a.size and b.size else float("nan")
@@ -235,8 +236,15 @@ def independent_difference(values_a, values_b, level: float = 0.95) -> VrEstimat
     se = float(np.sqrt(va + vb))
     if se == 0.0:
         return VrEstimate(value, 0.0, n_units, "independent", level)
-    df = (va + vb) ** 2 / (va**2 / (a.size - 1) + vb**2 / (b.size - 1))
-    hw = float(sps.t.ppf(0.5 + level / 2.0, df=df) * se)
+    den = va**2 / (a.size - 1) + vb**2 / (b.size - 1)
+    if den == 0.0:
+        # Both squares underflow (variances below ~1e-154); the df is
+        # scale-free, so rescale by the larger variance.
+        m = max(va, vb)
+        va, vb = va / m, vb / m
+        den = va**2 / (a.size - 1) + vb**2 / (b.size - 1)
+    df = (va + vb) ** 2 / den
+    hw = float(stdtrit(df, 0.5 + level / 2.0) * se)
     return VrEstimate(value, hw, n_units, "independent", level)
 
 

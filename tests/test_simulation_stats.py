@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import ModelValidationError
 from repro.simulation import RngStreams, Welford, confidence_halfwidth
-from repro.simulation.stats import BusyIntegrator
+from repro.simulation.stats import BusyIntegrator, _t_quantile
 
 
 class TestWelford:
@@ -64,6 +67,29 @@ class TestConfidenceHalfwidth:
     def test_bad_level(self):
         with pytest.raises(ModelValidationError):
             confidence_halfwidth(1.0, 10, level=1.5)
+
+
+def _t_ppf_hex(n: int, level: float) -> str:
+    return float(scipy.stats.t.ppf(0.5 + level / 2, df=n - 1)).hex()
+
+
+class TestTQuantileMatchesTPpf:
+    """``stdtrit`` is what ``t.ppf`` evaluates; the bits must agree."""
+
+    @pytest.mark.parametrize("level", [0.8, 0.9, 0.95, 0.99, 0.999])
+    def test_every_n_up_to_2000(self, level):
+        ns = range(1, 2001)
+        got = [_t_quantile(n, level).hex() for n in ns]
+        assert got == [_t_ppf_hex(n, level) for n in ns]
+        assert got[0] == "nan"  # one observation: zero degrees of freedom
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=5000),
+        level=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+    )
+    def test_drawn_levels(self, n, level):
+        assert _t_quantile(n, level).hex() == _t_ppf_hex(n, level)
 
 
 class TestBusyIntegrator:

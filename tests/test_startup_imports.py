@@ -1,0 +1,89 @@
+"""SciPy stays off the start-up path.
+
+Every SciPy import in ``repro`` sits in the function that calls it, and
+Student-t quantiles come from ``scipy.special.stdtrit``, so importing
+the CLI loads no SciPy module and no command loads ``scipy.stats``.
+Each case runs in a fresh interpreter: this test process already holds
+SciPy.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from repro.simulation.compiled import kernel_available
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+# Runs ``repro.cli.main(argv)`` (or just the imports for argv=None)
+# and prints the SciPy modules loaded afterwards as one JSON line.
+_PROBE = """
+import json, sys
+import repro.cli, repro.simulation.compiled
+argv = json.loads(sys.argv[1])
+if argv is not None:
+    import contextlib, io
+    with contextlib.redirect_stdout(io.StringIO()):
+        repro.cli.main(argv)
+print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+"""
+
+
+def _scipy_modules_after(argv: list[str] | None) -> set[str]:
+    proc = subprocess.run(
+        [sys.executable, "-c", _PROBE, json.dumps(argv)],
+        env={**os.environ, "PYTHONPATH": SRC, "REPRO_SIM_BACKEND": "python"},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.strip().splitlines()[-1]))
+
+
+def _public_subpackages(modules: set[str]) -> set[str]:
+    parts = (m.split(".") for m in modules)
+    return {p[1] for p in parts if len(p) > 1 and not p[1].startswith("_")}
+
+
+def test_cli_import_loads_no_scipy():
+    assert _scipy_modules_after(None) == set()
+
+
+def test_report_loads_no_scipy():
+    assert _scipy_modules_after(["report"]) == set()
+
+
+def _fleet_argv(out: Path, backend: str) -> list[str]:
+    return [
+        "fleet", "--backend", backend, "--jobs", "1", "--replications", "4",
+        "--horizon", "5", "--format", "npz", "--out", str(out),
+    ]
+
+
+def test_python_fleet_loads_only_scipy_special(tmp_path):
+    # Each Python-engine replication forms its within-run delay CI
+    # (SimulationResult.delay_ci), whose t quantile is stdtrit.
+    loaded = _scipy_modules_after(_fleet_argv(tmp_path / "store", "python"))
+    assert "scipy.stats" not in loaded
+    assert _public_subpackages(loaded) <= {"special", "version"}
+
+
+@pytest.mark.skipif(not kernel_available(), reason="no C toolchain for the compiled kernel")
+def test_compiled_fleet_loads_no_scipy(tmp_path):
+    assert _scipy_modules_after(_fleet_argv(tmp_path / "store", "compiled")) == set()
+
+
+def test_adaptive_simulate_never_loads_scipy_stats():
+    loaded = _scipy_modules_after(
+        ["simulate", "--horizon", "50", "--replications", "2", "--seed", "3",
+         "--target-rel-ci", "0.5", "--max-reps", "4"]
+    )
+    assert "scipy.special" in loaded
+    assert "scipy.stats" not in loaded

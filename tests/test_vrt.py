@@ -21,6 +21,9 @@ Three layers:
 
 import numpy as np
 import pytest
+import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import ClusterModel, PowerModel, ServerSpec, Tier
 from repro.core.delay import end_to_end_delays
@@ -161,6 +164,34 @@ class TestPairedDifference:
         assert paired.value == pytest.approx(1.0, abs=0.1)
         assert paired.halfwidth < indep.halfwidth
         assert variance_reduction_factor(indep, paired) > 1.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        a=st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=40),
+        b=st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=40),
+        level=st.sampled_from([0.8, 0.9, 0.95, 0.99]),
+    )
+    def test_welch_halfwidth_matches_t_ppf(self, a, b, level):
+        # The Welch half-width as it read with scipy.stats.t.ppf: the
+        # stdtrit form must reproduce it bit for bit at a float df.
+        xa, xb = np.asarray(a), np.asarray(b)
+        va = float(np.var(xa, ddof=1)) / xa.size
+        vb = float(np.var(xb, ddof=1)) / xb.size
+        se = float(np.sqrt(va + vb))
+        if se == 0.0:
+            expected = 0.0
+        else:
+            if va**2 / (xa.size - 1) + vb**2 / (xb.size - 1) == 0.0:
+                va, vb = va / max(va, vb), vb / max(va, vb)
+            df = (va + vb) ** 2 / (va**2 / (xa.size - 1) + vb**2 / (xb.size - 1))
+            expected = float(scipy.stats.t.ppf(0.5 + level / 2.0, df=df) * se)
+        assert independent_difference(a, b, level).halfwidth.hex() == expected.hex()
+
+    def test_welch_df_survives_underflowing_variances(self):
+        # va = 0 and vb**2 underflows to zero: df is nb - 1 = 1.
+        est = independent_difference([0.0, 0.0], [0.0, 4.305699203637835e-158], 0.8)
+        se = 4.305699203637835e-158 / np.sqrt(2.0) / np.sqrt(2.0)
+        assert est.halfwidth == pytest.approx(float(scipy.stats.t.ppf(0.9, df=1)) * se)
 
     def test_variance_reduction_factor_arithmetic(self):
         a = VrEstimate(1.0, 0.6, 10, "naive")
