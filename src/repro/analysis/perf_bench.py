@@ -482,6 +482,25 @@ def _kernel_p1_solve_3starts() -> Callable[[], object]:
     return lambda: minimize_delay(cluster, workload, budget, n_starts=3)
 
 
+def _kernel_plan_schedule_p2a() -> Callable[[], object]:
+    """P2a planning (info-only, not gated): the A7 quick diurnal oracle
+    schedule, one SLSQP solve of P2a per planning epoch."""
+    from repro.core.controller import plan_speed_schedule
+    from repro.experiments import exp_a7_online_control as a7
+    from repro.experiments.common import CLASS_NAMES, canonical_cluster
+    from repro.experiments.registry import REGISTRY
+
+    quick = REGISTRY["A7"].quick_kwargs
+    history_rates, scenarios = a7.planning_inputs(quick["horizon"], quick["plan_window"])
+    trace = scenarios["diurnal"]
+    starts, rates = a7.planner_rates(trace, history_rates, quick["plan_window"], "oracle")
+    cluster = canonical_cluster()
+    # A7's planners solve at its default bound: 0.35 s times the 0.8 margin.
+    return lambda: plan_speed_schedule(
+        cluster, CLASS_NAMES, starts, rates, trace.horizon, 0.35 * 0.8, n_starts=1
+    )
+
+
 def _frontier_sweep(warm_start: bool) -> Callable[[], object]:
     from repro.core.opt_delay import minimize_delay
     from repro.experiments.common import canonical_cluster, canonical_workload, stability_box_profile
@@ -710,6 +729,7 @@ KERNELS: dict[str, Callable[[], Callable[[], object]]] = {
     "batch_eval_100": _kernel_batch_eval_100,
     "percentile_batch_x50": _kernel_percentile_batch_x50,
     "p1_solve_3starts": _kernel_p1_solve_3starts,
+    "plan_schedule_p2a": _kernel_plan_schedule_p2a,
     "adaptive_vs_fixed": _kernel_adaptive_vs_fixed,
     "crn_paired": _kernel_crn_paired,
     "controller_epoch": _kernel_controller_epoch,

@@ -13,6 +13,11 @@ class-k service time ``D_{ik} / s_i`` at tier speed ``s_i``. The
 aggregate objective used in P1/P2a is the arrival-weighted mean
 
     T̄ = Σ_k (λ_k / Λ) T_k.
+
+The optimizers probe this model at many speed vectors; under the
+tandem decomposition tier ``i``'s delays and power depend only on
+``s_i``, so :class:`SpeedModel` memoizes each tier's solve by its exact
+speed and a probe that moves one coordinate rebuilds only that tier.
 """
 
 from __future__ import annotations
@@ -21,7 +26,13 @@ import numpy as np
 
 from repro.cluster.model import ClusterModel
 from repro.exceptions import ModelValidationError
-from repro.queueing.networks import StationDelays
+from repro.queueing.networks import (
+    StationDelays,
+    arrival_weighted_mean,
+    check_visit_ratios,
+    checked_station_delays,
+    tandem_delays,
+)
 from repro.workload.classes import Workload
 
 __all__ = [
@@ -30,6 +41,7 @@ __all__ = [
     "per_tier_delays",
     "end_to_end_delays_batch",
     "mean_end_to_end_delay_batch",
+    "SpeedModel",
 ]
 
 
@@ -61,6 +73,89 @@ def per_tier_delays(cluster: ClusterModel, workload: Workload) -> list[StationDe
     validation experiments)."""
     _check(cluster, workload)
     return cluster.network().per_station_delays(workload.arrival_rates)
+
+
+class SpeedModel:
+    """The cluster's delay and power as functions of the tier speeds,
+    memoized per tier for the length of one solve.
+
+    ``end_to_end_delays(s)``, ``mean_delay(s)`` and ``average_power(s)``
+    return exactly (bit for bit) what
+    ``end_to_end_delays(cluster.with_speeds(s), workload)``,
+    ``mean_end_to_end_delay(...)`` and
+    ``cluster.with_speeds(s).average_power(λ)`` return, and raise the
+    same exception types. The speed-independent parts (station arrival
+    rates, work rates) are computed once here; each tier's
+    :class:`StationDelays` and power term are kept per exact float
+    speed, so a finite-difference probe that moves one speed rebuilds
+    one tier. A tier that raises (unstable, out of its DVFS range,
+    finite buffer) is not memoized: it raises again at every call.
+
+    Build one per solve and let it go with the solve; the memo grows
+    with every distinct speed seen.
+    """
+
+    def __init__(self, cluster: ClusterModel, workload: Workload):
+        _check(cluster, workload)
+        self._tiers = cluster.tiers
+        self._lam = workload.arrival_rates
+        self._visits = cluster.visit_ratios
+        # TandemNetwork's visit check runs at every scalar delay
+        # evaluation (after the per-tier spec checks), so a failure is
+        # replayed at each delay call rather than raised here.
+        try:
+            check_visit_ratios(self._visits, cluster.num_classes, cluster.num_tiers)
+            self._visit_error: str | None = None
+        except ModelValidationError as exc:
+            self._visit_error = str(exc)
+        self._rates = self._visits * self._lam[:, None]
+        self._work = cluster.work_rates(self._lam)
+        self._delays: list[dict[float, StationDelays]] = [{} for _ in self._tiers]
+        self._powers: list[dict[float, float]] = [{} for _ in self._tiers]
+
+    def _keys(self, speeds) -> list[float]:
+        speeds_arr = np.asarray(speeds, dtype=float)
+        if speeds_arr.shape != (len(self._tiers),):
+            raise ModelValidationError(
+                f"expected {len(self._tiers)} speeds, got shape {speeds_arr.shape}"
+            )
+        return [float(x) for x in speeds_arr]
+
+    def _stations(self, speeds) -> list[StationDelays]:
+        keys = self._keys(speeds)
+        found = [memo.get(key) for memo, key in zip(self._delays, keys)]
+        # Same check order as the scalar path: every tier's spec (DVFS
+        # range, finite buffer), then the visit ratios, then stability
+        # and the formulas tier by tier.
+        specs = {
+            i: tier.with_speed(key).station_spec()
+            for i, (tier, key, hit) in enumerate(zip(self._tiers, keys, found))
+            if hit is None
+        }
+        if self._visit_error is not None:
+            raise ModelValidationError(self._visit_error)
+        for i, spec in specs.items():
+            found[i] = checked_station_delays(spec, self._rates[:, i], i)
+            self._delays[i][keys[i]] = found[i]
+        return found
+
+    def end_to_end_delays(self, speeds) -> np.ndarray:
+        """Per-class mean end-to-end delay ``T_k`` at ``speeds``."""
+        return tandem_delays(self._visits, self._stations(speeds))
+
+    def mean_delay(self, speeds) -> float:
+        """Arrival-weighted mean end-to-end delay ``T̄`` at ``speeds``."""
+        return arrival_weighted_mean(self._lam, self.end_to_end_delays(speeds))
+
+    def average_power(self, speeds) -> float:
+        """Mean cluster power draw (watts) at ``speeds``."""
+        terms = []
+        for tier, key, memo, work in zip(self._tiers, self._keys(speeds), self._powers, self._work):
+            if key not in memo:
+                at = tier.with_speed(key)  # the DVFS range check
+                memo[key] = at.spec.power.average_power(at.speed, float(work), at.servers)
+            terms.append(memo[key])
+        return float(sum(terms))
 
 
 def end_to_end_delays_batch(

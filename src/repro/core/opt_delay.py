@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.cluster.model import ClusterModel
 from repro.core.batch_eval import BatchEvaluator
-from repro.core.delay import mean_end_to_end_delay
+from repro.core.delay import SpeedModel
 from repro.core.opt_common import DEFAULT_RHO_CAP, stability_speed_bounds
 from repro.exceptions import InfeasibleProblemError, ModelValidationError
 from repro.optimize.constrained import Constraint, minimize_box_constrained
@@ -79,21 +79,18 @@ def minimize_delay(
     if power_budget <= 0.0 or not np.isfinite(power_budget):
         raise ModelValidationError(f"power budget must be positive and finite, got {power_budget}")
     bounds = stability_speed_bounds(cluster, workload, rho_cap)
-    lam = workload.arrival_rates
+    model = SpeedModel(cluster, workload)
 
     lo = np.array([b[0] for b in bounds])
-    min_power = cluster.with_speeds(lo).average_power(lam)
+    min_power = model.average_power(lo)
     if min_power > power_budget:
         raise InfeasibleProblemError(
             f"power budget {power_budget:.6g} W is below the minimum stable power "
             f"{min_power:.6g} W (slowest stable speeds {np.round(lo, 4).tolist()})"
         )
 
-    def objective(s: np.ndarray) -> float:
-        return mean_end_to_end_delay(cluster.with_speeds(s), workload)
-
     def power_slack(s: np.ndarray) -> float:
-        return power_budget - cluster.with_speeds(s).average_power(lam)
+        return power_budget - model.average_power(s)
 
     # All multistart seeds are scored in one vectorized call (unstable
     # seeds come back inf, ranking them last).
@@ -103,7 +100,7 @@ def minimize_delay(
         return power_budget - batch.average_power(points)
 
     result = minimize_box_constrained(
-        objective,
+        model.mean_delay,
         bounds,
         constraints=[Constraint(power_slack, name="power budget")],
         n_starts=n_starts,
@@ -112,8 +109,7 @@ def minimize_delay(
         x0_hint=x0_hint,
         constraint_batch=power_slack_batch,
     )
-    optimized = cluster.with_speeds(result.x)
-    result.meta["cluster"] = optimized
-    result.meta["power"] = optimized.average_power(lam)
+    result.meta["cluster"] = cluster.with_speeds(result.x)
+    result.meta["power"] = model.average_power(result.x)
     result.meta["power_budget"] = power_budget
     return result

@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.cluster.model import ClusterModel
 from repro.core.batch_eval import BatchEvaluator
-from repro.core.delay import end_to_end_delays, mean_end_to_end_delay
+from repro.core.delay import SpeedModel, end_to_end_delays
 from repro.core.opt_common import DEFAULT_RHO_CAP, stability_speed_bounds
 from repro.core.sla import SLA
 from repro.exceptions import InfeasibleProblemError, ModelValidationError
@@ -93,13 +93,12 @@ def minimize_energy(
         bounds_arr = None
 
     box = stability_speed_bounds(cluster, workload, rho_cap)
-    lam = workload.arrival_rates
     hi = np.array([b[1] for b in box])
-    fastest = cluster.with_speeds(hi)
+    model = SpeedModel(cluster, workload)
 
     # Feasibility certificate at maximum speeds (delay decreasing in s).
     if bounds_arr is not None:
-        best_delays = end_to_end_delays(fastest, workload)
+        best_delays = model.end_to_end_delays(hi)
         if np.any(best_delays > bounds_arr):
             worst = int(np.argmax(best_delays - bounds_arr))
             raise InfeasibleProblemError(
@@ -108,26 +107,23 @@ def minimize_energy(
                 f"(best achievable {best_delays[worst]:.6g}s)"
             )
     else:
-        best_mean = mean_end_to_end_delay(fastest, workload)
+        best_mean = model.mean_delay(hi)
         if best_mean > max_mean_delay:
             raise InfeasibleProblemError(
                 f"aggregate delay bound {max_mean_delay:.6g}s is below the best achievable "
                 f"mean delay {best_mean:.6g}s at maximum speeds"
             )
 
-    def objective(s: np.ndarray) -> float:
-        return cluster.with_speeds(s).average_power(lam)
-
     constraints: list[Constraint] = []
     if bounds_arr is not None:
         for k in range(workload.num_classes):
             def slack(s: np.ndarray, k: int = k) -> float:
-                return bounds_arr[k] - end_to_end_delays(cluster.with_speeds(s), workload)[k]
+                return bounds_arr[k] - model.end_to_end_delays(s)[k]
 
             constraints.append(Constraint(slack, name=f"delay[{workload.names[k]}]"))
     else:
         def agg_slack(s: np.ndarray) -> float:
-            return max_mean_delay - mean_end_to_end_delay(cluster.with_speeds(s), workload)
+            return max_mean_delay - model.mean_delay(s)
 
         constraints.append(Constraint(agg_slack, name="mean delay"))
 
@@ -141,7 +137,7 @@ def minimize_energy(
             return max_mean_delay - batch.mean_delay(points)
 
     result = minimize_box_constrained(
-        objective,
+        model.average_power,
         box,
         constraints=constraints,
         n_starts=n_starts,
@@ -152,8 +148,8 @@ def minimize_energy(
     )
     optimized = cluster.with_speeds(result.x)
     result.meta["cluster"] = optimized
-    result.meta["delays"] = end_to_end_delays(optimized, workload)
-    result.meta["power"] = optimized.average_power(lam)
+    result.meta["delays"] = model.end_to_end_delays(result.x)
+    result.meta["power"] = model.average_power(result.x)
     if bounds_arr is not None:
         result.meta["delay_bounds"] = bounds_arr
     else:

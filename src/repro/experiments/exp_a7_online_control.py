@@ -52,7 +52,7 @@ from repro.exceptions import ModelValidationError
 from repro.experiments.common import CLASS_NAMES, canonical_cluster, canonical_workload
 from repro.workload.timevarying import diurnal_trace, flash_crowd_trace
 
-__all__ = ["A7Result", "run", "render"]
+__all__ = ["A7Result", "run", "render", "planning_inputs", "planner_rates"]
 
 POLICIES = ("oracle", "forecast", "max-speed", "dpp")
 
@@ -68,6 +68,55 @@ class A7Result:
     notes: list[str] = field(default_factory=list)
 
 
+def planning_inputs(
+    horizon: float = 2400.0,
+    plan_window: float = 100.0,
+    trough: float = 0.4,
+    peak: float = 1.3,
+    surge_factor: float = 1.8,
+    trace_seed: int = 3,
+):
+    """The evaluation traces and the forecast's history.
+
+    Returns ``(history_rates, scenarios)``: the surge-free history's
+    per-window rates and the ``{"diurnal", "flash-crowd"}`` traces.
+    Arguments are those of :func:`run`.
+    """
+    base = canonical_workload().arrival_rates
+    # Surge-free history: two independent "days" of the same diurnal
+    # profile, windowed like the planning grid. Its sampling noise is
+    # the forecast error; its lack of a surge is the forecast blind
+    # spot.
+    history = diurnal_trace(
+        base, 2.0 * horizon, period=horizon, trough=trough, peak=peak,
+        seed=trace_seed + 100, class_names=CLASS_NAMES,
+    )
+    _, history_rates = history.windowed_rates(plan_window)
+    scenarios = {
+        "diurnal": diurnal_trace(
+            base, horizon, period=horizon, trough=trough, peak=peak,
+            seed=trace_seed, class_names=CLASS_NAMES,
+        ),
+        "flash-crowd": flash_crowd_trace(
+            base, horizon,
+            surge_start=0.3 * horizon, surge_duration=0.1 * horizon,
+            surge_factor=surge_factor,
+            period=horizon, trough=trough, peak=peak,
+            seed=trace_seed + 1, class_names=CLASS_NAMES,
+        ),
+    }
+    return history_rates, scenarios
+
+
+def planner_rates(trace, history_rates: np.ndarray, plan_window: float, policy: str):
+    """``(epoch_starts, epoch_rates)`` the ``oracle`` or ``forecast``
+    planner solves for on ``trace``."""
+    starts, true_rates = trace.windowed_rates(plan_window)
+    if policy == "oracle":
+        return starts, true_rates
+    return starts, blended_forecast(history_rates, period=starts.size)
+
+
 def _policy_set(
     cluster,
     trace,
@@ -77,29 +126,28 @@ def _policy_set(
     plan_margin: float,
     v_param: float,
     n_starts: int,
+    selected: tuple[str, ...],
 ):
-    """Build the four comparison policies for one evaluation trace."""
-    starts, true_rates = trace.windowed_rates(plan_window)
-    period = starts.size
-    planned_bound = max_mean_delay * plan_margin
+    """Build the selected comparison policies for one evaluation trace
+    (a planner is only solved when its policy is selected)."""
 
-    oracle_plans = plan_speed_schedule(
-        cluster, CLASS_NAMES, starts, true_rates, trace.horizon, planned_bound,
-        n_starts=n_starts,
-    )
-    forecast_rates = blended_forecast(history_rates, period=period)
-    forecast_plans = plan_speed_schedule(
-        cluster, CLASS_NAMES, starts, forecast_rates, trace.horizon, planned_bound,
-        n_starts=n_starts,
-    )
-    return {
-        "oracle": PlannedSpeedPolicy(oracle_plans, name="oracle"),
-        "forecast": PlannedSpeedPolicy(forecast_plans, name="forecast"),
-        "max-speed": StaticSpeedPolicy(
+    def planned(name: str) -> PlannedSpeedPolicy:
+        starts, rates = planner_rates(trace, history_rates, plan_window, name)
+        plans = plan_speed_schedule(
+            cluster, CLASS_NAMES, starts, rates, trace.horizon,
+            max_mean_delay * plan_margin, n_starts=n_starts,
+        )
+        return PlannedSpeedPolicy(plans, name=name)
+
+    builders = {
+        "oracle": lambda: planned("oracle"),
+        "forecast": lambda: planned("forecast"),
+        "max-speed": lambda: StaticSpeedPolicy(
             np.array([t.spec.max_speed for t in cluster.tiers]), name="max-speed"
         ),
-        "dpp": DriftPlusPenaltyController(cluster, v_param),
+        "dpp": lambda: DriftPlusPenaltyController(cluster, v_param),
     }
+    return {name: builders[name]() for name in selected}
 
 
 def run(
@@ -150,39 +198,17 @@ def run(
             f"controller must be 'all' or one of {POLICIES}, got {controller!r}"
         )
     cluster = canonical_cluster()
-    base = canonical_workload().arrival_rates
     selected = POLICIES if controller == "all" else (controller,)
-
-    # Surge-free history: two independent "days" of the same diurnal
-    # profile, windowed like the planning grid. Its sampling noise is
-    # the forecast error; its lack of a surge is the forecast blind
-    # spot.
-    history = diurnal_trace(
-        base, 2.0 * horizon, period=horizon, trough=trough, peak=peak,
-        seed=trace_seed + 100, class_names=CLASS_NAMES,
+    history_rates, scenarios = planning_inputs(
+        horizon, plan_window, trough, peak, surge_factor, trace_seed
     )
-    _, history_rates = history.windowed_rates(plan_window)
-
-    scenarios = {
-        "diurnal": diurnal_trace(
-            base, horizon, period=horizon, trough=trough, peak=peak,
-            seed=trace_seed, class_names=CLASS_NAMES,
-        ),
-        "flash-crowd": flash_crowd_trace(
-            base, horizon,
-            surge_start=0.3 * horizon, surge_duration=0.1 * horizon,
-            surge_factor=surge_factor,
-            period=horizon, trough=trough, peak=peak,
-            seed=trace_seed + 1, class_names=CLASS_NAMES,
-        ),
-    }
 
     result = A7Result(max_mean_delay=max_mean_delay, v_param=v_param)
     scores: dict[tuple[str, str], Any] = {}
     for scen_name, trace in scenarios.items():
         policies = _policy_set(
             cluster, trace, history_rates, plan_window, max_mean_delay,
-            plan_margin, v_param, n_starts,
+            plan_margin, v_param, n_starts, selected,
         )
         for pol_name in selected:
             score = run_controlled(

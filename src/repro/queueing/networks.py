@@ -204,6 +204,51 @@ def station_delays(spec: StationSpec, arrival_rates: Sequence[float]) -> Station
     return StationDelays(spec.name, waits, waits + services_mean, np_multi.total_utilization)
 
 
+def checked_station_delays(
+    spec: StationSpec, arrival_rates: np.ndarray, index: int
+) -> StationDelays:
+    """:func:`station_delays` behind the tandem's stability check.
+
+    Raises :class:`UnstableSystemError` if the station (the
+    ``index``-th of its network) is saturated; loss stations cannot
+    saturate and are not checked.
+    """
+    if spec.discipline != "loss":
+        check_stability(
+            float(np.dot(arrival_rates, [s.mean for s in spec.services])) / spec.servers,
+            where=spec.name or f"station {index}",
+        )
+    return station_delays(spec, arrival_rates)
+
+
+def tandem_delays(visit_ratios: np.ndarray, per_station: Sequence[StationDelays]) -> np.ndarray:
+    """Per-class end-to-end delays ``T_k = Σ_i v_{ik} T_{ik}`` from the
+    per-station decomposition."""
+    sojourns = np.stack([d.mean_sojourns for d in per_station], axis=1)  # (K, M)
+    return (visit_ratios * sojourns).sum(axis=1)
+
+
+def arrival_weighted_mean(arrival_rates: np.ndarray, delays: np.ndarray) -> float:
+    """``Σ_k λ_k T_k / Λ`` — the aggregate mean delay."""
+    return float(np.dot(arrival_rates, delays) / arrival_rates.sum())
+
+
+def check_visit_ratios(visit_ratios, num_classes: int, num_stations: int) -> np.ndarray:
+    """Validate a ``(num_classes, num_stations)`` visit-ratio matrix;
+    returns it as a float array."""
+    visit_ratios = np.asarray(visit_ratios, dtype=float)
+    if visit_ratios.shape != (num_classes, num_stations):
+        raise ModelValidationError(
+            f"visit_ratios must have shape ({num_classes}, {num_stations}), "
+            f"got {visit_ratios.shape}"
+        )
+    if np.any(visit_ratios < 0.0):
+        raise ModelValidationError("visit ratios must be non-negative")
+    if np.any(visit_ratios.sum(axis=1) <= 0.0):
+        raise ModelValidationError("every class must visit at least one station")
+    return visit_ratios
+
+
 class TandemNetwork:
     """A tandem of priority stations with per-class visit ratios.
 
@@ -232,16 +277,7 @@ class TandemNetwork:
         self.num_stations = len(stations)
         if visit_ratios is None:
             visit_ratios = np.ones((k, self.num_stations))
-        visit_ratios = np.asarray(visit_ratios, dtype=float)
-        if visit_ratios.shape != (k, self.num_stations):
-            raise ModelValidationError(
-                f"visit_ratios must have shape ({k}, {self.num_stations}), got {visit_ratios.shape}"
-            )
-        if np.any(visit_ratios < 0.0):
-            raise ModelValidationError("visit ratios must be non-negative")
-        if np.any(visit_ratios.sum(axis=1) <= 0.0):
-            raise ModelValidationError("every class must visit at least one station")
-        self.visit_ratios = visit_ratios
+        self.visit_ratios = check_visit_ratios(visit_ratios, k, self.num_stations)
 
     def station_arrival_rates(self, arrival_rates: Sequence[float]) -> np.ndarray:
         """Effective per-class arrival rate at each station:
@@ -277,26 +313,17 @@ class TandemNetwork:
         station.
         """
         rates = self.station_arrival_rates(arrival_rates)
-        out = []
-        for i, spec in enumerate(self.stations):
-            if spec.discipline != "loss":  # loss stations cannot saturate
-                check_stability(
-                    float(np.dot(rates[:, i], [s.mean for s in spec.services])) / spec.servers,
-                    where=spec.name or f"station {i}",
-                )
-            out.append(station_delays(spec, rates[:, i]))
-        return out
+        return [
+            checked_station_delays(spec, rates[:, i], i) for i, spec in enumerate(self.stations)
+        ]
 
     def end_to_end_delays(self, arrival_rates: Sequence[float]) -> np.ndarray:
         """Per-class mean end-to-end delay ``T_k = Σ_i v_{ik} T_{ik}``."""
-        per_station = self.per_station_delays(arrival_rates)
-        sojourns = np.stack([d.mean_sojourns for d in per_station], axis=1)  # (K, M)
-        return (self.visit_ratios * sojourns).sum(axis=1)
+        return tandem_delays(self.visit_ratios, self.per_station_delays(arrival_rates))
 
     def mean_delay(self, arrival_rates: Sequence[float]) -> float:
         """Arrival-weighted average end-to-end delay over all classes —
         the objective of problem P1 and the aggregate constraint of
         P2a."""
         lam = np.asarray(arrival_rates, dtype=float)
-        t = self.end_to_end_delays(arrival_rates)
-        return float(np.dot(lam, t) / lam.sum())
+        return arrival_weighted_mean(lam, self.end_to_end_delays(arrival_rates))

@@ -59,6 +59,22 @@ class TestA7:
         assert r.frontier == []
         assert r.notes == []
 
+    @pytest.mark.parametrize("controller, n_plans", [("dpp", 0), ("max-speed", 0), ("oracle", 2)])
+    def test_single_controller_plans_only_what_it_runs(
+        self, result, monkeypatch, controller, n_plans
+    ):
+        calls = []
+        real = a7.plan_speed_schedule
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(a7, "plan_speed_schedule", spy)
+        r = a7.run(controller=controller, **TINY)
+        assert len(calls) == n_plans  # one schedule per scenario for a planner
+        assert r.rows == [row for row in result.rows if row[1] == controller]
+
     def test_unknown_controller_rejected(self):
         with pytest.raises(ModelValidationError):
             a7.run(controller="nope", **TINY)

@@ -1,0 +1,252 @@
+"""SpeedModel: the memoized analytic model the P1/P2 solvers probe.
+
+Two contracts are pinned here:
+
+* every value :class:`SpeedModel` returns is bit-identical to the
+  scalar path at ``cluster.with_speeds(s)``, and every failure raises
+  the same exception type, over random clusters and speed sequences
+  that revisit points and move one coordinate at a time (so memo hits
+  are exercised);
+* the solvers routed through it return bit-identical results, with the
+  same iteration and evaluation counts, as a reference solve whose
+  callbacks rebuild the cluster at every probe.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.cluster import ClusterModel, PowerModel, ServerSpec, Tier
+from repro.core import controller, opt_delay, opt_energy
+from repro.core.delay import SpeedModel, end_to_end_delays, mean_end_to_end_delay
+from repro.distributions import fit_two_moments
+from repro.experiments import exp_a7_online_control as a7
+from repro.experiments import exp_f4_energy_opt_tradeoff as f4
+from repro.experiments.common import (
+    CLASS_NAMES,
+    canonical_cluster,
+    canonical_sla,
+    canonical_workload,
+)
+from repro.experiments.registry import REGISTRY
+from repro.queueing.networks import DISCIPLINES
+from repro.workload import workload_from_rates
+
+SPEC = ServerSpec(PowerModel(idle=20.0, kappa=60.0, alpha=3.0), min_speed=0.3, max_speed=1.0)
+
+
+@st.composite
+def model_case(draw):
+    """A random cluster and workload, any discipline, sometimes a finite
+    buffer or a zero visit pattern, loaded from light to saturated."""
+    k = draw(st.integers(min_value=1, max_value=3))
+    m = draw(st.integers(min_value=1, max_value=3))
+    tiers = []
+    for i in range(m):
+        if draw(st.booleans()):
+            means = [draw(st.floats(min_value=0.02, max_value=0.3))] * k
+        else:
+            means = [draw(st.floats(min_value=0.02, max_value=0.3)) for _ in range(k)]
+        scv = draw(st.sampled_from([0.0, 0.5, 1.0, 2.5]))
+        servers = draw(st.integers(min_value=1, max_value=4))
+        tiers.append(
+            Tier(
+                f"t{i}",
+                tuple(fit_two_moments(mu, scv) for mu in means),
+                SPEC,
+                servers=servers,
+                discipline=draw(st.sampled_from(DISCIPLINES)),
+                capacity=draw(st.sampled_from([None, None, None, None, servers + 2])),
+            )
+        )
+    visits = np.array(
+        draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.7]), min_size=k * m, max_size=k * m))
+    ).reshape(k, m)
+    cluster = ClusterModel(tiers, visit_ratios=visits)
+    rates = np.array([draw(st.floats(min_value=0.1, max_value=3.0)) for _ in range(k)])
+    rho = cluster.utilizations(rates).max()
+    if rho > 0.0:
+        rates *= draw(st.floats(min_value=0.2, max_value=1.3)) / rho
+    return cluster, workload_from_rates(rates.tolist())
+
+
+def _speed_sequence(base: np.ndarray, other: np.ndarray) -> list[np.ndarray]:
+    """Points a solve visits: repeats, SLSQP-sized forward-difference
+    probes, one-ulp moves and points sharing some coordinates."""
+    points = [base, base.copy()]
+    for i in range(base.size):
+        for moved in (base[i] + 1.4901161193847656e-08 * max(1.0, abs(base[i])),
+                      np.nextafter(base[i], 2.0)):
+            probe = base.copy()
+            probe[i] = moved
+            points.append(probe)
+    mixed = other.copy()
+    mixed[0] = base[0]
+    points += [other, mixed, base]
+    return points
+
+
+def _outcome(fn):
+    """Bytes of the value, or the exception type raised."""
+    try:
+        value = fn()
+    except Exception as exc:  # noqa: BLE001 - the type is what is compared
+        return type(exc)
+    return np.asarray(value, dtype=float).tobytes()
+
+
+speeds_st = st.lists(st.floats(min_value=0.28, max_value=1.0), min_size=3, max_size=3)
+
+
+class TestSpeedModelBitIdentity:
+    @given(case=model_case(), a=speeds_st, b=speeds_st)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_scalar_path(self, case, a, b):
+        cluster, workload = case
+        m = cluster.num_tiers
+        model = SpeedModel(cluster, workload)
+        lam = workload.arrival_rates
+        for s in _speed_sequence(np.array(a[:m]), np.array(b[:m])):
+            assert _outcome(lambda: model.end_to_end_delays(s)) == _outcome(
+                lambda: end_to_end_delays(cluster.with_speeds(s), workload)
+            )
+            assert _outcome(lambda: model.mean_delay(s)) == _outcome(
+                lambda: mean_end_to_end_delay(cluster.with_speeds(s), workload)
+            )
+            assert _outcome(lambda: model.average_power(s)) == _outcome(
+                lambda: cluster.with_speeds(s).average_power(lam)
+            )
+
+    def test_unstable_tier_raises_every_time(self):
+        from repro.exceptions import UnstableSystemError
+
+        cluster, workload = canonical_cluster(), canonical_workload(1.8)
+        model = SpeedModel(cluster, workload)
+        slow = np.array([1.0, 1.0, 0.4])
+        for _ in range(2):
+            with pytest.raises(UnstableSystemError, match="db"):
+                model.mean_delay(slow)
+        assert model.mean_delay(np.ones(3)) == mean_end_to_end_delay(cluster, workload)
+
+    def test_finite_buffer_tier_rejected(self):
+        from repro.exceptions import ModelValidationError
+
+        cluster = canonical_cluster()
+        tiers = list(cluster.tiers)
+        tiers[1] = Tier(
+            tiers[1].name, tiers[1].demands, tiers[1].spec,
+            servers=tiers[1].servers, capacity=8,
+        )
+        model = SpeedModel(ClusterModel(tiers), canonical_workload())
+        with pytest.raises(ModelValidationError, match="finite buffer"):
+            model.end_to_end_delays(np.ones(3))
+        # Power has no buffer term, as on the scalar path.
+        assert model.average_power(np.ones(3)) == ClusterModel(tiers).average_power(
+            canonical_workload().arrival_rates
+        )
+
+
+class ScalarModel:
+    """The solver callbacks before SpeedModel: rebuild the whole cluster
+    at every probe."""
+
+    def __init__(self, cluster, workload):
+        self.cluster, self.workload = cluster, workload
+
+    def end_to_end_delays(self, s):
+        return end_to_end_delays(self.cluster.with_speeds(s), self.workload)
+
+    def mean_delay(self, s):
+        return mean_end_to_end_delay(self.cluster.with_speeds(s), self.workload)
+
+    def average_power(self, s):
+        return self.cluster.with_speeds(s).average_power(self.workload.arrival_rates)
+
+
+def _fingerprint(res):
+    return (
+        res.x.tobytes(),
+        res.fun,
+        res.nit,
+        res.nfev,
+        res.n_evaluations,
+        res.success,
+        res.meta["constraint_residuals"],
+    )
+
+
+def _with_both_models(monkeypatch, solve):
+    """``solve()`` through SpeedModel, then through the scalar closures
+    handed to the same ``minimize_box_constrained`` call."""
+    memoized = solve()
+    with monkeypatch.context() as mp:
+        mp.setattr(opt_delay, "SpeedModel", ScalarModel)
+        mp.setattr(opt_energy, "SpeedModel", ScalarModel)
+        reference = solve()
+    return memoized, reference
+
+
+class TestSolverParity:
+    cluster = canonical_cluster()
+    workload = canonical_workload()
+
+    @pytest.mark.parametrize(
+        "solve",
+        [
+            lambda c, w: opt_delay.minimize_delay(
+                c, w, 0.9 * c.average_power(w.arrival_rates), n_starts=3
+            ),
+            lambda c, w: opt_energy.minimize_energy(c, w, max_mean_delay=0.3, n_starts=3),
+            lambda c, w: opt_energy.minimize_energy(
+                c, w, max_mean_delay=0.3, n_starts=3, x0_hint=np.array([0.8, 0.7, 0.9])
+            ),
+            lambda c, w: opt_energy.minimize_energy(c, w, sla=canonical_sla(), n_starts=3),
+            lambda c, w: opt_energy.minimize_energy_robust(
+                c, w, 0.1, max_mean_delay=0.3, n_starts=3
+            ),
+        ],
+        ids=["p1", "p2a", "p2a_warm", "p2b", "p2_robust"],
+    )
+    def test_solve_is_bit_identical(self, monkeypatch, solve):
+        memoized, reference = _with_both_models(
+            monkeypatch, lambda: solve(self.cluster, self.workload)
+        )
+        assert _fingerprint(memoized) == _fingerprint(reference)
+        assert memoized.meta["power"] == reference.meta["power"]
+        assert np.asarray(memoized.meta.get("delays", ())).tobytes() == np.asarray(
+            reference.meta.get("delays", ())
+        ).tobytes()
+
+    @pytest.mark.parametrize("policy", ["oracle", "forecast"])
+    def test_a7_quick_plans_are_bit_identical(self, monkeypatch, policy):
+        quick = REGISTRY["A7"].quick_kwargs
+        history_rates, scenarios = a7.planning_inputs(quick["horizon"], quick["plan_window"])
+        for trace in scenarios.values():
+            starts, rates = a7.planner_rates(trace, history_rates, quick["plan_window"], policy)
+            memoized, reference = _with_both_models(
+                monkeypatch,
+                lambda: controller.plan_speed_schedule(
+                    canonical_cluster(), CLASS_NAMES, starts, rates, trace.horizon,
+                    0.35 * 0.8, n_starts=1,
+                ),
+            )
+            assert [
+                (p.speeds.tobytes(), p.power, p.mean_delay, p.meets_bound) for p in memoized
+            ] == [
+                (p.speeds.tobytes(), p.power, p.mean_delay, p.meets_bound) for p in reference
+            ]
+
+    def test_f4_report_and_solver_effort_unchanged(self, monkeypatch):
+        memoized, reference = _with_both_models(
+            monkeypatch, lambda: f4.render(f4.run(n_points=8))
+        )
+        assert "model evaluations over 8 points" in memoized
+        assert memoized == reference
+
+
+def test_plan_bench_kernel_plans_a7_quick_diurnal_schedule():
+    from repro.analysis.perf_bench import KERNELS
+
+    plans = KERNELS["plan_schedule_p2a"]()()
+    assert len(plans) == 8 and all(p.meets_bound for p in plans)
