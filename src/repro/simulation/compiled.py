@@ -26,11 +26,14 @@ One driver serves every caller.  The kernel exports a single
 reused arena: :func:`maybe_simulate_compiled` (behind ``simulate()``)
 is a batch of one, and :func:`maybe_simulate_fleet_batch` passes a
 fleet chunk.  :func:`_run_kernel` builds one descriptor template for
-the call plus each replication's seed words (the whole per-replication
-Python cost for a plain seed), makes the call and maps each
-replication's return code to its tallies or its exception; the result
-formulas live in :mod:`repro.simulation.simulator`, shared with the
-Python engine.
+the call plus the seed words of every replication (for a fleet chunk,
+one NumPy block computed from the unit indices), makes the call and
+returns the arrays the kernel filled, with each failed replication's
+exception.  ``simulate()`` turns its one replication into tallies for
+:func:`~repro.simulation.simulator._finalize`; a fleet chunk goes
+straight from the arrays to columnar store rows.  The result formulas
+live in :mod:`repro.simulation.simulator`, shared with the Python
+engine.
 
 Backend selection (``REPRO_SIM_BACKEND`` environment variable):
 
@@ -114,15 +117,14 @@ from repro.simulation.simulator import (
     _JOB_LOG_DTYPE,
     SimulationResult,
     _account,
-    _average_power,
     _build_routes,
     _build_routing_tables,
     _emit_queue_sample,
-    _energy_per_request,
     _finalize,
     _make_sampler,
-    _mean_delay,
     _SpeedLedger,
+    _static_power,
+    _summary_rows,
     _Tallies,
     _validate,
 )
@@ -592,13 +594,12 @@ class _Rep:
     """The Python side of one replication in a kernel call: what its
     callbacks draw from, and the first exception one of them raised."""
 
-    __slots__ = ("samplers", "pulls", "fills", "ledger", "epoch", "error")
+    __slots__ = ("samplers", "pulls", "fills", "epoch", "error")
 
     def __init__(self, k_classes: int) -> None:
         self.samplers: list[Any] = []  # SK_PYCALL service draws, by py_id
         self.pulls: list[Any] = [None] * k_classes  # SK_PYCALL arrivals, by class
         self.fills: list[Any] = []  # SK_PYBLOCK refills, by block id
-        self.ledger: _SpeedLedger | None = None
         self.epoch: Any = None  # epoch decision (dynamic speed control)
         self.error: BaseException | None = None
 
@@ -638,9 +639,52 @@ def _seed_words(seed) -> list[int]:
     return run + [0] * (_SEED_POOL_SIZE - len(run)) + _u32_words(spawn_key)
 
 
-def _seed_block(seeds: list) -> tuple[np.ndarray, np.ndarray]:
+class _IndexSeeds:
+    """The seeds ``SeedSequence(master, spawn_key=(scenario, r))`` for
+    ``r`` in ``reps`` (a fleet chunk's unit seeds), kept as indices.
+
+    The kernel needs only their seed words, which :meth:`words` builds
+    for the whole block at once in NumPy.  Iterating yields the
+    ``SeedSequence`` objects, for the replications whose streams Python
+    still draws from.
+    """
+
+    def __init__(self, master: int, scenario: int, reps: range) -> None:
+        if not (isinstance(scenario, (int, np.integer)) and scenario >= 0):
+            raise ModelValidationError(f"scenario must be a non-negative integer, got {scenario}")
+        if reps and not (0 <= min(reps) and max(reps) < 2**32):
+            raise ModelValidationError(f"replication indices must lie in [0, 2**32), got {reps}")
+        self.master, self.scenario, self.reps = master, scenario, reps
+
+    def __len__(self) -> int:
+        return len(self.reps)
+
+    def __iter__(self):
+        for r in self.reps:
+            yield np.random.SeedSequence(self.master, spawn_key=(self.scenario, r))
+
+    def words(self) -> tuple[np.ndarray, np.ndarray]:
+        """:func:`_seed_block` of these seeds: each seed's words are the
+        master's padded words, the scenario's words, then the
+        replication's one word."""
+        head = _seed_words(self.master) + _u32_words(self.scenario)
+        block = np.empty((len(self.reps), len(head) + 1), dtype=np.uint32)
+        block[:, :-1] = head
+        block[:, -1] = self.reps
+        return block.ravel(), np.arange(len(self.reps) + 1, dtype=np.int64) * block.shape[1]
+
+
+def _seed_block(seeds) -> tuple[np.ndarray, np.ndarray] | None:
     """Every plain seed's :func:`_seed_words` as one flat uint32 array,
-    plus the ``len(seeds) + 1`` offsets that delimit them."""
+    plus the ``len(seeds) + 1`` offsets that delimit them; ``None`` for
+    antithetic seeds, whose streams Python draws."""
+    if isinstance(seeds, _IndexSeeds):
+        return seeds.words()
+    coupled = [isinstance(seed, AntitheticSeed) for seed in seeds]
+    if any(coupled):
+        if not all(coupled):
+            raise ModelValidationError("one kernel call cannot mix antithetic and plain seeds")
+        return None
     words = [_seed_words(seed) for seed in seeds]
     offsets = np.zeros(len(words) + 1, dtype=np.int64)
     np.cumsum([len(w) for w in words], out=offsets[1:])
@@ -658,7 +702,7 @@ def _stream_digests(k_classes: int, m_stations: int) -> np.ndarray:
     return np.array([fnv1a64(name) for name in names], dtype=np.uint64)
 
 
-def _describe(cluster, workload, seeds, reps, arrival_processes, routed, dynamic, keep):
+def _describe(cluster, workload, seeds, reps, arrival_processes, routed, dynamic, coupled, keep):
     """The call's sampler, arrival and routing descriptor templates,
     plus the Python side of every replication's streams.
 
@@ -677,9 +721,6 @@ def _describe(cluster, workload, seeds, reps, arrival_processes, routed, dynamic
     blocks in the same order, so the template's ids fit all of them.
     """
     k_classes, m_stations = workload.num_classes, cluster.num_tiers
-    coupled = isinstance(seeds[0], AntitheticSeed)
-    if any(isinstance(seed, AntitheticSeed) is not coupled for seed in seeds):
-        raise ModelValidationError("one kernel call cannot mix antithetic and plain seeds")
     # Under dynamic speed control the sampler yields the *demand* (work
     # at speed 1) and the kernel divides by the current speed at pull
     # time, mirroring simulator._make_dynamic_sampler.
@@ -790,29 +831,73 @@ def _ptr(arr: np.ndarray | None, ctype):
     return None if arr is None else arr.ctypes.data_as(POINTER(ctype))
 
 
+class _KernelRun:
+    """The arrays one kernel call fills, indexed by replication, plus
+    each failed replication's exception and the Python-side extras
+    (speed ledgers, delay samples, job logs) of the others."""
+
+    def __init__(self, n: int, k_classes: int, m_stations: int) -> None:
+        shape = (n, k_classes, m_stations)
+        self.wait, self.sojourn = np.zeros(shape), np.zeros(shape)
+        self.visit, self.blocked, self.offered = (np.zeros(shape, np.int64) for _ in range(3))
+        self.busy = np.zeros((n, m_stations))
+        self.class_busy = np.zeros((n, m_stations, k_classes))
+        # jobs, events, warmup-discarded, hit-horizon flag, wall ns
+        self.scalars = np.zeros((n, 5), dtype=np.int64)
+        # Welford moments of each class's end-to-end delays
+        self.wf_n = np.zeros((n, k_classes), dtype=np.int64)
+        self.wf_mean, self.wf_m2 = np.zeros((n, k_classes)), np.zeros((n, k_classes))
+        self.rc = np.zeros(n, dtype=np.int32)
+        self.errors: dict[int, BaseException] = {}
+        self.ledgers: list[_SpeedLedger | None] = [None] * n
+        self.delay_samples: list | None = None
+        self.job_logs: list | None = None
+
+    def tallies(self, b: int) -> _Tallies:
+        """Successful replication ``b`` as the engine-neutral tallies
+        :func:`~repro.simulation.simulator._finalize` reads."""
+        jid, n_events, n_warmup_discarded, _hit_horizon, _wall_ns = self.scalars[b].tolist()
+        moments = zip(self.wf_n[b].tolist(), self.wf_mean[b].tolist(), self.wf_m2[b].tolist())
+        return _Tallies(
+            e2e=[Welford.from_moments(*m) for m in moments],
+            busy=self.busy[b].tolist(),
+            class_busy=self.class_busy[b].tolist(),
+            wait_sum=self.wait[b],
+            sojourn_sum=self.sojourn[b],
+            visit_count=self.visit[b],
+            n_blocked=self.blocked[b],
+            offered=self.offered[b],
+            n_jobs=jid,
+            n_events=n_events,
+            n_warmup_discarded=n_warmup_discarded,
+            ledger=self.ledgers[b],
+            delay_samples=None if self.delay_samples is None else self.delay_samples[b],
+            job_log=None if self.job_logs is None else self.job_logs[b],
+        )
+
+
 def _run_kernel(
     lib,
     cluster,
     workload,
     horizon: float,
     warmup: float,
-    seeds: list,
+    seeds,
     arrival_processes=None,
     collect_delay_samples: bool = False,
     collect_job_log: bool = False,
     routing=None,
     epoch_times=None,
     epoch_controller=None,
-) -> tuple[list[_Tallies | BaseException], np.ndarray]:
+) -> _KernelRun:
     """Run one replication per seed of a validated scenario in a single
-    kernel call.  Returns each replication's tallies, or the exception
-    it failed with (a failure costs only that replication), and each
-    replication's wall time in the kernel, in seconds."""
+    kernel call (a failure costs only that replication).  ``seeds`` is
+    a list of seeds or an :class:`_IndexSeeds` block."""
     k_classes, m_stations = workload.num_classes, cluster.num_tiers
     n = len(seeds)
     dynamic = epoch_controller is not None
     keep: list[Any] = []  # keep-alive for every object the kernel reads
-    reps = [_Rep(k_classes) for _ in seeds]
+    reps = [_Rep(k_classes) for _ in range(n)]
     abort = (c_int * 1)(0)
 
     with obs.span("sim.setup", classes=k_classes, stations=m_stations, horizon=horizon, reps=n):
@@ -834,22 +919,14 @@ def _run_kernel(
             keep.append((entry, trans))
             entry_v = (c_void_p * k_classes)(*[a.ctypes.data for a in entry])
             trans_v = (c_void_p * k_classes)(*[a.ctypes.data for a in trans])
+        seed_block = _seed_block(seeds)
+        seed_words, seed_off = (None, None) if seed_block is None else seed_block
         sampler_desc, arrival_desc, routing_block = _describe(
-            cluster, workload, seeds, reps, arrival_processes, routing is not None, dynamic, keep
+            cluster, workload, seeds, reps, arrival_processes, routing is not None, dynamic,
+            seed_block is None, keep,
         )
-        seed_words = seed_off = None
-        if not isinstance(seeds[0], AntitheticSeed):
-            seed_words, seed_off = _seed_block(seeds)
 
-        shape = (n, k_classes, m_stations)
-        wait, sojourn = np.zeros(shape), np.zeros(shape)
-        visit, blocked, offered = (np.zeros(shape, dtype=np.int64) for _ in range(3))
-        busy = np.zeros((n, m_stations))
-        class_busy = np.zeros((n, m_stations, k_classes))
-        scalars = np.zeros((n, 5), dtype=np.int64)
-        wf_n = np.zeros((n, k_classes), dtype=np.int64)
-        wf_mean, wf_m2 = np.zeros((n, k_classes)), np.zeros((n, k_classes))
-        rc_out = np.zeros(n, dtype=np.int32)
+        run = _KernelRun(n, k_classes, m_stations)
         delay_ptrs = delay_counts = log_ptrs = log_count = None
         if collect_delay_samples:
             delay_ptrs = (c_void_p * (n * k_classes))()
@@ -868,8 +945,10 @@ def _run_kernel(
             speeds = np.tile([float(t.speed) for t in cluster.tiers], (n, 1))
             counts = np.zeros((m_stations, k_classes), dtype=np.int64)
             for b, rep in enumerate(reps):
-                rep.ledger = _SpeedLedger(cluster, epoch_controller)
-                rep.epoch = _epoch_decision(rep.ledger, busy[b], class_busy[b], counts, speeds[b])
+                run.ledgers[b] = _SpeedLedger(cluster, epoch_controller)
+                rep.epoch = _epoch_decision(
+                    run.ledgers[b], run.busy[b], run.class_busy[b], counts, speeds[b]
+                )
 
         # Buffered queue-length sampling: the kernel records (t,
         # populations, busy) rows and batch-flushes them at epoch
@@ -951,70 +1030,49 @@ def _run_kernel(
             float(sample_interval),
             *callbacks,
             abort,
-            _ptr(wait, c_double),
-            _ptr(sojourn, c_double),
-            _ptr(visit, c_longlong),
-            _ptr(blocked, c_longlong),
-            _ptr(offered, c_longlong),
-            _ptr(busy, c_double),
-            _ptr(class_busy, c_double),
-            _ptr(scalars, c_longlong),
-            _ptr(wf_n, c_longlong),
-            _ptr(wf_mean, c_double),
-            _ptr(wf_m2, c_double),
+            _ptr(run.wait, c_double),
+            _ptr(run.sojourn, c_double),
+            _ptr(run.visit, c_longlong),
+            _ptr(run.blocked, c_longlong),
+            _ptr(run.offered, c_longlong),
+            _ptr(run.busy, c_double),
+            _ptr(run.class_busy, c_double),
+            _ptr(run.scalars, c_longlong),
+            _ptr(run.wf_n, c_longlong),
+            _ptr(run.wf_mean, c_double),
+            _ptr(run.wf_m2, c_double),
             delay_ptrs,
             _ptr(delay_counts, c_longlong),
             log_ptrs,
             _ptr(log_count, c_longlong),
-            _ptr(rc_out, c_int),
+            _ptr(run.rc, c_int),
         )
     del keep  # the kernel has returned; arrays may be collected now
 
-    out: list[_Tallies | BaseException] = []
-    for b, rep in enumerate(reps):
-        if rc_out[b] != _RC_OK:
-            out.append(_kernel_error(int(rc_out[b]), rep.error))
-            continue
-        delay_samples = job_log = None
-        if collect_delay_samples:
-            delay_samples = [
+    for b in np.flatnonzero(run.rc).tolist():
+        run.errors[b] = _kernel_error(int(run.rc[b]), reps[b].error)
+    ok = [b for b in range(n) if b not in run.errors]
+    for b in ok:
+        if run.ledgers[b] is not None:
+            # The kernel closed the busy intervals at the horizon; billing
+            # them closes the last constant-speed segment.
+            run.ledgers[b].bill(run.busy[b].tolist(), run.class_busy[b].tolist())
+    if collect_delay_samples:
+        run.delay_samples = [None] * n
+        for b in ok:
+            run.delay_samples[b] = [
                 _take(lib, delay_ptrs[b * k_classes + k], int(delay_counts[b, k]), c_double)
                 for k in range(k_classes)
             ]
-        if collect_job_log:
+    if collect_job_log:
+        run.job_logs = [None] * n
+        log_types = (c_longlong, c_int, c_double, c_double)
+        for b in ok:
             n_log = int(log_count[b])
-            job_log = np.empty(n_log, dtype=_JOB_LOG_DTYPE)
-            log_types = (c_longlong, c_int, c_double, c_double)
+            run.job_logs[b] = job_log = np.empty(n_log, dtype=_JOB_LOG_DTYPE)
             for j, (name, ctype) in enumerate(zip(_JOB_LOG_DTYPE.names, log_types)):
                 job_log[name] = _take(lib, log_ptrs[b * 4 + j], n_log, ctype)
-        busy_b, class_busy_b = busy[b].tolist(), class_busy[b].tolist()
-        if rep.ledger is not None:
-            # The kernel closed the busy intervals at the horizon; billing
-            # them closes the last constant-speed segment.
-            rep.ledger.bill(busy_b, class_busy_b)
-        jid, n_events, n_warmup_discarded, _hit_horizon, _wall_ns = scalars[b].tolist()
-        out.append(
-            _Tallies(
-                e2e=[
-                    Welford.from_moments(*m)
-                    for m in zip(wf_n[b].tolist(), wf_mean[b].tolist(), wf_m2[b].tolist())
-                ],
-                busy=busy_b,
-                class_busy=class_busy_b,
-                wait_sum=wait[b],
-                sojourn_sum=sojourn[b],
-                visit_count=visit[b],
-                n_blocked=blocked[b],
-                offered=offered[b],
-                n_jobs=jid,
-                n_events=n_events,
-                n_warmup_discarded=n_warmup_discarded,
-                ledger=rep.ledger,
-                delay_samples=delay_samples,
-                job_log=job_log,
-            )
-        )
-    return out, scalars[:, 4] / 1e9
+    return run
 
 
 def _kernel_for(backend: str, cluster) -> ctypes.CDLL | None:
@@ -1060,7 +1118,7 @@ def maybe_simulate_compiled(
     if lib is None:
         return None
     warmup = warmup_fraction * horizon
-    (tallies,), _wall = _run_kernel(
+    run = _run_kernel(
         lib,
         cluster,
         workload,
@@ -1074,9 +1132,9 @@ def maybe_simulate_compiled(
         epoch_times,
         epoch_controller,
     )
-    if isinstance(tallies, BaseException):
-        raise tallies
-    return _finalize(cluster, workload, horizon, warmup, tallies)
+    if run.errors:
+        raise run.errors[0]
+    return _finalize(cluster, workload, horizon, warmup, run.tallies(0))
 
 
 def maybe_simulate_fleet_batch(
@@ -1085,59 +1143,52 @@ def maybe_simulate_fleet_batch(
     workload,
     horizon: float,
     warmup_fraction: float,
-    seeds: list,
+    reps: range,
+    seed: int,
+    scenario: int,
 ):
-    """Run a chunk of replications of one fleet scenario in one kernel
-    call, or return ``None`` when the kernel is unavailable or a tier
-    discipline is not modeled, so the fleet runner falls back to
-    unit-at-a-time dispatch.
+    """Run replications ``reps`` of fleet scenario ``scenario`` in one
+    kernel call, or return ``None`` when the kernel is unavailable or a
+    tier discipline is not modeled, so the fleet runner falls back to
+    the Python engine.
 
-    The scenario is validated once for the whole chunk (it is
-    deterministic in the scenario, so raising once is observably the
-    same as raising per unit).  Returns ``(rows, failures)``:
-    ``rows[b]`` is the metric dict for ``seeds[b]`` (the fleet row
-    minus the unit/scenario/replication bookkeeping columns; ``wall_s``
-    is the replication's own time in the kernel) or
-    ``None`` if that replication failed; ``failures`` lists ``(index,
-    "ExcType: message")`` pairs formatted exactly like the fleet's
-    per-unit failure records.
+    Replication ``r`` runs under ``SeedSequence(seed,
+    spawn_key=(scenario, r))``, whose seed words are built from the
+    indices for the whole chunk.  The scenario is validated once for the
+    chunk (it is deterministic in the scenario, so raising once is
+    observably the same as raising per unit).  Returns ``(rows,
+    failures)``: ``rows`` is a structured array with one
+    :func:`~repro.simulation.simulator._summary_rows` record per
+    replication that succeeded (``wall_s`` is its own time in the
+    kernel), and ``failures`` lists ``(index into reps, "ExcType:
+    message")`` pairs formatted exactly like the fleet's per-unit
+    failure records.
     """
     lib = _kernel_for(backend, cluster)
     if lib is None:
         return None
     _validate(cluster, workload, horizon, warmup_fraction)
     warmup = warmup_fraction * horizon
-    window = horizon - warmup
-    outcomes, walls = _run_kernel(lib, cluster, workload, horizon, warmup, seeds)
-
-    rows: list[dict[str, Any] | None] = []
-    failures: list[tuple[int, str]] = []
-    with obs.span("sim.finalize", reps=len(seeds)):
-        for b, (t, wall) in enumerate(zip(outcomes, walls.tolist())):
-            if isinstance(t, BaseException):
-                if not isinstance(t, Exception):
-                    raise t  # an interrupt or exit is not a unit failure
-                rows.append(None)
-                failures.append((b, f"{type(t).__name__}: {t}"))
-                continue
-            # The lean per-row view of _finalize: the same helpers,
-            # without a SimulationResult per unit.
-            average_power, _ = _average_power(cluster, t.busy, t.class_busy, window)
-            n_completed = np.array([w.n for w in t.e2e], dtype=np.int64)
-            delays = np.array([w.mean for w in t.e2e])
-            n_counted = int(n_completed.sum())
-            _account(t, n_counted, horizon, warmup)
-            row: dict[str, Any] = {
-                "n_events": t.n_events,
-                "n_completed": n_counted,
-                "mean_delay": _mean_delay(n_completed, delays),
-                "average_power": average_power,
-                "energy_per_request": _energy_per_request(
-                    average_power, n_completed / window
-                ),
-                "wall_s": wall,
-            }
-            for k, delay in enumerate(delays.tolist()):
-                row[f"delay_c{k}"] = delay
-            rows.append(row)
+    run = _run_kernel(lib, cluster, workload, horizon, warmup, _IndexSeeds(seed, scenario, reps))
+    failures = []
+    for b, exc in run.errors.items():
+        if not isinstance(exc, Exception):
+            raise exc  # an interrupt or exit is not a unit failure
+        failures.append((b, f"{type(exc).__name__}: {exc}"))
+    with obs.span("sim.finalize", reps=len(reps)):
+        ok = run.rc == _RC_OK
+        jobs, events, discarded, _hit_horizon, wall_ns = run.scalars[ok].T
+        n_completed = run.wf_n[ok]
+        _account(jobs, events, discarded, n_completed.sum(axis=1), horizon, warmup)
+        window = horizon - warmup
+        rows = _summary_rows(
+            scenario,
+            np.asarray(reps)[ok],
+            events,
+            n_completed,
+            run.wf_mean[ok],
+            _static_power(cluster, run.busy[ok], window),
+            wall_ns / 1e9,
+            window,
+        )
     return rows, failures

@@ -16,7 +16,7 @@ not apply), and writes the result rows columnar into a
 :class:`~repro.simulation.results_store.FleetStore` — no per-run
 pickles, one queryable artifact per sweep.
 
-Three layers keep the path batch-native end to end:
+Four layers keep the path batch-native end to end:
 
 * **Chunked dispatch** — work units travel as ``(scenario, rep0,
   count)`` chunks (never crossing a scenario boundary), auto-sized
@@ -25,18 +25,26 @@ Three layers keep the path batch-native end to end:
   threaded explicitly to every worker instead of re-read from the
   environment per unit.
 * **Batched kernel dispatch** — a chunk of B replications of one
-  scenario is a single C call: kernel state, station arrays and RNG
-  arenas are allocated once and reset between replications, with the
-  per-unit ``SeedSequence(seed, spawn_key=(scenario, replication))``
-  streams preserved so every row is bit-identical to the
-  unit-at-a-time path for any chunk size, worker count or steal order.
+  scenario (B = 1 included) is a single C call: kernel state, station
+  arrays and RNG arenas are allocated once and reset between
+  replications, with the per-unit ``SeedSequence(seed,
+  spawn_key=(scenario, replication))`` streams preserved so every row
+  is bit-identical to the unit-at-a-time path for any chunk size,
+  worker count or steal order. The chunk's seed words are built from
+  ``(seed, scenario, rep0, count)`` as one NumPy block; ``SeedSequence``
+  objects are made only for streams Python still draws from.
+* **Columnar rows** — one vectorized builder
+  (:func:`~repro.simulation.simulator._summary_rows`) turns a block of
+  replications into a structured array of store rows, from the
+  kernel's per-replication arrays or from the python fallback's
+  results alike; no row is ever a dict.
 * **Zero-copy result transport** — pool workers write finished rows
   straight into one preallocated ``multiprocessing.shared_memory``
   segment (one dtype-correct column block per store column, indexed
   by absolute unit id); the result queue carries only small control
   messages (chunk handoff + failures), drained in batches, and the
-  parent slices row groups out of the shared block without pickling a
-  single row dict.
+  parent copies each chunk's contiguous unit slice (minus its failed
+  units) out of the shared block without pickling a row.
 
 Determinism is scheduling-independent: unit ``(s, r)`` always runs
 under ``SeedSequence(master_seed, spawn_key=(s, r))``, computed inside
@@ -65,7 +73,7 @@ from repro import obs
 from repro.exceptions import ModelValidationError
 from repro.simulation.parallel import resolve_n_jobs
 from repro.simulation.results_store import FleetStore, _column_dtype
-from repro.simulation.simulator import resolve_backend, simulate
+from repro.simulation.simulator import _row_dtype, _summary_rows, resolve_backend, simulate
 
 __all__ = ["FleetScenario", "FleetSummary", "run_fleet", "fleet_columns"]
 
@@ -109,18 +117,7 @@ class FleetSummary:
 
 def fleet_columns(n_classes: int) -> tuple[str, ...]:
     """The store schema for a fleet over ``n_classes``-class scenarios."""
-    return (
-        "unit",
-        "scenario",
-        "replication",
-        "n_events",
-        "n_completed",
-        "mean_delay",
-        *(f"delay_c{k}" for k in range(n_classes)),
-        "average_power",
-        "energy_per_request",
-        "wall_s",
-    )
+    return ("unit", *_row_dtype(n_classes).names)
 
 
 def _unit_seed(master_seed: int, scenario: int, replication: int) -> np.random.SeedSequence:
@@ -168,38 +165,44 @@ def _chunk_plan(
     return chunks
 
 
-def _run_unit(
-    scenarios: list[FleetScenario],
-    master_seed: int,
-    unit: int,
-    n_replications: int,
-) -> dict[str, Any]:
-    """Simulate one unit and distill it into a store row."""
-    sid, rep = divmod(unit, n_replications)
-    sc = scenarios[sid]
-    start = time.perf_counter()
-    res = simulate(
-        sc.cluster,
-        sc.workload,
-        horizon=sc.horizon,
-        warmup_fraction=sc.warmup_fraction,
-        seed=_unit_seed(master_seed, sid, rep),
+def _simulate_units(
+    sc: FleetScenario, master_seed: int, sid: int, reps: range
+) -> tuple[np.ndarray, list[tuple[int, str]]]:
+    """Run replications ``reps`` of scenario ``sid`` one :func:`simulate`
+    call at a time; returns the same ``(rows, failures)`` as the batched
+    kernel path, with ``failures`` indexed into ``reps``."""
+    done: list[int] = []
+    results = []
+    walls: list[float] = []
+    failures: list[tuple[int, str]] = []
+    for j, rep in enumerate(reps):
+        start = time.perf_counter()
+        try:
+            res = simulate(
+                sc.cluster,
+                sc.workload,
+                horizon=sc.horizon,
+                warmup_fraction=sc.warmup_fraction,
+                seed=_unit_seed(master_seed, sid, rep),
+            )
+        except Exception as exc:
+            failures.append((j, f"{type(exc).__name__}: {exc}"))
+            continue
+        walls.append(time.perf_counter() - start)
+        done.append(rep)
+        results.append(res)
+    n_classes = len(tuple(sc.workload.names))
+    rows = _summary_rows(
+        sid,
+        np.array(done, dtype=np.int64),
+        np.array([res.meta.get("n_events", 0) for res in results], dtype=np.int64),
+        np.array([res.n_completed for res in results], dtype=np.int64).reshape(-1, n_classes),
+        np.array([res.delays for res in results], dtype=np.float64).reshape(-1, n_classes),
+        np.array([res.average_power for res in results], dtype=np.float64),
+        np.array(walls),
+        sc.horizon - sc.warmup_fraction * sc.horizon,
     )
-    wall = time.perf_counter() - start
-    row: dict[str, Any] = {
-        "unit": unit,
-        "scenario": sid,
-        "replication": rep,
-        "n_events": int(res.meta.get("n_events", 0)),
-        "n_completed": int(res.n_completed.sum()),
-        "mean_delay": float(res.mean_delay),
-        "average_power": float(res.average_power),
-        "energy_per_request": float(res.energy_per_request),
-        "wall_s": wall,
-    }
-    for k in range(len(res.class_names)):
-        row[f"delay_c{k}"] = float(res.delays[k])
-    return row
+    return rows, failures
 
 
 def _run_chunk(
@@ -210,66 +213,43 @@ def _run_chunk(
     rep0: int,
     count: int,
     backend: str,
-) -> tuple[list[int], dict[str, np.ndarray], list[tuple[int, str]]]:
+) -> tuple[dict[str, np.ndarray], list[tuple[int, str]]]:
     """Run one chunk of replications of one scenario.
 
     Tries the batched compiled path first (one kernel call for the
-    whole chunk); falls back to unit-at-a-time :func:`simulate` when
-    batching does not apply (python backend, single-unit chunk, kernel
-    unavailable, or a tier discipline the kernel does not model).
-    Either way the rows are bit-identical.
+    whole chunk, a one-unit chunk included); falls back to
+    unit-at-a-time :func:`simulate` when batching does not apply
+    (python backend, kernel unavailable, or a tier discipline the
+    kernel does not model). Either way the rows are bit-identical.
 
-    Returns ``(ok_units, columns, failures)``: the absolute unit ids
-    that succeeded, their rows as schema-dtyped column arrays (row i =
-    ``ok_units[i]``), and ``(unit, "ExcType: message")`` failure pairs.
+    Returns ``(columns, failures)``: the rows of the units that
+    succeeded as schema-dtyped column arrays (their ids in
+    ``columns["unit"]``), and ``(unit, "ExcType: message")`` failure
+    pairs.
     """
     sc = scenarios[sid]
-    n_classes = len(tuple(sc.workload.names))
-    base_unit = sid * n_replications + rep0
-    rows: list[dict[str, Any] | None] = [None] * count
-    failures: list[tuple[int, str]] = []
-    batched = False
-    if backend != "python" and count > 1:
+    reps = range(rep0, rep0 + count)
+    first_unit = sid * n_replications  # the unit id of replication 0
+    batch = None
+    if backend != "python":
         from repro.simulation.compiled import maybe_simulate_fleet_batch
 
-        seeds = [_unit_seed(master_seed, sid, rep0 + j) for j in range(count)]
         try:
-            res = maybe_simulate_fleet_batch(
-                backend, sc.cluster, sc.workload, sc.horizon, sc.warmup_fraction, seeds
+            batch = maybe_simulate_fleet_batch(
+                backend, sc.cluster, sc.workload, sc.horizon, sc.warmup_fraction, reps,
+                master_seed, sid,
             )
         except Exception as exc:
             # Scenario-level rejection (validation, instability): every
             # unit of the chunk fails with the message the unit path
             # would have raised per unit.
             msg = f"{type(exc).__name__}: {exc}"
-            return [], {}, [(base_unit + j, msg) for j in range(count)]
-        if res is not None:
-            brows, bfailures = res
-            for j, metrics in enumerate(brows):
-                if metrics is None:
-                    continue
-                # wall_s is the unit's own kernel time, from the batch.
-                rows[j] = {
-                    "unit": base_unit + j,
-                    "scenario": sid,
-                    "replication": rep0 + j,
-                    **metrics,
-                }
-            failures = [(base_unit + j, msg) for j, msg in bfailures]
-            batched = True
-    if not batched:
-        for j in range(count):
-            unit = base_unit + j
-            try:
-                rows[j] = _run_unit(scenarios, master_seed, unit, n_replications)
-            except Exception as exc:
-                failures.append((unit, f"{type(exc).__name__}: {exc}"))
-    ok = [j for j in range(count) if rows[j] is not None]
-    columns = fleet_columns(n_classes)
-    cols = {
-        c: np.array([rows[j][c] for j in ok], dtype=_column_dtype(c)) for c in columns
-    }
-    return [base_unit + j for j in ok], cols, failures
+            rows = np.empty(0, _row_dtype(len(tuple(sc.workload.names))))
+            batch = rows, [(j, msg) for j in range(count)]
+    rows, failures = batch if batch is not None else _simulate_units(sc, master_seed, sid, reps)
+    columns = {"unit": first_unit + rows["replication"]}
+    columns.update((c, rows[c]) for c in rows.dtype.names)
+    return columns, [(first_unit + rep0 + j, msg) for j, msg in failures]
 
 
 def _shm_views(
@@ -328,18 +308,16 @@ def _fleet_worker(
                 return
             sid, rep0, count = chunk
             try:
-                ok_units, cols, failures = _run_chunk(
+                cols, failures = _run_chunk(
                     scenarios, master_seed, n_replications, sid, rep0, count, backend
                 )
             except Exception as exc:  # defensive: the whole chunk is lost
-                ok_units, cols = [], {}
                 msg = f"{type(exc).__name__}: {exc}"
                 base = sid * n_replications + rep0
                 failures = [(base + j, msg) for j in range(count)]
-            if ok_units:
-                idx = np.asarray(ok_units, dtype=np.intp)
+            else:
                 for c in columns:
-                    views[c][idx] = cols[c]
+                    views[c][cols["unit"]] = cols[c]
             result_queue.put(("chunk", sid, rep0, count, failures))
     finally:
         del views
@@ -402,6 +380,9 @@ def run_fleet(
         raise ModelValidationError(
             f"need at least one replication per scenario, got {n_replications}"
         )
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ModelValidationError(f"seed must be a non-negative integer, got {seed!r}")
+    seed = int(seed)
     class_names = tuple(scenarios[0].workload.names)
     for sc in scenarios[1:]:
         if tuple(sc.workload.names) != class_names:
@@ -474,7 +455,7 @@ def run_fleet(
                 os.environ["REPRO_SIM_BACKEND"] = resolved_backend
                 try:
                     for sid, rep0, count in chunks:
-                        ok_units, cols, chunk_failures = _run_chunk(
+                        cols, chunk_failures = _run_chunk(
                             scenarios,
                             seed,
                             n_replications,
@@ -483,9 +464,9 @@ def run_fleet(
                             count,
                             resolved_backend,
                         )
-                        if ok_units:
+                        if len(cols["unit"]):
                             store.append_columns(cols)
-                            n_done += len(ok_units)
+                            n_done += len(cols["unit"])
                         n_failed += len(chunk_failures)
                         failures.extend(chunk_failures)
                         report()
@@ -622,13 +603,15 @@ def _run_fleet_pool(
                     break
             for _kind, sid, rep0, count, chunk_failures in messages:
                 received_units += count
+                # A chunk's units are contiguous: copy the slice out of
+                # the shared block, minus the units that failed.
                 base = sid * n_replications + rep0
-                failed_units = {u for u, _ in chunk_failures}
-                ok = [base + j for j in range(count) if base + j not in failed_units]
-                if ok:
-                    idx = np.asarray(ok, dtype=np.intp)
-                    store.append_columns({c: views[c][idx].copy() for c in columns})
-                    n_done += len(ok)
+                ok = np.ones(count, dtype=bool)
+                ok[[u - base for u, _ in chunk_failures]] = False
+                n_ok = int(ok.sum())
+                if n_ok:
+                    store.append_columns({c: views[c][base : base + count][ok] for c in columns})
+                    n_done += n_ok
                 n_failed += len(chunk_failures)
                 failures.extend(chunk_failures)
             report()

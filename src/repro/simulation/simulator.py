@@ -32,6 +32,7 @@ import warnings
 from bisect import bisect_right
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import chain, count
 from typing import Any
 
@@ -586,7 +587,7 @@ def _finalize(
                 visit_count > 0, sojourn_sum / np.maximum(visit_count, 1), np.nan
             )
 
-    _account(t, int(n_completed.sum()), horizon, warmup)
+    _account(t.n_jobs, t.n_events, t.n_warmup_discarded, n_completed.sum(), horizon, warmup)
     # A counted visit completes at the station exactly when it is
     # counted toward per-visit delay statistics, so the completion
     # matrix equals the visit-count matrix (kept as separate meta arrays
@@ -633,22 +634,34 @@ def _average_power(
 ) -> tuple[float, np.ndarray]:
     """Average power (idle floor plus measured dynamic draw) and the
     per-class dynamic energy rate over the measurement window."""
-    k_classes = cluster.num_classes
     if ledger is not None:
         # Energy billed per constant-speed segment: busy time x
         # kappa*s^alpha at that segment's speed.
-        dynamic_power = ledger.energy / window
-        per_class_rate = ledger.class_energy / window
-    else:
-        dynamic_power = 0.0
-        per_class_rate = np.zeros(k_classes)
-        for i, tier in enumerate(cluster.tiers):
-            p_dyn = tier.spec.power.kappa * tier.speed**tier.spec.power.alpha
-            dynamic_power += p_dyn * busy[i] / window
-            for k in range(k_classes):
-                per_class_rate[k] += p_dyn * class_busy[i][k] / window
-    idle_power = float(sum(t.servers * t.spec.power.idle for t in cluster.tiers))
-    return idle_power + dynamic_power, per_class_rate
+        return _idle_power(cluster) + ledger.energy / window, ledger.class_energy / window
+    per_class_rate = np.zeros(cluster.num_classes)
+    for i, p_dyn in enumerate(_busy_power(cluster)):
+        for k in range(cluster.num_classes):
+            per_class_rate[k] += p_dyn * class_busy[i][k] / window
+    return float(_static_power(cluster, np.asarray(busy), window)), per_class_rate
+
+
+def _idle_power(cluster: ClusterModel) -> float:
+    return float(sum(t.servers * t.spec.power.idle for t in cluster.tiers))
+
+
+def _busy_power(cluster: ClusterModel) -> list[float]:
+    """Each tier's dynamic power draw while busy at its static speed."""
+    return [t.spec.power.kappa * t.speed**t.spec.power.alpha for t in cluster.tiers]
+
+
+def _static_power(cluster: ClusterModel, busy: np.ndarray, window: float) -> np.ndarray:
+    """Average power at static speeds of each replication ``busy[..., :]``
+    (busy time per tier): the idle floor plus the dynamic draw, summed
+    over tiers in tier order."""
+    dynamic = np.zeros(busy.shape[:-1])
+    for i, p_dyn in enumerate(_busy_power(cluster)):
+        dynamic = dynamic + p_dyn * busy[..., i] / window
+    return _idle_power(cluster) + dynamic
 
 
 def _energy_per_request(average_power: float, throughput: np.ndarray) -> float:
@@ -657,21 +670,81 @@ def _energy_per_request(average_power: float, throughput: np.ndarray) -> float:
     return average_power / total_throughput if total_throughput > 0 else float("nan")
 
 
-def _account(t: _Tallies, n_counted: int, horizon: float, warmup: float) -> None:
-    """Warn when the warmup window discarded most completions, and add
-    the replication to the ``sim.*`` telemetry counters."""
-    n_discarded = t.n_warmup_discarded
+@lru_cache(maxsize=None)
+def _row_dtype(n_classes: int) -> np.dtype:
+    """A fleet store row of one replication: every fleet column but the
+    fleet's own ``unit`` id."""
+    ints = ("scenario", "replication", "n_events", "n_completed")
+    floats = (
+        "mean_delay",
+        *(f"delay_c{k}" for k in range(n_classes)),
+        "average_power",
+        "energy_per_request",
+        "wall_s",
+    )
+    return np.dtype([(c, np.int64) for c in ints] + [(c, np.float64) for c in floats])
+
+
+def _summary_rows(
+    scenario: int,
+    reps: np.ndarray,
+    n_events: np.ndarray,
+    n_completed: np.ndarray,
+    means: np.ndarray,
+    average_power: np.ndarray,
+    wall: np.ndarray,
+    window: float,
+) -> np.ndarray:
+    """The fleet rows of a block of replications of one scenario.
+
+    Row ``b`` summarizes replication ``reps[b]`` from its event count,
+    per-class completion counts ``n_completed[b]`` and delay means
+    ``means[b]`` (ignored where a class completed nothing), average
+    power and wall time. Every column applies the per-replication
+    formula of :class:`SimulationResult` in the same operation order, so
+    a row is bit-identical to one unit's result: :func:`_mean_delay`'s
+    ``np.dot`` becomes a stacked ``matmul`` (which NumPy evaluates with
+    the same dot kernel row by row) and the total throughput a row sum
+    over the contiguous class axis (the same pairwise sum per row).
+    """
+    n = len(reps)
+    delays = np.where(n_completed > 0, means, np.nan)
+    n_counted = n_completed.sum(axis=1)
+    dots = np.matmul(n_completed.astype(np.float64)[:, None, :], delays[:, :, None])[:, 0, 0]
+    total_throughput = (n_completed / window).sum(axis=1)
+    rows = np.empty(n, dtype=_row_dtype(n_completed.shape[1]))
+    rows["scenario"] = scenario
+    rows["replication"] = reps
+    rows["n_events"] = n_events
+    rows["n_completed"] = n_counted
+    rows["mean_delay"] = np.divide(dots, n_counted, out=np.full(n, np.nan), where=n_counted > 0)
+    for k in range(delays.shape[1]):
+        rows[f"delay_c{k}"] = delays[:, k]
+    rows["average_power"] = average_power
+    rows["energy_per_request"] = np.divide(
+        average_power, total_throughput, out=np.full(n, np.nan), where=total_throughput > 0
+    )
+    rows["wall_s"] = wall
+    return rows
+
+
+def _account(n_jobs, n_events, n_discarded, n_counted, horizon: float, warmup: float) -> None:
+    """Warn for each replication whose warmup window discarded most
+    completions, and add the replications to the ``sim.*`` telemetry
+    counters.  Takes one replication's counts or a block's arrays."""
+    n_discarded, n_counted = np.atleast_1d(n_discarded, n_counted)
     n_finished = n_counted + n_discarded
     # Delay statistics on a thin post-warmup tail are noisy; surface it
     # both as a Python warning and as a structured telemetry event.
-    if n_finished > 0 and n_discarded > 0.5 * n_finished:
-        discard_fraction = n_discarded / n_finished
+    for b in np.flatnonzero((n_finished > 0) & (n_discarded > 0.5 * n_finished)).tolist():
+        discarded, counted, finished = int(n_discarded[b]), int(n_counted[b]), int(n_finished[b])
+        discard_fraction = discarded / finished
         warnings.warn(
             WarmupDiscardWarning(
                 f"warmup window ({warmup:g} of horizon {horizon:g}) discarded "
-                f"{n_discarded} of {n_finished} completed jobs "
+                f"{discarded} of {finished} completed jobs "
                 f"({discard_fraction:.0%}); delay statistics rest on only "
-                f"{n_counted} jobs — lengthen the horizon or shrink "
+                f"{counted} jobs — lengthen the horizon or shrink "
                 f"warmup_fraction"
             ),
             stacklevel=4,
@@ -680,13 +753,13 @@ def _account(t: _Tallies, n_counted: int, horizon: float, warmup: float) -> None
             "sim.warmup_discard",
             warmup=warmup,
             horizon=horizon,
-            n_discarded=n_discarded,
-            n_counted=n_counted,
+            n_discarded=discarded,
+            n_counted=counted,
             discard_fraction=discard_fraction,
         )
-    obs.counter("sim.events").add(t.n_events)
-    obs.counter("sim.jobs_created").add(t.n_jobs)
-    obs.counter("sim.jobs_counted").add(n_counted)
+    obs.counter("sim.events").add(int(np.sum(n_events)))
+    obs.counter("sim.jobs_created").add(int(np.sum(n_jobs)))
+    obs.counter("sim.jobs_counted").add(int(n_counted.sum()))
 
 
 class _SpeedLedger:

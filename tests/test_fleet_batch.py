@@ -13,9 +13,12 @@ from __future__ import annotations
 
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import ClusterModel, Tier
 from repro.distributions import Exponential, Gamma, HyperExponential, Pareto
@@ -24,8 +27,9 @@ from repro.exceptions import ModelValidationError
 from repro.experiments.common import small_cluster, small_workload
 from repro.queueing.routing import ClassRouting, visit_ratio_matrix
 from repro.simulation import FleetScenario, FleetStore, run_fleet, simulate
-from repro.simulation.compiled import kernel_available
-from repro.simulation.fleet import _chunk_plan, _resolve_batch_size
+from repro.simulation.compiled import _IndexSeeds, _seed_block, kernel_available
+from repro.simulation.fleet import _chunk_plan, _resolve_batch_size, _run_chunk
+from repro.workload import workload_from_rates
 
 needs_kernel = pytest.mark.skipif(
     not kernel_available(), reason="no C toolchain for the compiled kernel"
@@ -127,14 +131,13 @@ def test_queue_sampling_chunk_runs_batched(tmp_path):
 
     from repro.obs import telemetry_session
     from repro.simulation.compiled import maybe_simulate_fleet_batch
-    from repro.simulation.fleet import _run_chunk, _unit_seed
+    from repro.simulation.fleet import _run_chunk
 
     scenarios = _scenarios(loads=(0.7,))
     sc = scenarios[0]
-    seeds = [_unit_seed(5, 0, r) for r in range(4)]
     with telemetry_session(tmp_path / "tel", sample_queues=True, queue_sample_interval=1.0):
         batched = maybe_simulate_fleet_batch(
-            "compiled", sc.cluster, sc.workload, sc.horizon, sc.warmup_fraction, seeds
+            "compiled", sc.cluster, sc.workload, sc.horizon, sc.warmup_fraction, range(4), 5, 0
         )
     assert batched is not None
     rows, failures = batched
@@ -147,10 +150,10 @@ def test_queue_sampling_chunk_runs_batched(tmp_path):
     ]
     assert samples
 
-    ok_units, cols, ref_failures = _run_chunk(scenarios, 5, 4, 0, 0, 4, "python")
-    assert ok_units == [0, 1, 2, 3] and ref_failures == []
+    cols, ref_failures = _run_chunk(scenarios, 5, 4, 0, 0, 4, "python")
+    assert cols["unit"].tolist() == [0, 1, 2, 3] and ref_failures == []
     for j, row in enumerate(rows):
-        metrics = {c: v for c, v in row.items() if c != "wall_s"}
+        metrics = {c: row[c].item() for c in rows.dtype.names if c != "wall_s"}
         assert metrics == {c: cols[c][j].item() for c in metrics}, j
 
 
@@ -385,11 +388,11 @@ def test_mixed_stream_batch_bit_identical_after_failure(batch_size, monkeypatch)
 
     got = []
     for b0 in range(0, len(seeds), batch_size):
-        outcomes, _walls = _run_kernel(
+        run = _run_kernel(
             load_kernel(), cluster, workload, horizon, warmup, seeds[b0 : b0 + batch_size],
             routing=routing,
         )
-        got.extend(outcomes)
+        got.extend(run.errors.get(b) or run.tallies(b) for b in range(len(run.rc)))
     failed = [b for b, t in enumerate(got) if isinstance(t, BaseException)]
     assert failed == [3], failed
     assert "injected draw failure" in str(got[3])
@@ -411,13 +414,195 @@ def test_batched_rows_carry_per_unit_kernel_wall():
 
     scenarios = _scenarios(loads=(0.7,), horizon=20.0)
     start = time.perf_counter()
-    ok_units, cols, failures = _run_chunk(scenarios, 3, 8, 0, 0, 8, "compiled")
+    cols, failures = _run_chunk(scenarios, 3, 8, 0, 0, 8, "compiled")
     chunk_wall = time.perf_counter() - start
     walls = cols["wall_s"]
-    assert failures == [] and ok_units == list(range(8))
+    assert failures == [] and cols["unit"].tolist() == list(range(8))
     assert (walls > 0).all()
     assert len(set(walls.tolist())) > 1
     assert walls.sum() <= chunk_wall
+
+
+# ---------------------------------------------------------------------------
+# seed words from indices
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    master=st.sampled_from([0, 2**32 - 1, 2**32, 2**64 + 1, 2**128]) | st.integers(0, 2**140),
+    scenario=st.sampled_from([0, 2**32 - 1, 2**32]) | st.integers(0, 2**70),
+    rep0=st.sampled_from([0, 2**32 - 9]) | st.integers(0, 2**32 - 9),
+    count=st.integers(1, 9),
+)
+@example(master=2**128, scenario=2**32, rep0=2**32 - 9, count=9)
+@example(master=2**64 + 1, scenario=2**32 - 1, rep0=0, count=1)
+def test_index_seed_block_matches_seed_sequences(master, scenario, rep0, count):
+    # The chunk's seed words, built from (master, scenario, reps) in
+    # NumPy, equal the words of the per-unit SeedSequence objects word
+    # for word, with the same offsets (multi-word masters, scenarios on
+    # both sides of 2**32, replications up to the last one-word index).
+    reps = range(rep0, rep0 + count)
+    seqs = [np.random.SeedSequence(master, spawn_key=(scenario, r)) for r in reps]
+    words, offsets = _IndexSeeds(master, scenario, reps).words()
+    ref_words, ref_offsets = _seed_block(seqs)
+    assert words.dtype == ref_words.dtype == np.uint32
+    assert offsets.dtype == ref_offsets.dtype
+    assert words.tolist() == ref_words.tolist()
+    assert offsets.tolist() == ref_offsets.tolist()
+    lazy = list(_IndexSeeds(master, scenario, reps))
+    assert [(s.entropy, s.spawn_key) for s in lazy] == [(s.entropy, s.spawn_key) for s in seqs]
+
+
+def test_index_seeds_reject_out_of_range_indices():
+    # A replication index from 2**32 on would take a second seed word.
+    with pytest.raises(ModelValidationError, match="2\\*\\*32"):
+        _IndexSeeds(0, 0, range(2**32 - 2, 2**32 + 1))
+    _IndexSeeds(0, 0, range(2**32 - 2, 2**32))
+    with pytest.raises(ModelValidationError):
+        _IndexSeeds(0, -1, range(3))
+    with pytest.raises(ModelValidationError):
+        _IndexSeeds(-1, 0, range(3)).words()
+
+
+@pytest.mark.parametrize("n_jobs", [1, 2])
+@pytest.mark.parametrize("seed", [-1, 2.5, "7", True])
+def test_run_fleet_rejects_bad_seed_up_front(tmp_path, n_jobs, seed):
+    # Serial and pooled sweeps alike reject the seed before a store is
+    # created, instead of failing inside (or for every unit of) a chunk.
+    with pytest.raises(ModelValidationError, match="seed"):
+        run_fleet(_scenarios(loads=(0.5,)), 2, tmp_path / "s", seed=seed, n_jobs=n_jobs)
+    assert not (tmp_path / "s").exists()
+
+
+# ---------------------------------------------------------------------------
+# the row builder against per-unit simulate()
+# ---------------------------------------------------------------------------
+
+
+def _unit_rows(sc, sid, reps, seed):
+    """The oracle: one python-engine simulate() per unit, its fleet row
+    read off the SimulationResult (every column but unit and wall_s)."""
+    rows = []
+    for r in reps:
+        res = simulate(
+            sc.cluster,
+            sc.workload,
+            horizon=sc.horizon,
+            warmup_fraction=sc.warmup_fraction,
+            seed=np.random.SeedSequence(seed, spawn_key=(sid, r)),
+        )
+        row = {
+            "scenario": sid,
+            "replication": r,
+            "n_events": res.meta["n_events"],
+            "n_completed": int(res.n_completed.sum()),
+            "mean_delay": res.mean_delay,
+            "average_power": res.average_power,
+            "energy_per_request": res.energy_per_request,
+        }
+        row.update((f"delay_c{k}", d) for k, d in enumerate(res.delays.tolist()))
+        rows.append(row)
+    return rows
+
+
+def _assert_rows_match(cols, oracle):
+    """Bitwise equality of chunk columns and oracle rows (NaN included)."""
+    assert len(cols["unit"]) == len(oracle)
+    for c in oracle[0]:
+        want = np.array([row[c] for row in oracle], dtype=cols[c].dtype)
+        assert cols[c].tobytes() == want.tobytes(), (c, cols[c], want)
+
+
+def _edge_scenarios():
+    return [
+        # bronze never arrives: NaN delay_c1, and NaN mean_delay (the
+        # 0 * NaN term of the completion-weighted dot)
+        FleetScenario(
+            "starved",
+            small_cluster(),
+            workload_from_rates([3.0, 1e-9], names=("gold", "bronze")),
+            horizon=8.0,
+        ),
+        # nothing completes inside the window: NaN energy_per_request too
+        FleetScenario("empty", small_cluster(), small_workload(0.5), horizon=0.02),
+        FleetScenario("plain", small_cluster(), small_workload(0.8), horizon=8.0),
+    ]
+
+
+@pytest.mark.parametrize("count", [1, 5])
+@pytest.mark.parametrize("backend", ["python", "compiled"])
+def test_chunk_rows_match_per_unit_simulate(backend, count, monkeypatch):
+    # Both chunk paths (the batched kernel call, a one-unit chunk
+    # included, and the python fallback) build their rows with one
+    # vectorized builder; each row equals the per-unit result bit for
+    # bit, NaN columns included, without a stray RuntimeWarning.
+    if backend == "compiled" and not kernel_available():
+        pytest.skip("no C toolchain for the compiled kernel")
+    scenarios = _edge_scenarios()
+    for sid, sc in enumerate(scenarios):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            cols, failures = _run_chunk(scenarios, 13, count, sid, 0, count, backend)
+        assert failures == []
+        assert cols["unit"].tolist() == [sid * count + r for r in range(count)]
+        monkeypatch.setenv("REPRO_SIM_BACKEND", "python")
+        _assert_rows_match(cols, _unit_rows(sc, sid, range(count), 13))
+        monkeypatch.delenv("REPRO_SIM_BACKEND")
+        if sc.label == "starved":
+            assert np.isnan(cols["delay_c1"]).all() and np.isnan(cols["mean_delay"]).all()
+        if sc.label == "empty":
+            assert np.isnan(cols["energy_per_request"]).any()
+
+
+@pytest.mark.filterwarnings("ignore::repro.exceptions.CompiledFallbackWarning")
+@pytest.mark.parametrize("backend", ["python", "compiled"])
+def test_warmup_discard_chunk_warns_and_counts_per_unit(backend, telemetry, monkeypatch):
+    # A chunk whose units discard most completions in the warmup warns
+    # once per unit with the unit's own message and adds the same sim.*
+    # counter totals as per-unit simulate() calls.
+    if backend == "compiled" and not kernel_available():
+        pytest.skip("no C toolchain for the compiled kernel")
+    sc = FleetScenario(
+        "late", small_cluster(), small_workload(0.5), horizon=8.0, warmup_fraction=0.9
+    )
+    names = ("sim.events", "sim.jobs_created", "sim.jobs_counted")
+
+    def observe(run):
+        before = [telemetry.metrics.counter(n).value for n in names]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out = run()
+        after = [telemetry.metrics.counter(n).value for n in names]
+        messages = [(w.category, str(w.message)) for w in caught]
+        return out, messages, [a - b for a, b in zip(after, before)]
+
+    (cols, failures), got_msgs, got_counts = observe(
+        lambda: _run_chunk([sc], 2, 4, 0, 0, 4, backend)
+    )
+    assert failures == []
+    monkeypatch.setenv("REPRO_SIM_BACKEND", "python")
+    oracle, want_msgs, want_counts = observe(lambda: _unit_rows(sc, 0, range(4), 2))
+    _assert_rows_match(cols, oracle)
+    assert len(want_msgs) == 4
+    assert got_msgs == want_msgs
+    assert got_counts == want_counts and want_counts[0] > 0
+
+
+@pytest.mark.parametrize("backend", ["python", "compiled"])
+def test_mid_chunk_failure_costs_one_unit_rows_match(backend, monkeypatch):
+    # One unit's service draw raises mid-chunk: exactly that unit fails
+    # and every other row equals its clean per-unit result.
+    if backend == "compiled" and not kernel_available():
+        pytest.skip("no C toolchain for the compiled kernel")
+    cols, failures = _run_chunk([_bombed_scenario(fail_at=30)], 4, 6, 0, 0, 6, backend)
+    ((failed_unit, message),) = failures
+    assert "RuntimeError: injected draw failure" in message
+    survivors = [u for u in range(6) if u != failed_unit]
+    assert cols["unit"].tolist() == survivors
+    clean = FleetScenario("clean", small_cluster(), small_workload(0.5), horizon=8.0)
+    monkeypatch.setenv("REPRO_SIM_BACKEND", "python")
+    _assert_rows_match(cols, _unit_rows(clean, 0, survivors, 4))
 
 
 # ---------------------------------------------------------------------------
