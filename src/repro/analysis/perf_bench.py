@@ -78,6 +78,10 @@ DEFAULT_HISTORY = "benchmarks/results/BENCH_history.jsonl"
 #: is less than 5x faster than the pure-Python engine — a silent
 #: fallback for any of these classes re-opens the envelope and must
 #: fail the bench outright, not drift past as a slowdown.
+#: ``plan_schedule_p2a`` gates the analytic layer: A7's quick diurnal
+#: schedule spends most of its time in SpeedModel's tier solves through
+#: the tier kernels, so a slower kernel, a lost memo or a fallback to
+#: building station specs per probe shows up here.
 DEFAULT_GATES = (
     "sim_replication_h500",
     "sim_replication_h500_compiled",
@@ -88,6 +92,7 @@ DEFAULT_GATES = (
     "a7_epoch_compiled",
     "adaptive_antithetic_compiled",
     "sim_ps_h500_compiled",
+    "plan_schedule_p2a",
 )
 
 #: Name of the machine-speed calibration kernel.
@@ -483,8 +488,8 @@ def _kernel_p1_solve_3starts() -> Callable[[], object]:
 
 
 def _kernel_plan_schedule_p2a() -> Callable[[], object]:
-    """P2a planning (info-only, not gated): the A7 quick diurnal oracle
-    schedule, one SLSQP solve of P2a per planning epoch."""
+    """P2a planning (gated): the A7 quick diurnal oracle schedule, one
+    SLSQP solve of P2a per planning epoch."""
     from repro.core.controller import plan_speed_schedule
     from repro.experiments import exp_a7_online_control as a7
     from repro.experiments.common import CLASS_NAMES, canonical_cluster

@@ -60,11 +60,7 @@ class Tier:
             raise ModelValidationError(
                 f"tier {self.name!r}: server count must be a positive integer, got {self.servers}"
             )
-        if not (self.spec.min_speed - 1e-12 <= self.speed <= self.spec.max_speed + 1e-12):
-            raise ModelValidationError(
-                f"tier {self.name!r}: speed {self.speed} outside DVFS range "
-                f"[{self.spec.min_speed}, {self.spec.max_speed}]"
-            )
+        self.check_speed(self.speed)
         if self.discipline not in DISCIPLINES:
             raise ModelValidationError(
                 f"tier {self.name!r}: unknown discipline {self.discipline!r}"
@@ -85,19 +81,30 @@ class Tier:
         """Per-class service-*time* distributions at the current speed."""
         return tuple(d.scaled(1.0 / self.speed) for d in self.demands)
 
-    def station_spec(self) -> StationSpec:
-        """The queueing-station view of this tier.
+    def check_speed(self, speed: float) -> None:
+        """Raise unless ``speed`` lies in the spec's DVFS range (the check
+        :meth:`with_speed` runs, without building the copy)."""
+        if not (self.spec.min_speed - 1e-12 <= speed <= self.spec.max_speed + 1e-12):
+            raise ModelValidationError(
+                f"tier {self.name!r}: speed {speed} outside DVFS range "
+                f"[{self.spec.min_speed}, {self.spec.max_speed}]"
+            )
 
-        Raises for capacity-limited tiers: the tandem delay formulas
+    def require_infinite_buffer(self) -> None:
+        """Raise for capacity-limited tiers: the tandem delay formulas
         assume infinite buffers, and silently dropping the limit would
-        misreport both delay and loss.
-        """
+        misreport both delay and loss."""
         if self.capacity is not None:
             raise ModelValidationError(
                 f"tier {self.name!r} has a finite buffer (capacity={self.capacity}); "
                 "the analytic tandem model does not support finite buffers — "
                 "analyze the station with repro.queueing.MMcK or simulate it"
             )
+
+    def station_spec(self) -> StationSpec:
+        """The queueing-station view of this tier (raises for
+        capacity-limited tiers, see :meth:`require_infinite_buffer`)."""
+        self.require_infinite_buffer()
         return StationSpec(
             services=self.service_times(),
             servers=self.servers,

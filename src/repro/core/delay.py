@@ -17,22 +17,26 @@ aggregate objective used in P1/P2a is the arrival-weighted mean
 The optimizers probe this model at many speed vectors; under the
 tandem decomposition tier ``i``'s delays and power depend only on
 ``s_i``, so :class:`SpeedModel` memoizes each tier's solve by its exact
-speed and a probe that moves one coordinate rebuilds only that tier.
+speed and a probe that moves one coordinate re-solves only that tier,
+through the same tier kernel :class:`repro.core.batch_eval.BatchEvaluator`
+runs on many rows.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro import obs
 from repro.cluster.model import ClusterModel
+from repro.core.batch_eval import BatchEvaluator, TierKernel
 from repro.exceptions import ModelValidationError
 from repro.queueing.networks import (
     StationDelays,
     arrival_weighted_mean,
     check_visit_ratios,
-    checked_station_delays,
     tandem_delays,
 )
+from repro.queueing.stability import check_stability
 from repro.workload.classes import Workload
 
 __all__ = [
@@ -42,6 +46,7 @@ __all__ = [
     "end_to_end_delays_batch",
     "mean_end_to_end_delay_batch",
     "SpeedModel",
+    "count_tier_work",
 ]
 
 
@@ -84,15 +89,17 @@ class SpeedModel:
     ``end_to_end_delays(cluster.with_speeds(s), workload)``,
     ``mean_end_to_end_delay(...)`` and
     ``cluster.with_speeds(s).average_power(λ)`` return, and raise the
-    same exception types. The speed-independent parts (station arrival
-    rates, work rates) are computed once here; each tier's
-    :class:`StationDelays` and power term are kept per exact float
-    speed, so a finite-difference probe that moves one speed rebuilds
-    one tier. A tier that raises (unstable, out of its DVFS range,
-    finite buffer) is not memoized: it raises again at every call.
+    same exception types. A tier's delays come from its
+    :class:`~repro.core.batch_eval.TierKernel` run on one row, so no
+    scaled distribution or station spec is built; each tier's per-class
+    sojourns and power term are kept per exact float speed, so a
+    finite-difference probe that moves one speed re-solves one tier. A
+    tier that raises (unstable, out of its DVFS range, finite buffer) is
+    not memoized: it raises again at every call.
 
-    Build one per solve and let it go with the solve; the memo grows
-    with every distinct speed seen.
+    ``tier_solves`` and ``tier_hits`` count the kernel runs and memo
+    hits of delay calls. Build one per solve and let it go with the
+    solve; the memo grows with every distinct speed seen.
     """
 
     def __init__(self, cluster: ClusterModel, workload: Workload):
@@ -108,10 +115,13 @@ class SpeedModel:
             self._visit_error: str | None = None
         except ModelValidationError as exc:
             self._visit_error = str(exc)
-        self._rates = self._visits * self._lam[:, None]
+        rates = self._visits * self._lam[:, None]
+        self._kernels = [TierKernel(tier, rates[:, i]) for i, tier in enumerate(self._tiers)]
         self._work = cluster.work_rates(self._lam)
-        self._delays: list[dict[float, StationDelays]] = [{} for _ in self._tiers]
+        self._sojourns: list[dict[float, np.ndarray]] = [{} for _ in self._tiers]
         self._powers: list[dict[float, float]] = [{} for _ in self._tiers]
+        self.tier_solves = 0
+        self.tier_hits = 0
 
     def _keys(self, speeds) -> list[float]:
         speeds_arr = np.asarray(speeds, dtype=float)
@@ -121,22 +131,28 @@ class SpeedModel:
             )
         return [float(x) for x in speeds_arr]
 
-    def _stations(self, speeds) -> list[StationDelays]:
+    def _stations(self, speeds) -> list[np.ndarray]:
         keys = self._keys(speeds)
-        found = [memo.get(key) for memo, key in zip(self._delays, keys)]
+        found = [memo.get(key) for memo, key in zip(self._sojourns, keys)]
+        missing = [i for i, hit in enumerate(found) if hit is None]
+        self.tier_hits += len(keys) - len(missing)
         # Same check order as the scalar path: every tier's spec (DVFS
         # range, finite buffer), then the visit ratios, then stability
         # and the formulas tier by tier.
-        specs = {
-            i: tier.with_speed(key).station_spec()
-            for i, (tier, key, hit) in enumerate(zip(self._tiers, keys, found))
-            if hit is None
-        }
+        for i in missing:
+            self._tiers[i].check_speed(keys[i])
+            self._tiers[i].require_infinite_buffer()
         if self._visit_error is not None:
             raise ModelValidationError(self._visit_error)
-        for i, spec in specs.items():
-            found[i] = checked_station_delays(spec, self._rates[:, i], i)
-            self._delays[i][keys[i]] = found[i]
+        for i in missing:
+            kernel = self._kernels[i]
+            if kernel.total <= 0.0:
+                raise ModelValidationError("total arrival rate at a station must be positive")
+            self.tier_solves += 1
+            sojourns, failed = kernel.sojourns(np.array([keys[i]]), kernel.servers)
+            if failed is not None:
+                check_stability(float(failed[0]), where=kernel.name or f"station {i}")
+            found[i] = self._sojourns[i][keys[i]] = sojourns[0]
         return found
 
     def end_to_end_delays(self, speeds) -> np.ndarray:
@@ -152,10 +168,19 @@ class SpeedModel:
         terms = []
         for tier, key, memo, work in zip(self._tiers, self._keys(speeds), self._powers, self._work):
             if key not in memo:
-                at = tier.with_speed(key)  # the DVFS range check
-                memo[key] = at.spec.power.average_power(at.speed, float(work), at.servers)
+                tier.check_speed(key)
+                memo[key] = tier.spec.power.average_power(key, float(work), tier.servers)
             terms.append(memo[key])
         return float(sum(terms))
+
+
+def count_tier_work(model) -> None:
+    """Add one solve's tier solves and memo hits to the
+    ``opt.tier_solves`` / ``opt.tier_hits`` counters (a model other than
+    :class:`SpeedModel` has no memo and adds nothing)."""
+    if isinstance(model, SpeedModel):
+        obs.counter("opt.tier_solves").add(model.tier_solves)
+        obs.counter("opt.tier_hits").add(model.tier_hits)
 
 
 def end_to_end_delays_batch(
@@ -168,16 +193,14 @@ def end_to_end_delays_batch(
 
     Vectorized counterpart of :func:`end_to_end_delays`: row ``j`` of
     the returned ``(n, K)`` array equals
-    ``end_to_end_delays(cluster.with_speeds(speeds[j]), workload)`` to
-    floating-point round-off, except that unstable candidates yield
+    ``end_to_end_delays(cluster.with_speeds(speeds[j]), workload)`` bit
+    for bit, except that unstable candidates yield
     ``inf`` rows instead of raising. ``servers`` optionally varies
     per-candidate server counts too (same shape as ``speeds``). For
     repeated batches against one cluster, build a
     :class:`repro.core.batch_eval.BatchEvaluator` directly — the
     speed-independent precompute is amortized across calls.
     """
-    from repro.core.batch_eval import BatchEvaluator
-
     return BatchEvaluator(cluster, workload).end_to_end_delays(speeds, servers)
 
 
@@ -190,6 +213,4 @@ def mean_end_to_end_delay_batch(
     """Arrival-weighted mean delay per candidate, shape ``(n,)``
     (``inf`` for unstable candidates). See
     :func:`end_to_end_delays_batch`."""
-    from repro.core.batch_eval import BatchEvaluator
-
     return BatchEvaluator(cluster, workload).mean_delay(speeds, servers)

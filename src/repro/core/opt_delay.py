@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.cluster.model import ClusterModel
 from repro.core.batch_eval import BatchEvaluator
-from repro.core.delay import SpeedModel
+from repro.core.delay import SpeedModel, count_tier_work
 from repro.core.opt_common import DEFAULT_RHO_CAP, stability_speed_bounds
 from repro.exceptions import InfeasibleProblemError, ModelValidationError
 from repro.optimize.constrained import Constraint, minimize_box_constrained
@@ -112,4 +112,5 @@ def minimize_delay(
     result.meta["cluster"] = cluster.with_speeds(result.x)
     result.meta["power"] = model.average_power(result.x)
     result.meta["power_budget"] = power_budget
+    count_tier_work(model)
     return result

@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.cluster.model import ClusterModel
 from repro.core.batch_eval import BatchEvaluator
-from repro.core.delay import SpeedModel, end_to_end_delays
+from repro.core.delay import SpeedModel, count_tier_work, end_to_end_delays
 from repro.core.opt_common import DEFAULT_RHO_CAP, stability_speed_bounds
 from repro.core.sla import SLA
 from repro.exceptions import InfeasibleProblemError, ModelValidationError
@@ -154,6 +154,7 @@ def minimize_energy(
         result.meta["delay_bounds"] = bounds_arr
     else:
         result.meta["max_mean_delay"] = max_mean_delay
+    count_tier_work(model)
     return result
 
 

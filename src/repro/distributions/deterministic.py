@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.distributions.base import Distribution
+from repro.distributions.base import Distribution, float_square
 from repro.exceptions import ModelValidationError
 
 __all__ = ["Deterministic"]
@@ -30,6 +30,24 @@ class Deterministic(Distribution):
         if value < 0.0 or not np.isfinite(value):
             raise ModelValidationError(f"Deterministic value must be non-negative and finite, got {value}")
         self.value = float(value)
+
+    @staticmethod
+    def moments(value):
+        """Mean and second moment of the constant(s) ``value``, computed
+        as the properties compute them (array form of both)."""
+        return value, float_square(value)
+
+    @classmethod
+    def moment_scaler(cls, dists, depth):
+        values = np.array([d.value for d in dists])
+
+        def scaled(*factors):
+            v = values
+            for f in factors:
+                v = v * np.asarray(f, dtype=float)[..., None]
+            return cls.moments(v)
+
+        return scaled
 
     @property
     def mean(self) -> float:

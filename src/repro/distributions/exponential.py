@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.distributions.base import Distribution
+from repro.distributions.base import Distribution, float_square
 from repro.exceptions import ModelValidationError
 
 __all__ = ["Exponential"]
@@ -45,6 +45,24 @@ class Exponential(Distribution):
         if mean <= 0.0 or not np.isfinite(mean):
             raise ModelValidationError(f"Exponential mean must be positive and finite, got {mean}")
         return cls(rate=1.0 / mean)
+
+    @staticmethod
+    def moments(rate):
+        """Mean and second moment at rate(s) ``rate``, computed as the
+        properties compute them (array form of both)."""
+        return 1.0 / rate, 2.0 / float_square(rate)
+
+    @classmethod
+    def moment_scaler(cls, dists, depth):
+        rates = np.array([d.rate for d in dists])
+
+        def scaled(*factors):
+            r = rates
+            for f in factors:
+                r = r / np.asarray(f, dtype=float)[..., None]
+            return cls.moments(r)
+
+        return scaled
 
     @property
     def mean(self) -> float:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.distributions.base import Distribution
+from repro.distributions.base import Distribution, float_square
 from repro.exceptions import ModelValidationError
 
 __all__ = ["Gamma"]
@@ -35,6 +35,25 @@ class Gamma(Distribution):
             raise ModelValidationError(f"mean and scv must be positive, got mean={mean}, scv={scv}")
         k = 1.0 / scv
         return cls(k=k, rate=k / mean)
+
+    @staticmethod
+    def moments(k, rate):
+        """Mean and second moment of shape(s) ``k`` at rate(s) ``rate``,
+        computed as the properties compute them (array form of both)."""
+        return k / rate, k * (k + 1.0) / float_square(rate)
+
+    @classmethod
+    def moment_scaler(cls, dists, depth):
+        k = np.array([d.k for d in dists])
+        rates = np.array([d.rate for d in dists])
+
+        def scaled(*factors):
+            r = rates
+            for f in factors:
+                r = r / np.asarray(f, dtype=float)[..., None]
+            return cls.moments(k, r)
+
+        return scaled
 
     @property
     def mean(self) -> float:

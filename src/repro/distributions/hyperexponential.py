@@ -81,6 +81,32 @@ class HyperExponential(Distribution):
         rate2 = 2.0 * p2 / mean
         return cls(probs=[p1, p2], rates=[rate1, rate2])
 
+    @staticmethod
+    def moments(probs, rates):
+        """Mean and second moment of branch ``probs`` and ``rates``
+        (the branches on the last axis), computed as the properties
+        compute them (array form of both)."""
+        return (probs / rates).sum(axis=-1), (2.0 * probs / rates**2).sum(axis=-1)
+
+    @classmethod
+    def moment_scaler(cls, dists, depth):
+        if len({d.rates.size for d in dists}) != 1:
+            return super().moment_scaler(dists, depth)
+        rates = np.array([d.rates for d in dists])
+        # Every scaled() renormalizes the branch probabilities, so the
+        # probabilities after ``depth`` scalings are fixed up front.
+        probs = np.array([d.probs for d in dists])
+        for _ in range(depth):
+            probs = probs / probs.sum(axis=-1, keepdims=True)
+
+        def scaled(*factors):
+            r = rates
+            for f in factors:
+                r = r / np.asarray(f, dtype=float)[..., None, None]
+            return cls.moments(probs, r)
+
+        return scaled
+
     @property
     def mean(self) -> float:
         return float(np.sum(self.probs / self.rates))

@@ -221,10 +221,10 @@ def checked_station_delays(
     return station_delays(spec, arrival_rates)
 
 
-def tandem_delays(visit_ratios: np.ndarray, per_station: Sequence[StationDelays]) -> np.ndarray:
-    """Per-class end-to-end delays ``T_k = Σ_i v_{ik} T_{ik}`` from the
-    per-station decomposition."""
-    sojourns = np.stack([d.mean_sojourns for d in per_station], axis=1)  # (K, M)
+def tandem_delays(visit_ratios: np.ndarray, per_station: Sequence[np.ndarray]) -> np.ndarray:
+    """Per-class end-to-end delays ``T_k = Σ_i v_{ik} T_{ik}`` from each
+    station's per-class mean sojourns."""
+    sojourns = np.stack(per_station, axis=1)  # (K, M)
     return (visit_ratios * sojourns).sum(axis=1)
 
 
@@ -319,7 +319,9 @@ class TandemNetwork:
 
     def end_to_end_delays(self, arrival_rates: Sequence[float]) -> np.ndarray:
         """Per-class mean end-to-end delay ``T_k = Σ_i v_{ik} T_{ik}``."""
-        return tandem_delays(self.visit_ratios, self.per_station_delays(arrival_rates))
+        return tandem_delays(
+            self.visit_ratios, [d.mean_sojourns for d in self.per_station_delays(arrival_rates)]
+        )
 
     def mean_delay(self, arrival_rates: Sequence[float]) -> float:
         """Arrival-weighted average end-to-end delay over all classes —

@@ -136,3 +136,28 @@ class TestSolverDiagnostics:
         assert res.success and res.status == 0
         assert res.nit > 0 and res.nfev > 0
         assert len(res.meta["constraint_residuals"]) == len(bounds)
+
+
+class TestTierWorkCounters:
+    def test_counters_added_once_per_solve(
+        self, monkeypatch, telemetry, three_tier_cluster, three_class_workload
+    ):
+        """``opt.tier_solves`` / ``opt.tier_hits`` carry each solve's
+        memo statistics, added once when the solve ends."""
+        from repro.core import delay, opt_energy
+
+        models = []
+
+        class Recorded(delay.SpeedModel):
+            def __init__(self, *args):
+                super().__init__(*args)
+                models.append(self)
+
+        monkeypatch.setattr(opt_energy, "SpeedModel", Recorded)
+        bound = 1.5 * mean_end_to_end_delay(three_tier_cluster, three_class_workload)
+        counters = [telemetry.metrics.counter(n) for n in ("opt.tier_solves", "opt.tier_hits")]
+        for solves in (1, 2):
+            minimize_energy(three_tier_cluster, three_class_workload, max_mean_delay=bound)
+            assert len(models) == solves
+            assert counters[0].value == sum(m.tier_solves for m in models) > 0
+            assert counters[1].value == sum(m.tier_hits for m in models) > 0
