@@ -179,3 +179,38 @@ def test_mixture_moments_are_linear():
 def test_invalid_parameters_raise(bad):
     with pytest.raises(ModelValidationError):
         bad()
+
+
+def test_float_square_is_the_scalar_float_power():
+    # A float's ``**2`` is libm pow, not always the array's ``x*x``; the
+    # array kernels square through float_square to match the properties.
+    from repro.distributions.base import float_square
+
+    x = np.random.default_rng(11).uniform(0.0, 10.0, size=(20_000, 3))
+    expected = np.array([v**2 for v in x.ravel().tolist()]).reshape(x.shape)
+    np.testing.assert_array_equal(float_square(x), expected)
+    np.testing.assert_array_equal(float_square(x[:1, :1]), expected[:1, :1])
+
+
+def test_fitted_moments_replay_fit_two_moments_on_mixed_bands():
+    from repro.distributions.fitting import fit_two_moments, fitted_moments
+
+    rng = np.random.default_rng(5)
+    scv = np.concatenate(
+        [[0.0, 1e-12, 0.5, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 2.5], rng.uniform(0.0, 4.0, size=40)]
+    )
+    mean = rng.uniform(0.01, 2.0, size=scv.size)
+    factor = rng.uniform(0.2, 3.0, size=scv.size)
+    fits = [fit_two_moments(m, v) for m, v in zip(mean.tolist(), scv.tolist())]
+    expected = [
+        [d.mean for d in fits],
+        [d.second_moment for d in fits],
+        [d.scv for d in fits],
+        [d.scaled(f).mean for d, f in zip(fits, factor.tolist())],
+        [d.scaled(f).second_moment for d, f in zip(fits, factor.tolist())],
+    ]
+    for got, want in zip(fitted_moments(mean, scv, factor), expected):
+        np.testing.assert_array_equal(got, want)
+    assert fitted_moments(mean, scv)[3:] == (None, None)
+    for got, want in zip(fitted_moments(mean, scv)[:3], expected):
+        np.testing.assert_array_equal(got, want)
