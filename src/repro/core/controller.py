@@ -28,6 +28,7 @@ from repro.cluster.model import ClusterModel
 from repro.core.delay import mean_end_to_end_delay
 from repro.core.opt_energy import minimize_energy
 from repro.exceptions import InfeasibleProblemError, ModelValidationError, UnstableSystemError
+from repro.queueing.networks import arrival_weighted_mean
 from repro.workload.classes import Workload, CustomerClass
 
 __all__ = ["EpochPlan", "ScheduleReport", "plan_speed_schedule", "static_plan", "evaluate_schedule"]
@@ -159,25 +160,28 @@ def plan_speed_schedule(
                 n_starts=n_starts,
                 x0_hint=hint if warm_start else None,
             )
-            chosen = res.meta["cluster"]
             speeds = res.x
+            # The solve evaluated its optimum already, with the bits the
+            # scalar path gives at these speeds.
+            power = res.meta["power"]
+            delay = arrival_weighted_mean(workload.arrival_rates, res.meta["delays"])
             if warm_start:
                 hint = np.array(res.x, copy=True)
         except (InfeasibleProblemError, UnstableSystemError):
             chosen = cluster.with_speeds(max_speeds)
             speeds = max_speeds
+            power = chosen.average_power(workload.arrival_rates)
+            try:
+                delay = mean_end_to_end_delay(chosen, workload)
+            except UnstableSystemError:
+                delay = float("inf")
             # The continuation chain broke: the next epoch must not be
             # seeded from the pre-overload optimum (a stale hint from
             # the other side of the discontinuity).
             hint = None
-        power = chosen.average_power(workload.arrival_rates)
-        try:
-            delay = mean_end_to_end_delay(chosen, workload)
-            # Tolerance matches the SLSQP feasibility tolerance: the
-            # optimum sits exactly on the constraint.
-            ok = delay <= max_mean_delay * (1.0 + 1e-5) + 1e-9
-        except UnstableSystemError:
-            delay, ok = float("inf"), False
+        # Tolerance matches the SLSQP feasibility tolerance: the optimum
+        # sits exactly on the constraint.
+        ok = delay <= max_mean_delay * (1.0 + 1e-5) + 1e-9
         plans.append(EpochPlan(start, duration, r.copy(), np.asarray(speeds), power, delay, ok))
     return plans
 

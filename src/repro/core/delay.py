@@ -17,9 +17,10 @@ aggregate objective used in P1/P2a is the arrival-weighted mean
 The optimizers probe this model at many speed vectors; under the
 tandem decomposition tier ``i``'s delays and power depend only on
 ``s_i``, so :class:`SpeedModel` memoizes each tier's solve by its exact
-speed and a probe that moves one coordinate re-solves only that tier,
-through the same tier kernel :class:`repro.core.batch_eval.BatchEvaluator`
-runs on many rows.
+speed, through the same tier kernel
+:class:`repro.core.batch_eval.BatchEvaluator` runs on many rows. Each
+tier solve also solves the speed SLSQP's finite-difference probe will
+ask for next, so a probe that moves one coordinate is a memo hit.
 """
 
 from __future__ import annotations
@@ -48,6 +49,11 @@ __all__ = [
     "SpeedModel",
     "count_tier_work",
 ]
+
+# SLSQP differentiates the objective and constraints by forward
+# differences with this absolute step (SciPy's ``_epsilon``), stepping
+# backward where the forward probe would pass the box's upper bound.
+_FD_STEP = float(np.sqrt(np.finfo(float).eps))
 
 
 def _check(cluster: ClusterModel, workload: Workload) -> None:
@@ -90,16 +96,21 @@ class SpeedModel:
     ``mean_end_to_end_delay(...)`` and
     ``cluster.with_speeds(s).average_power(λ)`` return, and raise the
     same exception types. A tier's delays come from its
-    :class:`~repro.core.batch_eval.TierKernel` run on one row, so no
-    scaled distribution or station spec is built; each tier's per-class
-    sojourns and power term are kept per exact float speed, so a
-    finite-difference probe that moves one speed re-solves one tier. A
-    tier that raises (unstable, out of its DVFS range, finite buffer) is
-    not memoized: it raises again at every call.
+    :class:`~repro.core.batch_eval.TierKernel`, so no scaled
+    distribution or station spec is built; each tier's per-class
+    sojourns and power term are kept per exact float speed. A tier
+    solved at a new speed ``x`` is solved in the same kernel call at
+    SLSQP's finite-difference probe, ``x + h`` (``x - h`` where that
+    passes the tier's maximum speed), so a probe that moves one speed
+    is a memo hit. A tier that raises (unstable, out of its DVFS range,
+    finite buffer) is not memoized: it raises again at every call, and
+    a probe row is memoized only where every check passes.
 
     ``tier_solves`` and ``tier_hits`` count the kernel runs and memo
-    hits of delay calls. Build one per solve and let it go with the
-    solve; the memo grows with every distinct speed seen.
+    hits of delay calls; ``probe_rows`` and ``probe_hits`` count the
+    probe rows solved and those later hit. Build one per solve and let
+    it go with the solve; the memo grows with every distinct speed
+    seen.
     """
 
     def __init__(self, cluster: ClusterModel, workload: Workload):
@@ -120,8 +131,11 @@ class SpeedModel:
         self._work = cluster.work_rates(self._lam)
         self._sojourns: list[dict[float, np.ndarray]] = [{} for _ in self._tiers]
         self._powers: list[dict[float, float]] = [{} for _ in self._tiers]
+        self._unhit_probes: list[set[float]] = [set() for _ in self._tiers]
         self.tier_solves = 0
         self.tier_hits = 0
+        self.probe_rows = 0
+        self.probe_hits = 0
 
     def _keys(self, speeds) -> list[float]:
         speeds_arr = np.asarray(speeds, dtype=float)
@@ -131,10 +145,32 @@ class SpeedModel:
             )
         return [float(x) for x in speeds_arr]
 
+    def _probe(self, i: int, key: float) -> float | None:
+        """The speed SLSQP probes tier ``i`` at after ``key``, or ``None``
+        when it needs no row (already memoized, equal to ``key``, or out
+        of the tier's DVFS range)."""
+        tier = self._tiers[i]
+        probe = key + _FD_STEP
+        if probe > tier.spec.max_speed:
+            probe = key - _FD_STEP
+        if probe == key or probe in self._sojourns[i]:
+            return None
+        try:
+            tier.check_speed(probe)
+        except ModelValidationError:
+            return None
+        return probe
+
     def _stations(self, speeds) -> list[np.ndarray]:
         keys = self._keys(speeds)
         found = [memo.get(key) for memo, key in zip(self._sojourns, keys)]
-        missing = [i for i, hit in enumerate(found) if hit is None]
+        missing = []
+        for i, hit in enumerate(found):
+            if hit is None:
+                missing.append(i)
+            elif keys[i] in self._unhit_probes[i]:
+                self._unhit_probes[i].remove(keys[i])
+                self.probe_hits += 1
         self.tier_hits += len(keys) - len(missing)
         # Same check order as the scalar path: every tier's spec (DVFS
         # range, finite buffer), then the visit ratios, then stability
@@ -149,10 +185,17 @@ class SpeedModel:
             if kernel.total <= 0.0:
                 raise ModelValidationError("total arrival rate at a station must be positive")
             self.tier_solves += 1
-            sojourns, failed = kernel.sojourns(np.array([keys[i]]), kernel.servers)
-            if failed is not None:
+            probe = self._probe(i, keys[i])
+            rows = [keys[i]] if probe is None else [keys[i], probe]
+            sojourns, failed = kernel.sojourns(np.array(rows), kernel.servers)
+            if failed is not None and not np.isnan(failed[0]):
                 check_stability(float(failed[0]), where=kernel.name or f"station {i}")
             found[i] = self._sojourns[i][keys[i]] = sojourns[0]
+            if probe is not None:
+                self.probe_rows += 1
+                if failed is None or np.isnan(failed[1]):
+                    self._sojourns[i][probe] = sojourns[1]
+                    self._unhit_probes[i].add(probe)
         return found
 
     def end_to_end_delays(self, speeds) -> np.ndarray:
@@ -175,12 +218,13 @@ class SpeedModel:
 
 
 def count_tier_work(model) -> None:
-    """Add one solve's tier solves and memo hits to the
-    ``opt.tier_solves`` / ``opt.tier_hits`` counters (a model other than
+    """Add one solve's tier solves, memo hits, probe rows and probe hits
+    to the ``opt.tier_solves`` / ``opt.tier_hits`` / ``opt.probe_rows``
+    / ``opt.probe_hits`` counters (a model other than
     :class:`SpeedModel` has no memo and adds nothing)."""
     if isinstance(model, SpeedModel):
-        obs.counter("opt.tier_solves").add(model.tier_solves)
-        obs.counter("opt.tier_hits").add(model.tier_hits)
+        for name in ("tier_solves", "tier_hits", "probe_rows", "probe_hits"):
+            obs.counter(f"opt.{name}").add(getattr(model, name))
 
 
 def end_to_end_delays_batch(

@@ -99,18 +99,22 @@ def minimize_delay(
     def power_slack_batch(points: np.ndarray) -> np.ndarray:
         return power_budget - batch.average_power(points)
 
-    result = minimize_box_constrained(
-        model.mean_delay,
-        bounds,
-        constraints=[Constraint(power_slack, name="power budget")],
-        n_starts=n_starts,
-        label="p1",
-        objective_batch=batch.mean_delay,
-        x0_hint=x0_hint,
-        constraint_batch=power_slack_batch,
-    )
-    result.meta["cluster"] = cluster.with_speeds(result.x)
-    result.meta["power"] = model.average_power(result.x)
-    result.meta["power_budget"] = power_budget
-    count_tier_work(model)
-    return result
+    # The certificate above evaluates only power: every tier solve is
+    # below, and it is counted even when the solve raises.
+    try:
+        result = minimize_box_constrained(
+            model.mean_delay,
+            bounds,
+            constraints=[Constraint(power_slack, name="power budget")],
+            n_starts=n_starts,
+            label="p1",
+            objective_batch=batch.mean_delay,
+            x0_hint=x0_hint,
+            constraint_batch=power_slack_batch,
+        )
+        result.meta["cluster"] = cluster.with_speeds(result.x)
+        result.meta["power"] = model.average_power(result.x)
+        result.meta["power_budget"] = power_budget
+        return result
+    finally:
+        count_tier_work(model)

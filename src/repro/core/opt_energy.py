@@ -96,66 +96,69 @@ def minimize_energy(
     hi = np.array([b[1] for b in box])
     model = SpeedModel(cluster, workload)
 
-    # Feasibility certificate at maximum speeds (delay decreasing in s).
-    if bounds_arr is not None:
-        best_delays = model.end_to_end_delays(hi)
-        if np.any(best_delays > bounds_arr):
-            worst = int(np.argmax(best_delays - bounds_arr))
-            raise InfeasibleProblemError(
-                f"class {workload.names[worst]!r} cannot meet its delay bound "
-                f"{bounds_arr[worst]:.6g}s even at maximum speeds "
-                f"(best achievable {best_delays[worst]:.6g}s)"
-            )
-    else:
-        best_mean = model.mean_delay(hi)
-        if best_mean > max_mean_delay:
-            raise InfeasibleProblemError(
-                f"aggregate delay bound {max_mean_delay:.6g}s is below the best achievable "
-                f"mean delay {best_mean:.6g}s at maximum speeds"
-            )
+    try:
+        # Feasibility certificate at maximum speeds (delay decreasing in s).
+        if bounds_arr is not None:
+            best_delays = model.end_to_end_delays(hi)
+            if np.any(best_delays > bounds_arr):
+                worst = int(np.argmax(best_delays - bounds_arr))
+                raise InfeasibleProblemError(
+                    f"class {workload.names[worst]!r} cannot meet its delay bound "
+                    f"{bounds_arr[worst]:.6g}s even at maximum speeds "
+                    f"(best achievable {best_delays[worst]:.6g}s)"
+                )
+        else:
+            best_mean = model.mean_delay(hi)
+            if best_mean > max_mean_delay:
+                raise InfeasibleProblemError(
+                    f"aggregate delay bound {max_mean_delay:.6g}s is below the best achievable "
+                    f"mean delay {best_mean:.6g}s at maximum speeds"
+                )
 
-    constraints: list[Constraint] = []
-    if bounds_arr is not None:
-        for k in range(workload.num_classes):
-            def slack(s: np.ndarray, k: int = k) -> float:
-                return bounds_arr[k] - model.end_to_end_delays(s)[k]
+        constraints: list[Constraint] = []
+        if bounds_arr is not None:
+            for k in range(workload.num_classes):
+                def slack(s: np.ndarray, k: int = k) -> float:
+                    return bounds_arr[k] - model.end_to_end_delays(s)[k]
 
-            constraints.append(Constraint(slack, name=f"delay[{workload.names[k]}]"))
-    else:
-        def agg_slack(s: np.ndarray) -> float:
-            return max_mean_delay - model.mean_delay(s)
+                constraints.append(Constraint(slack, name=f"delay[{workload.names[k]}]"))
+        else:
+            def agg_slack(s: np.ndarray) -> float:
+                return max_mean_delay - model.mean_delay(s)
 
-        constraints.append(Constraint(agg_slack, name="mean delay"))
+            constraints.append(Constraint(agg_slack, name="mean delay"))
 
-    batch = BatchEvaluator(cluster, workload)
+        batch = BatchEvaluator(cluster, workload)
 
-    if bounds_arr is not None:
-        def slack_batch(points: np.ndarray) -> np.ndarray:
-            return (bounds_arr[None, :] - batch.end_to_end_delays(points)).min(axis=1)
-    else:
-        def slack_batch(points: np.ndarray) -> np.ndarray:
-            return max_mean_delay - batch.mean_delay(points)
+        if bounds_arr is not None:
+            def slack_batch(points: np.ndarray) -> np.ndarray:
+                return (bounds_arr[None, :] - batch.end_to_end_delays(points)).min(axis=1)
+        else:
+            def slack_batch(points: np.ndarray) -> np.ndarray:
+                return max_mean_delay - batch.mean_delay(points)
 
-    result = minimize_box_constrained(
-        model.average_power,
-        box,
-        constraints=constraints,
-        n_starts=n_starts,
-        label="p2b" if bounds_arr is not None else "p2a",
-        objective_batch=batch.average_power,
-        x0_hint=x0_hint,
-        constraint_batch=slack_batch,
-    )
-    optimized = cluster.with_speeds(result.x)
-    result.meta["cluster"] = optimized
-    result.meta["delays"] = model.end_to_end_delays(result.x)
-    result.meta["power"] = model.average_power(result.x)
-    if bounds_arr is not None:
-        result.meta["delay_bounds"] = bounds_arr
-    else:
-        result.meta["max_mean_delay"] = max_mean_delay
-    count_tier_work(model)
-    return result
+        result = minimize_box_constrained(
+            model.average_power,
+            box,
+            constraints=constraints,
+            n_starts=n_starts,
+            label="p2b" if bounds_arr is not None else "p2a",
+            objective_batch=batch.average_power,
+            x0_hint=x0_hint,
+            constraint_batch=slack_batch,
+        )
+        optimized = cluster.with_speeds(result.x)
+        result.meta["cluster"] = optimized
+        result.meta["delays"] = model.end_to_end_delays(result.x)
+        result.meta["power"] = model.average_power(result.x)
+        if bounds_arr is not None:
+            result.meta["delay_bounds"] = bounds_arr
+        else:
+            result.meta["max_mean_delay"] = max_mean_delay
+        return result
+    finally:
+        # Counted even when the certificate or a final evaluation raises.
+        count_tier_work(model)
 
 
 def minimize_energy_robust(

@@ -127,6 +127,29 @@ class TestController:
         )
         np.testing.assert_allclose(warm[2].speeds, cold[2].speeds)
 
+    def test_only_fallback_epochs_reevaluate_the_scalar_path(self, monkeypatch, diurnal_setup):
+        """A solved epoch's power and mean delay come from its solve,
+        with the scalar path's bits; only the max-speed fallback epoch
+        evaluates the scalar path."""
+        from repro.core import controller
+
+        cluster, names, starts, rates = diurnal_setup
+        rates = rates.copy()
+        rates[2] *= 4.0
+        real = controller.mean_end_to_end_delay
+        calls = []
+        monkeypatch.setattr(
+            controller, "mean_end_to_end_delay", lambda *args: calls.append(args) or real(*args)
+        )
+        plans = plan_speed_schedule(cluster, names, starts, rates, 24.0, 0.35, n_starts=1)
+        assert len(calls) == 1
+        for plan, r in zip(plans, rates):
+            if plan is plans[2]:
+                continue
+            chosen = cluster.with_speeds(plan.speeds)
+            assert plan.mean_delay == real(chosen, controller._workload_at(names, r))
+            assert plan.power == chosen.average_power(r)
+
     def test_evaluate_schedule_with_inf_delay_epochs(self, diurnal_setup):
         # Overload epochs carry mean_delay=inf; the aggregate report
         # must keep finite energy while surfacing the inf worst delay.

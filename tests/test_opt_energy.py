@@ -155,9 +155,31 @@ class TestTierWorkCounters:
 
         monkeypatch.setattr(opt_energy, "SpeedModel", Recorded)
         bound = 1.5 * mean_end_to_end_delay(three_tier_cluster, three_class_workload)
-        counters = [telemetry.metrics.counter(n) for n in ("opt.tier_solves", "opt.tier_hits")]
+        names = ("tier_solves", "tier_hits", "probe_rows", "probe_hits")
+        counters = {n: telemetry.metrics.counter(f"opt.{n}") for n in names}
         for solves in (1, 2):
             minimize_energy(three_tier_cluster, three_class_workload, max_mean_delay=bound)
             assert len(models) == solves
-            assert counters[0].value == sum(m.tier_solves for m in models) > 0
-            assert counters[1].value == sum(m.tier_hits for m in models) > 0
+            for name in names:
+                assert counters[name].value == sum(getattr(m, name) for m in models) > 0
+            assert 0 < counters["probe_hits"].value <= counters["probe_rows"].value
+
+    def test_tier_work_counted_when_the_solve_raises(
+        self, monkeypatch, telemetry, three_tier_cluster, three_class_workload
+    ):
+        """The feasibility certificate solves tiers before it raises;
+        that work is counted too."""
+        from repro.core import delay, opt_energy
+
+        models = []
+
+        class Recorded(delay.SpeedModel):
+            def __init__(self, *args):
+                super().__init__(*args)
+                models.append(self)
+
+        monkeypatch.setattr(opt_energy, "SpeedModel", Recorded)
+        with pytest.raises(InfeasibleProblemError):
+            minimize_energy(three_tier_cluster, three_class_workload, max_mean_delay=1e-3)
+        (model,) = models
+        assert telemetry.metrics.counter("opt.tier_solves").value == model.tier_solves > 0

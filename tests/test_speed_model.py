@@ -12,6 +12,9 @@ Two contracts are pinned here:
   callbacks rebuild the cluster at every probe.
 """
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,7 +23,8 @@ from hypothesis import strategies as st
 from repro.cluster import ClusterModel, PowerModel, ServerSpec, Tier
 from repro.core import controller, opt_delay, opt_energy
 from repro.core.delay import SpeedModel, end_to_end_delays, mean_end_to_end_delay
-from repro.distributions import fit_two_moments
+from repro.core.opt_common import stability_speed_bounds
+from repro.distributions import Exponential, fit_two_moments
 from repro.experiments import exp_a7_online_control as a7
 from repro.experiments import exp_f4_energy_opt_tradeoff as f4
 from repro.experiments.common import (
@@ -34,6 +38,9 @@ from repro.queueing.networks import DISCIPLINES
 from repro.workload import workload_from_rates
 
 SPEC = ServerSpec(PowerModel(idle=20.0, kappa=60.0, alpha=3.0), min_speed=0.3, max_speed=1.0)
+
+# SLSQP's finite-difference step.
+FD_STEP = float(np.sqrt(np.finfo(float).eps))
 
 
 @st.composite
@@ -147,6 +154,74 @@ class TestSpeedModelBitIdentity:
         )
 
 
+class TestProbeRows:
+    """Each tier solve also solves the speed SLSQP's forward-difference
+    probe asks for next."""
+
+    cluster = canonical_cluster()
+    workload = canonical_workload()
+
+    def test_step_is_slsqps(self):
+        from scipy.optimize._slsqp_py import _epsilon
+
+        assert FD_STEP == _epsilon
+
+    @pytest.mark.parametrize(
+        "x",
+        [np.array([0.7, 0.8, 0.9]), np.array([0.7, 1.0, 0.9])],
+        ids=["interior", "one_tier_at_max_speed"],
+    )
+    def test_gradient_probes_are_memo_hits(self, x):
+        from scipy.optimize._numdiff import approx_derivative
+
+        box = stability_speed_bounds(self.cluster, self.workload)
+        bounds = (np.array([b[0] for b in box]), np.array([b[1] for b in box]))
+        model = SpeedModel(self.cluster, self.workload)
+        model.mean_delay(x)
+        solves = model.tier_solves
+        jac = approx_derivative(
+            model.mean_delay, x, method="2-point", abs_step=FD_STEP, bounds=bounds
+        )
+        assert model.tier_solves == solves
+        assert model.probe_hits == model.probe_rows == x.size
+        reference = approx_derivative(
+            ScalarModel(self.cluster, self.workload).mean_delay,
+            x, method="2-point", abs_step=FD_STEP, bounds=bounds,
+        )
+        assert jac.tobytes() == reference.tobytes()
+
+    def test_unstable_probe_row_is_not_memoized(self):
+        from repro.exceptions import UnstableSystemError
+
+        # Stable at the maximum speed, unstable one backward step below.
+        tier = Tier("t", (Exponential(10.0),), SPEC, servers=1, discipline="fcfs")
+        cluster = ClusterModel([tier])
+        workload = workload_from_rates([10.0 * (1.0 - 5e-9)])
+        model = SpeedModel(cluster, workload)
+        assert model.mean_delay(np.ones(1)) == mean_end_to_end_delay(cluster, workload)
+        assert (model.tier_solves, model.probe_rows) == (1, 1)
+        probe = np.array([1.0 - FD_STEP])
+        with pytest.raises(UnstableSystemError):
+            mean_end_to_end_delay(cluster.with_speeds(probe), workload)
+        for solves in (2, 3):
+            with pytest.raises(UnstableSystemError):
+                model.mean_delay(probe)
+            assert model.tier_solves == solves
+        assert model.probe_hits == 0
+
+    def test_probe_outside_the_dvfs_range_is_not_solved(self):
+        from repro.exceptions import ModelValidationError
+
+        # A fixed-speed tier: the backward probe is below its minimum.
+        fixed = ServerSpec(SPEC.power, min_speed=1.0, max_speed=1.0)
+        cluster = ClusterModel([Tier("t", (Exponential(10.0),), fixed, discipline="fcfs")])
+        model = SpeedModel(cluster, workload_from_rates([5.0]))
+        model.mean_delay(np.ones(1))
+        assert model.probe_rows == 0
+        with pytest.raises(ModelValidationError, match="DVFS range"):
+            model.mean_delay(np.array([1.0 - FD_STEP]))
+
+
 class ScalarModel:
     """The solver callbacks before SpeedModel: rebuild the whole cluster
     at every probe."""
@@ -243,6 +318,27 @@ class TestSolverParity:
         )
         assert "model evaluations over 8 points" in memoized
         assert memoized == reference
+
+
+def test_a7_quick_solves_each_schedule_once(monkeypatch):
+    """The forecast schedule is the same on both traces and the V-sweep
+    repeats the headline DPP run; each is run once, and the rendered
+    output is the pinned ``repro run A7 --quick`` stdout."""
+    calls = {"plan_speed_schedule": 0, "run_controlled": 0}
+    for name in calls:
+        real = getattr(a7, name)
+
+        def spy(*args, real=real, name=name, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(a7, name, spy)
+    text = a7.render(a7.run(**REGISTRY["A7"].quick_kwargs))
+    # Three schedules (oracle twice, forecast once); 2 x 4 policy runs
+    # and two of the three V-sweep runs.
+    assert calls == {"plan_speed_schedule": 3, "run_controlled": 10}
+    pins = Path(__file__).resolve().parents[1] / "benchmarks" / "e2e" / "expected.json"
+    assert text + "\n" == json.loads(pins.read_text())["online_control"]["*"]
 
 
 def test_plan_bench_kernel_plans_a7_quick_diurnal_schedule():
