@@ -17,17 +17,16 @@ drops severalfold (see ``tests/test_sweep_continuation.py`` and the
 
 :func:`run_series` adds the orthogonal axis: a figure usually has
 several *independent* series (the optimizer plus baselines), which can
-run in parallel worker processes — the same backend policy as the
-replication engine (:mod:`repro.simulation.parallel`): serial unless
-``n_jobs`` asks for workers, automatic fallback when a payload cannot
-cross a process boundary, and results keyed by series name so the
-output is bit-identical for any worker count.
+run in parallel worker processes on the replication engine's
+:class:`~repro.simulation.parallel.WorkerPool`: inline unless ``n_jobs``
+asks for workers, inline when a payload cannot cross a process
+boundary, and results keyed by series name so the output is
+bit-identical for any worker count.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from typing import Any
@@ -245,8 +244,8 @@ def continuation_sweep(
 
 
 def _run_task(payload: tuple[str, Callable[..., Any], tuple[Any, ...]]) -> tuple[str, Any]:
-    """Worker entry point: one named series. Module-level so a
-    :class:`ProcessPoolExecutor` can pickle it."""
+    """Worker entry point: one named series. Module-level so a process
+    pool can pickle it."""
     name, fn, args = payload
     return name, fn(*args)
 
@@ -275,21 +274,15 @@ def run_series(
         for any worker count, since every series is independent and
         results are keyed by name, never by completion order.
     """
-    from repro.simulation.parallel import payload_is_picklable, resolve_n_jobs
+    from repro.simulation.parallel import WorkerPool, payload_is_picklable, resolve_n_jobs
 
     if not tasks:
         raise ModelValidationError("run_series needs at least one task")
     payloads = [(name, fn, tuple(args)) for name, (fn, args) in tasks.items()]
     n = resolve_n_jobs(n_jobs)
-    parallel = n > 1 and len(payloads) > 1 and all(payload_is_picklable(p) for p in payloads)
-    results: dict[str, Any] = {}
-    with obs.span("sweep.series", n_tasks=len(payloads), n_jobs=n, parallel=parallel):
-        if parallel:
-            with ProcessPoolExecutor(max_workers=min(n, len(payloads))) as pool:
-                for name, value in pool.map(_run_task, payloads):
-                    results[name] = value
-        else:
-            for payload in payloads:
-                name, value = _run_task(payload)
-                results[name] = value
-    return {p[0]: results[p[0]] for p in payloads}
+    n_workers = min(n, len(payloads))
+    if n_workers > 1 and not all(payload_is_picklable(p) for p in payloads):
+        n_workers = 1
+    with obs.span("sweep.series", n_tasks=len(payloads), n_jobs=n, parallel=n_workers > 1):
+        with WorkerPool(n_workers) as pool:
+            return dict(pool.run(_run_task, payloads))

@@ -28,12 +28,7 @@ from repro.simulation.rng import AntitheticSeed, BlockCursor, CoupledGenerator, 
 from repro.simulation.stats import Welford, batch_means_ci, confidence_halfwidth
 from repro.simulation.simulator import SimulationResult, simulate
 from repro.simulation.cache import CacheUnsupportedError, SimulationCache, simulation_fingerprint
-from repro.simulation.parallel import (
-    ProcessPoolBackend,
-    ReplicationTiming,
-    SerialBackend,
-    resolve_n_jobs,
-)
+from repro.simulation.parallel import ReplicationTiming, WorkerPool, resolve_n_jobs
 from repro.simulation.replications import ReplicatedResult, simulate_replications
 from repro.simulation.vrt import (
     VrEstimate,
@@ -84,8 +79,7 @@ __all__ = [
     "CacheUnsupportedError",
     "simulation_fingerprint",
     "ReplicationTiming",
-    "SerialBackend",
-    "ProcessPoolBackend",
+    "WorkerPool",
     "resolve_n_jobs",
     "FleetScenario",
     "FleetSummary",

@@ -3,8 +3,8 @@
 The validation experiments used to burn a *fixed* replication count per
 scenario regardless of the precision actually achieved. This module
 replaces that with a sequential stopping rule: run replications in
-rounds through the incremental-dispatch backend sessions
-(:mod:`repro.simulation.parallel`), after each round compute per-metric
+rounds through one :class:`~repro.simulation.parallel.WorkerPool`
+that every round reuses, after each round compute per-metric
 relative confidence half-widths with a variance-reduced estimator
 (:mod:`repro.simulation.vrt`), and stop as soon as a
 :class:`PrecisionTarget` is met — or a hard ``max_replications`` cap is
@@ -297,165 +297,131 @@ def simulate_replications_adaptive(
     replications/events saved against the cap and the measured
     variance-reduction factors.
     """
-    tgt = target if target is not None else PrecisionTarget()
+    if target is None:
+        target = PrecisionTarget()
     with obs.span(
         "sim.replications.adaptive",
         horizon=horizon,
-        estimator=tgt.estimator,
-        max_replications=tgt.max_replications,
+        estimator=target.estimator,
+        max_replications=target.max_replications,
         n_jobs=n_jobs,
         cache=cache_dir is not None,
     ):
-        return _adaptive(
-            cluster,
-            workload,
-            horizon,
-            tgt,
-            warmup_fraction,
-            seed,
-            arrival_processes,
-            collect_delay_samples,
-            routing=routing,
-            allow_unstable=allow_unstable,
-            collect_job_log=collect_job_log,
+        t_start = time.perf_counter()
+        metrics = target.metric_targets()
+        antithetic = target.estimator == "antithetic"
+        # The iid *unit* of the stopping rule: an antithetic pair costs two
+        # simulated replications, every other estimator's unit costs one.
+        members = 2 if antithetic else 1
+        max_units = max(target.max_replications // members, 1)
+        min_units = min(max(-(-target.min_replications // members), 2), max_units)
+
+        if antithetic:
+            pairs = RngStreams.replication_seed_pairs(seed, max_units)
+            seeds: list[Any] = [member for pair in pairs for member in pair]
+        else:
+            seeds = list(RngStreams.replication_seeds(seed, max_units))
+
+        plan = (
+            _make_control_plan(cluster, workload, arrival_processes, routing)
+            if target.estimator == "cv"
+            else None
+        )
+        class_names = tuple(workload.names)
+
+        runner = _ReplicationRunner(
+            _sim_kwargs_common(
+                cluster,
+                workload,
+                horizon,
+                warmup_fraction,
+                arrival_processes,
+                collect_delay_samples,
+                routing,
+                allow_unstable,
+                collect_job_log,
+            ),
+            seeds,
+            cache=_resolve_cache(cache_dir),
             n_jobs=n_jobs,
-            cache_dir=cache_dir,
             progress=progress,
         )
 
-
-def _adaptive(
-    cluster: ClusterModel,
-    workload: Workload,
-    horizon: float,
-    target: PrecisionTarget,
-    warmup_fraction: float,
-    seed: int,
-    arrival_processes: list[ArrivalProcess] | None,
-    collect_delay_samples: bool,
-    *,
-    routing: list | None,
-    allow_unstable: bool,
-    collect_job_log: bool,
-    n_jobs: int | None,
-    cache_dir: str | SimulationCache | None,
-    progress: Callable[[ReplicationTiming, int, int], None] | None,
-) -> ReplicatedResult:
-    t_start = time.perf_counter()
-    metrics = target.metric_targets()
-    antithetic = target.estimator == "antithetic"
-    # The iid *unit* of the stopping rule: an antithetic pair costs two
-    # simulated replications, every other estimator's unit costs one.
-    members = 2 if antithetic else 1
-    max_units = max(target.max_replications // members, 1)
-    min_units = min(max(-(-target.min_replications // members), 2), max_units)
-
-    if antithetic:
-        pairs = RngStreams.replication_seed_pairs(seed, max_units)
-        seeds: list[Any] = [member for pair in pairs for member in pair]
-    else:
-        seeds = list(RngStreams.replication_seeds(seed, max_units))
-
-    plan = (
-        _make_control_plan(cluster, workload, arrival_processes, routing)
-        if target.estimator == "cv"
-        else None
-    )
-    class_names = tuple(workload.names)
-
-    runner = _ReplicationRunner(
-        _sim_kwargs_common(
-            cluster,
-            workload,
-            horizon,
-            warmup_fraction,
-            arrival_processes,
-            collect_delay_samples,
-            routing,
-            allow_unstable,
-            collect_job_log,
-        ),
-        seeds,
-        cache=_resolve_cache(cache_dir),
-        n_jobs=n_jobs,
-        progress=progress,
-    )
-
-    rounds: list[dict[str, Any]] = []
-    n_units_done = 0
-    n_units_used: int | None = None
-    with runner:
-        while True:
-            grow = min_units if not rounds else target.round_size
-            n_units_done = min(n_units_done + grow, max_units)
-            runner.ensure(range(n_units_done * members))
-            # Smallest satisfying prefix: scanned from min_units every
-            # round, so the chosen prefix cannot depend on how the
-            # rounds happened to be batched.
-            estimates = None
-            for n in range(min_units, n_units_done + 1):
-                candidate = _prefix_estimates(
-                    runner.runs(n * members), metrics, target, plan, class_names
+        rounds: list[dict[str, Any]] = []
+        n_units_done = 0
+        n_units_used: int | None = None
+        with runner:
+            while True:
+                grow = min_units if not rounds else target.round_size
+                n_units_done = min(n_units_done + grow, max_units)
+                runner.ensure(range(n_units_done * members))
+                # Smallest satisfying prefix: scanned from min_units every
+                # round, so the chosen prefix cannot depend on how the
+                # rounds happened to be batched.
+                estimates = None
+                for n in range(min_units, n_units_done + 1):
+                    candidate = _prefix_estimates(
+                        runner.runs(n * members), metrics, target, plan, class_names
+                    )
+                    if _satisfied(candidate, metrics):
+                        n_units_used, estimates = n, candidate
+                        break
+                if estimates is None:
+                    estimates = _prefix_estimates(
+                        runner.runs(n_units_done * members), metrics, target, plan, class_names
+                    )
+                rounds.append(
+                    {
+                        "round": len(rounds),
+                        "n_available": n_units_done * members,
+                        "estimates": {m: e.as_dict() for m, e in estimates.items()},
+                        "stop_at": None if n_units_used is None else n_units_used * members,
+                    }
                 )
-                if _satisfied(candidate, metrics):
-                    n_units_used, estimates = n, candidate
+                obs.event(
+                    "sim.adaptive.round",
+                    round=rounds[-1]["round"],
+                    n_available=rounds[-1]["n_available"],
+                    stop_at=rounds[-1]["stop_at"],
+                    **{
+                        f"rel_ci.{m}": estimates[m].rel_halfwidth
+                        for m in metrics
+                    },
+                )
+                if n_units_used is not None or n_units_done >= max_units:
                     break
-            if estimates is None:
-                estimates = _prefix_estimates(
-                    runner.runs(n_units_done * members), metrics, target, plan, class_names
-                )
-            rounds.append(
-                {
-                    "round": len(rounds),
-                    "n_available": n_units_done * members,
-                    "estimates": {m: e.as_dict() for m, e in estimates.items()},
-                    "stop_at": None if n_units_used is None else n_units_used * members,
-                }
-            )
-            obs.event(
-                "sim.adaptive.round",
-                round=rounds[-1]["round"],
-                n_available=rounds[-1]["n_available"],
-                stop_at=rounds[-1]["stop_at"],
-                **{
-                    f"rel_ci.{m}": estimates[m].rel_halfwidth
-                    for m in metrics
-                },
-            )
-            if n_units_used is not None or n_units_done >= max_units:
-                break
 
-    target_met = n_units_used is not None
-    final_units = n_units_used if target_met else n_units_done
-    n_used = final_units * members
-    n_simulated = len(runner.results)
-    final_runs = runner.runs(n_used)
+        target_met = n_units_used is not None
+        final_units = n_units_used if target_met else n_units_done
+        n_used = final_units * members
+        n_simulated = len(runner.results)
+        final_runs = runner.runs(n_used)
 
-    # Final-prefix estimates: the stopping estimator next to the naive
-    # baseline, so the realized variance-reduction factor is on record.
-    stopping = _prefix_estimates(final_runs, metrics, target, plan, class_names)
-    naive = {
-        m: naive_estimate(_metric_values(final_runs, m, class_names), target.level)
-        for m in metrics
-    }
-    adaptive_meta = {
-        "target": target.as_dict(),
-        "rounds": rounds,
-        "n_rounds": len(rounds),
-        "n_simulated": n_simulated,
-        "n_used": n_used,
-        "reps_saved_vs_cap": target.max_replications - n_simulated,
-        "target_met": target_met,
-        "estimates": {m: e.as_dict() for m, e in stopping.items()},
-        "naive_estimates": {m: e.as_dict() for m, e in naive.items()},
-        "vr_factor": {
-            m: variance_reduction_factor(naive[m], stopping[m]) for m in metrics
-        },
-    }
-    obs.counter("sim.adaptive.rounds").add(len(rounds))
-    obs.counter("sim.adaptive.reps_saved").add(max(target.max_replications - n_simulated, 0))
-    meta = runner.meta(time.perf_counter() - t_start, adaptive=adaptive_meta)
-    return _aggregate(final_runs, n_used, meta)
+        # Final-prefix estimates: the stopping estimator next to the naive
+        # baseline, so the realized variance-reduction factor is on record.
+        stopping = _prefix_estimates(final_runs, metrics, target, plan, class_names)
+        naive = {
+            m: naive_estimate(_metric_values(final_runs, m, class_names), target.level)
+            for m in metrics
+        }
+        adaptive_meta = {
+            "target": target.as_dict(),
+            "rounds": rounds,
+            "n_rounds": len(rounds),
+            "n_simulated": n_simulated,
+            "n_used": n_used,
+            "reps_saved_vs_cap": target.max_replications - n_simulated,
+            "target_met": target_met,
+            "estimates": {m: e.as_dict() for m, e in stopping.items()},
+            "naive_estimates": {m: e.as_dict() for m, e in naive.items()},
+            "vr_factor": {
+                m: variance_reduction_factor(naive[m], stopping[m]) for m in metrics
+            },
+        }
+        obs.counter("sim.adaptive.rounds").add(len(rounds))
+        obs.counter("sim.adaptive.reps_saved").add(max(target.max_replications - n_simulated, 0))
+        meta = runner.meta(time.perf_counter() - t_start, adaptive=adaptive_meta)
+        return _aggregate(final_runs, n_used, meta)
 
 
 # ----------------------------------------------------------------------

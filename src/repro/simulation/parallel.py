@@ -1,28 +1,25 @@
-"""Pluggable execution backends for independent replications.
+"""One worker pool for independent tasks.
 
 The replication manager (:mod:`repro.simulation.replications`) needs to
 run ``n`` statistically independent :func:`repro.simulation.simulator.simulate`
-calls. Each call is a pure function of its
-:class:`numpy.random.SeedSequence`, so the calls can execute anywhere —
-in-process, across a process pool, eventually across machines — without
-changing the numbers. This module owns that "anywhere": a tiny backend
-protocol with two implementations,
+calls, and :func:`repro.optimize.sweep.run_series` runs several
+independent analytic series. Each call is a pure function of its
+payload (a replication's :class:`numpy.random.SeedSequence`, a series'
+arguments), so the calls can execute in-process or across a process
+pool without changing the numbers. :class:`WorkerPool` owns that
+choice: one worker runs inline, more fan out over one warm-started
+:class:`concurrent.futures.ProcessPoolExecutor`.
 
-* :class:`SerialBackend` — a plain in-process loop (zero overhead, the
-  default), and
-* :class:`ProcessPoolBackend` — a :class:`concurrent.futures.ProcessPoolExecutor`
-  fan-out for multi-core machines.
+Results come back in payload order, and replication results are keyed
+by replication number, so aggregation downstream is bit-identical
+regardless of worker count or completion order. Per-replication wall
+time and event throughput are measured inside the worker and travel
+back with the result.
 
-Both return results **indexed by replication number**, so aggregation
-downstream is bit-identical regardless of worker count or completion
-order. Per-replication wall time and event throughput are measured
-inside the worker and travel back with the result.
-
-Both backends also expose :meth:`~SerialBackend.session` for
-**incremental dispatch**: the adaptive engine
+A pool supports **incremental dispatch**: the adaptive engine
 (:mod:`repro.simulation.adaptive`) submits one *round* of payloads,
 collects it, decides whether the precision target is met, and submits
-the next round — all against one live worker pool instead of paying
+the next round, all against one live executor instead of paying
 process start-up per round.
 """
 
@@ -32,7 +29,7 @@ import os
 import pickle
 import sys
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -41,12 +38,8 @@ from repro.simulation.simulator import SimulationResult, simulate
 
 __all__ = [
     "ReplicationTiming",
-    "SerialBackend",
-    "ProcessPoolBackend",
-    "SerialSession",
-    "PoolSession",
+    "WorkerPool",
     "resolve_n_jobs",
-    "get_backend",
     "payload_is_picklable",
 ]
 
@@ -101,7 +94,8 @@ def _warm_worker(backend: str | None = None, warned: tuple[str, ...] = ()) -> No
     A fresh worker's first replication otherwise absorbs every one-time
     cost inside its timed window: importing the distribution and
     statistics modules, priming the Student-t quantile memo the CI
-    math uses, and — when ``REPRO_SIM_BACKEND`` selects the compiled
+    math uses (which imports ``scipy.special``, ~250 ms in a fresh
+    process), and — when ``REPRO_SIM_BACKEND`` selects the compiled
     backend — building/loading the C kernel shared object. This is
     pure warm-up: it instantiates no generators and draws no random
     numbers, so replication results are bit-identical with and without
@@ -120,7 +114,9 @@ def _warm_worker(backend: str | None = None, warned: tuple[str, ...] = ()) -> No
     if backend is not None:
         os.environ["REPRO_SIM_BACKEND"] = backend
     import repro.distributions  # noqa: F401  (sampler classes)
-    import repro.simulation.stats  # noqa: F401  (Welford / CI math)
+    from repro.simulation.stats import confidence_halfwidth
+
+    confidence_halfwidth(1.0, 2)  # the Student-t quantile memo
 
     if warned:
         from repro.simulation import compiled
@@ -146,8 +142,8 @@ def payload_is_picklable(payload: Any) -> bool:
 
     Custom arrival processes built on closures (e.g.
     :class:`repro.workload.arrivals.NonHomogeneousPoisson` with a
-    lambda rate function) cannot be pickled; the replication manager
-    falls back to the serial backend for those instead of crashing.
+    lambda rate function) cannot be pickled; callers run those on a
+    one-worker (inline) pool instead of crashing.
     """
     try:
         pickle.dumps(payload)
@@ -156,144 +152,67 @@ def payload_is_picklable(payload: Any) -> bool:
         return False
 
 
-class SerialSession:
-    """Incremental-dispatch session over the in-process loop.
+class WorkerPool:
+    """Run independent tasks in-process or over one warm process pool.
 
-    Context manager; :meth:`run` may be called any number of times.
+    Context manager; :meth:`run` may be called any number of times. With
+    one worker every call runs inline. With more, the first non-empty
+    call starts a :class:`ProcessPoolExecutor` whose workers each run
+    :func:`_warm_worker` once, and every later call reuses it, so a
+    multi-round adaptive run pays worker start-up once. An exception
+    leaving the ``with`` block cancels the payloads still queued instead
+    of running them first.
     """
 
-    def __enter__(self) -> "SerialSession":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        pass
-
-    def run(
-        self,
-        payloads: list[tuple[int, dict[str, Any]]],
-        on_done: Callable[[int, SimulationResult, float], None] | None = None,
-    ) -> dict[int, tuple[SimulationResult, float]]:
-        """Execute one round of payloads; returns ``{index: (result, wall_s)}``."""
-        out: dict[int, tuple[SimulationResult, float]] = {}
-        for payload in payloads:
-            index, result, wall = _run_one(payload)
-            out[index] = (result, wall)
-            if on_done is not None:
-                on_done(index, result, wall)
-        return out
-
-
-class PoolSession:
-    """Incremental-dispatch session over one live process pool.
-
-    The executor is created lazily on the first non-empty round and
-    reused by every subsequent :meth:`run` call, so a multi-round
-    adaptive run pays worker start-up once, not per round. With
-    ``warm_start`` (the default) each worker runs :func:`_warm_worker`
-    on start-up, so one-time import/kernel-build costs never land
-    inside a replication's timed window; results are identical either
-    way.
-    """
-
-    def __init__(self, n_workers: int, warm_start: bool = True):
-        self.n_workers = n_workers
-        self.warm_start = warm_start
-        self._pool: ProcessPoolExecutor | None = None
-
-    def __enter__(self) -> "PoolSession":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
-
-    def run(
-        self,
-        payloads: list[tuple[int, dict[str, Any]]],
-        on_done: Callable[[int, SimulationResult, float], None] | None = None,
-    ) -> dict[int, tuple[SimulationResult, float]]:
-        """Execute one round of payloads; returns ``{index: (result, wall_s)}``.
-
-        Blocks until the whole round finishes — the adaptive stopping
-        decision needs the round's results before choosing whether to
-        submit another.
-        """
-        out: dict[int, tuple[SimulationResult, float]] = {}
-        if not payloads:
-            return out
-        if self._pool is None:
-            if self.warm_start:
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self.n_workers,
-                    initializer=_warm_worker,
-                    initargs=(
-                        os.environ.get("REPRO_SIM_BACKEND"),
-                        _warned_snapshot(),
-                    ),
-                )
-            else:
-                self._pool = ProcessPoolExecutor(max_workers=self.n_workers)
-        pending = {self._pool.submit(_run_one, p) for p in payloads}
-        while pending:
-            done, pending = wait(pending, return_when=FIRST_COMPLETED)
-            for fut in done:
-                index, result, wall = fut.result()
-                out[index] = (result, wall)
-                if on_done is not None:
-                    on_done(index, result, wall)
-        return out
-
-
-class SerialBackend:
-    """Run replications one after another in the calling process."""
-
-    name = "serial"
-
-    def run(
-        self,
-        payloads: list[tuple[int, dict[str, Any]]],
-        on_done: Callable[[int, SimulationResult, float], None] | None = None,
-    ) -> dict[int, tuple[SimulationResult, float]]:
-        """Execute every payload; returns ``{index: (result, wall_s)}``."""
-        return SerialSession().run(payloads, on_done)
-
-    def session(self) -> SerialSession:
-        """A (trivial) incremental-dispatch session."""
-        return SerialSession()
-
-
-class ProcessPoolBackend:
-    """Fan replications out over a :class:`ProcessPoolExecutor`.
-
-    Results are keyed by replication index, so callers aggregate in a
-    deterministic order no matter which worker finishes first.
-    """
-
-    name = "process"
-
-    def __init__(self, n_workers: int, warm_start: bool = True):
+    def __init__(self, n_workers: int):
         if n_workers < 1:
             raise ModelValidationError(f"need at least one worker, got {n_workers}")
         self.n_workers = n_workers
-        self.warm_start = warm_start
+        self._executor: ProcessPoolExecutor | None = None
+
+    def __enter__(self) -> "WorkerPool":
+        return self
+
+    def __exit__(self, exc_type=None, *exc) -> None:
+        if self._executor is not None:
+            self._executor.shutdown(cancel_futures=exc_type is not None)
+            self._executor = None
 
     def run(
         self,
-        payloads: list[tuple[int, dict[str, Any]]],
-        on_done: Callable[[int, SimulationResult, float], None] | None = None,
-    ) -> dict[int, tuple[SimulationResult, float]]:
-        """Execute every payload; returns ``{index: (result, wall_s)}``."""
-        # One-shot runs know the payload count up front, so the pool is
-        # right-sized; a session cannot and always uses n_workers.
-        with PoolSession(
-            min(self.n_workers, max(len(payloads), 1)), warm_start=self.warm_start
-        ) as session:
-            return session.run(payloads, on_done)
+        fn: Callable[[Any], Any],
+        payloads: list[Any],
+        on_done: Callable[[Any], None] | None = None,
+    ) -> list[Any]:
+        """``[fn(p) for p in payloads]``, in payload order.
 
-    def session(self) -> PoolSession:
-        """An incremental-dispatch session with a persistent pool."""
-        return PoolSession(self.n_workers, warm_start=self.warm_start)
+        ``on_done`` receives each value as it finishes (completion
+        order). Blocks until the whole round finishes: the adaptive
+        stopping decision needs the round's results before choosing
+        whether to submit another. ``fn`` must be module-level so the
+        pool can pickle it.
+        """
+        if self.n_workers == 1:
+            out = []
+            for payload in payloads:
+                out.append(fn(payload))
+                if on_done is not None:
+                    on_done(out[-1])
+            return out
+        if not payloads:
+            return []
+        if self._executor is None:
+            self._executor = ProcessPoolExecutor(
+                max_workers=self.n_workers,
+                initializer=_warm_worker,
+                initargs=(os.environ.get("REPRO_SIM_BACKEND"), _warned_snapshot()),
+            )
+        futures = [self._executor.submit(fn, p) for p in payloads]
+        for fut in as_completed(futures):
+            value = fut.result()
+            if on_done is not None:
+                on_done(value)
+        return [fut.result() for fut in futures]
 
 
 def resolve_n_jobs(n_jobs: int | None) -> int:
@@ -312,11 +231,3 @@ def resolve_n_jobs(n_jobs: int | None) -> int:
     if n_jobs < -1:
         raise ModelValidationError(f"n_jobs must be >= -1, got {n_jobs}")
     return n_jobs
-
-
-def get_backend(n_jobs: int | None) -> SerialBackend | ProcessPoolBackend:
-    """The backend matching a normalized ``n_jobs`` request."""
-    n = resolve_n_jobs(n_jobs)
-    if n <= 1:
-        return SerialBackend()
-    return ProcessPoolBackend(n)

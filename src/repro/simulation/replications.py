@@ -8,9 +8,12 @@ tree. :func:`simulate_replications` is what the validation experiments
 
 The replication engine is parallel and cached:
 
-* ``n_jobs`` fans replications out over a process pool
-  (:mod:`repro.simulation.parallel`). Every replication's RNG tree
-  still comes from the same ``RngStreams.replication_seeds``
+* ``n_jobs`` fans replications out over a
+  :class:`~repro.simulation.parallel.WorkerPool`, sized to
+  ``min(n_jobs, replications still to run)`` when the first round is
+  dispatched and reused by every later round; a one-worker pool (or a
+  payload that cannot be pickled) runs inline. Every replication's RNG
+  tree still comes from the same ``RngStreams.replication_seeds``
   SeedSequence child, and aggregation is ordered by replication index,
   so the numbers are **bit-identical for any worker count**.
 * ``cache_dir`` memoizes per-replication results on disk
@@ -38,16 +41,14 @@ from repro.simulation.cache import (
     simulation_fingerprint,
 )
 from repro.simulation.parallel import (
-    PoolSession,
-    ProcessPoolBackend,
     ReplicationTiming,
-    SerialBackend,
-    SerialSession,
-    get_backend,
+    WorkerPool,
+    _run_one,
     payload_is_picklable,
+    resolve_n_jobs,
 )
 from repro.simulation.rng import RngStreams
-from repro.simulation.simulator import SimulationResult, simulate
+from repro.simulation.simulator import SimulationResult
 from repro.simulation.stats import confidence_halfwidth, confidence_halfwidths
 from repro.workload.arrivals import ArrivalProcess
 from repro.workload.classes import Workload
@@ -232,22 +233,30 @@ def simulate_replications(
         n_jobs=n_jobs,
         cache=cache_dir is not None,
     ):
-        return _simulate_replications(
-            cluster,
-            workload,
-            horizon,
-            n_replications,
-            warmup_fraction,
-            seed,
-            arrival_processes,
-            collect_delay_samples,
-            routing=routing,
-            allow_unstable=allow_unstable,
-            collect_job_log=collect_job_log,
+        if n_replications < 1:
+            raise ModelValidationError(f"need at least one replication, got {n_replications}")
+        t_start = time.perf_counter()
+        runner = _ReplicationRunner(
+            _sim_kwargs_common(
+                cluster,
+                workload,
+                horizon,
+                warmup_fraction,
+                arrival_processes,
+                collect_delay_samples,
+                routing,
+                allow_unstable,
+                collect_job_log,
+            ),
+            RngStreams.replication_seeds(seed, n_replications),
+            cache=_resolve_cache(cache_dir),
             n_jobs=n_jobs,
-            cache_dir=cache_dir,
             progress=progress,
         )
+        with runner:
+            runner.ensure(range(n_replications))
+        meta = runner.meta(time.perf_counter() - t_start)
+        return _aggregate(runner.runs(n_replications), n_replications, meta)
 
 
 def _resolve_cache(cache_dir: str | SimulationCache | None) -> SimulationCache | None:
@@ -262,11 +271,11 @@ class _ReplicationRunner:
     """Cache-aware incremental dispatcher for one replication family.
 
     Owns the seed list, the on-disk cache pass, payload construction
-    and backend dispatch for a fixed configuration. The fixed-count
+    and pool dispatch for a fixed configuration. The fixed-count
     engine asks for every index at once; the adaptive engine
     (:mod:`repro.simulation.adaptive`) calls :meth:`ensure` round by
-    round against one live worker session (use the runner as a context
-    manager so the session is torn down).
+    round against one :class:`WorkerPool` (use the runner as a context
+    manager so the pool is torn down).
 
     ``results`` is keyed by replication index; aggregation over an
     *ordered prefix* of it is what makes the numbers independent of
@@ -290,18 +299,18 @@ class _ReplicationRunner:
         self.timings: list[ReplicationTiming] = []
         self.cache_state = "disabled" if cache is None else "enabled"
         self._fingerprints: dict[int, str] = {}
-        self._backend = get_backend(n_jobs)
-        self._session: SerialSession | PoolSession | None = None
-        self._session_used = False  # survives __exit__, unlike _session
+        self._n_jobs = resolve_n_jobs(n_jobs)
+        self._pool: WorkerPool | None = None
+        self._n_workers = 0  # the pool's size once dispatched; survives __exit__
         self._n_done = 0
 
     def __enter__(self) -> "_ReplicationRunner":
         return self
 
     def __exit__(self, *exc) -> None:
-        if self._session is not None:
-            self._session.__exit__()
-            self._session = None
+        if self._pool is not None:
+            self._pool.__exit__(*exc)
+            self._pool = None
 
     def _notify(self, timing: ReplicationTiming) -> None:
         self._n_done += 1
@@ -353,7 +362,7 @@ class _ReplicationRunner:
         """Make ``results[i]`` available for every ``i`` in ``indices``.
 
         Cache pass first (hits are notified with a zero-cost timing
-        record), then one backend round for whatever is left.
+        record), then one pool round for whatever is left.
         """
         needed = [i for i in indices if i not in self.results]
         if self.cache is not None:
@@ -374,21 +383,18 @@ class _ReplicationRunner:
         ]
         if not payloads:
             return
-        if self._session is None:
-            backend = self._backend
-            if not isinstance(backend, SerialBackend) and not payload_is_picklable(payloads[0]):
-                self._backend = backend = SerialBackend()
+        if self._pool is None:
+            # One sizing rule: no more workers than the work still to
+            # come, and one (inline) when the payload cannot be pickled.
+            n = min(self._n_jobs, len(self.seeds) - len(self.results))
+            if self._n_jobs > 1 and not payload_is_picklable(payloads[0]):
+                n = 1
                 self.cache_state += "+serial-fallback"
-            if isinstance(backend, ProcessPoolBackend):
-                # Right-size the pool to the work that could still
-                # possibly arrive in this session.
-                remaining = len(self.seeds) - len(self.results)
-                backend = ProcessPoolBackend(min(backend.n_workers, max(remaining, 1)))
-            self._backend = backend
-            self._session = backend.session().__enter__()
-            self._session_used = True
+            self._pool = WorkerPool(n)
+            self._n_workers = n
 
-        def on_done(index: int, result: SimulationResult, wall: float) -> None:
+        def on_done(done: tuple[int, SimulationResult, float]) -> None:
+            index, result, wall = done
             self.results[index] = result
             fp = self._fingerprints.get(index)
             if self.cache is not None and fp is not None:
@@ -401,7 +407,7 @@ class _ReplicationRunner:
                 )
             )
 
-        self._session.run(payloads, on_done)
+        self._pool.run(_run_one, payloads, on_done)
 
     def runs(self, n: int) -> list[SimulationResult]:
         """The ordered result prefix ``[0, n)`` (every index must exist)."""
@@ -422,12 +428,11 @@ class _ReplicationRunner:
         # Process-pool workers run un-traced (the registry lives in the
         # parent), so their event totals are recorded here from the
         # counts that traveled back with each result.
-        used = self._session_used
-        if used and not isinstance(self._backend, SerialBackend):
+        if self._n_workers > 1:
             obs.counter("sim.events").add(sum(rec.n_events for rec in timings if not rec.cached))
         return {
-            "backend": self._backend.name if used else "cache",
-            "n_jobs": getattr(self._backend, "n_workers", 1) if used else 0,
+            "backend": {0: "cache", 1: "serial"}.get(self._n_workers, "process"),
+            "n_jobs": self._n_workers,
             "cache": self.cache_state,
             "cache_hits": cache_hits,
             "cache_misses": cache_misses,
@@ -459,46 +464,3 @@ def _sim_kwargs_common(
         allow_unstable=allow_unstable,
         collect_job_log=collect_job_log,
     )
-
-
-def _simulate_replications(
-    cluster: ClusterModel,
-    workload: Workload,
-    horizon: float,
-    n_replications: int = 5,
-    warmup_fraction: float = 0.1,
-    seed: int = 0,
-    arrival_processes: list[ArrivalProcess] | None = None,
-    collect_delay_samples: bool = False,
-    *,
-    routing: list | None = None,
-    allow_unstable: bool = False,
-    collect_job_log: bool = False,
-    n_jobs: int | None = None,
-    cache_dir: str | SimulationCache | None = None,
-    progress: Callable[[ReplicationTiming, int, int], None] | None = None,
-) -> ReplicatedResult:
-    if n_replications < 1:
-        raise ModelValidationError(f"need at least one replication, got {n_replications}")
-    t_start = time.perf_counter()
-    runner = _ReplicationRunner(
-        _sim_kwargs_common(
-            cluster,
-            workload,
-            horizon,
-            warmup_fraction,
-            arrival_processes,
-            collect_delay_samples,
-            routing,
-            allow_unstable,
-            collect_job_log,
-        ),
-        RngStreams.replication_seeds(seed, n_replications),
-        cache=_resolve_cache(cache_dir),
-        n_jobs=n_jobs,
-        progress=progress,
-    )
-    with runner:
-        runner.ensure(range(n_replications))
-    meta = runner.meta(time.perf_counter() - t_start)
-    return _aggregate(runner.runs(n_replications), n_replications, meta)

@@ -221,6 +221,24 @@ class TestReproducibilityContract:
         assert np.array_equal(parallel.delays, serial.delays)
         assert parallel.average_power == serial.average_power
 
+    def test_pooled_multi_round_run_starts_one_executor(
+        self, monkeypatch, two_class_cluster, two_class_workload
+    ):
+        from repro.simulation import parallel
+
+        started = []
+
+        class _CountingExecutor(parallel.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                started.append(kwargs["max_workers"])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", _CountingExecutor)
+        rep = _adaptive(two_class_cluster, two_class_workload, MULTI_ROUND, n_jobs=2)
+        assert rep.meta["adaptive"]["n_rounds"] > 1
+        assert rep.meta["backend"] == "process"
+        assert started == [2]
+
     def test_aggregates_match_fixed_count_run_exactly(
         self, two_class_cluster, two_class_workload
     ):

@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 from repro.exceptions import CompiledFallbackWarning, ModelValidationError
 from repro.simulation import RngStreams, simulate
 from repro.simulation import compiled as compiled_mod
-from repro.simulation.parallel import ProcessPoolBackend, SerialBackend
+from repro.simulation.parallel import WorkerPool, _run_one
 from repro.simulation.rng import fnv1a64
 
 import test_golden_sim_metrics as golden_mod
@@ -90,11 +90,10 @@ def _replication_numbers(backend_env, n_jobs, with_controller, monkeypatch):
         (i, dict(cluster=cluster, workload=workload, horizon=80.0, seed=child, **extra))
         for i, child in enumerate(RngStreams.replication_seeds(42, 3))
     ]
-    backend = SerialBackend() if n_jobs == 1 else ProcessPoolBackend(n_jobs)
-    with warnings.catch_warnings():
+    with warnings.catch_warnings(), WorkerPool(n_jobs) as pool:
         warnings.simplefilter("ignore", CompiledFallbackWarning)
-        out = backend.run(payloads)
-    return {i: golden_mod._snapshot(res) for i, (res, _wall) in sorted(out.items())}
+        out = pool.run(_run_one, payloads)
+    return {i: golden_mod._snapshot(res) for i, res, _wall in out}
 
 
 @needs_kernel
@@ -547,34 +546,26 @@ def _payloads(n=3, horizon=60.0, seed=77):
     ]
 
 
-def _result_bits(out):
-    return {
-        i: (res.delays.tolist(), res.average_power, res.meta["n_events"])
-        for i, (res, _wall) in out.items()
-    }
+def _result_bits(n_workers, payloads):
+    with WorkerPool(n_workers) as pool:
+        out = pool.run(_run_one, payloads)
+    return {i: (res.delays.tolist(), res.average_power, res.meta["n_events"]) for i, res, _ in out}
 
 
 def test_warm_start_initializer_identical_results():
     """The per-process warm-up initializer must not change a single bit
-    of any replication, relative to cold workers and the serial loop."""
+    of any replication, relative to the serial loop."""
     payloads = _payloads()
-    serial = _result_bits(SerialBackend().run(payloads))
-    warm = _result_bits(ProcessPoolBackend(2, warm_start=True).run(payloads))
-    cold = _result_bits(ProcessPoolBackend(2, warm_start=False).run(payloads))
-    assert warm == serial
-    assert cold == serial
+    assert _result_bits(2, payloads) == _result_bits(1, payloads)
 
 
 @needs_kernel
 def test_warm_start_compiled_backend_identical_results(monkeypatch):
     monkeypatch.setenv("REPRO_SIM_BACKEND", "compiled")
     payloads = _payloads(n=2, horizon=40.0)
-    warm = _result_bits(ProcessPoolBackend(2, warm_start=True).run(payloads))
-    cold = _result_bits(ProcessPoolBackend(2, warm_start=False).run(payloads))
+    warm = _result_bits(2, payloads)
     monkeypatch.setenv("REPRO_SIM_BACKEND", "python")
-    serial = _result_bits(SerialBackend().run(payloads))
-    assert warm == serial
-    assert cold == serial
+    assert warm == _result_bits(1, payloads)
 
 
 def test_warm_worker_runs_in_process(monkeypatch):
@@ -622,13 +613,12 @@ def test_pool_initargs_carry_warned_snapshot(monkeypatch):
         def __init__(self, max_workers=None, initializer=None, initargs=()):
             captured["initargs"] = initargs
 
-        def shutdown(self):
+        def shutdown(self, cancel_futures=False):
             pass
 
     monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", _FakeExecutor)
-    session = parallel_mod.PoolSession(2, warm_start=True)
     try:
-        session.run([(0, {})])
+        parallel_mod.WorkerPool(2).run(parallel_mod._run_one, [(0, {})])
     except Exception:
         pass  # the fake executor cannot run payloads; pool creation is the point
     assert captured["initargs"][1] == ("pool-visible reason",)

@@ -38,7 +38,7 @@ from repro.simulation import (
     simulate_replications,
     simulation_fingerprint,
 )
-from repro.simulation.parallel import ProcessPoolBackend, SerialBackend, get_backend, resolve_n_jobs
+from repro.simulation.parallel import resolve_n_jobs
 from repro.workload import workload_from_rates
 from repro.workload.arrivals import RenewalProcess
 
@@ -363,8 +363,6 @@ class TestParallelDeterminism:
         assert resolve_n_jobs(-1) >= 1
         with pytest.raises(ModelValidationError):
             resolve_n_jobs(-2)
-        assert isinstance(get_backend(None), SerialBackend)
-        assert isinstance(get_backend(2), ProcessPoolBackend)
 
     def test_unpicklable_payload_falls_back_to_serial(
         self, two_class_cluster, two_class_workload

@@ -1,10 +1,11 @@
-"""SciPy stays off the start-up path.
+"""SciPy and the process pool stay off the start-up path.
 
 Every SciPy import in ``repro`` sits in the function that calls it, and
 Student-t quantiles come from ``scipy.special.stdtrit``, so importing
 the CLI loads no SciPy module and no command loads ``scipy.stats``.
-Each case runs in a fresh interpreter: this test process already holds
-SciPy.
+The process pool is imported only where a command starts one, so
+importing the CLI loads no ``multiprocessing`` module either. Each case
+runs in a fresh interpreter: this test process already holds SciPy.
 """
 
 from __future__ import annotations
@@ -35,9 +36,11 @@ print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("
 """
 
 
-def _scipy_modules_after(argv: list[str] | None) -> set[str]:
+def _run_probe(code: str, *args: str) -> set[str]:
+    """Run ``code`` in a fresh interpreter; its last stdout line is a
+    JSON list of module names."""
     proc = subprocess.run(
-        [sys.executable, "-c", _PROBE, json.dumps(argv)],
+        [sys.executable, "-c", code, *args],
         env={**os.environ, "PYTHONPATH": SRC, "REPRO_SIM_BACKEND": "python"},
         capture_output=True,
         text=True,
@@ -47,6 +50,10 @@ def _scipy_modules_after(argv: list[str] | None) -> set[str]:
     return set(json.loads(proc.stdout.strip().splitlines()[-1]))
 
 
+def _scipy_modules_after(argv: list[str] | None) -> set[str]:
+    return _run_probe(_PROBE, json.dumps(argv))
+
+
 def _public_subpackages(modules: set[str]) -> set[str]:
     parts = (m.split(".") for m in modules)
     return {p[1] for p in parts if len(p) > 1 and not p[1].startswith("_")}
@@ -54,6 +61,27 @@ def _public_subpackages(modules: set[str]) -> set[str]:
 
 def test_cli_import_loads_no_scipy():
     assert _scipy_modules_after(None) == set()
+
+
+def test_cli_import_loads_no_multiprocessing():
+    loaded = _run_probe(
+        "import json, sys, repro.cli\n"
+        "print(json.dumps([m for m in sys.modules if m.split('.')[0] == 'multiprocessing']))"
+    )
+    assert loaded == set()
+
+
+def test_pool_warm_up_primes_the_t_quantile():
+    # A warm-started worker's first replication must not absorb the
+    # scipy.special import that its CI half-width needs.
+    loaded = _run_probe(
+        "import json, sys\n"
+        "from repro.simulation.parallel import _warm_worker\n"
+        "_warm_worker()\n"
+        "print(json.dumps([m for m in sys.modules if m.startswith('scipy.')]))"
+    )
+    assert "scipy.special" in loaded
+    assert "scipy.stats" not in loaded
 
 
 def test_report_loads_no_scipy():
