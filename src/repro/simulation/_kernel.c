@@ -3,7 +3,7 @@
  * This file is compiled on demand by repro/simulation/compiled.py (gcc
  * or cc, linked against NumPy's libnpyrandom) and driven through
  * ctypes.  It reimplements the hot loop of
- * repro/simulation/simulator.py -- the (time, seq) event heap, the
+ * repro/simulation/simulator.py -- the (time, seq) event queue, the
  * array-backed SimStation state machine, the processor-sharing station
  * and the per-event statistics tallies -- in C, while drawing every
  * random variate through NumPy's own C distribution functions on
@@ -24,8 +24,9 @@
  *    buffering, so every draw consumes the bits RngStreams' PCG64
  *    would (RngStreams is the oracle: the differential seeding test
  *    compares states and interleaved outputs through k_stream_probe);
- *  - the heap is ordered by the same unique (time, push-sequence) key,
- *    so pop order is a total order independent of heap internals;
+ *  - pending events are ordered by the same unique (time, push-sequence)
+ *    key, so any correct queue (Python's heap, this file's sorted array)
+ *    pops the same total order;
  *  - every floating-point update (busy-time clipping, wait/sojourn
  *    sums, completion times, PS share decrements, DVFS remaining-work
  *    rescales) mirrors the Python expression shape and evaluation
@@ -331,7 +332,7 @@ static int dq_pop_front(dq_t *q) {
     return v;
 }
 
-/* ------------------------------- heap ------------------------------- */
+/* --------------------------- event queue --------------------------- */
 
 typedef struct {
     double t;
@@ -341,51 +342,34 @@ typedef struct {
     long long b;
 } ev_t;
 
+/* Pending events sorted by descending (t, seq): the next event is the
+ * last entry, so a pop is O(1).  The set stays small (one arrival per
+ * class, one live completion per station, a few superseded ones), so a
+ * push shifts only the handful of entries that pop before it. */
 typedef struct {
     ev_t *buf;
     long long cap;
     long long len;
-} heap_t;
+} evq_t;
 
 static int ev_less(const ev_t *x, const ev_t *y) {
     if (x->t != y->t) return x->t < y->t;
     return x->seq < y->seq;
 }
 
-static int heap_push(heap_t *h, double t, long long seq, int kind, int a, long long b) {
-    if (h->len == h->cap) {
-        long long ncap = h->cap * 2;
-        ev_t *nbuf = (ev_t *)realloc(h->buf, sizeof(ev_t) * ncap);
+static int evq_push(evq_t *q, double t, long long seq, int kind, int a, long long b) {
+    if (q->len == q->cap) {
+        long long ncap = q->cap * 2;
+        ev_t *nbuf = (ev_t *)realloc(q->buf, sizeof(ev_t) * ncap);
         if (nbuf == NULL) return 1;
-        h->buf = nbuf;
-        h->cap = ncap;
+        q->buf = nbuf;
+        q->cap = ncap;
     }
-    long long i = h->len++;
     ev_t ev = {t, seq, kind, a, b};
-    while (i > 0) {
-        long long parent = (i - 1) / 2;
-        if (!ev_less(&ev, &h->buf[parent])) break;
-        h->buf[i] = h->buf[parent];
-        i = parent;
-    }
-    h->buf[i] = ev;
+    long long i = q->len++;
+    for (; i > 0 && ev_less(&q->buf[i - 1], &ev); i--) q->buf[i] = q->buf[i - 1];
+    q->buf[i] = ev;
     return 0;
-}
-
-static ev_t heap_pop(heap_t *h) {
-    ev_t top = h->buf[0];
-    ev_t last = h->buf[--h->len];
-    long long i = 0;
-    for (;;) {
-        long long child = 2 * i + 1;
-        if (child >= h->len) break;
-        if (child + 1 < h->len && ev_less(&h->buf[child + 1], &h->buf[child])) child++;
-        if (!ev_less(&h->buf[child], &last)) break;
-        h->buf[i] = h->buf[child];
-        i = child;
-    }
-    h->buf[i] = last;
-    return top;
 }
 
 /* ----------------------------- job pool ----------------------------- */
@@ -600,7 +584,7 @@ typedef struct {
     int *scratch_counts;     /* K ints for PS per-class busy accrual */
 
     station_t *stations;
-    heap_t heap;
+    evq_t events;
     jobpool_t jobs;
     long long next_seq;      /* next push sequence number (starts at 1) */
 
@@ -777,7 +761,7 @@ static int resync(ctx_t *c, station_t *st) {
         if (st->srv_job[i] >= 0 && st->srv_completion[i] < best) best = st->srv_completion[i];
     st->sched_time = best;
     if (best != INFINITY)
-        return heap_push(&c->heap, best, c->next_seq++, EV_COMPLETION, st->index, st->sched_epoch);
+        return evq_push(&c->events, best, c->next_seq++, EV_COMPLETION, st->index, st->sched_epoch);
     return 0;
 }
 
@@ -832,7 +816,7 @@ static int ps_reschedule(ctx_t *c, station_t *st, double t) {
         }
         double t_next = mn / rate;
         st->sched_time = t + t_next;
-        return heap_push(&c->heap, t + t_next, c->next_seq++, EV_COMPLETION,
+        return evq_push(&c->events, t + t_next, c->next_seq++, EV_COMPLETION,
                          st->index, st->sched_epoch);
     }
     st->sched_time = INFINITY;
@@ -899,7 +883,7 @@ static int station_arrive(ctx_t *c, station_t *st, double t, int jidx) {
         if (comp < st->sched_time) {
             st->sched_epoch++;
             st->sched_time = comp;
-            if (heap_push(&c->heap, comp, c->next_seq++, EV_COMPLETION, st->index, st->sched_epoch))
+            if (evq_push(&c->events, comp, c->next_seq++, EV_COMPLETION, st->index, st->sched_epoch))
                 return -1;
         }
         return 1;
@@ -986,7 +970,7 @@ static int station_complete(ctx_t *c, station_t *st, double t) {
     st->sched_epoch++;
     st->sched_time = new_min;
     if (new_min != INFINITY) {
-        if (heap_push(&c->heap, new_min, c->next_seq++, EV_COMPLETION, st->index, st->sched_epoch))
+        if (evq_push(&c->events, new_min, c->next_seq++, EV_COMPLETION, st->index, st->sched_epoch))
             return -2;
     }
     return jidx;
@@ -1169,7 +1153,7 @@ static void free_ctx(ctx_t *c) {
     free(c->scratch_counts);
     free(c->sample_ts.buf);
     free(c->sample_vals.buf);
-    free(c->heap.buf);
+    free(c->events.buf);
     free(c->jobs.pool);
     free(c->jobs.free_list);
     drop_outputs(c);
@@ -1222,7 +1206,7 @@ static int bind_slots(ctx_t *c, const SamplerDesc *sampler_tpl, const ArrivalDes
 }
 
 /* One-time arena allocation: descriptor copies and stream slots, event
- * heap, job pool, scratch, Python block buffers, speed and
+ * queue, job pool, scratch, Python block buffers, speed and
  * delay-buffer slots, and the per-station server arrays / queues / PS
  * pools.
  * Station geometry comes from the descriptors and never changes across
@@ -1233,9 +1217,9 @@ static int ctx_alloc(ctx_t *c, const StationDesc *station_desc,
                      const SamplerDesc *sampler_tpl, const ArrivalDesc *arrival_tpl,
                      int n_blocks, long long block_size) {
     if (bind_slots(c, sampler_tpl, arrival_tpl)) return 1;
-    c->heap.cap = 256;
-    c->heap.buf = (ev_t *)malloc(sizeof(ev_t) * c->heap.cap);
-    if (c->heap.buf == NULL || jp_init(&c->jobs)) return 1;
+    c->events.cap = 256;
+    c->events.buf = (ev_t *)malloc(sizeof(ev_t) * c->events.cap);
+    if (c->events.buf == NULL || jp_init(&c->jobs)) return 1;
 
     c->scratch_counts = (int *)malloc(sizeof(int) * c->K);
     if (c->scratch_counts == NULL) return 1;
@@ -1308,7 +1292,7 @@ static void ctx_reset(ctx_t *c, const uint32_t *words, long long n_words) {
         c->arrivals[k].clock = 0.0;
     }
     c->next_seq = 1;
-    c->heap.len = 0;
+    c->events.len = 0;
     c->jobs.used = 0;
     c->jobs.free_len = 0;
     c->sample_ts.len = 0;
@@ -1366,7 +1350,7 @@ static int run_core(ctx_t *c) {
         long long batch;
         double gap = next_gap(c, k, &batch);
         if (*c->abort_flag) return RC_ABORT;
-        if (heap_push(&c->heap, gap, c->next_seq++, EV_ARRIVAL, k, batch)) return RC_NOMEM;
+        if (evq_push(&c->events, gap, c->next_seq++, EV_ARRIVAL, k, batch)) return RC_NOMEM;
     }
 
     long long n_warmup_discarded = 0;
@@ -1375,8 +1359,8 @@ static int run_core(ctx_t *c) {
     double next_epoch = (c->dynamic && c->n_epochs > 0) ? c->epoch_times[0] : INFINITY;
     c->next_sample_t = c->sample_interval > 0.0 ? warmup : INFINITY;
 
-    while (c->heap.len) {
-        ev_t ev = heap_pop(&c->heap);
+    while (c->events.len) {
+        ev_t ev = c->events.buf[--c->events.len];
         double t = ev.t;
         if (t > horizon) {
             hit_horizon = 1;
@@ -1501,7 +1485,7 @@ static int run_core(ctx_t *c) {
             long long batch;
             double gap = next_gap(c, k, &batch);
             if (*c->abort_flag) return RC_ABORT;
-            if (heap_push(&c->heap, t + gap, c->next_seq++, EV_ARRIVAL, k, batch)) return RC_NOMEM;
+            if (evq_push(&c->events, t + gap, c->next_seq++, EV_ARRIVAL, k, batch)) return RC_NOMEM;
         }
     }
 
@@ -1514,7 +1498,7 @@ static int run_core(ctx_t *c) {
     /* processed events = pushes - still-enqueued - the post-horizon pop */
     long long pushes = c->next_seq - 1;
     c->out_scalars[0] = jid;
-    c->out_scalars[1] = pushes - c->heap.len - (hit_horizon ? 1 : 0);
+    c->out_scalars[1] = pushes - c->events.len - (hit_horizon ? 1 : 0);
     c->out_scalars[2] = n_warmup_discarded;
     c->out_scalars[3] = hit_horizon;
     return RC_OK;
@@ -1532,7 +1516,7 @@ static long long monotonic_ns(void) {
  * is a batch of one).  Station geometry, routes/routing tables, the
  * epoch schedule and one sampler/arrival/routing descriptor template
  * are shared; every replication brings its own seed words and gets its
- * own output slices.  The descriptor copies, stream slots, event heap,
+ * own output slices.  The descriptor copies, stream slots, event queue,
  * job pool, station arrays and Python block buffers are allocated once
  * by ctx_alloc and rewound by ctx_reset between replications, so the
  * Python->C boundary is crossed once per batch.

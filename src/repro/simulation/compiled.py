@@ -1,11 +1,11 @@
 """Compiled (C) backend for the discrete-event simulation engine.
 
 The hot event loop of :func:`repro.simulation.simulator.simulate` —
-heap dispatch, array-backed station transitions, per-event statistics
-and the service/arrival/routing variate draws — is reimplemented in
-``_kernel.c``, compiled on demand with the system C compiler, linked
-against NumPy's own ``libnpyrandom`` distribution library, and driven
-through :mod:`ctypes`.
+event dispatch from a sorted pending-event array, array-backed station
+transitions, per-event statistics and the service/arrival/routing
+variate draws — is reimplemented in ``_kernel.c``, compiled on demand
+with the system C compiler, linked against NumPy's own ``libnpyrandom``
+distribution library, and driven through :mod:`ctypes`.
 
 Why C + ctypes rather than Numba: the container this project targets
 ships only the base scientific stack (no Numba, no Cython) but always

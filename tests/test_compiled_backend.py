@@ -334,6 +334,80 @@ def test_ps_tiers_run_compiled_bit_identical(monkeypatch):
     assert ref.meta["n_events"] == got.meta["n_events"]
 
 
+def _python_and_compiled(monkeypatch, cluster, workload, **kwargs):
+    """The same run on both engines; the compiled one must not fall back."""
+    monkeypatch.setenv("REPRO_SIM_BACKEND", "python")
+    ref = simulate(cluster, workload, **kwargs)
+    monkeypatch.setenv("REPRO_SIM_BACKEND", "compiled")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", CompiledFallbackWarning)
+        got = simulate(cluster, workload, **kwargs)
+    return ref, got
+
+
+@needs_kernel
+@pytest.mark.parametrize("discipline", ["fcfs", "priority_np", "priority_pr", "ps"])
+def test_simultaneous_events_pop_in_push_order(discipline, monkeypatch):
+    """Deterministic demands and arrivals on shared time grids put many
+    pending events at the same instant, so only the push sequence orders
+    them: a queue keyed on time alone diverges from the Python engine."""
+    from repro.cluster import ClusterModel, Tier
+    from repro.distributions import Deterministic
+    from repro.workload import TraceArrivalProcess, workload_from_rates
+
+    demands = (Deterministic(0.25), Deterministic(0.5))
+    spec = golden_mod._SPEC
+    cluster = ClusterModel(
+        [
+            Tier("front", demands, spec, servers=2, discipline=discipline),
+            Tier("back", demands, spec, servers=1, discipline=discipline),
+        ]
+    )
+    horizon = 200.0
+    arrivals = [
+        TraceArrivalProcess(np.arange(1, 201) * 1.0, horizon),
+        TraceArrivalProcess(np.arange(1, 401) * 0.5, horizon),
+    ]
+    ref, got = _python_and_compiled(
+        monkeypatch,
+        cluster,
+        workload_from_rates([1.0, 2.0]),
+        horizon=horizon,
+        seed=3,
+        arrival_processes=arrivals,
+        allow_unstable=True,
+        collect_job_log=True,
+    )
+    assert np.array_equal(ref.job_log, got.job_log)
+    assert ref.delays.tobytes() == got.delays.tobytes()
+    assert ref.station_waits.tobytes() == got.station_waits.tobytes()
+    assert ref.meta["n_events"] == got.meta["n_events"]
+
+
+@needs_kernel
+def test_event_queue_grows_past_initial_capacity(monkeypatch):
+    """300 classes keep ~300 arrivals pending, past the kernel's initial
+    event-queue capacity of 256, so the run goes through its regrowth."""
+    from repro.cluster import ClusterModel, Tier
+    from repro.distributions import Exponential
+    from repro.workload import workload_from_rates
+
+    n_classes = 300
+    tier = Tier("solo", (Exponential(50.0),) * n_classes, golden_mod._SPEC, servers=2)
+    ref, got = _python_and_compiled(
+        monkeypatch,
+        ClusterModel([tier]),
+        workload_from_rates([0.05] * n_classes),
+        horizon=100.0,
+        seed=8,
+        collect_job_log=True,
+    )
+    assert np.array_equal(ref.job_log, got.job_log)
+    golden_mod._assert_identical(
+        golden_mod._snapshot(ref), golden_mod._snapshot(got), path="wide"
+    )
+
+
 @needs_kernel
 def test_ps_with_finite_buffer_rejected_compiled(monkeypatch):
     """The engine's PS+capacity validation error surfaces identically
