@@ -25,7 +25,7 @@ Commands
     Fleet-scale sweep: every (scenario × replication) unit pulled off
     a shared work-stealing queue by a process pool, one compact metric
     row per unit streamed into a columnar result store (Parquet when
-    ``pyarrow`` is importable, compressed npz otherwise). With
+    ``pyarrow`` is importable, uncompressed npz otherwise). With
     ``--telemetry DIR``, ``repro status DIR`` tails live progress;
     ``repro telemetry ingest --fleet DIR`` folds per-scenario
     aggregates into the SQLite store.
@@ -200,7 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--batch-size",
         default="auto",
         help="replications per kernel call / work-stealing chunk "
-        "(positive int, or 'auto' to size from the grid and worker count; "
+        "(positive int, or 'auto' to fill each chunk up to a fixed budget of "
+        "expected kernel events, ~8 chunks per worker at most; "
         "rows are bit-identical for every value)",
     )
     fleet_p.add_argument(

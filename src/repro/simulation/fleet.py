@@ -20,7 +20,8 @@ Four layers keep the path batch-native end to end:
 
 * **Chunked dispatch** — work units travel as ``(scenario, rep0,
   count)`` chunks (never crossing a scenario boundary), auto-sized
-  from the grid shape and worker count or pinned with ``batch_size``;
+  to a budget of expected kernel events per chunk (and ~8 chunks per
+  worker in a pool) or pinned with ``batch_size``;
   the simulation backend is resolved once in :func:`run_fleet` and
   threaded explicitly to every worker instead of re-read from the
   environment per unit.
@@ -73,14 +74,22 @@ from repro import obs
 from repro.exceptions import ModelValidationError
 from repro.simulation.parallel import resolve_n_jobs
 from repro.simulation.results_store import FleetStore, _column_dtype
-from repro.simulation.simulator import _row_dtype, _summary_rows, resolve_backend, simulate
+from repro.simulation.simulator import (
+    _build_routes,
+    _row_dtype,
+    _summary_rows,
+    resolve_backend,
+    simulate,
+)
 
 __all__ = ["FleetScenario", "FleetSummary", "run_fleet", "fleet_columns"]
 
-#: Largest replication chunk a single kernel call runs; beyond this the
-#: per-call amortization is flat while failure blast radius and latency
-#: to first result keep growing.
-_MAX_BATCH = 64
+#: Expected kernel events one auto-sized chunk may run (~0.2 s of event
+#: loop at ~90 ns/event). Each kernel call pays ~0.6 ms of fixed Python
+#: setup, a sixth of a 64-unit call when units are 5 s long (~3 ms of
+#: loop); budgeting events rather than units keeps that share small for
+#: any unit length while chunks stay near 0.2 s of loop.
+_CHUNK_EVENTS = 2**21
 
 
 @dataclass(frozen=True)
@@ -125,26 +134,49 @@ def _unit_seed(master_seed: int, scenario: int, replication: int) -> np.random.S
     return np.random.SeedSequence(master_seed, spawn_key=(scenario, replication))
 
 
+def _unit_events(sc: FleetScenario) -> float:
+    """Expected kernel events of one unit of ``sc``: every arrival is one
+    event, and so is each of its completions along the class route."""
+    try:
+        routes = _build_routes(sc.cluster)
+    except ModelValidationError:
+        return 0.0  # rejected per unit whatever the chunk size
+    hops = np.array([1 + len(r) for r in routes], dtype=float)
+    return sc.horizon * float(np.dot(sc.workload.arrival_rates, hops))
+
+
 def _resolve_batch_size(
-    batch_size: int | str, n_replications: int, n_units: int, n_workers: int
+    batch_size: int | str,
+    scenarios: list[FleetScenario],
+    n_replications: int,
+    n_workers: int,
 ) -> int:
     """Pin or auto-size the replication chunk.
 
     Auto sizing balances two pressures: big chunks amortize the
-    per-call kernel setup (the point of batching), while the pool needs
-    enough chunks in flight that work stealing can still level uneven
-    scenario costs — so the parallel path caps chunks at roughly eight
-    per worker across the whole grid.
+    per-call kernel setup (the point of batching), so a chunk holds as
+    many units of the grid's costliest scenario as fit in
+    ``_CHUNK_EVENTS`` expected events; and the pool needs enough chunks
+    in flight that work stealing can still level uneven scenario costs,
+    so the parallel path caps chunks at roughly eight per worker across
+    the whole grid.
     """
     if batch_size == "auto":
-        if n_workers == 1:
-            return max(1, min(n_replications, _MAX_BATCH))
-        return max(1, min(n_replications, _MAX_BATCH, math.ceil(n_units / (n_workers * 8))))
-    if not isinstance(batch_size, int) or isinstance(batch_size, bool) or batch_size < 1:
+        unit_events = max(_unit_events(sc) for sc in scenarios)
+        batch = min(n_replications, int(_CHUNK_EVENTS // max(unit_events, 1.0)))
+        if n_workers > 1:
+            n_units = len(scenarios) * n_replications
+            batch = min(batch, math.ceil(n_units / (n_workers * 8)))
+        return max(1, batch)
+    if (
+        not isinstance(batch_size, (int, np.integer))
+        or isinstance(batch_size, bool)
+        or batch_size < 1
+    ):
         raise ModelValidationError(
             f"batch_size must be a positive integer or 'auto', got {batch_size!r}"
         )
-    return min(batch_size, n_replications)
+    return int(min(batch_size, n_replications))
 
 
 def _chunk_plan(
@@ -363,9 +395,12 @@ def run_fleet(
         once here and threaded explicitly.
     batch_size:
         Replications per kernel call / work-stealing chunk (chunks
-        never cross a scenario boundary). ``"auto"`` (default) sizes
-        from the grid shape and worker count; any positive int pins
-        it. Rows are bit-identical for every value.
+        never cross a scenario boundary). ``"auto"`` (default) fills
+        each chunk up to a fixed budget of expected kernel events
+        (``horizon × Σ_k λ_k × (1 + route length)`` of the costliest
+        scenario), capped at ~8 chunks per worker in a pool; any
+        positive integer (NumPy integers included) pins it. Rows are
+        bit-identical for every value.
     progress:
         Optional ``progress(n_done, n_failed, n_units)`` callback,
         invoked at most every ``progress_every`` seconds plus once at
@@ -396,7 +431,7 @@ def run_fleet(
     )
     n_units = len(scenarios) * n_replications
     n_workers = resolve_n_jobs(n_jobs)
-    batch = _resolve_batch_size(batch_size, n_replications, n_units, n_workers)
+    batch = _resolve_batch_size(batch_size, scenarios, n_replications, n_workers)
     chunks = _chunk_plan(len(scenarios), n_replications, batch)
     columns = fleet_columns(len(class_names))
     store = FleetStore.create(

@@ -10,8 +10,9 @@ sequence of immutable columnar *row groups*:
 
 * **Parquet** row groups when ``pyarrow`` is importable — the format
   the issue asks for, readable by any Arrow-ecosystem tool; or
-* **npz** row groups (one compressed NumPy array per column) as the
-  zero-dependency fallback, bit-identical in content.
+* **npz** row groups (one uncompressed NumPy array per column) as the
+  zero-dependency fallback, bit-identical in content. Groups written
+  with ``np.savez_compressed`` by older versions read the same.
 
 The write side streams: :meth:`FleetStore.append` buffers rows and
 :meth:`FleetStore.flush` seals a row group to disk, so a 10k-unit
@@ -230,10 +231,11 @@ class FleetStore:
             table = pa.table({name: pa.array(arrays[name]) for name in self.columns})
             pq.write_table(table, target)
         else:
-            # np.savez_compressed appends ".npz" unless present; target
-            # already carries it.
+            # Uncompressed: zlib shrinks the float columns only a few
+            # percent at ~20x the write time. np.load reads both
+            # encodings, so stores written compressed stay readable.
             with open(target, "wb") as fh:
-                np.savez_compressed(fh, **arrays)
+                np.savez(fh, **arrays)
         self._groups.append({"file": filename, "n_rows": self._buffered_rows})
         self._segments = []
         self._buffered_rows = 0

@@ -24,11 +24,22 @@ from repro.cluster import ClusterModel, Tier
 from repro.distributions import Exponential, Gamma, HyperExponential, Pareto
 from repro.distributions.base import Distribution
 from repro.exceptions import ModelValidationError
-from repro.experiments.common import small_cluster, small_workload
+from repro.experiments.common import (
+    canonical_cluster,
+    canonical_workload,
+    small_cluster,
+    small_workload,
+)
 from repro.queueing.routing import ClassRouting, visit_ratio_matrix
 from repro.simulation import FleetScenario, FleetStore, run_fleet, simulate
 from repro.simulation.compiled import _IndexSeeds, _seed_block, kernel_available
-from repro.simulation.fleet import _chunk_plan, _resolve_batch_size, _run_chunk
+from repro.simulation.fleet import (
+    _CHUNK_EVENTS,
+    _chunk_plan,
+    _resolve_batch_size,
+    _run_chunk,
+    _unit_events,
+)
 from repro.workload import workload_from_rates
 
 needs_kernel = pytest.mark.skipif(
@@ -171,7 +182,18 @@ def test_fleet_batch_size_recorded_and_validated(tmp_path):
     meta = FleetStore.open(tmp_path / "s").meta
     assert meta["batch_size"] == 2
     assert meta["transport"] == "inline"
-    for bad in (0, -3, 2.5, "huge", True):
+    summary = run_fleet(
+        _scenarios(loads=(0.5,)),
+        4,
+        tmp_path / "np",
+        seed=0,
+        n_jobs=1,
+        batch_size=np.int64(2),
+        store_format="npz",
+    )
+    assert summary.n_done == 4
+    assert FleetStore.open(tmp_path / "np").meta["batch_size"] == 2
+    for bad in (0, -3, 2.5, "huge", True, np.float64(2.0), np.bool_(True)):
         with pytest.raises(ModelValidationError):
             run_fleet(
                 _scenarios(loads=(0.5,)),
@@ -190,13 +212,33 @@ def test_chunk_plan_and_auto_sizing():
         (1, 2, 2),
         (1, 4, 1),
     ]
-    # serial: as large as the scenario allows, capped at 64
-    assert _resolve_batch_size("auto", 250, 1000, 1) == 64
-    assert _resolve_batch_size("auto", 10, 20, 1) == 10
-    # pool: keep ~8 chunks per worker in flight for stealing
-    assert _resolve_batch_size("auto", 250, 1000, 4) == 32
-    assert _resolve_batch_size("auto", 250, 1000, 64) == 2
-    assert _resolve_batch_size(100, 30, 60, 1) == 30  # clamped to scenario
+
+    # Each unit costs ~horizon × Σ_k λ_k × (1 + route length) kernel
+    # events; "auto" packs the costliest scenario's units into one
+    # _CHUNK_EVENTS budget, and a pool keeps ~8 chunks per worker.
+    def grid(horizon):
+        return [
+            FleetScenario(f"load={f:g}", canonical_cluster(), canonical_workload(f), horizon)
+            for f in (0.6, 0.8, 1.0, 1.2)
+        ]
+
+    unit_events = _unit_events(grid(5.0)[-1])
+    assert unit_events == pytest.approx(5.0 * (4.8 + 9.6 + 14.4) * 4)
+    # 4 × 5000 short units on 2 workers: the pool bound decides.
+    assert _resolve_batch_size("auto", grid(5.0), 5000, 2) == 1250
+    assert _resolve_batch_size("auto", grid(5.0), 250, 64) == 2
+    # 4 × 500 long units, serial: the event budget decides, not the
+    # replication count.
+    serial = _resolve_batch_size("auto", grid(200.0), 500, 1)
+    assert serial == _CHUNK_EVENTS // _unit_events(grid(200.0)[-1]) == 91
+    assert len(_chunk_plan(4, 500, serial)) == 24
+    # one unit over budget still runs, one per chunk
+    assert _resolve_batch_size("auto", grid(1e6), 10, 1) == 1
+    # the budget never asks for more units than a scenario has
+    assert _resolve_batch_size("auto", grid(5.0), 10, 1) == 10
+    # pinned sizes are taken as given, clamped to the scenario
+    assert _resolve_batch_size(7, grid(5.0), 250, 4) == 7
+    assert _resolve_batch_size(100, grid(5.0), 30, 1) == 30
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +372,21 @@ def test_unstable_scenario_fails_whole_chunks_batched(tmp_path):
     assert len(failures) == 4
     assert all(u >= 4 for u, _ in failures)
     assert all("unstable" in msg for _, msg in failures)
+
+
+def test_unroutable_scenario_fails_its_units_under_auto_sizing(tmp_path):
+    # Auto sizing reads every scenario's routes; a cluster the simulator
+    # cannot route (fractional visit ratios, no routing given) must still
+    # cost only its own units, not abort the sweep.
+    cluster, workload, _routing = _mixed_stream_scenario(Pareto(2.5, 0.03))
+    scenarios = _scenarios(loads=(0.5,)) + [
+        FleetScenario(label="markov", cluster=cluster, workload=workload, horizon=8.0)
+    ]
+    summary = run_fleet(scenarios, 3, tmp_path / "s", seed=1, n_jobs=1, store_format="npz")
+    assert (summary.n_done, summary.n_failed) == (3, 3)
+    failures = FleetStore.open(tmp_path / "s").meta["failures"]
+    assert [u for u, _ in failures] == [3, 4, 5]
+    assert all("integer visit ratios" in msg for _, msg in failures)
 
 
 def _mixed_stream_scenario(pareto):

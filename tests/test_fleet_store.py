@@ -11,6 +11,8 @@ sqlite summary ingest, live progress, and the CLI surface.
 from __future__ import annotations
 
 import json
+import shutil
+import zipfile
 
 import numpy as np
 import pytest
@@ -104,6 +106,34 @@ def test_store_parquet_format(tmp_path):
         store.append({"unit": 0, "x": 1.5})
     again = FleetStore.open(tmp_path / "s")
     assert again.read()["x"].tolist() == [1.5]
+
+
+def test_store_reads_compressed_row_groups(tmp_path):
+    # Row groups are written with np.savez; stores whose groups were
+    # written with np.savez_compressed (the earlier encoding) must read,
+    # aggregate and join to the same values.
+    run_fleet(
+        _scenarios(), 3, tmp_path / "new", seed=4, n_jobs=1, rows_per_group=2,
+        store_format="npz",
+    )
+    shutil.copytree(tmp_path / "new", tmp_path / "old")
+    new, old = FleetStore.open(tmp_path / "new"), FleetStore.open(tmp_path / "old")
+    group = old.path / old._groups[1]["file"]
+    with zipfile.ZipFile(group) as zf:
+        assert {i.compress_type for i in zf.infolist()} == {zipfile.ZIP_STORED}
+    with np.load(group) as npz:
+        arrays = {n: npz[n] for n in npz.files}
+    with open(group, "wb") as fh:
+        np.savez_compressed(fh, **arrays)
+    with zipfile.ZipFile(group) as zf:
+        assert {i.compress_type for i in zf.infolist()} == {zipfile.ZIP_DEFLATED}
+
+    a, b = new.read(), old.read()
+    assert a.keys() == b.keys()
+    for c in a:
+        assert a[c].dtype == b[c].dtype and np.array_equal(a[c], b[c]), c
+    assert new.aggregate() == old.aggregate()
+    assert new.scenario_table() == old.scenario_table()
 
 
 # ---------------------------------------------------------------------------
