@@ -22,9 +22,10 @@ Commands
     With ``--target-rel-ci`` the adaptive engine picks the
     replication count and reports the per-round precision trace.
 ``fleet --out DIR [--load-factors ...] [--replications N] [--jobs N]``
-    Fleet-scale sweep: every (scenario × replication) unit pulled off
-    a shared work-stealing queue by a process pool, one compact metric
-    row per unit streamed into a columnar result store (Parquet when
+    Fleet-scale sweep: (scenario × replication) units run in chunks
+    on the worker pool, each worker taking the next chunk as it goes
+    idle, one compact metric row per unit streamed into a columnar
+    result store (Parquet when
     ``pyarrow`` is importable, uncompressed npz otherwise). With
     ``--telemetry DIR``, ``repro status DIR`` tails live progress;
     ``repro telemetry ingest --fleet DIR`` folds per-scenario
@@ -194,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=-1,
-        help="worker processes pulling units off the shared queue (-1 = all cores)",
+        help="worker processes, each taking the next chunk as it goes idle (-1 = all cores)",
     )
     fleet_p.add_argument(
         "--batch-size",

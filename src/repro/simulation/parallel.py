@@ -2,11 +2,13 @@
 
 The replication manager (:mod:`repro.simulation.replications`) needs to
 run ``n`` statistically independent :func:`repro.simulation.simulator.simulate`
-calls, and :func:`repro.optimize.sweep.run_series` runs several
-independent analytic series. Each call is a pure function of its
+calls, :func:`repro.optimize.sweep.run_series` runs several
+independent analytic series, and :func:`repro.simulation.fleet.run_fleet`
+runs chunks of fleet units. Each call is a pure function of its
 payload (a replication's :class:`numpy.random.SeedSequence`, a series'
-arguments), so the calls can execute in-process or across a process
-pool without changing the numbers. :class:`WorkerPool` owns that
+arguments, a chunk's scenario and unit indices), so the calls can
+execute in-process or across a process pool without changing the
+numbers. :class:`WorkerPool` owns that
 choice: one worker runs inline, more fan out over one warm-started
 :class:`concurrent.futures.ProcessPoolExecutor`.
 
@@ -29,12 +31,13 @@ import os
 import pickle
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.exceptions import ModelValidationError
 from repro.simulation.simulator import SimulationResult, simulate
+from repro.simulation.stats import confidence_halfwidth
 
 __all__ = [
     "ReplicationTiming",
@@ -81,8 +84,12 @@ def _run_one(payload: tuple[int, dict[str, Any]]) -> tuple[int, SimulationResult
 
     Module-level (not a closure) so :class:`ProcessPoolExecutor` can
     pickle it; ``payload`` is ``(replication_index, simulate_kwargs)``.
+    Priming the Student-t quantile memo the CI math uses imports
+    ``scipy.special`` (~250 ms in a fresh process) before the timed
+    window opens, so a worker's first replication does not absorb it.
     """
     index, kwargs = payload
+    confidence_halfwidth(1.0, 2)
     t0 = time.perf_counter()
     result = simulate(**kwargs)
     return index, result, time.perf_counter() - t0
@@ -91,12 +98,12 @@ def _run_one(payload: tuple[int, dict[str, Any]]) -> tuple[int, SimulationResult
 def _warm_worker(backend: str | None = None, warned: tuple[str, ...] = ()) -> None:
     """Process-pool initializer: pay per-process warm-up once, up front.
 
-    A fresh worker's first replication otherwise absorbs every one-time
-    cost inside its timed window: importing the distribution and
-    statistics modules, priming the Student-t quantile memo the CI
-    math uses (which imports ``scipy.special``, ~250 ms in a fresh
-    process), and — when ``REPRO_SIM_BACKEND`` selects the compiled
-    backend — building/loading the C kernel shared object. This is
+    A fresh worker's first task otherwise absorbs every one-time cost
+    inside its timed window: importing the distribution modules and —
+    when ``REPRO_SIM_BACKEND`` selects the compiled backend —
+    building/loading the C kernel shared object. SciPy stays out: fleet
+    chunks never need it, and :func:`_run_one` primes the t-quantile
+    memo itself. This is
     pure warm-up: it instantiates no generators and draws no random
     numbers, so replication results are bit-identical with and without
     it (``tests/test_compiled_backend.py`` holds it to that).
@@ -114,9 +121,6 @@ def _warm_worker(backend: str | None = None, warned: tuple[str, ...] = ()) -> No
     if backend is not None:
         os.environ["REPRO_SIM_BACKEND"] = backend
     import repro.distributions  # noqa: F401  (sampler classes)
-    from repro.simulation.stats import confidence_halfwidth
-
-    confidence_halfwidth(1.0, 2)  # the Student-t quantile memo
 
     if warned:
         from repro.simulation import compiled
@@ -161,7 +165,9 @@ class WorkerPool:
     :func:`_warm_worker` once, and every later call reuses it, so a
     multi-round adaptive run pays worker start-up once. An exception
     leaving the ``with`` block cancels the payloads still queued instead
-    of running them first.
+    of running them first. A worker that dies fails every queued
+    payload of its call with :class:`BrokenExecutor`; the pool drops
+    that executor, so the next call starts a fresh one.
     """
 
     def __init__(self, n_workers: int):
@@ -207,11 +213,15 @@ class WorkerPool:
                 initializer=_warm_worker,
                 initargs=(os.environ.get("REPRO_SIM_BACKEND"), _warned_snapshot()),
             )
-        futures = [self._executor.submit(fn, p) for p in payloads]
-        for fut in as_completed(futures):
-            value = fut.result()
-            if on_done is not None:
-                on_done(value)
+        try:
+            futures = [self._executor.submit(fn, p) for p in payloads]
+            for fut in as_completed(futures):
+                value = fut.result()
+                if on_done is not None:
+                    on_done(value)
+        except BrokenExecutor:
+            self.__exit__(BrokenExecutor)  # the next call starts a fresh executor
+            raise
         return [fut.result() for fut in futures]
 
 

@@ -161,7 +161,7 @@ def test_queue_sampling_chunk_runs_batched(tmp_path):
     ]
     assert samples
 
-    cols, ref_failures = _run_chunk(scenarios, 5, 4, 0, 0, 4, "python")
+    cols, ref_failures = _run_chunk(sc, 5, 4, 0, 0, 4, "python")
     assert cols["unit"].tolist() == [0, 1, 2, 3] and ref_failures == []
     for j, row in enumerate(rows):
         metrics = {c: row[c].item() for c in rows.dtype.names if c != "wall_s"}
@@ -469,9 +469,9 @@ def test_batched_rows_carry_per_unit_kernel_wall():
     # no more than the chunk's wall time.
     from repro.simulation.fleet import _run_chunk
 
-    scenarios = _scenarios(loads=(0.7,), horizon=20.0)
+    (sc,) = _scenarios(loads=(0.7,), horizon=20.0)
     start = time.perf_counter()
-    cols, failures = _run_chunk(scenarios, 3, 8, 0, 0, 8, "compiled")
+    cols, failures = _run_chunk(sc, 3, 8, 0, 0, 8, "compiled")
     chunk_wall = time.perf_counter() - start
     walls = cols["wall_s"]
     assert failures == [] and cols["unit"].tolist() == list(range(8))
@@ -600,7 +600,7 @@ def test_chunk_rows_match_per_unit_simulate(backend, count, monkeypatch):
     for sid, sc in enumerate(scenarios):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            cols, failures = _run_chunk(scenarios, 13, count, sid, 0, count, backend)
+            cols, failures = _run_chunk(sc, 13, count, sid, 0, count, backend)
         assert failures == []
         assert cols["unit"].tolist() == [sid * count + r for r in range(count)]
         monkeypatch.setenv("REPRO_SIM_BACKEND", "python")
@@ -635,7 +635,7 @@ def test_warmup_discard_chunk_warns_and_counts_per_unit(backend, telemetry, monk
         return out, messages, [a - b for a, b in zip(after, before)]
 
     (cols, failures), got_msgs, got_counts = observe(
-        lambda: _run_chunk([sc], 2, 4, 0, 0, 4, backend)
+        lambda: _run_chunk(sc, 2, 4, 0, 0, 4, backend)
     )
     assert failures == []
     monkeypatch.setenv("REPRO_SIM_BACKEND", "python")
@@ -652,7 +652,7 @@ def test_mid_chunk_failure_costs_one_unit_rows_match(backend, monkeypatch):
     # and every other row equals its clean per-unit result.
     if backend == "compiled" and not kernel_available():
         pytest.skip("no C toolchain for the compiled kernel")
-    cols, failures = _run_chunk([_bombed_scenario(fail_at=30)], 4, 6, 0, 0, 6, backend)
+    cols, failures = _run_chunk(_bombed_scenario(fail_at=30), 4, 6, 0, 0, 6, backend)
     ((failed_unit, message),) = failures
     assert "RuntimeError: injected draw failure" in message
     survivors = [u for u in range(6) if u != failed_unit]

@@ -71,17 +71,29 @@ def test_cli_import_loads_no_multiprocessing():
     assert loaded == set()
 
 
-def test_pool_warm_up_primes_the_t_quantile():
-    # A warm-started worker's first replication must not absorb the
-    # scipy.special import that its CI half-width needs.
+def test_warm_up_loads_no_scipy_and_run_one_primes_the_t_quantile():
+    # Pool warm-up serves fleet workers too, which never need SciPy, so
+    # it leaves scipy.special unloaded. A replication primes the
+    # t-quantile memo itself, before its timed window opens: the
+    # scipy.special import is never inside a replication's wall time.
     loaded = _run_probe(
         "import json, sys\n"
-        "from repro.simulation.parallel import _warm_worker\n"
-        "_warm_worker()\n"
-        "print(json.dumps([m for m in sys.modules if m.startswith('scipy.')]))"
+        "from repro.experiments.common import small_cluster, small_workload\n"
+        "from repro.simulation import parallel\n"
+        "parallel._warm_worker()\n"
+        "warm = 'scipy.special' in sys.modules\n"
+        "at_t0 = []\n"
+        "clock = parallel.time.perf_counter\n"
+        "def perf_counter():\n"
+        "    if not at_t0 and sys._getframe(1).f_code.co_name == '_run_one':\n"
+        "        at_t0.append('scipy.special' in sys.modules)\n"
+        "    return clock()\n"
+        "parallel.time.perf_counter = perf_counter\n"
+        "kwargs = dict(cluster=small_cluster(), workload=small_workload(0.5), horizon=5.0, seed=1)\n"
+        "parallel._run_one((0, kwargs))\n"
+        "print(json.dumps([f'after warm-up: {warm}', f'at t0: {at_t0}']))"
     )
-    assert "scipy.special" in loaded
-    assert "scipy.stats" not in loaded
+    assert loaded == {"after warm-up: False", "at t0: [True]"}
 
 
 def test_report_loads_no_scipy():
