@@ -134,47 +134,37 @@ def _kernel_sim_replication_h500_compiled() -> Callable[[], object]:
 
     cluster, workload = canonical_cluster(), canonical_workload()
 
-    def once() -> object:
-        return simulate(cluster, workload, horizon=500.0, seed=99)
+    def once(backend: str) -> object:
+        return simulate(cluster, workload, horizon=500.0, seed=99, backend=backend)
 
     _extra, run = _compiled_floor_setup(once, 10.0, "sim_replication_h500_compiled")
     return run
 
 
 def _compiled_floor_setup(
-    once: Callable[[], object], floor: float, label: str
+    once: Callable[[str], object], floor: float, label: str
 ) -> tuple[dict, Callable[[], object]]:
     """Shared setup for the compiled-envelope gate kernels.
 
-    Times ``once`` (min over 3) under each backend, **raises** when the
-    compiled path is less than ``floor``x faster than the pure-Python
+    Times ``once(backend)`` (min over 3) for each backend, **raises**
+    when the compiled path is less than ``floor``x faster than the pure-Python
     engine — for these kernels a silent fallback is a correctness-of-
     claim regression, not a slowdown — and returns the ``bench_extra``
     speedup record plus a closure running ``once`` compiled. Hosts
     without a C toolchain skip via :class:`BenchSkip`.
     """
-    import os
-
     from repro.simulation.compiled import kernel_available, kernel_status
 
     if not kernel_available():
         raise BenchSkip(f"compiled kernel unavailable: {kernel_status()['error']}")
 
     def timed(backend: str) -> float:
-        prev = os.environ.get("REPRO_SIM_BACKEND")
-        os.environ["REPRO_SIM_BACKEND"] = backend
-        try:
-            best = float("inf")
-            for _ in range(3):
-                t0 = time.perf_counter()
-                once()
-                best = min(best, time.perf_counter() - t0)
-            return best
-        finally:
-            if prev is None:
-                os.environ.pop("REPRO_SIM_BACKEND", None)
-            else:
-                os.environ["REPRO_SIM_BACKEND"] = prev
+        best = float("inf")
+        for _ in range(3):
+            t0 = time.perf_counter()
+            once(backend)
+            best = min(best, time.perf_counter() - t0)
+        return best
 
     t_compiled = timed("compiled")  # first call also pays the one-time build
     t_python = timed("python")
@@ -188,15 +178,7 @@ def _compiled_floor_setup(
     extra = {"speedup_vs_python": round(speedup, 2)}
 
     def run() -> dict:
-        prev = os.environ.get("REPRO_SIM_BACKEND")
-        os.environ["REPRO_SIM_BACKEND"] = "compiled"
-        try:
-            once()
-        finally:
-            if prev is None:
-                os.environ.pop("REPRO_SIM_BACKEND", None)
-            else:
-                os.environ["REPRO_SIM_BACKEND"] = prev
+        once("compiled")
         return {"bench_extra": extra}
 
     return extra, run
@@ -229,9 +211,9 @@ def _kernel_a7_epoch_compiled() -> Callable[[], object]:
     )
     policy = DriftPlusPenaltyController(cluster, v_param=5e-4)
 
-    def once() -> object:
+    def once(backend: str) -> object:
         return run_controlled(
-            cluster, trace, policy, 2.0, max_mean_delay=0.35, seed=17
+            cluster, trace, policy, 2.0, max_mean_delay=0.35, seed=17, backend=backend
         )
 
     _extra, run = _compiled_floor_setup(once, 5.0, "a7_epoch_compiled")
@@ -261,9 +243,9 @@ def _kernel_adaptive_antithetic_compiled() -> Callable[[], object]:
         round_size=2,
     )
 
-    def once() -> object:
+    def once(backend: str) -> object:
         rep = simulate_replications_adaptive(
-            cluster, workload, horizon=500.0, target=target, seed=123
+            cluster, workload, horizon=500.0, target=target, seed=123, backend=backend
         )
         if not rep.meta["adaptive"]["target_met"]:
             raise RuntimeError(
@@ -289,8 +271,8 @@ def _kernel_sim_ps_h500_compiled() -> Callable[[], object]:
     cluster = canonical_cluster(discipline="ps")
     workload = canonical_workload()
 
-    def once() -> object:
-        return simulate(cluster, workload, horizon=500.0, seed=99)
+    def once(backend: str) -> object:
+        return simulate(cluster, workload, horizon=500.0, seed=99, backend=backend)
 
     _extra, run = _compiled_floor_setup(once, 5.0, "sim_ps_h500_compiled")
     return run
@@ -373,11 +355,10 @@ def _kernel_fleet_sweep_batched() -> Callable[[], object]:
 
     from repro.experiments.common import small_cluster, small_workload
     from repro.simulation import FleetScenario, run_fleet
-    from repro.simulation.compiled import kernel_available, kernel_status, warm_kernel
+    from repro.simulation.compiled import kernel_available, kernel_status
 
-    if not kernel_available():
+    if not kernel_available():  # also loads the kernel, outside the timing
         raise BenchSkip(f"compiled kernel unavailable: {kernel_status()['error']}")
-    warm_kernel()
 
     cluster = small_cluster()
     scenarios = [
@@ -753,6 +734,8 @@ def run_benchmarks(
     Each kernel runs once untimed (warm-up: imports, caches) and then
     ``repeats`` timed runs; ``min_s`` is the minimum — the repeat least
     disturbed by other load, the standard micro-benchmark statistic.
+    The calibration kernel runs first, for the comparison, and again
+    last (``calibration_end``), to show host-speed drift over the run.
     """
     names = list(KERNELS) if only is None else list(only)
     unknown = [n for n in names if n not in KERNELS]
@@ -763,23 +746,9 @@ def run_benchmarks(
     kernels: dict[str, dict] = {}
     for name in names:
         try:
-            fn = KERNELS[name]()
+            kernels[name] = _time_kernel(name, repeats)
         except BenchSkip as exc:
             kernels[name] = {"skipped": str(exc)}
-            continue
-        fn()  # warm-up, untimed
-        runs = []
-        last = None
-        for _ in range(max(repeats, 1)):
-            t0 = time.perf_counter()
-            last = fn()
-            runs.append(time.perf_counter() - t0)
-        kernels[name] = {"min_s": min(runs), "runs_s": [round(r, 6) for r in runs]}
-        # Kernels measuring more than speed (event savings, variance
-        # reduction) return {"bench_extra": ...}; the record rides
-        # along in the JSON document next to the timings.
-        if isinstance(last, dict) and "bench_extra" in last:
-            kernels[name]["extra"] = last["bench_extra"]
     return {
         "schema": 1,
         "created_unix": int(time.time()),
@@ -790,7 +759,27 @@ def run_benchmarks(
             "machine": platform.machine(),
         },
         "kernels": kernels,
+        "calibration_end": _time_kernel(CALIBRATION, repeats),
     }
+
+
+def _time_kernel(name: str, repeats: int) -> dict:
+    """Set up ``name``, run it once untimed, then time ``repeats`` runs."""
+    fn = KERNELS[name]()
+    fn()  # warm-up, untimed
+    runs = []
+    last = None
+    for _ in range(max(repeats, 1)):
+        t0 = time.perf_counter()
+        last = fn()
+        runs.append(time.perf_counter() - t0)
+    record = {"min_s": min(runs), "runs_s": [round(r, 6) for r in runs]}
+    # Kernels measuring more than speed (event savings, variance
+    # reduction) return {"bench_extra": ...}; the record rides along
+    # in the JSON document next to the timings.
+    if isinstance(last, dict) and "bench_extra" in last:
+        record["extra"] = last["bench_extra"]
+    return record
 
 
 def compare_to_baseline(
@@ -839,8 +828,12 @@ def compare_to_baseline(
         if gated and ratio > 1.0 + tolerance:
             status = "REGRESSION"
             failures.append(name)
+        # Median and max beside a gated min: a regression moves all
+        # three, host noise mostly the upper two.
+        runs = cur_k[name].get("runs_s") if gated else None
+        spread = f", median {np.median(runs) * 1e3:.2f}, max {max(runs) * 1e3:.2f}" if runs else ""
         lines.append(
-            f"{name:28s} {cur * 1e3:9.2f} ms (baseline {base * 1e3:9.2f} ms, "
+            f"{name:28s} {cur * 1e3:9.2f}{spread} ms (baseline {base * 1e3:9.2f} ms, "
             f"normalized x{ratio:.2f}) [{'gate' if gated else 'info'}] {status}"
         )
     if normalized:
@@ -973,6 +966,12 @@ def main_bench(
             print(f"{name:28s} min {rec['min_s'] * 1e3:9.2f} ms over {repeats} runs")
         else:
             print(f"{name:28s} skipped ({rec.get('skipped', '?')})")
+    cal_start = doc["kernels"][CALIBRATION]["min_s"]
+    cal_end = doc["calibration_end"]["min_s"]
+    print(
+        f"{CALIBRATION} at start {cal_start * 1e3:.2f} ms, at end {cal_end * 1e3:.2f} ms "
+        f"(x{cal_end / cal_start:.2f}; the check normalizes by the start)"
+    )
     if out:
         with open(out, "w") as fh:
             json.dump(doc, fh, indent=2, sort_keys=True)

@@ -183,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         choices=["python", "compiled", "auto"],
         default=None,
-        help="simulation backend for the workers (default: REPRO_SIM_BACKEND or python)",
+        help="simulation backend (default: REPRO_SIM_BACKEND, else python)",
     )
     fleet_p.add_argument(
         "--format",

@@ -64,6 +64,7 @@ def run_controlled(
     warmup_fraction: float = 0.0,
     start_speeds: np.ndarray | None = None,
     progress: Callable[[int, int, float], None] | None = None,
+    backend: str | None = None,
 ) -> ControlRunResult:
     """Replay ``trace`` under ``policy`` deciding every ``epoch_length``.
 
@@ -81,7 +82,7 @@ def run_controlled(
     what the comparison measures. SLA compliance is judged on the
     completion-weighted mean end-to-end delay against
     ``max_mean_delay``, the same aggregate bound the planners solve
-    against.
+    against. ``backend`` is :func:`~repro.simulation.simulator.simulate`'s.
     """
     if epoch_length <= 0.0 or epoch_length >= trace.horizon:
         raise ModelValidationError(
@@ -133,6 +134,7 @@ def run_controlled(
             allow_unstable=True,
             epoch_times=epoch_times,
             epoch_controller=controller,
+            backend=backend,
         )
 
     window = result.horizon - result.warmup

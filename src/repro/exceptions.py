@@ -65,11 +65,10 @@ class ReproWarning(UserWarning):
 class CompiledFallbackWarning(ReproWarning):
     """The compiled simulation backend was requested but not used.
 
-    Issued (once per process and reason) when ``REPRO_SIM_BACKEND`` is
-    set to ``compiled`` but the C kernel cannot be built/loaded or the
-    run's configuration is outside the kernel's supported envelope
-    (PS tiers, dynamic speed control, antithetic streams, telemetry
-    queue sampling). The run transparently degrades to the pure-Python
+    Issued (once per process and reason) when the ``compiled`` backend
+    is requested but the C kernel cannot be built/loaded or a tier's
+    discipline is one the kernel does not model; a pooled run warns in
+    its parent. The run transparently degrades to the pure-Python
     engine, which produces bit-identical results.
     """
 

@@ -285,6 +285,7 @@ def simulate_replications_adaptive(
     n_jobs: int | None = None,
     cache_dir: str | SimulationCache | None = None,
     progress: Callable[[ReplicationTiming, int, int], None] | None = None,
+    backend: str | None = None,
 ) -> ReplicatedResult:
     """Replicate until ``target`` precision is reached (or its cap).
 
@@ -340,6 +341,7 @@ def simulate_replications_adaptive(
                 routing,
                 allow_unstable,
                 collect_job_log,
+                backend,
             ),
             seeds,
             cache=_resolve_cache(cache_dir),

@@ -35,7 +35,8 @@ straight from the arrays to columnar store rows.  The result formulas
 live in :mod:`repro.simulation.simulator`, shared with the Python
 engine.
 
-Backend selection (``REPRO_SIM_BACKEND`` environment variable):
+Backend selection (the ``backend`` argument of every simulation entry
+point; ``None`` reads ``REPRO_SIM_BACKEND``):
 
 ``python`` (default)
     Pure-Python engine, exactly as before.
@@ -47,6 +48,9 @@ Backend selection (``REPRO_SIM_BACKEND`` environment variable):
 ``auto``
     Use the C kernel when available and applicable, silently fall
     back otherwise.
+
+A pooled run decides its engine in the parent, so a fallback warns
+there once; its tasks are handed ``compiled`` or ``python``.
 
 The support envelope is closed: processor-sharing tiers run natively
 (the kernel mirrors :mod:`repro.simulation.ps_station`'s share law),
@@ -117,6 +121,7 @@ from repro.simulation.simulator import (
     _JOB_LOG_DTYPE,
     SimulationResult,
     _account,
+    _annotate_backend,
     _build_routes,
     _build_routing_tables,
     _emit_queue_sample,
@@ -192,7 +197,7 @@ def _warn_fallback(reason: str) -> None:
     _warned.add(reason)
     warnings.warn(
         CompiledFallbackWarning(
-            f"REPRO_SIM_BACKEND=compiled requested but falling back to the "
+            f"compiled simulation backend requested but falling back to the "
             f"pure-Python engine: {reason} (results are bit-identical)"
         ),
         stacklevel=5,
@@ -251,7 +256,7 @@ def build_kernel() -> Path:
     if compiler is None:
         raise KernelBuildError(
             "no C compiler found (tried gcc, cc, clang); install one or use "
-            "REPRO_SIM_BACKEND=python"
+            "the python backend"
         )
     np_dir = Path(np.__file__).parent
     lib_dir = Path(np.random.__file__).parent / "lib"
@@ -420,7 +425,6 @@ def kernel_status() -> dict[str, Any]:
     available = kernel_available()
     return {
         "available": available,
-        "backend_env": os.environ.get("REPRO_SIM_BACKEND", "python"),
         "source": str(_KERNEL_SOURCE),
         "cache_dir": str(_cache_dir()),
         "error": _load_error,
@@ -428,8 +432,8 @@ def kernel_status() -> dict[str, Any]:
 
 
 def warm_kernel() -> bool:
-    """Pre-build/load the kernel (e.g. from a worker initializer or
-    before timing); returns availability without raising."""
+    """Pre-build/load the kernel (e.g. in a pool task or before timing);
+    returns availability without raising."""
     return kernel_available()
 
 
@@ -453,23 +457,6 @@ def _unsupported_reason(cluster) -> str | None:
                 "compiled kernel"
             )
     return None
-
-
-def _annotate_backend(resolved: str, requested: str, fallback: str | None = None) -> None:
-    """Record the resolved simulation backend (and any fallback reason)
-    in the telemetry run context, so the manifest / run store / dashboard
-    can attribute perf differences across runs.  No-op when telemetry is
-    disabled."""
-    tel = obs.TELEMETRY
-    if not tel.enabled:
-        return
-    context: dict[str, str] = {
-        "sim_backend": resolved,
-        "sim_backend_requested": requested,
-    }
-    if fallback is not None:
-        context["sim_backend_fallback"] = fallback
-    tel.annotate(**context)
 
 
 # ---------------------------------------------------------------------------

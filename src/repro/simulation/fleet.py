@@ -23,9 +23,8 @@ Three layers keep the path batch-native end to end:
   count)`` chunks (never crossing a scenario boundary) whose payload
   carries only that chunk's own scenario, auto-sized to a budget of
   expected kernel events per chunk (and ~8 chunks per worker in a
-  pool) or pinned with ``batch_size``; the simulation backend is
-  resolved once in :func:`run_fleet` and threaded explicitly to every
-  worker instead of re-read from the environment per unit.
+  pool) or pinned with ``batch_size``. :func:`run_fleet` decides each
+  scenario's engine once, and every chunk payload names it.
 * **Batched kernel dispatch** — a chunk of B replications of one
   scenario (B = 1 included) is a single C call: kernel state, station
   arrays and RNG arenas are allocated once and reset between
@@ -81,6 +80,7 @@ from repro.simulation.simulator import (
     _row_dtype,
     _summary_rows,
     resolve_backend,
+    resolve_engine,
     simulate,
 )
 
@@ -205,7 +205,7 @@ def _chunk_plan(
 
 
 def _simulate_units(
-    sc: FleetScenario, master_seed: int, sid: int, reps: range
+    sc: FleetScenario, master_seed: int, sid: int, reps: range, backend: str
 ) -> tuple[np.ndarray, list[tuple[int, str]]]:
     """Run replications ``reps`` of scenario ``sid`` one :func:`simulate`
     call at a time; returns the same ``(rows, failures)`` as the batched
@@ -223,6 +223,7 @@ def _simulate_units(
                 horizon=sc.horizon,
                 warmup_fraction=sc.warmup_fraction,
                 seed=_unit_seed(master_seed, sid, rep),
+                backend=backend,
             )
         except Exception as exc:
             failures.append((j, f"{type(exc).__name__}: {exc}"))
@@ -284,7 +285,9 @@ def _run_chunk(
             msg = f"{type(exc).__name__}: {exc}"
             rows = np.empty(0, _row_dtype(len(tuple(sc.workload.names))))
             batch = rows, [(j, msg) for j in range(count)]
-    rows, failures = batch if batch is not None else _simulate_units(sc, master_seed, sid, reps)
+    if batch is None:
+        batch = _simulate_units(sc, master_seed, sid, reps, backend)
+    rows, failures = batch
     columns = {"unit": first_unit + rows["replication"]}
     columns.update((c, rows[c]) for c in rows.dtype.names)
     return columns, [(first_unit + rep0 + j, msg) for j, msg in failures]
@@ -294,7 +297,7 @@ def _run_chunk_task(
     payload: tuple[FleetScenario, int, int, int, int, int, str],
 ) -> tuple[tuple[int, int], dict[str, np.ndarray] | None, list[tuple[int, str]]]:
     """Pool entry point: :func:`_run_chunk` on ``(sc, seed,
-    n_replications, sid, rep0, count, backend)``, keyed by the chunk's
+    n_replications, sid, rep0, count, engine)``, keyed by the chunk's
     ``(sid, rep0)``. A chunk that raises fails each of its units
     instead of the sweep."""
     sc, seed, n_replications, sid, rep0, count, backend = payload
@@ -342,9 +345,8 @@ def run_fleet(
         same convention as the replication engine. Scenarios that
         cannot be pickled (e.g. holding a lambda) run inline.
     backend:
-        Simulation backend for the workers (``python`` / ``compiled``
-        / ``auto``); default inherits ``REPRO_SIM_BACKEND``. Resolved
-        once here and threaded explicitly.
+        ``python`` / ``compiled`` / ``auto``; ``None`` reads
+        ``REPRO_SIM_BACKEND``. Each scenario's engine is decided here.
     batch_size:
         Replications per kernel call / work-stealing chunk (chunks
         never cross a scenario boundary). ``"auto"`` (default) fills
@@ -378,9 +380,7 @@ def run_fleet(
                 f"({sc.label!r} has {tuple(sc.workload.names)}, "
                 f"expected {class_names})"
             )
-    resolved_backend = resolve_backend(
-        backend if backend is not None else os.environ.get("REPRO_SIM_BACKEND")
-    )
+    resolved_backend = resolve_backend(backend)
     n_units = len(scenarios) * n_replications
     n_workers = resolve_n_jobs(n_jobs)
     if n_workers > 1 and not payload_is_picklable(scenarios):
@@ -435,10 +435,13 @@ def run_fleet(
         if progress is not None:
             progress(n_done, n_failed, n_units)
 
+    # Each scenario's engine is decided here, once, so a fallback warns
+    # in this process and no chunk falls back on its own.
+    engines = [resolve_engine(resolved_backend, sc.cluster) for sc in scenarios]
     # Chunks not yet returned, keyed by (sid, rep0): what a dead worker
     # lost is exactly what is left here after its pool broke.
     todo = {
-        (sid, rep0): (scenarios[sid], seed, n_replications, sid, rep0, count, resolved_backend)
+        (sid, rep0): (scenarios[sid], seed, n_replications, sid, rep0, count, engines[sid])
         for sid, rep0, count in chunks
     }
 
@@ -460,8 +463,6 @@ def run_fleet(
     with obs.span(
         "fleet.run", n_units=n_units, n_workers=n_workers, batch_size=batch
     ):
-        prev_backend = os.environ.get("REPRO_SIM_BACKEND")
-        os.environ["REPRO_SIM_BACKEND"] = resolved_backend
         try:
             with WorkerPool(n_workers) as pool:
                 try:
@@ -478,15 +479,11 @@ def run_fleet(
                                 break
                             except BrokenExecutor:
                                 pass  # the pool starts afresh next call
-            lost = sum(count for *_, count, _backend in todo.values())
+            lost = sum(count for *_, count, _engine in todo.values())
             if lost:
                 failures.append((-1, f"{lost} unit(s) lost to dead workers"))
                 n_failed += lost
         finally:
-            if prev_backend is None:
-                os.environ.pop("REPRO_SIM_BACKEND", None)
-            else:
-                os.environ["REPRO_SIM_BACKEND"] = prev_backend
             wall = time.perf_counter() - start
             store.close(
                 extra_meta={

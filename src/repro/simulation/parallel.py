@@ -9,8 +9,12 @@ payload (a replication's :class:`numpy.random.SeedSequence`, a series'
 arguments, a chunk's scenario and unit indices), so the calls can
 execute in-process or across a process pool without changing the
 numbers. :class:`WorkerPool` owns that
-choice: one worker runs inline, more fan out over one warm-started
+choice: one worker runs inline, more fan out over one
 :class:`concurrent.futures.ProcessPoolExecutor`.
+
+The pool holds no configuration: each payload names the simulation
+engine its parent resolved, and a task warms what it uses before its
+timed window.
 
 Results come back in payload order, and replication results are keyed
 by replication number, so aggregation downstream is bit-identical
@@ -29,7 +33,6 @@ from __future__ import annotations
 
 import os
 import pickle
-import sys
 import time
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
@@ -83,62 +86,21 @@ def _run_one(payload: tuple[int, dict[str, Any]]) -> tuple[int, SimulationResult
     """Worker entry point: run one replication, timed.
 
     Module-level (not a closure) so :class:`ProcessPoolExecutor` can
-    pickle it; ``payload`` is ``(replication_index, simulate_kwargs)``.
-    Priming the Student-t quantile memo the CI math uses imports
-    ``scipy.special`` (~250 ms in a fresh process) before the timed
-    window opens, so a worker's first replication does not absorb it.
+    pickle it; ``payload`` is ``(replication_index, simulate_kwargs)``
+    with ``backend`` ``"python"`` or ``"compiled"``. Priming the
+    Student-t quantile memo (``scipy.special``, ~250 ms in a fresh
+    process) and loading the kernel (~1 s cold build) happen before the
+    timed window opens, so a first replication does not absorb them.
     """
     index, kwargs = payload
     confidence_halfwidth(1.0, 2)
-    t0 = time.perf_counter()
-    result = simulate(**kwargs)
-    return index, result, time.perf_counter() - t0
-
-
-def _warm_worker(backend: str | None = None, warned: tuple[str, ...] = ()) -> None:
-    """Process-pool initializer: pay per-process warm-up once, up front.
-
-    A fresh worker's first task otherwise absorbs every one-time cost
-    inside its timed window: importing the distribution modules and —
-    when ``REPRO_SIM_BACKEND`` selects the compiled backend —
-    building/loading the C kernel shared object. SciPy stays out: fleet
-    chunks never need it, and :func:`_run_one` primes the t-quantile
-    memo itself. This is
-    pure warm-up: it instantiates no generators and draws no random
-    numbers, so replication results are bit-identical with and without
-    it (``tests/test_compiled_backend.py`` holds it to that).
-
-    ``backend`` pins ``REPRO_SIM_BACKEND`` in the worker explicitly so
-    the selection survives spawn-based start methods that do not
-    inherit the parent's mutated environment.
-
-    ``warned`` seeds the worker's :class:`CompiledFallbackWarning`
-    dedup memory with the fallback reasons the parent process already
-    surfaced, so a pool does not re-emit one warning per worker for a
-    condition the user has already been told about (once per *pool*,
-    not once per worker).
-    """
-    if backend is not None:
-        os.environ["REPRO_SIM_BACKEND"] = backend
-    import repro.distributions  # noqa: F401  (sampler classes)
-
-    if warned:
-        from repro.simulation import compiled
-
-        compiled._warned.update(warned)
-    if os.environ.get("REPRO_SIM_BACKEND", "python") != "python":
+    if kwargs["backend"] != "python":
         from repro.simulation.compiled import warm_kernel
 
         warm_kernel()
-
-
-def _warned_snapshot() -> tuple[str, ...]:
-    """The parent's already-surfaced fallback reasons, for worker
-    inheritance — without forcing the compiled module to import."""
-    compiled = sys.modules.get("repro.simulation.compiled")
-    if compiled is None:
-        return ()
-    return tuple(sorted(compiled._warned))
+    t0 = time.perf_counter()
+    result = simulate(**kwargs)
+    return index, result, time.perf_counter() - t0
 
 
 def payload_is_picklable(payload: Any) -> bool:
@@ -161,9 +123,9 @@ class WorkerPool:
 
     Context manager; :meth:`run` may be called any number of times. With
     one worker every call runs inline. With more, the first non-empty
-    call starts a :class:`ProcessPoolExecutor` whose workers each run
-    :func:`_warm_worker` once, and every later call reuses it, so a
-    multi-round adaptive run pays worker start-up once. An exception
+    call starts a :class:`ProcessPoolExecutor` and every later call
+    reuses it, so a multi-round adaptive run pays worker start-up once.
+    An exception
     leaving the ``with`` block cancels the payloads still queued instead
     of running them first. A worker that dies fails every queued
     payload of its call with :class:`BrokenExecutor`; the pool drops
@@ -208,11 +170,7 @@ class WorkerPool:
         if not payloads:
             return []
         if self._executor is None:
-            self._executor = ProcessPoolExecutor(
-                max_workers=self.n_workers,
-                initializer=_warm_worker,
-                initargs=(os.environ.get("REPRO_SIM_BACKEND"), _warned_snapshot()),
-            )
+            self._executor = ProcessPoolExecutor(max_workers=self.n_workers)
         try:
             futures = [self._executor.submit(fn, p) for p in payloads]
             for fut in as_completed(futures):

@@ -48,7 +48,7 @@ from repro.simulation.parallel import (
     resolve_n_jobs,
 )
 from repro.simulation.rng import RngStreams
-from repro.simulation.simulator import SimulationResult
+from repro.simulation.simulator import SimulationResult, resolve_backend, resolve_engine
 from repro.simulation.stats import confidence_halfwidth, confidence_halfwidths
 from repro.workload.arrivals import ArrivalProcess
 from repro.workload.classes import Workload
@@ -200,6 +200,7 @@ def simulate_replications(
     n_jobs: int | None = None,
     cache_dir: str | SimulationCache | None = None,
     progress: Callable[[ReplicationTiming, int, int], None] | None = None,
+    backend: str | None = None,
 ) -> ReplicatedResult:
     """Run ``n_replications`` independent replications and aggregate.
 
@@ -225,6 +226,9 @@ def simulate_replications(
     progress:
         Callback invoked once per finished replication (in completion
         order) with ``(timing_record, n_done, n_total)``.
+    backend:
+        As for :func:`simulate`; every replication runs on the engine
+        decided once, before the first is dispatched.
     """
     with obs.span(
         "sim.replications",
@@ -247,6 +251,7 @@ def simulate_replications(
                 routing,
                 allow_unstable,
                 collect_job_log,
+                backend,
             ),
             RngStreams.replication_seeds(seed, n_replications),
             cache=_resolve_cache(cache_dir),
@@ -376,22 +381,23 @@ class _ReplicationRunner:
                     self._notify(
                         ReplicationTiming(index=i, wall_time_s=0.0, n_events=0, cached=True)
                     )
-        payloads = [
-            (i, {**self.sim_kwargs, "seed": self.seeds[i]})
-            for i in needed
-            if i not in self.results
-        ]
-        if not payloads:
+        needed = [i for i in needed if i not in self.results]
+        if not needed:
             return
         if self._pool is None:
+            # The engine is decided here, once, so a fallback warns in
+            # this process and no replication falls back on its own.
+            kw = self.sim_kwargs
+            kw["backend"] = resolve_engine(kw["backend"], kw["cluster"])
             # One sizing rule: no more workers than the work still to
             # come, and one (inline) when the payload cannot be pickled.
             n = min(self._n_jobs, len(self.seeds) - len(self.results))
-            if self._n_jobs > 1 and not payload_is_picklable(payloads[0]):
+            if self._n_jobs > 1 and not payload_is_picklable((kw, self.seeds[needed[0]])):
                 n = 1
                 self.cache_state += "+serial-fallback"
             self._pool = WorkerPool(n)
             self._n_workers = n
+        payloads = [(i, {**self.sim_kwargs, "seed": self.seeds[i]}) for i in needed]
 
         def on_done(done: tuple[int, SimulationResult, float]) -> None:
             index, result, wall = done
@@ -452,6 +458,7 @@ def _sim_kwargs_common(
     routing: list | None,
     allow_unstable: bool,
     collect_job_log: bool,
+    backend: str | None,
 ) -> dict[str, Any]:
     return dict(
         cluster=cluster,
@@ -463,4 +470,5 @@ def _sim_kwargs_common(
         routing=routing,
         allow_unstable=allow_unstable,
         collect_job_log=collect_job_log,
+        backend=resolve_backend(backend),
     )

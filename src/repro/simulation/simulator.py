@@ -132,6 +132,7 @@ def simulate(
     routing: list | None = None,
     epoch_times: Sequence[float] | None = None,
     epoch_controller: Callable[[float, np.ndarray, np.ndarray], np.ndarray | None] | None = None,
+    backend: str | None = None,
 ) -> SimulationResult:
     """Run one replication of the cluster under the workload.
 
@@ -193,6 +194,9 @@ def simulate(
         Not supported with PS tiers. When no controller is attached the
         engine takes the exact static path (seeded runs stay
         bit-identical).
+    backend:
+        ``python``, ``compiled`` or ``auto`` (:func:`resolve_backend`;
+        ``None`` reads ``REPRO_SIM_BACKEND``). Results are bit-identical.
 
     Raises
     ------
@@ -211,14 +215,14 @@ def simulate(
         epoch_controller,
     )
 
-    # Backend dispatch: REPRO_SIM_BACKEND selects the C event-loop
+    # Backend dispatch: ``backend`` selects the C event-loop
     # kernel (repro.simulation.compiled), which produces bit-identical
     # results for every configuration it accepts — including epoch
     # controllers (Python decisions at kernel-yielded boundaries),
     # antithetic seeds (Python-refilled variate blocks), PS tiers and
     # telemetry queue sampling — and returns None to fall back to this
     # engine otherwise (unknown tier disciplines, kernel build failure).
-    backend = resolve_backend(os.environ.get("REPRO_SIM_BACKEND"))
+    backend = resolve_backend(backend)
     if backend != "python":
         from repro.simulation import compiled as _compiled
 
@@ -238,10 +242,8 @@ def simulate(
         )
         if compiled_result is not None:
             return compiled_result
-    elif obs.TELEMETRY.enabled:
-        # Attribute the run's engine in telemetry (the compiled selector
-        # annotates its own resolution, including fallbacks).
-        obs.TELEMETRY.annotate(sim_backend="python", sim_backend_requested="python")
+    else:
+        _annotate_backend("python", "python")
 
     # The pure-Python event loop: the oracle the compiled kernel is held
     # to bit for bit.
@@ -838,21 +840,49 @@ _BACKENDS = ("python", "compiled", "auto")
 
 
 def resolve_backend(raw: str | None) -> str:
-    """Validate and normalize a ``REPRO_SIM_BACKEND`` selector.
+    """Validate and normalize a simulation backend selector.
 
-    ``python`` (default, also for ``None``) runs this engine;
-    ``compiled`` requires the C kernel (warns once and falls back if
-    unavailable); ``auto`` uses the kernel opportunistically and falls
-    back silently.
+    ``python`` runs this engine; ``compiled`` requires the C kernel
+    (warns once and falls back if unavailable); ``auto`` uses the
+    kernel opportunistically and falls back silently. ``None`` takes
+    the ``REPRO_SIM_BACKEND`` environment variable, or ``python`` when
+    it is unset: the one place the library reads it.
     """
     if raw is None:
-        return "python"
+        raw = os.environ.get("REPRO_SIM_BACKEND", "python")
     value = raw.strip().lower()
     if value not in _BACKENDS:
         raise ModelValidationError(
-            f"REPRO_SIM_BACKEND must be one of {_BACKENDS}, got {raw!r}"
+            f"backend (or REPRO_SIM_BACKEND) must be one of {_BACKENDS}, got {raw!r}"
         )
     return value
+
+
+def _annotate_backend(resolved: str, requested: str, fallback: str | None = None) -> None:
+    """Record the resolved simulation backend (and any fallback reason)
+    in the telemetry run context, so the manifest / run store / dashboard
+    can attribute perf differences across runs.  The first request
+    recorded stands: a pooled run's parent records what was asked, and
+    its tasks, handed the engine it decided, do not overwrite it.
+    No-op when telemetry is disabled."""
+    tel = obs.TELEMETRY
+    if not tel.enabled:
+        return
+    tel.run_context.setdefault("sim_backend_requested", requested)
+    tel.annotate(sim_backend=resolved)
+    if fallback is not None:
+        tel.annotate(sim_backend_fallback=fallback)
+
+
+def resolve_engine(backend: str, cluster: ClusterModel) -> str:
+    """``"compiled"`` when ``backend`` runs ``cluster`` on the kernel,
+    else ``"python"`` (warning once under ``compiled``): what a pooled
+    run decides in its parent and hands its tasks."""
+    if backend == "python":
+        return "python"
+    from repro.simulation import compiled
+
+    return "python" if compiled._kernel_for(backend, cluster) is None else "compiled"
 
 
 def _validate(

@@ -1,6 +1,7 @@
 """Backend-parity suite for the compiled event-loop kernel.
 
-The compiled C kernel behind ``REPRO_SIM_BACKEND=compiled`` must be a
+The compiled C kernel behind ``backend="compiled"`` (or
+``REPRO_SIM_BACKEND=compiled`` when no argument is given) must be a
 pure performance transform: every number it produces is required to be
 **bit-identical** to the pure-Python engine's, across execution
 backends (serial loop vs process pool) and across the full support
@@ -74,12 +75,12 @@ def _epoch_controller(t, queues, speeds):
     return np.clip(0.6 + 0.05 * total, 0.6, 1.0) * np.ones_like(speeds)
 
 
-def _replication_numbers(backend_env, n_jobs, with_controller, monkeypatch):
+def _replication_numbers(backend, n_jobs, with_controller):
     """Snapshot of 3 replications run through the requested execution
-    backend (serial loop vs 2-worker process pool) under the requested
-    simulation backend, with the epoch controller optionally engaged
-    (which routes each run to the Python engine by design)."""
-    monkeypatch.setenv("REPRO_SIM_BACKEND", backend_env)
+    backend (serial loop vs 2-worker process pool) on the requested
+    engine, named in each payload as the replication engine does, with
+    the epoch controller optionally engaged (the kernel yields to it at
+    every boundary)."""
     from repro.experiments.common import canonical_cluster, canonical_workload
 
     cluster, workload = canonical_cluster(), canonical_workload()
@@ -87,7 +88,13 @@ def _replication_numbers(backend_env, n_jobs, with_controller, monkeypatch):
     if with_controller:
         extra = {"epoch_times": [20.0, 40.0, 60.0], "epoch_controller": _epoch_controller}
     payloads = [
-        (i, dict(cluster=cluster, workload=workload, horizon=80.0, seed=child, **extra))
+        (
+            i,
+            dict(
+                cluster=cluster, workload=workload, horizon=80.0, seed=child,
+                backend=backend, **extra,
+            ),
+        )
         for i, child in enumerate(RngStreams.replication_seeds(42, 3))
     ]
     with warnings.catch_warnings(), WorkerPool(n_jobs) as pool:
@@ -97,14 +104,15 @@ def _replication_numbers(backend_env, n_jobs, with_controller, monkeypatch):
 
 
 @needs_kernel
-@pytest.mark.parametrize("backend_env", ["python", "compiled"])
+@pytest.mark.parametrize("backend", ["python", "compiled"])
 @pytest.mark.parametrize("n_jobs", [1, 2])
 @pytest.mark.parametrize("with_controller", [False, True])
-def test_replication_matrix_bit_identical(backend_env, n_jobs, with_controller, monkeypatch):
+def test_replication_matrix_bit_identical(backend, n_jobs, with_controller):
     """{python, compiled} × {serial, process} × controller on/off all
-    produce the same bits as the python-serial reference."""
-    reference = _replication_numbers("python", 1, with_controller, monkeypatch)
-    probe = _replication_numbers(backend_env, n_jobs, with_controller, monkeypatch)
+    produce the same bits as the python-serial reference; the pooled
+    cases are what the deleted pool warm-up tests held to that."""
+    reference = _replication_numbers("python", 1, with_controller)
+    probe = _replication_numbers(backend, n_jobs, with_controller)
     assert sorted(probe) == sorted(reference)
     for i in reference:
         golden_mod._assert_identical(reference[i], probe[i], path=f"rep[{i}]")
@@ -116,7 +124,7 @@ def test_single_run_bit_identical_delay_samples_and_log(monkeypatch):
     cluster = golden_mod._two_tier("priority_np")
     workload = golden_mod._workload()
 
-    def run():
+    def run(**backend):
         return simulate(
             cluster,
             workload,
@@ -124,18 +132,24 @@ def test_single_run_bit_identical_delay_samples_and_log(monkeypatch):
             seed=31,
             collect_delay_samples=True,
             collect_job_log=True,
+            **backend,
         )
 
     monkeypatch.setenv("REPRO_SIM_BACKEND", "python")
     ref = run()
+    explicit_compiled = run(backend="compiled")
     monkeypatch.setenv("REPRO_SIM_BACKEND", "compiled")
     got = run()
-    for a, b in zip(ref.delay_samples, got.delay_samples):
-        assert np.array_equal(a, b)
-    assert np.array_equal(ref.job_log, got.job_log)
-    golden_mod._assert_identical(
-        golden_mod._snapshot(ref), golden_mod._snapshot(got), path="single_run"
-    )
+    explicit_python = run(backend="python")
+    for name, probe in [
+        ("env", got), ("backend=compiled", explicit_compiled), ("backend=python", explicit_python)
+    ]:
+        for a, b in zip(ref.delay_samples, probe.delay_samples):
+            assert np.array_equal(a, b), name
+        assert np.array_equal(ref.job_log, probe.job_log), name
+        golden_mod._assert_identical(
+            golden_mod._snapshot(ref), golden_mod._snapshot(probe), path=f"single_run[{name}]"
+        )
 
 
 @needs_kernel
@@ -594,105 +608,3 @@ def test_unsupported_reason_fallback_matches_and_auto_silent(monkeypatch):
         warnings.simplefilter("error", CompiledFallbackWarning)
         silent = simulate(canonical_cluster(), canonical_workload(), horizon=30.0, seed=4)
     assert np.array_equal(ref.delays, silent.delays)
-
-
-# ---------------------------------------------------------------------------
-# process-pool warm-start initializer (regression: identical results)
-# ---------------------------------------------------------------------------
-
-
-def _payloads(n=3, horizon=60.0, seed=77):
-    from repro.experiments.common import canonical_cluster, canonical_workload
-
-    cluster, workload = canonical_cluster(), canonical_workload()
-    return [
-        (
-            i,
-            {
-                "cluster": cluster,
-                "workload": workload,
-                "horizon": horizon,
-                "warmup_fraction": 0.1,
-                "seed": child,
-            },
-        )
-        for i, child in enumerate(RngStreams.replication_seeds(seed, n))
-    ]
-
-
-def _result_bits(n_workers, payloads):
-    with WorkerPool(n_workers) as pool:
-        out = pool.run(_run_one, payloads)
-    return {i: (res.delays.tolist(), res.average_power, res.meta["n_events"]) for i, res, _ in out}
-
-
-def test_warm_start_initializer_identical_results():
-    """The per-process warm-up initializer must not change a single bit
-    of any replication, relative to the serial loop."""
-    payloads = _payloads()
-    assert _result_bits(2, payloads) == _result_bits(1, payloads)
-
-
-@needs_kernel
-def test_warm_start_compiled_backend_identical_results(monkeypatch):
-    monkeypatch.setenv("REPRO_SIM_BACKEND", "compiled")
-    payloads = _payloads(n=2, horizon=40.0)
-    warm = _result_bits(2, payloads)
-    monkeypatch.setenv("REPRO_SIM_BACKEND", "python")
-    assert warm == _result_bits(1, payloads)
-
-
-def test_warm_worker_runs_in_process(monkeypatch):
-    """The initializer itself is cheap, import-only and idempotent."""
-    from repro.simulation.parallel import _warm_worker
-
-    monkeypatch.delenv("REPRO_SIM_BACKEND", raising=False)
-    _warm_worker()
-    _warm_worker("python")
-    assert __import__("os").environ["REPRO_SIM_BACKEND"] == "python"
-
-
-def test_warm_worker_inherits_warned_reasons(monkeypatch):
-    """Regression: the once-per-process CompiledFallbackWarning dedup
-    must carry into warm-started pool workers — a reason the parent
-    already surfaced is seeded into the worker's memory, so a pool
-    warns once per pool, not once per worker."""
-    from repro.simulation.parallel import _warm_worker, _warned_snapshot
-
-    monkeypatch.setenv("REPRO_SIM_BACKEND", "python")
-    compiled_mod._warned.add("synthetic reason already shown")
-    assert _warned_snapshot() == ("synthetic reason already shown",)
-
-    # Simulate a fresh worker: empty dedup memory, then the initializer
-    # runs with the parent's snapshot (in-process stand-in for the
-    # spawned child; the seeding path is identical).
-    monkeypatch.setattr(compiled_mod, "_warned", set())
-    _warm_worker("python", ("synthetic reason already shown",))
-    assert "synthetic reason already shown" in compiled_mod._warned
-
-    # And the warning machinery honors the inherited entry: no re-emit.
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", CompiledFallbackWarning)
-        compiled_mod._warn_fallback("synthetic reason already shown")
-
-
-def test_pool_initargs_carry_warned_snapshot(monkeypatch):
-    """The live pool wires the snapshot through initargs."""
-    from repro.simulation import parallel as parallel_mod
-
-    compiled_mod._warned.add("pool-visible reason")
-    captured = {}
-
-    class _FakeExecutor:
-        def __init__(self, max_workers=None, initializer=None, initargs=()):
-            captured["initargs"] = initargs
-
-        def shutdown(self, cancel_futures=False):
-            pass
-
-    monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", _FakeExecutor)
-    try:
-        parallel_mod.WorkerPool(2).run(parallel_mod._run_one, [(0, {})])
-    except Exception:
-        pass  # the fake executor cannot run payloads; pool creation is the point
-    assert captured["initargs"][1] == ("pool-visible reason",)

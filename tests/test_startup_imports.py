@@ -36,12 +36,12 @@ print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("
 """
 
 
-def _run_probe(code: str, *args: str) -> set[str]:
-    """Run ``code`` in a fresh interpreter; its last stdout line is a
-    JSON list of module names."""
+def _run_probe(code: str, *args: str, backend: str = "python") -> set[str]:
+    """Run ``code`` in a fresh interpreter under ``REPRO_SIM_BACKEND=backend``;
+    its last stdout line is a JSON list of strings."""
     proc = subprocess.run(
         [sys.executable, "-c", code, *args],
-        env={**os.environ, "PYTHONPATH": SRC, "REPRO_SIM_BACKEND": "python"},
+        env={**os.environ, "PYTHONPATH": SRC, "REPRO_SIM_BACKEND": backend},
         capture_output=True,
         text=True,
         timeout=300,
@@ -71,29 +71,55 @@ def test_cli_import_loads_no_multiprocessing():
     assert loaded == set()
 
 
+# Patches the clock ``_run_one`` reads, and notes what is loaded the
+# first time it does: one replication's timed window opens there.
+_AT_T0 = """
+import json, sys
+from repro.simulation import compiled, parallel
+at_t0 = []
+clock = parallel.time.perf_counter
+def perf_counter():
+    if not at_t0 and sys._getframe(1).f_code.co_name == '_run_one':
+        at_t0.append(('scipy.special' in sys.modules, compiled._lib is not None))
+    return clock()
+parallel.time.perf_counter = perf_counter
+"""
+
+
 def test_warm_up_loads_no_scipy_and_run_one_primes_the_t_quantile():
-    # Pool warm-up serves fleet workers too, which never need SciPy, so
-    # it leaves scipy.special unloaded. A replication primes the
-    # t-quantile memo itself, before its timed window opens: the
-    # scipy.special import is never inside a replication's wall time.
+    # A replication pays its one-time costs before its timed window
+    # opens: it primes the t-quantile memo (importing scipy.special)
+    # and, on the compiled engine, loads the kernel. Neither is inside
+    # a replication's wall time, and nothing loads SciPy before it.
+    backend = "compiled" if kernel_available() else "python"
     loaded = _run_probe(
-        "import json, sys\n"
-        "from repro.experiments.common import small_cluster, small_workload\n"
-        "from repro.simulation import parallel\n"
-        "parallel._warm_worker()\n"
-        "warm = 'scipy.special' in sys.modules\n"
-        "at_t0 = []\n"
-        "clock = parallel.time.perf_counter\n"
-        "def perf_counter():\n"
-        "    if not at_t0 and sys._getframe(1).f_code.co_name == '_run_one':\n"
-        "        at_t0.append('scipy.special' in sys.modules)\n"
-        "    return clock()\n"
-        "parallel.time.perf_counter = perf_counter\n"
-        "kwargs = dict(cluster=small_cluster(), workload=small_workload(0.5), horizon=5.0, seed=1)\n"
+        _AT_T0
+        + "from repro.experiments.common import small_cluster, small_workload\n"
+        "before = 'scipy.special' in sys.modules\n"
+        "kwargs = dict(cluster=small_cluster(), workload=small_workload(0.5), horizon=5.0,\n"
+        "              seed=1, backend=sys.argv[1])\n"
         "parallel._run_one((0, kwargs))\n"
-        "print(json.dumps([f'after warm-up: {warm}', f'at t0: {at_t0}']))"
+        "print(json.dumps([f'before: {before}', f'at t0: {at_t0}']))",
+        backend,
     )
-    assert loaded == {"after warm-up: False", "at t0: [True]"}
+    assert loaded == {"before: False", f"at t0: [(True, {backend == 'compiled'})]"}
+
+
+@pytest.mark.skipif(not kernel_available(), reason="no C toolchain for the compiled kernel")
+def test_inline_replication_loads_the_kernel_before_its_clock_starts():
+    # Inline (n_jobs=1) as in a pool, the kernel load must not land in
+    # replication 0's timed window: a cold build there makes replication
+    # 0 read ~500x fewer events/s than replication 1.
+    loaded = _run_probe(
+        _AT_T0
+        + "from repro.experiments.common import small_cluster, small_workload\n"
+        "from repro.simulation import simulate_replications\n"
+        "simulate_replications(small_cluster(), small_workload(0.5), horizon=5.0,\n"
+        "                      n_replications=2, n_jobs=1)\n"
+        "print(json.dumps([f'at t0: {at_t0}']))",
+        backend="compiled",
+    )
+    assert loaded == {"at t0: [(True, True)]"}
 
 
 def test_report_loads_no_scipy():
