@@ -80,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"repro {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("list", help="list the reproducible experiments")
+    sub.add_parser("list", help="list the reproducible experiments").set_defaults(run=_cmd_list)
 
     def add_engine_options(p: argparse.ArgumentParser) -> None:
         p.add_argument(
@@ -140,6 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="online-control experiment (A7) only: drift-plus-penalty V knob",
     )
     add_engine_options(run_p)
+    run_p.set_defaults(run=_cmd_run)
 
     all_p = sub.add_parser("run-all", help="run every experiment (quick parameters)")
     all_p.add_argument("--out-dir", help="write each rendered table to <out-dir>/<ID>.txt")
@@ -147,6 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--full", action="store_true", help="use full parameters (slow; use the benchmarks instead)"
     )
     add_engine_options(all_p)
+    all_p.set_defaults(run=_cmd_run_all)
 
     sim_p = sub.add_parser(
         "simulate", help="replicated simulation of the canonical cluster with progress"
@@ -157,6 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim_p.add_argument("--seed", type=int, default=0)
     sim_p.add_argument("--warmup-fraction", type=float, default=0.1)
     add_engine_options(sim_p)
+    sim_p.set_defaults(run=_cmd_simulate)
 
     fleet_p = sub.add_parser(
         "fleet",
@@ -215,16 +218,20 @@ def build_parser() -> argparse.ArgumentParser:
     fleet_p.add_argument(
         "--telemetry-sample-queues", action="store_true", help=argparse.SUPPRESS
     )
+    fleet_p.set_defaults(run=_cmd_fleet)
 
     rep_p = sub.add_parser("report", help="analytic report of the canonical cluster")
     rep_p.add_argument("--load-factor", type=float, default=1.0)
+    rep_p.set_defaults(run=_cmd_report)
 
     sum_p = sub.add_parser("summary", help="assemble experiment artifacts into one report")
     sum_p.add_argument("--results-dir", default="benchmarks/results")
     sum_p.add_argument("--out", help="write the Markdown report to this file")
+    sum_p.set_defaults(run=_cmd_summary)
 
     diag_p = sub.add_parser("diagnose", help="pre-flight diagnostics of the canonical cluster")
     diag_p.add_argument("--load-factor", type=float, default=1.0)
+    diag_p.set_defaults(run=_cmd_diagnose)
 
     solve_p = sub.add_parser("solve", help="run a paper optimizer on the canonical instance")
     solve_p.add_argument("problem", choices=["p1", "p2", "p3"])
@@ -241,6 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=1.25,
         help="p2: per-class delay bounds as a multiple of the full-speed delays",
     )
+    solve_p.set_defaults(run=_cmd_solve)
 
     bench_p = sub.add_parser(
         "bench", help="time the hot kernels; write or check a JSON baseline"
@@ -287,6 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=5,
         help="history entries the rolling median is taken over",
     )
+    bench_p.set_defaults(run=_cmd_bench)
 
     tel_p = sub.add_parser("telemetry", help="inspect telemetry artifacts")
     tel_sub = tel_p.add_subparsers(dest="telemetry_command", required=True)
@@ -301,6 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
         "directories add a side-by-side comparison",
     )
     tel_sum.add_argument("--top", type=int, default=10, help="number of slowest spans to show")
+    tel_sum.set_defaults(run=_cmd_telemetry_summarize)
     tel_ing = tel_sub.add_parser(
         "ingest", help="load telemetry artifacts into the cross-run SQLite store"
     )
@@ -319,11 +329,13 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="SQLite store file (default: runs.sqlite in the current directory)",
     )
+    tel_ing.set_defaults(run=_cmd_telemetry_ingest)
 
     status_p = sub.add_parser(
         "status", help="live progress of a run writing telemetry to a directory"
     )
     status_p.add_argument("path", help="telemetry directory (or progress.jsonl) of the run")
+    status_p.set_defaults(run=_cmd_status)
 
     dash_p = sub.add_parser(
         "dashboard", help="render the run store as one self-contained HTML page"
@@ -342,10 +354,11 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="also chart this bench history JSONL (e.g. benchmarks/results/BENCH_history.jsonl)",
     )
+    dash_p.set_defaults(run=_cmd_dashboard)
     return parser
 
 
-def _cmd_list() -> int:
+def _cmd_list(args: argparse.Namespace) -> int:
     from repro.analysis.tables import ascii_table
     from repro.experiments.registry import REGISTRY
 
@@ -355,69 +368,51 @@ def _cmd_list() -> int:
     return 0
 
 
-def _cmd_run(
-    experiment_id: str,
-    quick: bool,
-    out: str | None,
-    jobs: int | None = None,
-    cache_dir: str | None = None,
-    target_rel_ci: float | None = None,
-    max_reps: int | None = None,
-    controller: str | None = None,
-    v_param: float | None = None,
-) -> int:
+def _engine_kwargs(args: argparse.Namespace) -> dict:
+    """The ``add_engine_options`` values an experiment's ``run`` takes."""
+    return {
+        "n_jobs": args.jobs,
+        "cache_dir": args.cache_dir,
+        "target_rel_ci": args.target_rel_ci,
+        "max_reps": args.max_reps,
+    }
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
     from repro import obs
     from repro.experiments.registry import run_experiment
 
-    obs.TELEMETRY.annotate(config={"experiment": experiment_id.upper(), "quick": quick})
+    obs.TELEMETRY.annotate(config={"experiment": args.experiment_id.upper(), "quick": args.quick})
     text = run_experiment(
-        experiment_id,
-        quick=quick,
-        n_jobs=jobs,
-        cache_dir=cache_dir,
-        target_rel_ci=target_rel_ci,
-        max_reps=max_reps,
-        controller=controller,
-        v_param=v_param,
+        args.experiment_id,
+        quick=args.quick,
+        controller=args.controller,
+        v_param=args.v_param,
+        **_engine_kwargs(args),
     )
     print(text)
-    if out:
-        with open(out, "w") as fh:
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text + "\n")
-        print(f"[written to {out}]")
+        print(f"[written to {args.out}]")
     return 0
 
 
-def _cmd_run_all(
-    out_dir: str | None,
-    full: bool,
-    jobs: int | None = None,
-    cache_dir: str | None = None,
-    target_rel_ci: float | None = None,
-    max_reps: int | None = None,
-) -> int:
+def _cmd_run_all(args: argparse.Namespace) -> int:
     import pathlib
 
     from repro import obs
     from repro.experiments.registry import REGISTRY
 
-    obs.TELEMETRY.annotate(config={"experiment": "ALL", "quick": not full})
-    target = pathlib.Path(out_dir) if out_dir else None
+    obs.TELEMETRY.annotate(config={"experiment": "ALL", "quick": not args.full})
+    target = pathlib.Path(args.out_dir) if args.out_dir else None
     if target:
         target.mkdir(parents=True, exist_ok=True)
     failures = []
     for exp in REGISTRY.values():
         with obs.span("cli.run_experiment", id=exp.id) as sp:
             try:
-                text = exp.render(
-                    exp.run(
-                        quick=not full,
-                        n_jobs=jobs,
-                        cache_dir=cache_dir,
-                        target_rel_ci=target_rel_ci,
-                        max_reps=max_reps,
-                    )
-                )
+                text = exp.render(exp.run(quick=not args.full, **_engine_kwargs(args)))
             except Exception as exc:  # surface, keep going
                 failures.append(exp.id)
                 print(f"== {exp.id} FAILED: {exc}")
@@ -432,12 +427,12 @@ def _cmd_run_all(
     return 0
 
 
-def _cmd_report(load_factor: float) -> int:
+def _cmd_report(args: argparse.Namespace) -> int:
     from repro.analysis.tables import ascii_table
     from repro.core.perf_model import ClusterPerformanceModel
     from repro.experiments.common import canonical_cluster, canonical_workload
 
-    model = ClusterPerformanceModel(canonical_cluster(), canonical_workload(load_factor))
+    model = ClusterPerformanceModel(canonical_cluster(), canonical_workload(args.load_factor))
     rep = model.report()
     rows = [
         [name, round(t, 4), round(e, 2)]
@@ -447,7 +442,7 @@ def _cmd_report(load_factor: float) -> int:
         ascii_table(
             ["class", "mean delay (s)", "energy (J/req)"],
             rows,
-            title=f"Canonical cluster at load factor {load_factor:g}",
+            title=f"Canonical cluster at load factor {args.load_factor:g}",
         )
     )
     print(f"mean delay {rep.mean_delay:.4f} s | power {rep.average_power:.1f} W")
@@ -455,17 +450,7 @@ def _cmd_report(load_factor: float) -> int:
     return 0
 
 
-def _cmd_simulate(
-    load_factor: float,
-    horizon: float,
-    replications: int,
-    seed: int,
-    warmup_fraction: float,
-    jobs: int | None,
-    cache_dir: str | None,
-    target_rel_ci: float | None = None,
-    max_reps: int | None = None,
-) -> int:
+def _cmd_simulate(args: argparse.Namespace) -> int:
     """Replicated simulation of the canonical cluster with live
     per-replication progress — the CLI surface of the parallel
     replication engine's observability. With ``--target-rel-ci`` the
@@ -481,8 +466,8 @@ def _cmd_simulate(
     )
 
     cluster = canonical_cluster()
-    workload = canonical_workload(load_factor)
-    obs.TELEMETRY.annotate(seed=seed, config={"cluster": cluster, "workload": workload})
+    workload = canonical_workload(args.load_factor)
+    obs.TELEMETRY.annotate(seed=args.seed, config={"cluster": cluster, "workload": workload})
 
     def progress(rec, done, total):
         if rec.cached:
@@ -493,37 +478,22 @@ def _cmd_simulate(
                 f"{rec.wall_time_s:.2f}s, {rec.events_per_sec:,.0f} events/s"
             )
 
-    if target_rel_ci is not None:
-        target = PrecisionTarget(
-            rel_ci=target_rel_ci,
-            max_replications=max_reps if max_reps is not None else max(4 * replications, 16),
-        )
-        rep = simulate_replications_adaptive(
-            cluster,
-            workload,
-            horizon=horizon,
-            target=target,
-            warmup_fraction=warmup_fraction,
-            seed=seed,
-            n_jobs=jobs,
-            cache_dir=cache_dir,
-            progress=progress,
-        )
-        n_used = rep.meta["adaptive"]["n_used"]
-        title_reps = f"{n_used} adaptive replications"
+    common = dict(
+        horizon=args.horizon,
+        warmup_fraction=args.warmup_fraction,
+        seed=args.seed,
+        n_jobs=args.jobs,
+        cache_dir=args.cache_dir,
+        progress=progress,
+    )
+    if args.target_rel_ci is not None:
+        max_reps = args.max_reps if args.max_reps is not None else max(4 * args.replications, 16)
+        target = PrecisionTarget(rel_ci=args.target_rel_ci, max_replications=max_reps)
+        rep = simulate_replications_adaptive(cluster, workload, target=target, **common)
+        title_reps = f"{rep.meta['adaptive']['n_used']} adaptive replications"
     else:
-        rep = simulate_replications(
-            cluster,
-            workload,
-            horizon=horizon,
-            n_replications=replications,
-            warmup_fraction=warmup_fraction,
-            seed=seed,
-            n_jobs=jobs,
-            cache_dir=cache_dir,
-            progress=progress,
-        )
-        title_reps = f"{replications} replications"
+        rep = simulate_replications(cluster, workload, n_replications=args.replications, **common)
+        title_reps = f"{args.replications} replications"
     rows = [
         [name, round(float(rep.delays[k]), 4), round(float(rep.delays_ci[k]), 4)]
         for k, name in enumerate(rep.class_names)
@@ -532,7 +502,7 @@ def _cmd_simulate(
         ascii_table(
             ["class", "mean delay (s)", "95% CI"],
             rows,
-            title=f"Simulated canonical cluster at load factor {load_factor:g} "
+            title=f"Simulated canonical cluster at load factor {args.load_factor:g} "
             f"({title_reps})",
         )
     )
@@ -559,18 +529,7 @@ def _cmd_simulate(
     return 0
 
 
-def _cmd_fleet(
-    load_factors: str,
-    replications: int,
-    horizon: float,
-    warmup_fraction: float,
-    seed: int,
-    out: str,
-    backend: str | None,
-    store_format: str | None,
-    jobs: int | None,
-    batch_size: str = "auto",
-) -> int:
+def _cmd_fleet(args: argparse.Namespace) -> int:
     """Sweep the canonical cluster over a load-factor grid into one
     columnar store — the CLI surface of the fleet runner."""
     import time
@@ -580,22 +539,24 @@ def _cmd_fleet(
     from repro.simulation import FleetScenario, FleetStore, run_fleet
 
     try:
-        factors = [float(x) for x in load_factors.split(",") if x.strip()]
+        factors = [float(x) for x in args.load_factors.split(",") if x.strip()]
     except ValueError:
-        print(f"error: --load-factors must be comma-separated numbers, got {load_factors!r}")
+        print(f"error: --load-factors must be comma-separated numbers, got {args.load_factors!r}")
         return 1
     if not factors:
         print("error: --load-factors produced an empty grid")
         return 1
-    batch: int | str = batch_size
+    batch: int | str = args.batch_size
     if batch != "auto":
         try:
             batch = int(batch)
         except (TypeError, ValueError):
-            print(f"error: --batch-size must be a positive integer or 'auto', got {batch_size!r}")
-            return 1
+            batch = 0  # rejected below, with the same message as any value under 1
         if batch < 1:
-            print(f"error: --batch-size must be a positive integer or 'auto', got {batch_size!r}")
+            print(
+                "error: --batch-size must be a positive integer or 'auto', "
+                f"got {args.batch_size!r}"
+            )
             return 1
     cluster = canonical_cluster()
     scenarios = [
@@ -603,16 +564,16 @@ def _cmd_fleet(
             label=f"load={f:g}",
             cluster=cluster,
             workload=canonical_workload(f),
-            horizon=horizon,
-            warmup_fraction=warmup_fraction,
+            horizon=args.horizon,
+            warmup_fraction=args.warmup_fraction,
             params={"load_factor": f},
         )
         for f in factors
     ]
-    n_units = len(scenarios) * replications
+    n_units = len(scenarios) * args.replications
     print(
-        f"fleet: {len(scenarios)} scenarios x {replications} replications "
-        f"= {n_units} units -> {out}"
+        f"fleet: {len(scenarios)} scenarios x {args.replications} replications "
+        f"= {n_units} units -> {args.out}"
     )
     start = time.perf_counter()
     last_line_len = 0
@@ -628,17 +589,17 @@ def _cmd_fleet(
 
     summary = run_fleet(
         scenarios,
-        replications,
-        out,
-        seed=seed,
-        n_jobs=jobs,
-        backend=backend,
+        args.replications,
+        args.out,
+        seed=args.seed,
+        n_jobs=args.jobs,
+        backend=args.backend,
         batch_size=batch,
-        store_format=store_format,
+        store_format=args.format,
         progress=progress,
     )
     print()
-    store = FleetStore.open(out)
+    store = FleetStore.open(args.out)
     rows = [
         [
             rec["label"],
@@ -669,22 +630,22 @@ def _cmd_fleet(
     return 0
 
 
-def _cmd_solve(problem: str, load_factor: float, budget_fraction: float, delay_slack: float) -> int:
+def _cmd_solve(args: argparse.Namespace) -> int:
     from repro.core import minimize_cost, minimize_delay, minimize_energy
     from repro.experiments.common import canonical_cluster, canonical_sla, canonical_workload
 
     cluster = canonical_cluster()
-    workload = canonical_workload(load_factor)
-    if problem == "p1":
+    workload = canonical_workload(args.load_factor)
+    if args.problem == "p1":
         full = cluster.average_power(workload.arrival_rates)
-        res = minimize_delay(cluster, workload, power_budget=budget_fraction * full)
-        print(f"P1 @ budget {budget_fraction:.0%} of {full:.1f} W:")
+        res = minimize_delay(cluster, workload, power_budget=args.budget_fraction * full)
+        print(f"P1 @ budget {args.budget_fraction:.0%} of {full:.1f} W:")
         print(f"  speeds {np.round(res.x, 3).tolist()}")
         print(f"  mean delay {res.fun:.4f} s at {res.meta['power']:.1f} W")
-    elif problem == "p2":
+    elif args.problem == "p2":
         from repro.core.delay import end_to_end_delays
 
-        bounds = end_to_end_delays(cluster, workload) * delay_slack
+        bounds = end_to_end_delays(cluster, workload) * args.delay_slack
         res = minimize_energy(cluster, workload, class_delay_bounds=bounds)
         print(f"P2b @ per-class bounds {np.round(bounds, 3).tolist()}:")
         print(f"  speeds {np.round(res.x, 3).tolist()}")
@@ -698,26 +659,52 @@ def _cmd_solve(problem: str, load_factor: float, budget_fraction: float, delay_s
     return 0
 
 
-def _cmd_telemetry_summarize(path: str, top: int = 10) -> int:
-    """Render a ``--telemetry`` artifact as human-readable tables."""
+def _cmd_telemetry_summarize(args: argparse.Namespace) -> int:
+    """Render each ``--telemetry`` artifact as human-readable tables and,
+    given several, compare them side by side."""
+    code = 0
+    loaded = []
+    for path in args.paths:
+        artifact = _load_artifact(path)
+        if artifact is None:
+            code = 1
+        else:
+            _summarize_artifact(artifact[1], artifact[2], args.top)
+            loaded.append(artifact)
+        print()
+    if len(args.paths) > 1 and code == 0:
+        _telemetry_compare(loaded)
+    return code
+
+
+def _load_artifact(path: str) -> tuple[str, dict, list[dict]] | None:
+    """``(name, manifest, events)`` of a ``--telemetry`` directory (or its
+    manifest file); prints an error and returns None when it has none."""
     import json
     import pathlib
-    import time
 
-    from repro.analysis.tables import ascii_table
     from repro.obs import EVENTS_FILENAME, MANIFEST_FILENAME
 
     root = pathlib.Path(path)
     manifest_path = root if root.is_file() else root / MANIFEST_FILENAME
-    events_path = manifest_path.parent / EVENTS_FILENAME
     if not manifest_path.exists():
         print(f"error: no {MANIFEST_FILENAME} under {root} — was the run started with --telemetry?")
-        return 1
+        return None
     manifest = json.loads(manifest_path.read_text())
+    events_path = manifest_path.parent / EVENTS_FILENAME
     events: list[dict] = []
     if events_path.exists():
         with open(events_path) as fh:
             events = [json.loads(line) for line in fh if line.strip()]
+    return manifest_path.parent.name or str(manifest_path.parent), manifest, events
+
+
+def _summarize_artifact(manifest: dict, events: list[dict], top: int) -> None:
+    """Print one loaded telemetry artifact as tables."""
+    import time
+
+    from repro.analysis.tables import ascii_table
+    from repro.obs import EVENTS_FILENAME
 
     cmd = manifest.get("command")
     fingerprint = manifest.get("config_fingerprint")
@@ -735,7 +722,7 @@ def _cmd_telemetry_summarize(path: str, top: int = 10) -> int:
     if host:
         print(f"  host     {host.get('hostname')} ({host.get('platform')}, "
               f"{host.get('cpu_count')} cores)")
-    print(f"  events   {len(events)} in {events_path.name}")
+    print(f"  events   {len(events)} in {EVENTS_FILENAME}")
     dropped = int((manifest.get("events") or {}).get("dropped", 0) or 0)
     if dropped:
         print(f"  WARNING  {dropped} event(s) failed serialization and were "
@@ -836,11 +823,10 @@ def _cmd_telemetry_summarize(path: str, top: int = 10) -> int:
     if counter_rows:
         print()
         print(ascii_table(["counter", "value"], counter_rows, title="Counters"))
-    return 0
 
 
-def _telemetry_compare(paths: list[str]) -> int:
-    """Side-by-side comparison of several telemetry artifacts.
+def _telemetry_compare(loaded: list[tuple[str, dict, list[dict]]]) -> None:
+    """Side-by-side comparison of several loaded telemetry artifacts.
 
     Rows are the cross-run vitals (wall time, events, dropped events,
     cache hits, solver evaluations); columns are the runs. Runs are
@@ -848,26 +834,7 @@ def _telemetry_compare(paths: list[str]) -> int:
     comparable within one group, and the table says which runs share
     one.
     """
-    import json
-    import pathlib
-
     from repro.analysis.tables import ascii_table
-    from repro.obs import EVENTS_FILENAME, MANIFEST_FILENAME
-
-    loaded = []
-    for path in paths:
-        root = pathlib.Path(path)
-        manifest_path = root if root.is_file() else root / MANIFEST_FILENAME
-        if not manifest_path.exists():
-            print(f"error: no {MANIFEST_FILENAME} under {root}")
-            return 1
-        manifest = json.loads(manifest_path.read_text())
-        events_path = manifest_path.parent / EVENTS_FILENAME
-        events: list[dict] = []
-        if events_path.exists():
-            with open(events_path) as fh:
-                events = [json.loads(line) for line in fh if line.strip()]
-        loaded.append((manifest_path.parent.name or str(manifest_path.parent), manifest, events))
 
     fingerprints = [(m.get("config_fingerprint") or "")[:10] or "?" for _, m, _ in loaded]
     groups: dict[str, list[int]] = {}
@@ -904,24 +871,21 @@ def _telemetry_compare(paths: list[str]) -> int:
     elif len(loaded) > 1:
         print("note: no two runs share a configuration fingerprint — "
               "numbers are not directly comparable")
-    return 0
 
 
-def _cmd_telemetry_ingest(
-    paths: list[str], store_path: str | None, fleet: list[str] | None = None
-) -> int:
+def _cmd_telemetry_ingest(args: argparse.Namespace) -> int:
     """Load telemetry directories (and fleet stores) into the cross-run
     SQLite store."""
     from repro.exceptions import ModelValidationError
     from repro.obs import STORE_FILENAME, RunStore
 
-    if not paths and not fleet:
+    if not args.paths and not args.fleet:
         print("error: nothing to ingest — give telemetry directories and/or --fleet DIR")
         return 1
-    target = store_path or STORE_FILENAME
+    target = args.store or STORE_FILENAME
     code = 0
     with RunStore(target) as store:
-        for path in paths:
+        for path in args.paths:
             try:
                 run_id = store.ingest(path)
             except (FileNotFoundError, ValueError) as exc:
@@ -934,7 +898,7 @@ def _cmd_telemetry_ingest(
             n_records = len(store.spans(run_id)) + len(store.events(run_id))
             print(f"ingested {path} as run {run_id} "
                   f"({n_records} records, seed {run.get('seed')}){note}")
-        for path in fleet or []:
+        for path in args.fleet or []:
             try:
                 sweep_id = store.ingest_fleet(path)
             except (FileNotFoundError, ModelValidationError) as exc:
@@ -953,14 +917,14 @@ def _cmd_telemetry_ingest(
     return code
 
 
-def _cmd_status(path: str) -> int:
-    """Live progress of a run streaming telemetry to ``path``."""
+def _cmd_status(args: argparse.Namespace) -> int:
+    """Live progress of a run streaming telemetry to ``args.path``."""
     import pathlib
     import time
 
     from repro.obs import PROGRESS_FILENAME, progress_snapshot, read_progress
 
-    root = pathlib.Path(path)
+    root = pathlib.Path(args.path)
     progress_path = root if root.is_file() else root / PROGRESS_FILENAME
     if not progress_path.exists():
         print(f"error: no {PROGRESS_FILENAME} under {root} — is a run writing "
@@ -1004,31 +968,73 @@ def _cmd_status(path: str) -> int:
     return 0
 
 
-def _cmd_dashboard(store_path: str | None, out: str, bench_history: str | None) -> int:
+def _cmd_dashboard(args: argparse.Namespace) -> int:
     """Render the run store into one self-contained HTML file."""
     import pathlib
 
     from repro.obs import STORE_FILENAME, RunStore, render_dashboard
 
-    target = store_path or STORE_FILENAME
+    target = args.store or STORE_FILENAME
     if not pathlib.Path(target).exists():
         print(f"error: no store at {target} — build one with: "
               "repro telemetry ingest DIR [DIR...]")
         return 1
     with RunStore(target) as store:
         n = len(store.runs())
-        render_dashboard(store, out, bench_history=bench_history)
-    print(f"[dashboard over {n} run(s) written to {out}]")
+        render_dashboard(store, args.out, bench_history=args.bench_history)
+    print(f"[dashboard over {n} run(s) written to {args.out}]")
     return 0
+
+
+def _cmd_diagnose(args: argparse.Namespace) -> int:
+    from repro.analysis.diagnostics import diagnose
+    from repro.experiments.common import canonical_cluster, canonical_workload
+
+    findings = diagnose(canonical_cluster(), canonical_workload(args.load_factor))
+    if not findings:
+        print("no findings — configuration looks healthy")
+    for f in findings:
+        print(f"[{f.severity.value}] {f.code}: {f.message}")
+    return 0
+
+
+def _cmd_summary(args: argparse.Namespace) -> int:
+    from repro.analysis.summary import build_summary
+
+    text = build_summary(args.results_dir)
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(text)
+        print(f"[written to {args.out}]")
+    else:
+        print(text)
+    return 0
+
+
+def _cmd_bench(args: argparse.Namespace) -> int:
+    from repro.analysis.perf_bench import main_bench
+
+    return main_bench(
+        args.out,
+        args.repeats,
+        args.check,
+        args.tolerance,
+        args.gate,
+        record=args.record,
+        history=args.history,
+        history_tolerance=args.history_tolerance,
+        history_window=args.history_window,
+    )
 
 
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code.
 
-    When the command carries ``--telemetry DIR``, the whole dispatch
-    runs inside a telemetry session: spans, events and metrics stream
-    to ``DIR/events.jsonl`` and a run manifest is finalized atomically
-    on the way out — even if the command fails.
+    Each subcommand binds its handler as ``args.run`` in
+    :func:`build_parser`. When the command carries ``--telemetry DIR``,
+    the handler runs inside a telemetry session: spans, events and
+    metrics stream to ``DIR/events.jsonl`` and a run manifest is
+    finalized atomically on the way out — even if the command fails.
     """
     args = build_parser().parse_args(argv)
     telemetry_dir = getattr(args, "telemetry", None)
@@ -1041,121 +1047,11 @@ def main(argv: list[str] | None = None) -> int:
             command=command,
             sample_queues=getattr(args, "telemetry_sample_queues", False),
         ):
-            code = _dispatch(args)
+            code = args.run(args)
         print(f"[telemetry written to {telemetry_dir}; "
               f"read with: repro telemetry summarize {telemetry_dir}]")
         return code
-    return _dispatch(args)
-
-
-def _dispatch(args: argparse.Namespace) -> int:
-    """Route parsed arguments to their command implementation."""
-    if args.command == "telemetry":
-        if args.telemetry_command == "summarize":
-            code = 0
-            for path in args.paths:
-                code = max(code, _cmd_telemetry_summarize(path, args.top))
-                print()
-            if len(args.paths) > 1 and code == 0:
-                code = _telemetry_compare(args.paths)
-            return code
-        if args.telemetry_command == "ingest":
-            return _cmd_telemetry_ingest(args.paths, args.store, args.fleet)
-        raise AssertionError(
-            f"unhandled telemetry command {args.telemetry_command!r}"
-        )  # pragma: no cover
-    if args.command == "status":
-        return _cmd_status(args.path)
-    if args.command == "dashboard":
-        return _cmd_dashboard(args.store, args.out, args.bench_history)
-    if args.command == "list":
-        return _cmd_list()
-    if args.command == "run":
-        return _cmd_run(
-            args.experiment_id,
-            args.quick,
-            args.out,
-            args.jobs,
-            args.cache_dir,
-            args.target_rel_ci,
-            args.max_reps,
-            args.controller,
-            args.v_param,
-        )
-    if args.command == "run-all":
-        return _cmd_run_all(
-            args.out_dir,
-            args.full,
-            args.jobs,
-            args.cache_dir,
-            args.target_rel_ci,
-            args.max_reps,
-        )
-    if args.command == "simulate":
-        return _cmd_simulate(
-            args.load_factor,
-            args.horizon,
-            args.replications,
-            args.seed,
-            args.warmup_fraction,
-            args.jobs,
-            args.cache_dir,
-            args.target_rel_ci,
-            args.max_reps,
-        )
-    if args.command == "report":
-        return _cmd_report(args.load_factor)
-    if args.command == "diagnose":
-        from repro.analysis.diagnostics import diagnose
-        from repro.experiments.common import canonical_cluster, canonical_workload
-
-        findings = diagnose(canonical_cluster(), canonical_workload(args.load_factor))
-        if not findings:
-            print("no findings — configuration looks healthy")
-        for f in findings:
-            print(f"[{f.severity.value}] {f.code}: {f.message}")
-        return 0
-    if args.command == "summary":
-        from repro.analysis.summary import build_summary
-
-        text = build_summary(args.results_dir)
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-            print(f"[written to {args.out}]")
-        else:
-            print(text)
-        return 0
-    if args.command == "fleet":
-        return _cmd_fleet(
-            args.load_factors,
-            args.replications,
-            args.horizon,
-            args.warmup_fraction,
-            args.seed,
-            args.out,
-            args.backend,
-            args.format,
-            args.jobs,
-            args.batch_size,
-        )
-    if args.command == "solve":
-        return _cmd_solve(args.problem, args.load_factor, args.budget_fraction, args.delay_slack)
-    if args.command == "bench":
-        from repro.analysis.perf_bench import main_bench
-
-        return main_bench(
-            args.out,
-            args.repeats,
-            args.check,
-            args.tolerance,
-            args.gate,
-            record=args.record,
-            history=args.history,
-            history_tolerance=args.history_tolerance,
-            history_window=args.history_window,
-        )
-    raise AssertionError(f"unhandled command {args.command!r}")  # pragma: no cover
+    return args.run(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -2,7 +2,7 @@
 
 * ``result``      — a uniform :class:`OptimizationResult` record.
 * ``constrained`` — multistart nonlinear constrained minimization on a
-                    box (SciPy SLSQP / trust-constr under the hood).
+                    box (SciPy SLSQP under the hood).
 * ``integer``     — greedy + local-search integer allocation used by
                     the P3 cost minimizer.
 * ``scalar``      — monotone bisection for one-dimensional feasibility

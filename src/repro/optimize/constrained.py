@@ -32,6 +32,11 @@ _PENALTY = 1e9
 # the solve through the cold multistart fallback.
 _WARM_MAXITER = 25
 
+# The local solver every start runs, and the absolute slack below which
+# a constraint counts as satisfied.
+_METHOD = "SLSQP"
+_FEASIBILITY_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class Constraint:
@@ -86,8 +91,6 @@ def minimize_box_constrained(
     bounds: Sequence[tuple[float, float]],
     constraints: Sequence[Constraint] = (),
     n_starts: int = 5,
-    feasibility_tol: float = 1e-6,
-    method: str = "SLSQP",
     label: str = "",
     objective_batch: Callable[[np.ndarray], np.ndarray] | None = None,
     x0_hint: Sequence[float] | np.ndarray | None = None,
@@ -106,10 +109,6 @@ def minimize_box_constrained(
         Inequality constraints, each satisfied when ``fun(x) >= 0``.
     n_starts:
         Number of deterministic multistart seeds.
-    feasibility_tol:
-        Absolute slack below which a constraint counts as satisfied.
-    method:
-        ``"SLSQP"`` (default) or ``"trust-constr"``.
     label:
         Telemetry label for the solve (e.g. ``"p1"``); shows up in the
         ``optimize.solve`` span and the ``solver.result`` event.
@@ -143,11 +142,12 @@ def minimize_box_constrained(
     -------
     OptimizationResult
         Best point across starts; ``success`` requires feasibility at
-        tolerance and solver convergence on at least one start. SciPy's
-        per-start diagnostics (``nit``, ``nfev``, ``status``,
-        ``message``) of the winning start are surfaced on the result,
-        and ``meta["constraint_residuals"]`` maps each constraint name
-        to its final slack ``g_j(x)`` (negative = violated).
+        tolerance (``1e-6`` absolute slack) and solver convergence on
+        at least one start. SciPy's per-start diagnostics (``nit``,
+        ``nfev``, ``status``, ``message``) of the winning start are
+        surfaced on the result, and ``meta["constraint_residuals"]``
+        maps each constraint name to its final slack ``g_j(x)``
+        (negative = violated).
     """
     from scipy.optimize import minimize
 
@@ -193,7 +193,7 @@ def minimize_box_constrained(
                     f"constraint_batch must return {len(starts)} slacks, "
                     f"got shape {slacks.shape}"
                 )
-            feasible_seeds &= slacks >= -feasibility_tol
+            feasible_seeds &= slacks >= -_FEASIBILITY_TOL
         if np.any(feasible_seeds):
             guard_value = float(np.min(seed_values[feasible_seeds]))
     if seed_values is not None:
@@ -218,18 +218,16 @@ def minimize_box_constrained(
                 out[c.name] = -_PENALTY
         return out
 
-    def attempt(x0: np.ndarray, maxiter: int | None = None) -> OptimizationResult:
+    def attempt(x0: np.ndarray, maxiter: int = 200) -> OptimizationResult:
         """One local solve from ``x0``, clipped back into the box."""
-        if maxiter is None:
-            maxiter = 200 if method == "SLSQP" else 300
         try:
             res = minimize(
                 safe_obj,
                 x0,
-                method=method,
+                method=_METHOD,
                 bounds=bounds,
                 constraints=scipy_constraints,
-                options={"maxiter": maxiter, "ftol": 1e-10} if method == "SLSQP" else {"maxiter": maxiter},
+                options={"maxiter": maxiter, "ftol": 1e-10},
             )
         except Exception as exc:  # pragma: no cover - scipy internal failures
             return OptimizationResult(
@@ -241,7 +239,7 @@ def minimize_box_constrained(
         return OptimizationResult(
             x=x,
             fun=safe_obj(x),
-            success=bool(viol <= feasibility_tol and safe_obj(x) < _PENALTY),
+            success=bool(viol <= _FEASIBILITY_TOL and safe_obj(x) < _PENALTY),
             message=str(res.message),
             n_evaluations=evals[0],
             constraint_violation=viol,
@@ -255,7 +253,7 @@ def minimize_box_constrained(
     with obs.span(
         "optimize.solve",
         label=label,
-        method=method,
+        method=_METHOD,
         n_starts=n_starts,
         n_constraints=len(constraints),
         warm=x0_hint is not None,
@@ -274,7 +272,7 @@ def minimize_box_constrained(
             warm = attempt(hint, maxiter=_WARM_MAXITER)
             converged = bool(warm.success and warm.status == 0)
             accepted = converged and (
-                guard_value is None or warm.fun <= guard_value + feasibility_tol
+                guard_value is None or warm.fun <= guard_value + _FEASIBILITY_TOL
             )
             warm_info = {
                 "accepted": accepted,
@@ -301,7 +299,7 @@ def minimize_box_constrained(
     obs.event(
         "solver.result",
         label=label,
-        method=method,
+        method=_METHOD,
         success=best.success,
         fun=best.fun,
         nit=best.nit,

@@ -283,6 +283,13 @@ def run_series(
     n_workers = min(n, len(payloads))
     if n_workers > 1 and not all(payload_is_picklable(p) for p in payloads):
         n_workers = 1
+    results: dict[str, Any] = {}
+
+    def on_done(done: tuple[str, Any]) -> None:
+        name, value = done
+        results[name] = value
+
     with obs.span("sweep.series", n_tasks=len(payloads), n_jobs=n, parallel=n_workers > 1):
         with WorkerPool(n_workers) as pool:
-            return dict(pool.run(_run_task, payloads))
+            pool.run(_run_task, payloads, on_done)
+    return {name: results[name] for name in tasks}

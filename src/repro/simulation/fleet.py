@@ -452,10 +452,6 @@ def run_fleet(
         if cols is not None and len(cols["unit"]):
             store.append_columns(cols)
             n_done += len(cols["unit"])
-            # The pool keeps each returned value until the call ends;
-            # emptying the dict leaves the rows to the store alone, so a
-            # sweep holds one chunk and one row group, not every row.
-            cols.clear()
         n_failed += len(chunk_failures)
         failures.extend(chunk_failures)
         report()

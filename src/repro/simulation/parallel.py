@@ -16,11 +16,12 @@ The pool holds no configuration: each payload names the simulation
 engine its parent resolved, and a task warms what it uses before its
 timed window.
 
-Results come back in payload order, and replication results are keyed
-by replication number, so aggregation downstream is bit-identical
-regardless of worker count or completion order. Per-replication wall
-time and event throughput are measured inside the worker and travel
-back with the result.
+Each result is handed to the caller's ``on_done`` once, as it
+finishes; callers key results by replication number, series name or
+chunk, so aggregation downstream is bit-identical regardless of worker
+count or completion order. Per-replication wall time and event
+throughput are measured inside the worker and travel back with the
+result.
 
 A pool supports **incremental dispatch**: the adaptive engine
 (:mod:`repro.simulation.adaptive`) submits one *round* of payloads,
@@ -150,37 +151,33 @@ class WorkerPool:
         self,
         fn: Callable[[Any], Any],
         payloads: list[Any],
-        on_done: Callable[[Any], None] | None = None,
-    ) -> list[Any]:
-        """``[fn(p) for p in payloads]``, in payload order.
+        on_done: Callable[[Any], None],
+    ) -> None:
+        """Call ``on_done(fn(p))`` once for every payload.
 
-        ``on_done`` receives each value as it finishes (completion
-        order). Blocks until the whole round finishes: the adaptive
-        stopping decision needs the round's results before choosing
-        whether to submit another. ``fn`` must be module-level so the
-        pool can pickle it.
+        Values arrive as they finish (payload order inline, completion
+        order otherwise), and the pool keeps none of them, so a caller
+        that stores each value as it comes holds one at a time. Blocks
+        until the whole round finishes: the adaptive stopping decision
+        needs the round's results before choosing whether to submit
+        another. ``fn`` must be module-level so the pool can pickle it.
         """
         if self.n_workers == 1:
-            out = []
             for payload in payloads:
-                out.append(fn(payload))
-                if on_done is not None:
-                    on_done(out[-1])
-            return out
+                on_done(fn(payload))
+            return
         if not payloads:
-            return []
+            return
         if self._executor is None:
             self._executor = ProcessPoolExecutor(max_workers=self.n_workers)
         try:
-            futures = [self._executor.submit(fn, p) for p in payloads]
-            for fut in as_completed(futures):
-                value = fut.result()
-                if on_done is not None:
-                    on_done(value)
+            # as_completed drops each future once yielded, so no list
+            # of futures may outlive this line.
+            for fut in as_completed([self._executor.submit(fn, p) for p in payloads]):
+                on_done(fut.result())
         except BrokenExecutor:
             self.__exit__(BrokenExecutor)  # the next call starts a fresh executor
             raise
-        return [fut.result() for fut in futures]
 
 
 def resolve_n_jobs(n_jobs: int | None) -> int:

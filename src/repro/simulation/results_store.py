@@ -14,10 +14,10 @@ sequence of immutable columnar *row groups*:
   zero-dependency fallback, bit-identical in content. Groups written
   with ``np.savez_compressed`` by older versions read the same.
 
-The write side streams: :meth:`FleetStore.append` buffers rows and
-:meth:`FleetStore.flush` seals a row group to disk, so a 10k-unit
-sweep never holds more than one group of rows in memory and a crash
-loses at most the open buffer. The manifest is finalized atomically
+The write side streams: :meth:`FleetStore.append_columns` buffers
+column blocks and :meth:`FleetStore.flush` seals a row group to disk,
+so a 10k-unit sweep never holds more than one group of rows in memory
+and a crash loses at most the open buffer. The manifest is finalized atomically
 (tmp + ``os.replace``) on :meth:`FleetStore.close`.
 
 The read side is the query API the ``obs`` ingester and dashboard use:
@@ -84,10 +84,9 @@ class FleetStore:
         self.fmt: str = "npz"
         self.meta: dict[str, Any] = {}
         self._groups: list[dict[str, Any]] = []
-        # Write buffer: ordered segments of ("rows", list[tuple]) from
-        # append() and ("cols", {name: array}) from append_columns(),
-        # merged at flush() in arrival order.
-        self._segments: list[tuple[str, Any]] = []
+        # Write buffer: the column blocks from append_columns(), merged
+        # at flush() in arrival order.
+        self._blocks: list[dict[str, np.ndarray]] = []
         self._buffered_rows = 0
         self._rows_per_group = 4096
         self._writable = False
@@ -112,7 +111,7 @@ class FleetStore:
         path:
             Directory to create (must not already hold a manifest).
         columns:
-            Ordered column names; every appended row must provide
+            Ordered column names; every appended block must provide
             exactly these keys.
         meta:
             JSON-serializable run metadata (scenario labels, seed,
@@ -143,35 +142,14 @@ class FleetStore:
         store._writable = True
         return store
 
-    def append(self, row: Mapping[str, Any]) -> None:
-        """Buffer one row; seals a row group when the buffer fills."""
-        self._check_writable()
-        if set(row) != set(self.columns):
-            missing = set(self.columns) - set(row)
-            extra = set(row) - set(self.columns)
-            raise ModelValidationError(
-                f"row keys do not match store schema "
-                f"(missing {sorted(missing)}, unexpected {sorted(extra)})"
-            )
-        if self._segments and self._segments[-1][0] == "rows":
-            self._segments[-1][1].append(tuple(row[c] for c in self.columns))
-        else:
-            self._segments.append(("rows", [tuple(row[c] for c in self.columns)]))
-        self._buffered_rows += 1
-        if self._buffered_rows >= self._rows_per_group:
-            self.flush()
-
-    def append_rows(self, rows: Iterable[Mapping[str, Any]]) -> None:
-        for row in rows:
-            self.append(row)
-
     def append_columns(self, arrays: Mapping[str, np.ndarray]) -> None:
         """Buffer a block of rows already in columnar form.
 
         ``arrays`` must provide exactly the store's columns, all the
         same length; each is coerced to the schema dtype. The fleet
         runner appends each finished chunk this way — a block goes into
-        the buffer as one segment, never exploded into per-row tuples.
+        the buffer whole, never exploded into per-row tuples; a row
+        group is sealed once the buffer holds ``rows_per_group`` rows.
         """
         self._check_writable()
         if set(arrays) != set(self.columns):
@@ -195,7 +173,7 @@ class FleetStore:
         n = next(iter(sizes)) if sizes else 0
         if n == 0:
             return
-        self._segments.append(("cols", block))
+        self._blocks.append(block)
         self._buffered_rows += n
         if self._buffered_rows >= self._rows_per_group:
             self.flush()
@@ -205,19 +183,9 @@ class FleetStore:
         self._check_writable()
         if not self._buffered_rows:
             return
-        pieces: dict[str, list[np.ndarray]] = {n: [] for n in self.columns}
-        for kind, payload in self._segments:
-            if kind == "rows":
-                for i, name in enumerate(self.columns):
-                    pieces[name].append(
-                        np.array([r[i] for r in payload], dtype=_column_dtype(name))
-                    )
-            else:
-                for name in self.columns:
-                    pieces[name].append(payload[name])
-        arrays = {
-            name: parts[0] if len(parts) == 1 else np.concatenate(parts)
-            for name, parts in pieces.items()
+        blocks = self._blocks
+        arrays = blocks[0] if len(blocks) == 1 else {
+            name: np.concatenate([b[name] for b in blocks]) for name in self.columns
         }
         index = len(self._groups)
         ext = "parquet" if self.fmt == "parquet" else "npz"
@@ -236,7 +204,7 @@ class FleetStore:
             with open(target, "wb") as fh:
                 np.savez(fh, **arrays)
         self._groups.append({"file": filename, "n_rows": self._buffered_rows})
-        self._segments = []
+        self._blocks = []
         self._buffered_rows = 0
         self._write_manifest()
 

@@ -1,11 +1,14 @@
-"""Bench history recording and the rolling-median regression detector."""
+"""Bench history recording, the rolling-median regression detector and
+the baseline check's calibration."""
 
 import pytest
 
+from repro.analysis import perf_bench
 from repro.analysis.perf_bench import (
     CALIBRATION,
     append_history,
     check_history,
+    compare_to_baseline,
     history_entry,
     load_history,
 )
@@ -120,6 +123,35 @@ class TestCheckHistory:
         doc = make_doc(sim_s=0.11, cal_s=0.1)
         _, failures = check_history(doc, history, tolerance=0.5)
         assert failures == []
+
+
+class TestBaselineCalibration:
+    def test_each_timed_kernel_records_the_spin_beside_it(self, monkeypatch):
+        monkeypatch.setitem(perf_bench.KERNELS, "noop", lambda: (lambda: None))
+        record = perf_bench._time_kernel("noop", 2)
+        assert record["calibration_min_s"] > 0
+        assert "calibration_min_s" not in perf_bench._time_kernel(CALIBRATION, 1)
+
+    def test_kernel_normalized_by_its_own_calibration(self):
+        """The host ran 2x slower while the kernel ran, not at the run's
+        start: the spin timed beside the kernel cancels that."""
+        baseline = make_doc(sim_s=0.1, cal_s=0.1)
+        drifted = make_doc(sim_s=0.2, cal_s=0.1)
+        _, failures = compare_to_baseline(drifted, baseline, gates=("sim_replication_h500",))
+        assert failures == ["sim_replication_h500"]  # start calibration only
+        drifted["kernels"]["sim_replication_h500"]["calibration_min_s"] = 0.2
+        lines, failures = compare_to_baseline(
+            drifted, baseline, gates=("sim_replication_h500",)
+        )
+        assert failures == []
+        assert any("calibration x0.50, normalized x1.00" in line for line in lines)
+
+    def test_regression_under_own_calibration_still_fails(self):
+        baseline = make_doc(sim_s=0.1, cal_s=0.1)
+        slowed = make_doc(sim_s=0.15, cal_s=0.1)
+        slowed["kernels"]["sim_replication_h500"]["calibration_min_s"] = 0.1
+        _, failures = compare_to_baseline(slowed, baseline, gates=("sim_replication_h500",))
+        assert failures == ["sim_replication_h500"]
 
 
 class TestCliFlags:

@@ -1,5 +1,7 @@
 """CLI and experiment-registry tests."""
 
+import argparse
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -62,6 +64,44 @@ class TestCLI:
         assert main(["solve", "p3"]) == 0
         out = capsys.readouterr().out
         assert "servers" in out
+
+    def test_every_leaf_command_binds_a_handler(self):
+        def leaves(parser, path=()):
+            subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+            if not subs:
+                yield path, parser
+            for action in subs:
+                for name, child in action.choices.items():
+                    yield from leaves(child, (*path, name))
+
+        found = dict(leaves(build_parser()))
+        assert len(found) == 14
+        assert ("telemetry", "summarize") in found and ("telemetry", "ingest") in found
+        for path, parser in found.items():
+            assert callable(parser.get_default("run")), path
+
+    @pytest.mark.parametrize(
+        "argv, first_line",
+        [
+            (["diagnose"], "[info] bottleneck: tier 'app' is the bottleneck (rho = 0.520)"),
+            (["solve", "p2"], "P2b @ per-class bounds [0.159, 0.206, 0.265]:"),
+        ],
+    )
+    def test_analytic_command_output(self, argv, first_line, capsys):
+        assert main(argv) == 0
+        assert capsys.readouterr().out.startswith(first_line)
+
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (["status", "{tmp}/none"], "error: no progress.jsonl under {tmp}/none"),
+            (["dashboard", "--store", "{tmp}/none.sqlite"], "error: no store at {tmp}/none.sqlite"),
+            (["telemetry", "ingest"], "error: nothing to ingest"),
+        ],
+    )
+    def test_missing_input_exits_1(self, argv, error, tmp_path, capsys):
+        assert main([arg.format(tmp=tmp_path) for arg in argv]) == 1
+        assert capsys.readouterr().out.startswith(error.format(tmp=tmp_path))
 
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:

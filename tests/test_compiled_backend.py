@@ -99,8 +99,9 @@ def _replication_numbers(backend, n_jobs, with_controller):
     ]
     with warnings.catch_warnings(), WorkerPool(n_jobs) as pool:
         warnings.simplefilter("ignore", CompiledFallbackWarning)
-        out = pool.run(_run_one, payloads)
-    return {i: golden_mod._snapshot(res) for i, res, _wall in out}
+        out = []
+        pool.run(_run_one, payloads, out.append)
+    return {i: golden_mod._snapshot(res) for i, res, _wall in out}  # keyed by index
 
 
 @needs_kernel

@@ -671,7 +671,9 @@ def test_append_columns_roundtrip_and_validation(tmp_path):
     store = FleetStore.create(
         tmp_path / "s", ("unit", "scenario", "y"), meta={}, rows_per_group=4
     )
-    store.append({"unit": 0, "scenario": 0, "y": 1.5})
+    store.append_columns(
+        {"unit": np.array([0]), "scenario": np.array([0]), "y": np.array([1.5])}
+    )
     store.append_columns(
         {
             "unit": np.array([1, 2]),
@@ -679,7 +681,9 @@ def test_append_columns_roundtrip_and_validation(tmp_path):
             "y": np.array([2.5, 3.5]),
         }
     )
-    store.append({"unit": 3, "scenario": 1, "y": 4.5})  # seals a group of 4
+    store.append_columns(
+        {"unit": np.array([3]), "scenario": np.array([1]), "y": np.array([4.5])}
+    )  # seals a group of 4
     store.append_columns(
         {"unit": np.array([4]), "scenario": np.array([1]), "y": np.array([5.5])}
     )
@@ -698,8 +702,10 @@ def test_append_columns_roundtrip_and_validation(tmp_path):
     )  # empty block is a no-op
     store.close()
 
-    data = FleetStore.open(tmp_path / "s").read()
-    # arrival order preserved across interleaved row/column appends
+    again = FleetStore.open(tmp_path / "s")
+    assert [g["n_rows"] for g in again._groups] == [4, 1]
+    data = again.read()
+    # arrival order preserved across blocks of different lengths
     assert data["unit"].tolist() == [0, 1, 2, 3, 4]
     assert data["y"].tolist() == [1.5, 2.5, 3.5, 4.5, 5.5]
     assert data["unit"].dtype == np.int64 and data["y"].dtype == np.float64

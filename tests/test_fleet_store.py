@@ -52,11 +52,16 @@ def _scenarios(loads=(0.5, 0.8), horizon=8.0):
 # ---------------------------------------------------------------------------
 
 
+def _row(**values):
+    """One row as a column block of length-1 arrays."""
+    return {name: np.array([v]) for name, v in values.items()}
+
+
 def test_store_roundtrip_and_dtypes(tmp_path):
     cols = ("unit", "scenario", "metric")
     with FleetStore.create(tmp_path / "s", cols, meta={"seed": 3}, rows_per_group=2) as store:
         for u in range(5):
-            store.append({"unit": u, "scenario": u % 2, "metric": 0.5 * u})
+            store.append_columns(_row(unit=u, scenario=u % 2, metric=0.5 * u))
     again = FleetStore.open(tmp_path / "s")
     assert again.final
     assert again.n_rows == 5
@@ -65,6 +70,7 @@ def test_store_roundtrip_and_dtypes(tmp_path):
     assert data["unit"].dtype == np.int64
     assert data["metric"].dtype == np.float64
     # rows land in append order; rows_per_group=2 means 3 row groups
+    assert [g["n_rows"] for g in again._groups] == [2, 2, 1]
     assert data["unit"].tolist() == [0, 1, 2, 3, 4]
     assert data["metric"].tolist() == [0.0, 0.5, 1.0, 1.5, 2.0]
     sub = again.read(columns=["metric"])
@@ -74,12 +80,12 @@ def test_store_roundtrip_and_dtypes(tmp_path):
 def test_store_validates_rows_and_refuses_overwrite(tmp_path):
     store = FleetStore.create(tmp_path / "s", ("unit", "x"), meta={})
     with pytest.raises(ModelValidationError):
-        store.append({"unit": 0})  # missing column
+        store.append_columns(_row(unit=0))  # missing column
     with pytest.raises(ModelValidationError):
-        store.append({"unit": 0, "x": 1.0, "extra": 2.0})  # unknown column
+        store.append_columns(_row(unit=0, x=1.0, extra=2.0))  # unknown column
     store.close()
     with pytest.raises(ModelValidationError):
-        store.append({"unit": 1, "x": 1.0})  # closed store is immutable
+        store.append_columns(_row(unit=1, x=1.0))  # closed store is immutable
     with pytest.raises(ModelValidationError):
         FleetStore.create(tmp_path / "s", ("unit", "x"), meta={})  # exists
 
@@ -90,7 +96,7 @@ def test_store_aggregate_matches_numpy(tmp_path):
         u = 0
         for sid, ys in values.items():
             for y in ys:
-                store.append({"unit": u, "scenario": sid, "y": y})
+                store.append_columns(_row(unit=u, scenario=sid, y=y))
                 u += 1
     agg = FleetStore.open(tmp_path / "s").aggregate(metrics=["y"])
     for sid, ys in values.items():
@@ -111,7 +117,7 @@ def test_store_empty_read_has_schema(tmp_path):
 @pytest.mark.skipif(not parquet_available(), reason="pyarrow not installed")
 def test_store_parquet_format(tmp_path):
     with FleetStore.create(tmp_path / "s", ("unit", "x"), meta={}, fmt="parquet") as store:
-        store.append({"unit": 0, "x": 1.5})
+        store.append_columns(_row(unit=0, x=1.5))
     again = FleetStore.open(tmp_path / "s")
     assert again.read()["x"].tolist() == [1.5]
 

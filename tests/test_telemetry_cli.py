@@ -131,6 +131,13 @@ class TestSummarizeComparison:
             assert row in text
         assert "sharing a fingerprint" in text
 
+    def test_missing_dir_fails_without_comparison(self, pair, tmp_path, capsys):
+        argv = ["telemetry", "summarize", str(pair[0]), str(tmp_path / "nope")]
+        assert main(argv) == 1
+        text = capsys.readouterr().out
+        assert f"error: no manifest.json under {tmp_path / 'nope'}" in text
+        assert "Run comparison" not in text
+
     def test_single_dir_has_no_comparison(self, pair, capsys):
         assert main(["telemetry", "summarize", str(pair[0])]) == 0
         assert "Run comparison" not in capsys.readouterr().out

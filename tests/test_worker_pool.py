@@ -2,7 +2,7 @@
 
 :class:`repro.simulation.parallel.WorkerPool` runs inline with one
 worker and over one reused process pool otherwise. These tests hold
-its ordering contract, its early exit on a failing task, and the
+its delivery contract, its early exit on a failing task, and the
 replication runner's sizing rule, which decides the reported
 ``meta["backend"]``.
 """
@@ -33,14 +33,15 @@ def _record(payload: tuple[str, int]) -> int:
 
 
 @pytest.mark.parametrize("n_workers", [1, 2])
-def test_results_in_payload_order_and_on_done_sees_each(n_workers):
-    seen = []
+def test_on_done_sees_each_value_once(n_workers):
+    first, second, empty = [], [], []
     with WorkerPool(n_workers) as pool:
-        first = pool.run(_square, [3, 1, 2], seen.append)
-        second = pool.run(_square, [4])
-        assert pool.run(_square, []) == []
-    assert first == [9, 1, 4] and second == [16]
-    assert sorted(seen) == [1, 4, 9]
+        assert pool.run(_square, [3, 1, 2], first.append) is None
+        pool.run(_square, [4], second.append)  # the same pool, reused
+        pool.run(_square, [], empty.append)
+    assert sorted(first) == [1, 4, 9] and second == [16] and empty == []
+    if n_workers == 1:
+        assert first == [9, 1, 4]  # inline runs in payload order
 
 
 def test_needs_a_worker():
@@ -53,7 +54,7 @@ def test_failing_round_cancels_queued_payloads(tmp_path):
     payloads = [(str(tmp_path), i) for i in range(20)]
     with pytest.raises(ValueError, match="invalid replication"):
         with WorkerPool(2) as pool:
-            pool.run(_record, payloads)
+            pool.run(_record, payloads, lambda _value: None)
     ran = len(list(tmp_path.iterdir()))
     assert ran < len(payloads) - 1
 
