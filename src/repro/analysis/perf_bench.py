@@ -772,7 +772,9 @@ def _time_kernel(name: str, repeats: int) -> dict:
     Each timed run of a kernel other than the calibration is preceded by
     one timed calibration spin; their min (``calibration_min_s``) is the
     host speed this kernel saw, which can drift from the run-start
-    calibration by ±30% on a shared host.
+    calibration by ±30% on a shared host.  Each repeat's kernel/spin
+    ratio compares two timings taken at one moment of host speed; the
+    least disturbed of them (``min_ratio``) is what the check gates on.
     """
     fn = KERNELS[name]()
     spin = _kernel_calibration_spin() if name != CALIBRATION else None
@@ -791,6 +793,7 @@ def _time_kernel(name: str, repeats: int) -> dict:
     record = {"min_s": min(runs), "runs_s": [round(r, 6) for r in runs]}
     if spins:
         record["calibration_min_s"] = min(spins)
+        record["min_ratio"] = min(r / c for r, c in zip(runs, spins))
     # Kernels measuring more than speed (event savings, variance
     # reduction) return {"bench_extra": ...}; the record rides along
     # in the JSON document next to the timings.
@@ -813,7 +816,9 @@ def compare_to_baseline(
     ``tolerance`` (25% default). An empty ``failures`` list means the
     check passed. Each side normalizes a kernel by the calibration
     timed next to it (``calibration_min_s``) when its record has one,
-    and by the document's run-start calibration otherwise.
+    and by the document's run-start calibration otherwise; a current
+    record with a ``min_ratio`` is normalized by that instead, its best
+    kernel/spin ratio over the repeats.
     """
     cur_k = current["kernels"]
     base_k = baseline["kernels"]
@@ -843,7 +848,13 @@ def compare_to_baseline(
         kernel_scale = 1.0
         if normalized:
             base_cal = base_k[name].get("calibration_min_s", cal_base)
-            kernel_scale = base_cal / cur_k[name].get("calibration_min_s", cal_cur)
+            own_ratio = cur_k[name].get("min_ratio")
+            if own_ratio is not None:
+                # The minima of kernel and spin times may come from
+                # different repeats; a ratio of one repeat may not.
+                kernel_scale = own_ratio * base_cal / cur
+            else:
+                kernel_scale = base_cal / cur_k[name].get("calibration_min_s", cal_cur)
         # >1 means slower than baseline after machine-speed correction.
         ratio = (cur * kernel_scale) / base if base > 0 else float("inf")
         gated = name in gates

@@ -20,14 +20,6 @@ from repro.workload.classes import Workload
 __all__ = ["uniform_speed_for_budget", "uniform_speed_for_delay"]
 
 
-def _uniform_box(cluster: ClusterModel, workload: Workload, rho_cap: float) -> tuple[float, float]:
-    """The interval of *uniform* speed multipliers that keep every tier
-    stable and inside its DVFS range. The knob is a fraction ``u`` in
-    [0, 1]; tier ``i`` runs at ``lo_i + u (hi_i - lo_i)``."""
-    bounds = stability_speed_bounds(cluster, workload, rho_cap)
-    return bounds  # type: ignore[return-value]
-
-
 def _speeds_at(bounds: list[tuple[float, float]], u: float) -> np.ndarray:
     lo = np.array([b[0] for b in bounds])
     hi = np.array([b[1] for b in bounds])

@@ -56,19 +56,22 @@ The support envelope is closed: processor-sharing tiers run natively
 (the kernel mirrors :mod:`repro.simulation.ps_station`'s share law),
 dynamic speed control yields to the Python controller at every epoch
 boundary (queue counts and segmented energy out, clipped speeds back
-in, work-preserving rescale applied in C), antithetic seeds pre-draw
-their mirrored inverse-transform variates through per-stream Python
-refill buffers (``np.log`` is not bitwise libm ``log``, so the coupled
-streams cannot be reproduced natively), trace-driven arrivals replay
-their timestamp arrays in C, and telemetry queue sampling is buffered
-kernel-side and batch-flushed to the sink at epoch/end-of-run
-boundaries in the engine's exact event order.  Distribution families
-without a native C mapping (e.g. Pareto, whose ``np.power`` SIMD path
-is not bit-identical to libm ``pow``) are drawn through a per-event
-Python callback instead — slower, still bit-identical — so *any*
-accepted configuration produces exact results.  Only tiers with a
-discipline the kernel does not know fall back to the interpreter
-engine.
+in, work-preserving rescale applied in C), trace-driven arrivals
+replay their timestamp arrays in C, and telemetry queue sampling is
+buffered kernel-side and batch-flushed to the sink at epoch/end-of-run
+boundaries in the engine's exact event order.  The streams the kernel
+cannot draw itself are drawn in Python, by the same
+:func:`~repro.simulation.simulator._draw_plan` the Python engine
+draws through: families without a native C mapping (e.g. Pareto,
+whose ``np.power`` SIMD path is not bit-identical to libm ``pow``),
+stateful arrival processes, and every stream of an antithetic seed
+(``np.log`` is not bitwise libm ``log``, so the coupled streams cannot
+be reproduced natively).  A stream the plan draws in vectorized blocks
+reaches the kernel as a refill buffer; one it draws a scalar at a time
+is a per-draw Python callback, called exactly as often as the Python
+engine calls it.  So *any* accepted configuration produces exact
+results, and only tiers with a discipline the kernel does not know
+fall back to the interpreter engine.
 """
 
 from __future__ import annotations
@@ -93,7 +96,7 @@ from ctypes import (
     c_uint64,
     c_void_p,
 )
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import chain
 from pathlib import Path
 from typing import Any
@@ -115,18 +118,18 @@ from repro.exceptions import (
     ModelValidationError,
     SimulationError,
 )
-from repro.simulation.rng import AntitheticSeed, RngStreams, fnv1a64
-from repro.simulation.rng import _TINY as _RNG_TINY
+from repro.simulation.rng import AntitheticSeed, BlockCursor, RngStreams, fnv1a64
 from repro.simulation.simulator import (
     _JOB_LOG_DTYPE,
+    _ROUTING_UNIFORM,
     SimulationResult,
     _account,
     _annotate_backend,
     _build_routes,
     _build_routing_tables,
+    _draw_plan,
     _emit_queue_sample,
     _finalize,
-    _make_sampler,
     _SpeedLedger,
     _static_power,
     _summary_rows,
@@ -167,9 +170,10 @@ _SK_TRACE = 9
 _POST_MUL = 0
 _POST_ADD = 1
 
-# Python-refilled variate buffers hand out values in chunks of exactly
-# the BlockCursor block size, so one vectorized refill draw consumes a
-# stream identically to the Python engine's pregenerated blocks.
+# Every Python-refilled variate buffer holds exactly the BlockCursor
+# block size, so each refill is the same block draw the Python engine's
+# cursor makes on that stream, and the two engines call a stream's
+# block sampler equally often.
 _BLOCK_SIZE = 4096
 
 # numpy.random.SeedSequence's default entropy pool size, in uint32 words.
@@ -464,15 +468,15 @@ def _unsupported_reason(cluster) -> str | None:
 # ---------------------------------------------------------------------------
 
 
-def _sampler_template(dist, keep: list) -> _SamplerDesc:
-    """Map one distribution to a kernel descriptor.
+def _sampler_template(dist, keep: list) -> _SamplerDesc | None:
+    """The kernel descriptor of a distribution the kernel draws itself,
+    or ``None`` when its family has no native NumPy C counterpart (e.g.
+    Pareto, whose ``np.power`` SIMD path is not bit-identical to libm
+    ``pow``) and Python draws it.
 
     ``Scaled``/``Shifted`` wrappers unwrap into a post-op chain
     (outermost first; the kernel applies them innermost first, matching
-    the Python nesting).  Families with a native NumPy C counterpart
-    draw inside the kernel on the slot's kernel-seeded stream; anything
-    else is ``_SK_PYCALL``, for which the caller binds a per-draw
-    Python callback.
+    the Python nesting).
     """
     post_ops: list[int] = []
     post_vals: list[float] = []
@@ -487,20 +491,11 @@ def _sampler_template(dist, keep: list) -> _SamplerDesc:
         base = base.base
 
     desc = _SamplerDesc()
-    desc.n_post = len(post_ops)
-    if post_ops:
-        op_arr = np.asarray(post_ops, dtype=np.int32)
-        val_arr = np.asarray(post_vals, dtype=np.float64)
-        keep.extend((op_arr, val_arr))
-        desc.post_op = op_arr.ctypes.data_as(POINTER(c_int))
-        desc.post_val = val_arr.ctypes.data_as(POINTER(c_double))
-
     bt = type(base)
     if bt is Deterministic:
         desc.kind = _SK_DET
         desc.p1 = float(base.value)
-        return desc
-    if bt is Exponential:
+    elif bt is Exponential:
         desc.kind = _SK_EXPO
         desc.p1 = 1.0 / base.rate
     elif bt in (Erlang, Gamma):
@@ -529,47 +524,15 @@ def _sampler_template(dist, keep: list) -> _SamplerDesc:
         desc.cdf = cdf.ctypes.data_as(POINTER(c_double))
         desc.scales = scales.ctypes.data_as(POINTER(c_double))
     else:
-        desc.kind = _SK_PYCALL
-        desc.n_post = 0  # wrappers sample through dist directly
+        return None
+    desc.n_post = len(post_ops)
+    if post_ops:
+        op_arr = np.asarray(post_ops, dtype=np.int32)
+        val_arr = np.asarray(post_vals, dtype=np.float64)
+        keep.extend((op_arr, val_arr))
+        desc.post_op = op_arr.ctypes.data_as(POINTER(c_int))
+        desc.post_val = val_arr.ctypes.data_as(POINTER(c_double))
     return desc
-
-
-def _pump_fill(dist, rng):
-    """fill(n) for one antithetic service stream: block-safe families
-    draw one vectorized block (n == the BlockCursor block size, so the
-    draw equals the engine's pregenerated chunk exactly); everything
-    else pumps the engine's own scalar sampler n times.
-
-    HyperExponential — the canonical high-variability demand, so the
-    hot unsafe family — is vectorized with interleaved uniforms: the
-    scalar sampler consumes (u_select, u_expo) per draw, so one
-    ``random(2n)`` batch sliced even/odd reproduces the exact stream
-    consumption and values (``random(2n)`` advances the bit generator
-    identically to 2n scalar calls, and ``searchsorted(side="right")``
-    matches ``bisect_right``).
-    """
-    if dist.block_sampling_safe:
-
-        def fill(n, sample=dist.sample, rng=rng):
-            return sample(rng, n)
-
-    elif isinstance(dist, HyperExponential):
-        cdf = np.asarray(dist._cdf, dtype=np.float64)
-        hyper_scales = np.asarray(dist._scales, dtype=np.float64)
-
-        def fill(n, cdf=cdf, hyper_scales=hyper_scales, rng=rng):
-            u = rng.random(2 * n)
-            idx = np.searchsorted(cdf, u[0::2], side="right")
-            w = 1.0 - u[1::2]
-            return hyper_scales[idx] * -np.log(np.maximum(w, _RNG_TINY))
-
-    else:
-        scalar = _make_sampler(dist, rng)
-
-        def fill(n, scalar=scalar):
-            return [scalar() for _ in range(n)]
-
-    return fill
 
 
 # ---------------------------------------------------------------------------
@@ -578,22 +541,27 @@ def _pump_fill(dist, rng):
 
 
 class _Rep:
-    """The Python side of one replication in a kernel call: what its
-    callbacks draw from, and the first exception one of them raised."""
+    """The Python side of one replication in a kernel call: the streams
+    its callbacks draw from, and the first exception one of them
+    raised."""
 
-    __slots__ = ("samplers", "pulls", "fills", "epoch", "error")
+    __slots__ = ("calls", "fills", "epoch", "error")
 
-    def __init__(self, k_classes: int) -> None:
-        self.samplers: list[Any] = []  # SK_PYCALL service draws, by py_id
-        self.pulls: list[Any] = [None] * k_classes  # SK_PYCALL arrivals, by class
+    def __init__(self) -> None:
+        self.calls: list[Any] = []  # SK_PYCALL samplers and pullers, by py_id
         self.fills: list[Any] = []  # SK_PYBLOCK refills, by block id
         self.epoch: Any = None  # epoch decision (dynamic speed control)
         self.error: BaseException | None = None
 
-    def block(self, fill) -> int:
-        """Register a refill ``fill(n)``; returns its block id."""
-        self.fills.append(fill)
-        return len(self.fills) - 1
+    def bind(self, plan) -> tuple[int, int]:
+        """Register one stream's :func:`_draw_plan`; returns the kind and
+        id of its descriptor: a refill block for a block plan, a
+        per-draw callback for a scalar one."""
+        if isinstance(plan, BlockCursor):
+            self.fills.append(plan.fill)
+            return _SK_PYBLOCK, len(self.fills) - 1
+        self.calls.append(plan)
+        return _SK_PYCALL, len(self.calls) - 1
 
 
 def _u32_words(x) -> list[int]:
@@ -696,16 +664,19 @@ def _describe(cluster, workload, seeds, reps, arrival_processes, routed, dynamic
     One template serves every replication of the call.  For int and
     SeedSequence seeds the kernel seeds each native slot's PCG64 stream
     itself (see :func:`_seed_words`), in the state
-    ``RngStreams(seed).stream(name)`` starts from.  The streams Python
-    still draws from come from ``RngStreams(seed)``, the oracle:
-    ``_SK_PYCALL`` samplers (e.g. Pareto), non-Poisson arrival
-    processes, and every stream of an antithetic seed.  Antithetic
-    streams are coupled generators whose mirrored inverse transforms
-    (``np.log``, not bitwise libm ``log``) the kernel cannot reproduce,
-    so they are pre-drawn in Python into refill blocks; streams are
-    consumer-private, so drawing ahead yields the exact sequence the
-    engine would see.  Every replication registers its callbacks and
-    blocks in the same order, so the template's ids fit all of them.
+    ``RngStreams(seed).stream(name)`` starts from, and draws Poisson
+    gaps, routing uniforms and every family :func:`_sampler_template`
+    maps.  The streams Python draws come from ``RngStreams(seed)``, the
+    oracle: the other families and arrival processes, and every stream
+    of an antithetic seed, whose coupled generators' mirrored inverse
+    transforms (``np.log``, not bitwise libm ``log``) the kernel cannot
+    reproduce.  Each is drawn by its
+    :func:`~repro.simulation.simulator._draw_plan`, as the Python engine
+    draws it: a block plan becomes an ``_SK_PYBLOCK`` refill buffer, a
+    scalar one an ``_SK_PYCALL`` per-draw callback, and neither carries
+    post-ops (the plan samples the whole wrapped distribution).  Every
+    replication registers its plans in the same order, so the
+    template's ids fit all of them.
     """
     k_classes, m_stations = workload.num_classes, cluster.num_tiers
     # Under dynamic speed control the sampler yields the *demand* (work
@@ -723,15 +694,18 @@ def _describe(cluster, workload, seeds, reps, arrival_processes, routed, dynamic
         else list(arrival_processes)
     )
 
+    drawn = []  # (descriptor, stream name, source) of each stream Python draws
     sampler_desc = (_SamplerDesc * (m_stations * k_classes))()
     for i in range(m_stations):
         for k in range(k_classes):
-            if coupled:
-                sampler_desc[i * k_classes + k].kind = _SK_PYBLOCK
+            slot = i * k_classes + k
+            native = None if coupled else _sampler_template(dists[i][k], keep)
+            if native is None:
+                drawn.append((sampler_desc[slot], f"service/{i}/{k}", dists[i][k]))
             else:
-                sampler_desc[i * k_classes + k] = _sampler_template(dists[i][k], keep)
+                sampler_desc[slot] = native
     arrival_desc = (_ArrivalDesc * k_classes)()
-    for desc, proc in zip(arrival_desc, procs):
+    for k, (desc, proc) in enumerate(zip(arrival_desc, procs)):
         if type(proc) is TraceArrivalProcess:
             # RNG-free timestamp replay runs natively in C.
             ts = np.ascontiguousarray(proc.timestamps, dtype=np.float64)
@@ -739,38 +713,23 @@ def _describe(cluster, workload, seeds, reps, arrival_processes, routed, dynamic
             desc.kind = _SK_TRACE
             desc.ts = ts.ctypes.data_as(POINTER(c_double))
             desc.n_ts = ts.size
-        elif type(proc) is PoissonProcess:
-            desc.kind = _SK_PYBLOCK if coupled else _SK_EXPO
+        elif type(proc) is PoissonProcess and not coupled:
+            desc.kind = _SK_EXPO
             desc.scale = 1.0 / proc.rate
         else:
-            desc.kind = _SK_PYCALL
+            drawn.append((desc, f"arrivals/{k}", proc))
     routing_block = (c_int * k_classes)(*[-1] * k_classes) if routed else None
 
-    if not coupled and all(d.kind != _SK_PYCALL for d in (*sampler_desc, *arrival_desc)):
+    if not drawn:
         return sampler_desc, arrival_desc, routing_block  # every stream is kernel-seeded
     for seed, rep in zip(seeds, reps):
         stream = RngStreams(seed).stream
+        for desc, name, source in drawn:
+            desc.kind, desc.py_id = rep.bind(_draw_plan(source, stream(name)))
         if routed and coupled:
-            # Mirrored uniforms (min(1-u, 1^-) per draw) cannot come
-            # off a raw bit generator.
             for k in range(k_classes):
-                routing_block[k] = rep.block(stream(f"routing/{k}").random)
-        for k, (desc, proc) in enumerate(zip(arrival_desc, procs)):
-            if desc.kind == _SK_PYBLOCK:
-                # Coupled exponential gaps: the engine's BlockCursor
-                # draw, one block per refill.
-                desc.py_id = rep.block(partial(stream(f"arrivals/{k}").exponential, desc.scale))
-            elif desc.kind == _SK_PYCALL:
-                rep.pulls[k] = partial(proc.fresh().next_arrival, stream(f"arrivals/{k}"))
-        for i in range(m_stations):
-            for k in range(k_classes):
-                desc = sampler_desc[i * k_classes + k]
-                if desc.kind == _SK_PYBLOCK:
-                    desc.py_id = rep.block(_pump_fill(dists[i][k], stream(f"service/{i}/{k}")))
-                elif desc.kind == _SK_PYCALL:
-                    # Per-draw Python callback: the engine's own sampler.
-                    desc.py_id = len(rep.samplers)
-                    rep.samplers.append(_make_sampler(dists[i][k], stream(f"service/{i}/{k}")))
+                plan = _draw_plan(_ROUTING_UNIFORM, stream(f"routing/{k}"))
+                _, routing_block[k] = rep.bind(plan)
     return sampler_desc, arrival_desc, routing_block
 
 
@@ -884,7 +843,7 @@ def _run_kernel(
     n = len(seeds)
     dynamic = epoch_controller is not None
     keep: list[Any] = []  # keep-alive for every object the kernel reads
-    reps = [_Rep(k_classes) for _ in range(n)]
+    reps = [_Rep() for _ in range(n)]
     abort = (c_int * 1)(0)
 
     with obs.span("sim.setup", classes=k_classes, stations=m_stations, horizon=horizon, reps=n):
@@ -961,8 +920,10 @@ def _run_kernel(
 
             return guarded
 
+        arrival_ids = [desc.py_id for desc in arrival_desc]
+
         def _arrival(rep: _Rep, cls: int, batch_out) -> float:
-            gap, batch = rep.pulls[cls]()
+            gap, batch = rep.calls[arrival_ids[cls]]()
             batch_out[0] = int(batch)
             return float(gap)
 
@@ -978,13 +939,10 @@ def _run_kernel(
             return 0
 
         n_blocks = max(len(rep.fills) for rep in reps)
+        calls = any(rep.calls for rep in reps)
         callbacks = (
-            _SERVICE_CB(_guard(lambda rep, i: rep.samplers[i](), 0.0))
-            if any(rep.samplers for rep in reps)
-            else _SERVICE_CB(),
-            _ARRIVAL_CB(_guard(_arrival, 0.0))
-            if any(any(rep.pulls) for rep in reps)
-            else _ARRIVAL_CB(),
+            _SERVICE_CB(_guard(lambda rep, i: rep.calls[i](), 0.0)) if calls else _SERVICE_CB(),
+            _ARRIVAL_CB(_guard(_arrival, 0.0)) if calls else _ARRIVAL_CB(),
             _REFILL_CB(_guard(_refill, 0)) if n_blocks else _REFILL_CB(),
             _EPOCH_CB(_guard(lambda rep, t: rep.epoch(t), -1)) if dynamic else _EPOCH_CB(),
             _SAMPLE_CB(_guard(_samples, -1)) if sample_interval > 0.0 else _SAMPLE_CB(),

@@ -35,8 +35,9 @@ from __future__ import annotations
 import os
 import pickle
 import time
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, as_completed
+from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, ProcessPoolExecutor, wait
 from dataclasses import dataclass
+from itertools import islice
 from typing import Any, Callable
 
 from repro.exceptions import ModelValidationError
@@ -157,7 +158,9 @@ class WorkerPool:
 
         Values arrive as they finish (payload order inline, completion
         order otherwise), and the pool keeps none of them, so a caller
-        that stores each value as it comes holds one at a time. Blocks
+        that stores each value as it comes holds one at a time. A pool
+        submits a payload only when a worker is about to be free, so a
+        call's bookkeeping does not grow with its payload count. Blocks
         until the whole round finishes: the adaptive stopping decision
         needs the round's results before choosing whether to submit
         another. ``fn`` must be module-level so the pool can pickle it.
@@ -170,11 +173,17 @@ class WorkerPool:
             return
         if self._executor is None:
             self._executor = ProcessPoolExecutor(max_workers=self.n_workers)
+        submit = self._executor.submit
+        queue = iter(payloads)
         try:
-            # as_completed drops each future once yielded, so no list
-            # of futures may outlive this line.
-            for fut in as_completed([self._executor.submit(fn, p) for p in payloads]):
-                on_done(fut.result())
+            # Two payloads per worker keep each worker fed while the
+            # parent handles the result it just returned.
+            running = {submit(fn, p) for p in islice(queue, 2 * self.n_workers)}
+            while running:
+                done, running = wait(running, return_when=FIRST_COMPLETED)
+                running.update(submit(fn, p) for p in islice(queue, len(done)))
+                for fut in done:
+                    on_done(fut.result())
         except BrokenExecutor:
             self.__exit__(BrokenExecutor)  # the next call starts a fresh executor
             raise

@@ -118,8 +118,7 @@ class PSStation:
             n = len(self.jobs)
             cap = self.capacity
             rate = 1.0 if n <= cap else cap / n
-            # Inline windowed accumulation — identical clip-then-add
-            # arithmetic to the BusyIntegrator calls it replaced.
+            # Clipped to the measurement window, so warmup work never counts.
             lo = self.last_t if self.last_t > self.t0 else self.t0
             hi = t if t < self.t1 else self.t1
             if hi > lo:

@@ -267,11 +267,17 @@ class BlockCursor:
         self.block_size = block_size
         self._it = iter(())
 
+    def fill(self, n: int) -> np.ndarray:
+        """``n`` variates drawn from the stream as one block, bypassing
+        the values the cursor holds; the compiled kernel refills its
+        buffers through this."""
+        return self._draw(self._rng, n)
+
     def __call__(self) -> float:
         # A list-iterator with a sentinel default is the cheapest
         # "next value or refill" primitive available in pure Python.
         v = next(self._it, None)
         if v is None:
-            self._it = iter(self._draw(self._rng, self.block_size).tolist())
+            self._it = iter(self.fill(self.block_size).tolist())
             v = next(self._it)
         return v

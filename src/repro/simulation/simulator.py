@@ -32,7 +32,7 @@ import warnings
 from bisect import bisect_right
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import chain, count
 from typing import Any
 
@@ -40,11 +40,13 @@ import numpy as np
 
 from repro import obs
 from repro.cluster.model import ClusterModel
+from repro.distributions.exponential import Exponential
 from repro.distributions.hyperexponential import HyperExponential
+from repro.distributions.uniform_dist import Uniform
 from repro.exceptions import ModelValidationError, WarmupDiscardWarning
 from repro.simulation.job import Job
 from repro.simulation.ps_station import PSStation
-from repro.simulation.rng import AntitheticSeed, BlockCursor, RngStreams
+from repro.simulation.rng import _TINY, AntitheticSeed, BlockCursor, CoupledGenerator, RngStreams
 from repro.simulation.station import SimStation
 from repro.simulation.stats import Welford, confidence_halfwidth
 from repro.workload.arrivals import ArrivalProcess, PoissonProcess
@@ -261,23 +263,20 @@ def simulate(
         else:
             routes = None
             routing_tables = _build_routing_tables(cluster, routing)
-            # One uniform per routing decision, block-pregenerated per
-            # class stream (Generator.random is block-safe).
+            # One uniform per routing decision, from each class's stream.
             routing_uniforms = [
-                BlockCursor(streams.stream(f"routing/{k}"), _draw_uniform)
+                _draw_plan(_ROUTING_UNIFORM, streams.stream(f"routing/{k}"))
                 for k in range(k_classes)
             ]
 
         if arrival_processes is None:
-            arrivals: list[ArrivalProcess] = [
-                PoissonProcess(c.arrival_rate) for c in workload.classes
-            ]
-        else:
-            arrivals = [p.fresh() for p in arrival_processes]
-        arrival_pull = [
-            _make_arrival_puller(proc, streams.stream(f"arrivals/{k}"))
-            for k, proc in enumerate(arrivals)
-        ]
+            arrival_processes = [PoissonProcess(c.arrival_rate) for c in workload.classes]
+        arrival_pull = []
+        for k, proc in enumerate(arrival_processes):
+            plan = _draw_plan(proc, streams.stream(f"arrivals/{k}"))
+            if isinstance(plan, BlockCursor):  # Poisson gaps, one job each
+                plan = partial(_single, plan)
+            arrival_pull.append(plan)
 
         heap: list[tuple[float, int, int, int, int]] = []
         # One global push counter (C-level itertools.count) keeps the
@@ -299,12 +298,12 @@ def simulate(
                     # speed change affects every subsequent draw.
                     samplers.append(
                         _make_dynamic_sampler(
-                            _make_sampler(tier.demands[k], rng), ledger.speeds, i
+                            _draw_plan(tier.demands[k], rng), ledger.speeds, i
                         )
                     )
                 else:
                     dist = tier.demands[k].scaled(1.0 / tier.speed)
-                    samplers.append(_make_sampler(dist, rng))
+                    samplers.append(_draw_plan(dist, rng))
             if tier.discipline == "ps":
                 st = PSStation(i, k_classes, tier.servers, samplers, heap, next_seq)
             else:
@@ -1027,10 +1026,6 @@ def _emit_queue_sample(tel, t: float, populations: list[int], busy: list[int]) -
     tel.tracer.event("sim.queue_sample", t=t, population=populations, busy=busy)
 
 
-def _draw_uniform(rng: np.random.Generator, n: int) -> np.ndarray:
-    return rng.random(n)
-
-
 def _draw_from_cumulative(cum: np.ndarray, u: float) -> int:
     """Index drawn from a (sub)probability cumulative array; ``-1``
     when the uniform ``u`` falls in the residual (exit) mass."""
@@ -1039,30 +1034,50 @@ def _draw_from_cumulative(cum: np.ndarray, u: float) -> int:
     return int(cum.searchsorted(u, side="left"))
 
 
-def _make_sampler(dist, rng):
-    """Bind one (distribution, stream) pair into a zero-arg sampler.
+#: Routing decisions draw U(0, 1) uniforms (``uniform(0, 1)`` returns
+#: the bits ``random`` does, on a plain or a coupled generator).
+_ROUTING_UNIFORM = Uniform(0.0, 1.0)
 
-    Families satisfying the block-sampling determinism contract
-    (``dist.block_sampling_safe``) are drawn in pregenerated NumPy
-    chunks through a :class:`~repro.simulation.rng.BlockCursor` —
-    bit-identical values in the same order, at a fraction of the
-    per-draw cost.
+
+def _draw_plan(source, rng):
+    """How one stream is drawn, decided here for both engines.
+
+    ``source`` is a distribution or an arrival process and ``rng`` its
+    named stream.  When ``n`` draws may be taken as one vectorized block
+    (a ``block_sampling_safe`` family, Poisson gaps, routing uniforms,
+    and HyperExponential on a coupled antithetic generator) the plan is
+    a :class:`~repro.simulation.rng.BlockCursor`: the Python engine
+    reads it one value at a time, and the compiled kernel refills a
+    buffer of the same block size from :meth:`BlockCursor.fill`, so one
+    block draw consumes the stream as the engine does.  Anything else
+    is a zero-argument scalar: a sampler for a distribution, a puller
+    returning ``(gap, batch_size)`` for an arrival process (MMPP, batch,
+    renewal, NHPP, trace), which the kernel calls once per draw.
 
     HyperExponential — the paper's canonical high-variability demand,
-    so the most common *unsafe* family — gets a closure that inlines
-    its scalar draw: branch by :func:`bisect.bisect_right` on the
-    Python-list CDF (same count-of-entries-<=-u semantics as
+    so the most common *unsafe* family — takes its scalar draw as
+    (branch uniform, ``standard_exponential``).  On a plain generator
+    that is a closure inlining the draw: branch by
+    :func:`bisect.bisect_right` on the Python-list CDF (same
+    count-of-entries-<=-u semantics as
     ``ndarray.searchsorted(side="right")``, which itself emulates
-    ``Generator.choice`` bit-exactly) followed by
-    ``scale * standard_exponential()``. Identical bit-stream
-    consumption and values, no method dispatch or NumPy scalar
-    overhead per draw. Everything else keeps the generic scalar path.
+    ``Generator.choice`` bit-exactly), then ``scale *
+    standard_exponential()``.  On a coupled generator the exponential
+    is ``-log(1 - U)`` of the next uniform, so the pair of uniforms per
+    draw is one ``random(2n)`` block (:func:`_draw_coupled_hyper`).
     """
-    if dist.block_sampling_safe:
-        return BlockCursor(rng, dist.sample)
-    if isinstance(dist, HyperExponential):
-        cdf = dist._cdf.tolist()
-        scales = dist._scales
+    if isinstance(source, ArrivalProcess):
+        if type(source) is not PoissonProcess:
+            return partial(source.fresh().next_arrival, rng)
+        source = Exponential(source.rate)  # the gaps of a Poisson process
+    if source.block_sampling_safe:
+        return BlockCursor(rng, source.sample)
+    if isinstance(source, HyperExponential):
+        if isinstance(rng, CoupledGenerator):
+            cdf, scales = np.asarray(source._cdf), np.asarray(source._scales)
+            return BlockCursor(rng, partial(_draw_coupled_hyper, cdf, scales))
+        cdf = source._cdf.tolist()
+        scales = source._scales
         random = rng.random
         std_exp = rng.standard_exponential
 
@@ -1070,12 +1085,32 @@ def _make_sampler(dist, rng):
             return scales[bisect_right(cdf, random())] * std_exp()
 
         return sampler
-    sample = dist.sample
+    sample = source.sample
 
     def generic_sampler() -> float:
         return float(sample(rng))
 
     return generic_sampler
+
+
+def _draw_coupled_hyper(cdf, scales, rng: CoupledGenerator, n: int) -> np.ndarray:
+    """``n`` HyperExponential draws on a coupled generator as one block.
+
+    The scalar draw consumes (branch uniform, exponential uniform) per
+    value, so one ``random(2n)`` sliced even/odd reproduces its stream
+    consumption and values: ``random(2n)`` advances the bit generator
+    as 2n scalar calls do, ``searchsorted(side="right")`` matches
+    ``bisect_right``, and the exponential is
+    :meth:`CoupledGenerator.standard_exponential`'s expression.
+    """
+    u = rng.random(2 * n)
+    branch = np.searchsorted(cdf, u[0::2], side="right")
+    return scales[branch] * -np.log(np.maximum(1.0 - u[1::2], _TINY))
+
+
+def _single(gaps: BlockCursor) -> tuple[float, int]:
+    """The next Poisson arrival: a block-drawn gap and one job."""
+    return gaps(), 1
 
 
 def _make_dynamic_sampler(base, speeds, i):
@@ -1090,31 +1125,3 @@ def _make_dynamic_sampler(base, speeds, i):
         return base() / speeds[i]
 
     return sampler
-
-
-def _make_arrival_puller(proc, rng):
-    """Bind one (arrival process, stream) pair into a zero-arg puller
-    returning ``(gap, batch_size)``.
-
-    Plain Poisson processes — the overwhelmingly common case — draw
-    their exponential gaps through a block cursor; stateful processes
-    (MMPP, batch, renewal, NHPP) keep their scalar ``next_arrival``
-    path, whose draw interleaving is not block-safe.
-    """
-    if type(proc) is PoissonProcess:
-        scale = 1.0 / proc.rate
-
-        def draw(r: np.random.Generator, n: int, _scale=scale) -> np.ndarray:
-            return r.exponential(_scale, n)
-
-        cursor = BlockCursor(rng, draw)
-
-        def pull() -> tuple[float, int]:
-            return cursor(), 1
-
-        return pull
-
-    def pull() -> tuple[float, int]:
-        return proc.next_arrival(rng)
-
-    return pull

@@ -366,18 +366,8 @@ class SimStation:
         if best != _INF:
             heappush(self.heap, (best, self.next_seq(), COMPLETION, self.index, self.sched_epoch))
 
-    def _next_job(self) -> Job | None:
-        if self.discipline == "fcfs":
-            return self.fifo.popleft() if self.fifo else None
-        for q in self.queues:  # highest priority first
-            if q:
-                return q.popleft()
-        return None
-
     def _record_busy(self, cls: int, a: float, b: float) -> None:
-        # Inline, windowed busy-time accumulation (identical clip-then-
-        # add arithmetic to the BusyIntegrator pair it replaced, at one
-        # method call instead of two per service interval).
+        # Clipped to the measurement window, so warmup work never counts.
         lo = a if a > self.t0 else self.t0
         hi = b if b < self.t1 else self.t1
         if hi > lo:

@@ -12,7 +12,6 @@ __all__ = [
     "Welford",
     "confidence_halfwidth",
     "confidence_halfwidths",
-    "BusyIntegrator",
     "batch_means_ci",
 ]
 
@@ -165,50 +164,3 @@ def batch_means_ci(
     means = trimmed.reshape(n_batches, batch_size).mean(axis=1)
     std = float(np.std(means, ddof=1))
     return mean, confidence_halfwidth(std, n_batches, level)
-
-
-class BusyIntegrator:
-    """Integrates busy-server time over a measurement window.
-
-    Each ``add(a, b)`` records that one server was busy on ``[a, b]``;
-    the interval is clipped to the window ``[t0, t1]`` so warmup work
-    never pollutes the estimate. Division by ``capacity × (t1 - t0)``
-    gives the utilization; multiplication by a power draw gives energy.
-    """
-
-    __slots__ = ("t0", "t1", "total")
-
-    def __init__(self, t0: float, t1: float):
-        if t1 <= t0:
-            raise ModelValidationError(f"measurement window must have t1 > t0, got [{t0}, {t1}]")
-        self.t0 = t0
-        self.t1 = t1
-        self.total = 0.0
-
-    def add(self, a: float, b: float) -> None:
-        """Record a busy interval ``[a, b]`` (clipped to the window)."""
-        lo = max(a, self.t0)
-        hi = min(b, self.t1)
-        if hi > lo:
-            self.total += hi - lo
-
-    def add_weighted(self, a: float, b: float, weight: float) -> None:
-        """Record ``weight`` servers busy on ``[a, b]`` (clipped).
-
-        Processor-sharing stations use fractional weights: with ``n``
-        jobs sharing ``c`` servers, ``min(n, c)`` server-equivalents
-        are busy.
-        """
-        lo = max(a, self.t0)
-        hi = min(b, self.t1)
-        if hi > lo:
-            self.total += (hi - lo) * weight
-
-    @property
-    def window(self) -> float:
-        """Window length ``t1 - t0``."""
-        return self.t1 - self.t0
-
-    def utilization(self, capacity: int) -> float:
-        """Mean fraction of ``capacity`` servers busy in the window."""
-        return self.total / (capacity * self.window)

@@ -470,6 +470,134 @@ def test_antithetic_seed_runs_compiled_bit_identical(monkeypatch):
 
 
 @needs_kernel
+def test_antithetic_scalar_stream_drawn_once_per_draw_on_both_engines():
+    """A family without block sampling, on an antithetic seed, is drawn
+    one scalar call per draw by both engines: the kernel calls the
+    sampler exactly as often as the Python engine, so a sampler that
+    raises one call past what the run consumes never raises on either."""
+    from test_fleet_batch import _bombed_scenario
+
+    seed = RngStreams.replication_seed_pairs(5, 1)[0][0]
+
+    def run(backend, fail_at):
+        scenario = _bombed_scenario(fail_at, horizon=40.0)
+        result = simulate(
+            scenario.cluster, scenario.workload, horizon=40.0, seed=seed, backend=backend
+        )
+        return result, scenario.cluster.tiers[0].demands[0].calls
+
+    _, n_python = run("python", 0)  # fail_at=0: count, never raise
+    _, n_compiled = run("compiled", 0)
+    assert n_compiled == n_python > 0
+    ref, _ = run("python", n_python + 1)
+    got, _ = run("compiled", n_python + 1)
+    golden_mod._assert_identical(golden_mod._snapshot(ref), golden_mod._snapshot(got))
+    assert ref.meta["n_events"] == got.meta["n_events"]
+
+
+def _fuzz_service(family: str, mean: float):
+    from repro.distributions import Exponential, Mixture, Pareto
+    from repro.distributions.base import ScaledDistribution, ShiftedDistribution
+
+    def pareto(m):
+        return Pareto.from_mean(m, alpha=3.0)
+
+    def mixture(m):
+        return Mixture([0.3, 0.7], [Exponential(1.0 / (0.5 * m)), pareto(m * 0.85 / 0.7)])
+
+    return {
+        "pareto": lambda: pareto(mean),
+        "mixture": lambda: mixture(mean),
+        "scaled_pareto": lambda: ScaledDistribution(pareto(mean / 2.0), 2.0),
+        "shifted_mixture": lambda: ShiftedDistribution(mixture(0.8 * mean), 0.2 * mean),
+        "exponential": lambda: Exponential(1.0 / mean),
+    }[family]()
+
+
+def _fuzz_arrivals(kind: str, rate: float):
+    from repro.distributions import Erlang
+    from repro.workload import (
+        MMPP2,
+        BatchPoissonProcess,
+        NonHomogeneousPoisson,
+        PoissonProcess,
+        RenewalProcess,
+    )
+
+    return {
+        "poisson": lambda: PoissonProcess(rate),
+        "mmpp2": lambda: MMPP2(0.5 * rate, 1.5 * rate, 0.2, 0.2),
+        "batch": lambda: BatchPoissonProcess(0.5 * rate, 0.5),
+        "renewal": lambda: RenewalProcess(Erlang(2, 2.0 * rate)),
+        "nhpp": lambda: NonHomogeneousPoisson(
+            lambda t: rate * (1.0 + 0.5 * np.sin(t)), 1.5 * rate, mean_rate=rate
+        ),
+    }[kind]()
+
+
+_SERVICE_FAMILIES = ["pareto", "mixture", "scaled_pareto", "shifted_mixture", "exponential"]
+_ARRIVAL_KINDS = ["poisson", "mmpp2", "batch", "renewal", "nhpp"]
+
+
+@needs_kernel
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(
+    families=st.lists(st.sampled_from(_SERVICE_FAMILIES), min_size=4, max_size=4),
+    arrivals=st.lists(st.sampled_from(_ARRIVAL_KINDS), min_size=2, max_size=2),
+    seed_kind=st.sampled_from(["int", "primary", "mirror"]),
+    n_reps=st.integers(min_value=1, max_value=3),
+    master=st.integers(min_value=0, max_value=2**16),
+)
+def test_python_drawn_streams_differential(families, arrivals, seed_kind, n_reps, master):
+    """Every stream Python draws for the kernel (block refills and
+    per-draw callbacks, on plain and antithetic seeds) reproduces the
+    Python engine bit for bit, one kernel call for 1-3 replications."""
+    from repro.cluster import ClusterModel, Tier
+    from repro.experiments.common import small_cluster, small_workload
+    from repro.simulation.simulator import _finalize
+
+    base, workload = small_cluster(), small_workload(0.5)
+    cluster = ClusterModel(
+        [
+            Tier(
+                tier.name,
+                tuple(
+                    _fuzz_service(families[2 * i + k], tier.demands[k].mean)
+                    for k in range(2)
+                ),
+                tier.spec,
+                servers=tier.servers,
+                speed=tier.speed,
+                discipline=tier.discipline,
+            )
+            for i, tier in enumerate(base.tiers)
+        ]
+    )
+    procs = [_fuzz_arrivals(kind, c.arrival_rate) for kind, c in zip(arrivals, workload.classes)]
+    if seed_kind == "int":
+        seeds = [master + r for r in range(n_reps)]
+    else:
+        pairs = RngStreams.replication_seed_pairs(master, n_reps)
+        seeds = [pair[seed_kind == "mirror"] for pair in pairs]
+    horizon, warmup_fraction = 30.0, 0.1
+    warmup = warmup_fraction * horizon
+    run = compiled_mod._run_kernel(
+        compiled_mod.load_kernel(), cluster, workload, horizon, warmup, seeds, procs
+    )
+    assert run.errors == {}
+    for b, seed in enumerate(seeds):
+        got = _finalize(cluster, workload, horizon, warmup, run.tallies(b))
+        ref = simulate(
+            cluster, workload, horizon=horizon, warmup_fraction=warmup_fraction, seed=seed,
+            arrival_processes=procs, allow_unstable=True, backend="python",
+        )
+        assert ref.delays.tobytes() == got.delays.tobytes()
+        assert ref.average_power == got.average_power
+        assert ref.meta["n_events"] == got.meta["n_events"]
+        assert ref.station_sojourns.tobytes() == got.station_sojourns.tobytes()
+
+
+@needs_kernel
 def test_epoch_controller_trace_bit_identical(monkeypatch):
     """The epoch-yield protocol reproduces the engine's full per-epoch
     record — boundary times, queue snapshots, applied speeds, segmented

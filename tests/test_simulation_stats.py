@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.exceptions import ModelValidationError
 from repro.simulation import RngStreams, Welford, confidence_halfwidth
-from repro.simulation.stats import BusyIntegrator, _t_quantile
+from repro.simulation.stats import _t_quantile
 
 
 class TestWelford:
@@ -90,32 +90,6 @@ class TestTQuantileMatchesTPpf:
     )
     def test_drawn_levels(self, n, level):
         assert _t_quantile(n, level).hex() == _t_ppf_hex(n, level)
-
-
-class TestBusyIntegrator:
-    def test_basic_accumulation(self):
-        b = BusyIntegrator(0.0, 10.0)
-        b.add(1.0, 3.0)
-        b.add(5.0, 6.0)
-        assert b.total == pytest.approx(3.0)
-        assert b.utilization(1) == pytest.approx(0.3)
-
-    def test_clipping(self):
-        b = BusyIntegrator(10.0, 20.0)
-        b.add(0.0, 12.0)   # clipped to [10, 12]
-        b.add(19.0, 25.0)  # clipped to [19, 20]
-        b.add(0.0, 5.0)    # entirely outside
-        assert b.total == pytest.approx(3.0)
-
-    def test_multi_server_utilization(self):
-        b = BusyIntegrator(0.0, 10.0)
-        b.add(0.0, 10.0)
-        b.add(0.0, 5.0)
-        assert b.utilization(2) == pytest.approx(0.75)
-
-    def test_empty_window_rejected(self):
-        with pytest.raises(ModelValidationError):
-            BusyIntegrator(5.0, 5.0)
 
 
 class TestRngStreams:
