@@ -24,16 +24,18 @@ holds the kernel's streams to ``RngStreams`` as the oracle).
 One driver serves every caller.  The kernel exports a single
 ``run_kernel`` that runs ``n_reps`` replications of one scenario on one
 reused arena: :func:`maybe_simulate_compiled` (behind ``simulate()``)
-is a batch of one, and :func:`maybe_simulate_fleet_batch` passes a
-fleet chunk.  :func:`_run_kernel` builds one descriptor template for
-the call plus the seed words of every replication (for a fleet chunk,
-one NumPy block computed from the unit indices), makes the call and
-returns the arrays the kernel filled, with each failed replication's
-exception.  ``simulate()`` turns its one replication into tallies for
-:func:`~repro.simulation.simulator._finalize`; a fleet chunk goes
-straight from the arrays to columnar store rows.  The result formulas
-live in :mod:`repro.simulation.simulator`, shared with the Python
-engine.
+is a batch of one, :func:`simulate_block` passes a block of a
+replication round, and :func:`maybe_simulate_fleet_batch` a fleet
+chunk.  :func:`_run_kernel` builds one descriptor template for the
+call plus the seed words of every replication (for a fleet chunk, one
+NumPy block computed from the unit indices), makes the call and
+returns the block of tallies the kernel filled
+(:class:`~repro.simulation.simulator._Tallies`, the Python engine's
+too), with each failed replication's exception.
+:func:`~repro.simulation.simulator._finalize` turns the block into
+result columns, and a replication's ``SimulationResult`` and a fleet
+store row are read off them: the result formulas live in
+:mod:`repro.simulation.simulator`, once for both engines.
 
 Backend selection (the ``backend`` argument of every simulation entry
 point; ``None`` reads ``REPRO_SIM_BACKEND``):
@@ -123,7 +125,6 @@ from repro.simulation.simulator import (
     _JOB_LOG_DTYPE,
     _ROUTING_UNIFORM,
     SimulationResult,
-    _account,
     _annotate_backend,
     _build_routes,
     _build_routing_tables,
@@ -131,12 +132,9 @@ from repro.simulation.simulator import (
     _emit_queue_sample,
     _finalize,
     _SpeedLedger,
-    _static_power,
-    _summary_rows,
     _Tallies,
     _validate,
 )
-from repro.simulation.stats import Welford
 from repro.workload.arrivals import PoissonProcess
 from repro.workload.traces import TraceArrivalProcess
 
@@ -147,6 +145,7 @@ __all__ = [
     "load_kernel",
     "maybe_simulate_compiled",
     "maybe_simulate_fleet_batch",
+    "simulate_block",
     "warm_kernel",
 ]
 
@@ -179,7 +178,6 @@ _BLOCK_SIZE = 4096
 # numpy.random.SeedSequence's default entropy pool size, in uint32 words.
 _SEED_POOL_SIZE = 4
 
-_RC_OK = 0
 _RC_NOMEM = 1
 _RC_ABORT = 2
 _RC_INVARIANT = 3
@@ -521,8 +519,8 @@ def _sampler_template(dist, keep: list) -> _SamplerDesc | None:
         scales = np.ascontiguousarray(base._scales, dtype=np.float64)
         keep.extend((cdf, scales))
         desc.n_branches = cdf.size
-        desc.cdf = cdf.ctypes.data_as(POINTER(c_double))
-        desc.scales = scales.ctypes.data_as(POINTER(c_double))
+        desc.cdf = _ptr(cdf, c_double)
+        desc.scales = _ptr(scales, c_double)
     else:
         return None
     desc.n_post = len(post_ops)
@@ -530,8 +528,8 @@ def _sampler_template(dist, keep: list) -> _SamplerDesc | None:
         op_arr = np.asarray(post_ops, dtype=np.int32)
         val_arr = np.asarray(post_vals, dtype=np.float64)
         keep.extend((op_arr, val_arr))
-        desc.post_op = op_arr.ctypes.data_as(POINTER(c_int))
-        desc.post_val = val_arr.ctypes.data_as(POINTER(c_double))
+        desc.post_op = _ptr(op_arr, c_int)
+        desc.post_val = _ptr(val_arr, c_double)
     return desc
 
 
@@ -695,7 +693,7 @@ def _describe(cluster, workload, seeds, reps, arrival_processes, routed, dynamic
     )
 
     drawn = []  # (descriptor, stream name, source) of each stream Python draws
-    sampler_desc = (_SamplerDesc * (m_stations * k_classes))()
+    sampler_desc = _array(_SamplerDesc, m_stations * k_classes)()
     for i in range(m_stations):
         for k in range(k_classes):
             slot = i * k_classes + k
@@ -704,21 +702,21 @@ def _describe(cluster, workload, seeds, reps, arrival_processes, routed, dynamic
                 drawn.append((sampler_desc[slot], f"service/{i}/{k}", dists[i][k]))
             else:
                 sampler_desc[slot] = native
-    arrival_desc = (_ArrivalDesc * k_classes)()
+    arrival_desc = _array(_ArrivalDesc, k_classes)()
     for k, (desc, proc) in enumerate(zip(arrival_desc, procs)):
         if type(proc) is TraceArrivalProcess:
             # RNG-free timestamp replay runs natively in C.
             ts = np.ascontiguousarray(proc.timestamps, dtype=np.float64)
             keep.append(ts)
             desc.kind = _SK_TRACE
-            desc.ts = ts.ctypes.data_as(POINTER(c_double))
+            desc.ts = _ptr(ts, c_double)
             desc.n_ts = ts.size
         elif type(proc) is PoissonProcess and not coupled:
             desc.kind = _SK_EXPO
             desc.scale = 1.0 / proc.rate
         else:
             drawn.append((desc, f"arrivals/{k}", proc))
-    routing_block = (c_int * k_classes)(*[-1] * k_classes) if routed else None
+    routing_block = _array(c_int, k_classes)(*[-1] * k_classes) if routed else None
 
     if not drawn:
         return sampler_desc, arrival_desc, routing_block  # every stream is kernel-seeded
@@ -764,62 +762,27 @@ def _kernel_error(rc: int, callback_error: BaseException | None) -> BaseExceptio
     return SimulationError("completion with no busy server (compiled kernel)")
 
 
-def _take(lib, ptr, n: int, ctype) -> np.ndarray:
+def _take(lib, ptr, n: int, dtype) -> np.ndarray:
     """Copy a kernel-owned buffer of ``n`` values, then free it."""
-    if not ptr:
-        return np.empty(0)
-    out = np.ctypeslib.as_array(ctypes.cast(ptr, POINTER(ctype)), shape=(n,)).copy()
-    lib.k_free(ptr)
+    out = np.empty(n if ptr else 0, dtype=dtype)
+    if ptr:
+        ctypes.memmove(out.ctypes.data, ptr, out.nbytes)
+        lib.k_free(ptr)
     return out
 
 
 def _ptr(arr: np.ndarray | None, ctype):
-    return None if arr is None else arr.ctypes.data_as(POINTER(ctype))
+    # A cast of the address, not ``arr.ctypes.data_as``, whose pointer
+    # object leaves cyclic garbage behind on every call.
+    return None if arr is None else ctypes.cast(arr.ctypes.data, POINTER(ctype))
 
 
-class _KernelRun:
-    """The arrays one kernel call fills, indexed by replication, plus
-    each failed replication's exception and the Python-side extras
-    (speed ledgers, delay samples, job logs) of the others."""
-
-    def __init__(self, n: int, k_classes: int, m_stations: int) -> None:
-        shape = (n, k_classes, m_stations)
-        self.wait, self.sojourn = np.zeros(shape), np.zeros(shape)
-        self.visit, self.blocked, self.offered = (np.zeros(shape, np.int64) for _ in range(3))
-        self.busy = np.zeros((n, m_stations))
-        self.class_busy = np.zeros((n, m_stations, k_classes))
-        # jobs, events, warmup-discarded, hit-horizon flag, wall ns
-        self.scalars = np.zeros((n, 5), dtype=np.int64)
-        # Welford moments of each class's end-to-end delays
-        self.wf_n = np.zeros((n, k_classes), dtype=np.int64)
-        self.wf_mean, self.wf_m2 = np.zeros((n, k_classes)), np.zeros((n, k_classes))
-        self.rc = np.zeros(n, dtype=np.int32)
-        self.errors: dict[int, BaseException] = {}
-        self.ledgers: list[_SpeedLedger | None] = [None] * n
-        self.delay_samples: list | None = None
-        self.job_logs: list | None = None
-
-    def tallies(self, b: int) -> _Tallies:
-        """Successful replication ``b`` as the engine-neutral tallies
-        :func:`~repro.simulation.simulator._finalize` reads."""
-        jid, n_events, n_warmup_discarded, _hit_horizon, _wall_ns = self.scalars[b].tolist()
-        moments = zip(self.wf_n[b].tolist(), self.wf_mean[b].tolist(), self.wf_m2[b].tolist())
-        return _Tallies(
-            e2e=[Welford.from_moments(*m) for m in moments],
-            busy=self.busy[b].tolist(),
-            class_busy=self.class_busy[b].tolist(),
-            wait_sum=self.wait[b],
-            sojourn_sum=self.sojourn[b],
-            visit_count=self.visit[b],
-            n_blocked=self.blocked[b],
-            offered=self.offered[b],
-            n_jobs=jid,
-            n_events=n_events,
-            n_warmup_discarded=n_warmup_discarded,
-            ledger=self.ledgers[b],
-            delay_samples=None if self.delay_samples is None else self.delay_samples[b],
-            job_log=None if self.job_logs is None else self.job_logs[b],
-        )
+@lru_cache(maxsize=64)
+def _array(ctype, n: int):
+    """The ctypes array type ``ctype * n``, built once: ctypes keeps only
+    a weak cache of array types, so a type built per call is cyclic
+    garbage once the call returns."""
+    return ctype * n
 
 
 def _run_kernel(
@@ -835,19 +798,20 @@ def _run_kernel(
     routing=None,
     epoch_times=None,
     epoch_controller=None,
-) -> _KernelRun:
+) -> _Tallies:
     """Run one replication per seed of a validated scenario in a single
-    kernel call (a failure costs only that replication).  ``seeds`` is
-    a list of seeds or an :class:`_IndexSeeds` block."""
+    kernel call (a failure costs only that replication), and return the
+    block the kernel filled.  ``seeds`` is a list of seeds or an
+    :class:`_IndexSeeds` block."""
     k_classes, m_stations = workload.num_classes, cluster.num_tiers
     n = len(seeds)
     dynamic = epoch_controller is not None
     keep: list[Any] = []  # keep-alive for every object the kernel reads
     reps = [_Rep() for _ in range(n)]
-    abort = (c_int * 1)(0)
+    abort = _array(c_int, 1)(0)
 
     with obs.span("sim.setup", classes=k_classes, stations=m_stations, horizon=horizon, reps=n):
-        station_desc = (_StationDesc * m_stations)()
+        station_desc = _array(_StationDesc, m_stations)()
         for i, tier in enumerate(cluster.tiers):
             station_desc[i].servers = tier.servers
             station_desc[i].discipline = _DISCIPLINES[tier.discipline]
@@ -856,15 +820,15 @@ def _run_kernel(
         if routing is None:
             route_arrays = [np.asarray(r, dtype=np.int32) for r in _build_routes(cluster)]
             keep.append(route_arrays)
-            routes_v = (c_void_p * k_classes)(*[r.ctypes.data for r in route_arrays])
-            route_len = (c_int * k_classes)(*[r.size for r in route_arrays])
+            routes_v = _array(c_void_p, k_classes)(*[r.ctypes.data for r in route_arrays])
+            route_len = _array(c_int, k_classes)(*[r.size for r in route_arrays])
         else:
             tables = _build_routing_tables(cluster, routing)
             entry = [np.ascontiguousarray(t[0], dtype=np.float64) for t in tables]
             trans = [np.ascontiguousarray(np.stack(t[1]), dtype=np.float64) for t in tables]
             keep.append((entry, trans))
-            entry_v = (c_void_p * k_classes)(*[a.ctypes.data for a in entry])
-            trans_v = (c_void_p * k_classes)(*[a.ctypes.data for a in trans])
+            entry_v = _array(c_void_p, k_classes)(*[a.ctypes.data for a in entry])
+            trans_v = _array(c_void_p, k_classes)(*[a.ctypes.data for a in trans])
         seed_block = _seed_block(seeds)
         seed_words, seed_off = (None, None) if seed_block is None else seed_block
         sampler_desc, arrival_desc, routing_block = _describe(
@@ -872,13 +836,13 @@ def _run_kernel(
             seed_block is None, keep,
         )
 
-        run = _KernelRun(n, k_classes, m_stations)
+        run = _Tallies(n, k_classes, m_stations, collect_delay_samples, collect_job_log)
         delay_ptrs = delay_counts = log_ptrs = log_count = None
         if collect_delay_samples:
-            delay_ptrs = (c_void_p * (n * k_classes))()
+            delay_ptrs = _array(c_void_p, n * k_classes)()
             delay_counts = np.zeros((n, k_classes), dtype=np.int64)
         if collect_job_log:
-            log_ptrs = (c_void_p * (n * 4))()
+            log_ptrs = _array(c_void_p, n * 4)()
             log_count = np.zeros(n, dtype=np.int64)
 
         # Epoch-boundary yield protocol: the kernel pauses at each
@@ -933,7 +897,9 @@ def _run_kernel(
             return arr.size
 
         def _samples(_rep: _Rep, ts, vals, n_rows: int) -> int:
-            rows = np.ctypeslib.as_array(vals, shape=(n_rows, 2, m_stations)).tolist()
+            rows = np.empty((n_rows, 2, m_stations), dtype=np.int64)
+            ctypes.memmove(rows.ctypes.data, vals, rows.nbytes)
+            rows = rows.tolist()
             for r, (pops, busy_now) in enumerate(rows):
                 _emit_queue_sample(tel, float(ts[r]), pops, busy_now)
             return 0
@@ -1003,20 +969,17 @@ def _run_kernel(
             # them closes the last constant-speed segment.
             run.ledgers[b].bill(run.busy[b].tolist(), run.class_busy[b].tolist())
     if collect_delay_samples:
-        run.delay_samples = [None] * n
         for b in ok:
             run.delay_samples[b] = [
-                _take(lib, delay_ptrs[b * k_classes + k], int(delay_counts[b, k]), c_double)
+                _take(lib, delay_ptrs[b * k_classes + k], int(delay_counts[b, k]), np.float64)
                 for k in range(k_classes)
             ]
     if collect_job_log:
-        run.job_logs = [None] * n
-        log_types = (c_longlong, c_int, c_double, c_double)
         for b in ok:
             n_log = int(log_count[b])
             run.job_logs[b] = job_log = np.empty(n_log, dtype=_JOB_LOG_DTYPE)
-            for j, (name, ctype) in enumerate(zip(_JOB_LOG_DTYPE.names, log_types)):
-                job_log[name] = _take(lib, log_ptrs[b * 4 + j], n_log, ctype)
+            for j, name in enumerate(_JOB_LOG_DTYPE.names):
+                job_log[name] = _take(lib, log_ptrs[b * 4 + j], n_log, _JOB_LOG_DTYPE[name])
     return run
 
 
@@ -1079,7 +1042,7 @@ def maybe_simulate_compiled(
     )
     if run.errors:
         raise run.errors[0]
-    return _finalize(cluster, workload, horizon, warmup, run.tallies(0))
+    return _finalize(cluster, workload, horizon, warmup, run).result(0)
 
 
 def maybe_simulate_fleet_batch(
@@ -1101,13 +1064,12 @@ def maybe_simulate_fleet_batch(
     spawn_key=(scenario, r))``, whose seed words are built from the
     indices for the whole chunk.  The scenario is validated once for the
     chunk (it is deterministic in the scenario, so raising once is
-    observably the same as raising per unit).  Returns ``(rows,
-    failures)``: ``rows`` is a structured array with one
-    :func:`~repro.simulation.simulator._summary_rows` record per
-    replication that succeeded (``wall_s`` is its own time in the
-    kernel), and ``failures`` lists ``(index into reps, "ExcType:
-    message")`` pairs formatted exactly like the fleet's per-unit
-    failure records.
+    observably the same as raising per unit).  Returns the
+    ``(rows, failures)`` of the finalized block
+    (:meth:`~repro.simulation.simulator._Tallies.fleet_rows`): one
+    store row per replication that succeeded (``wall_s`` is its own
+    time in the kernel), and ``(index into reps, "ExcType: message")``
+    pairs formatted exactly like the fleet's per-unit failure records.
     """
     lib = _kernel_for(backend, cluster)
     if lib is None:
@@ -1115,25 +1077,39 @@ def maybe_simulate_fleet_batch(
     _validate(cluster, workload, horizon, warmup_fraction)
     warmup = warmup_fraction * horizon
     run = _run_kernel(lib, cluster, workload, horizon, warmup, _IndexSeeds(seed, scenario, reps))
-    failures = []
-    for b, exc in run.errors.items():
-        if not isinstance(exc, Exception):
-            raise exc  # an interrupt or exit is not a unit failure
-        failures.append((b, f"{type(exc).__name__}: {exc}"))
-    with obs.span("sim.finalize", reps=len(reps)):
-        ok = run.rc == _RC_OK
-        jobs, events, discarded, _hit_horizon, wall_ns = run.scalars[ok].T
-        n_completed = run.wf_n[ok]
-        _account(jobs, events, discarded, n_completed.sum(axis=1), horizon, warmup)
-        window = horizon - warmup
-        rows = _summary_rows(
-            scenario,
-            np.asarray(reps)[ok],
-            events,
-            n_completed,
-            run.wf_mean[ok],
-            _static_power(cluster, run.busy[ok], window),
-            wall_ns / 1e9,
-            window,
-        )
-    return rows, failures
+    return _finalize(cluster, workload, horizon, warmup, run).fleet_rows(scenario, reps)
+
+
+def simulate_block(
+    seeds,
+    cluster,
+    workload,
+    horizon: float,
+    warmup_fraction: float = 0.1,
+    arrival_processes=None,
+    allow_unstable: bool = False,
+    collect_delay_samples: bool = False,
+    collect_job_log: bool = False,
+    routing=None,
+    epoch_times=None,
+    epoch_controller=None,
+    backend: str = "compiled",
+) -> _Tallies | None:
+    """:func:`~repro.simulation.simulator.simulate` under each of
+    ``seeds`` in one kernel call, as the finalized block (replication
+    ``b`` is ``seeds[b]``; a failed one is in ``errors``), or ``None``
+    when the kernel is unavailable.
+    Takes :func:`simulate`'s keyword arguments but ``seed``."""
+    _validate(
+        cluster, workload, horizon, warmup_fraction, arrival_processes, allow_unstable,
+        epoch_times, epoch_controller,
+    )
+    lib = _kernel_for(backend, cluster)
+    if lib is None:
+        return None
+    warmup = warmup_fraction * horizon
+    run = _run_kernel(
+        lib, cluster, workload, horizon, warmup, seeds, arrival_processes,
+        collect_delay_samples, collect_job_log, routing, epoch_times, epoch_controller,
+    )
+    return _finalize(cluster, workload, horizon, warmup, run)

@@ -11,9 +11,8 @@ index space into chunks and runs them on one
 worker takes the next queued chunk the moment it goes idle; one worker
 runs them inline), runs each chunk's replications through one batched
 :func:`~repro.simulation.compiled.maybe_simulate_fleet_batch` kernel
-call (falling back to unit-at-a-time
-:func:`~repro.simulation.simulator.simulate` when the batch path does
-not apply), and writes the result rows columnar into a
+call (falling back to the Python engine, one unit at a time, when the
+batch path does not apply), and writes the result rows columnar into a
 :class:`~repro.simulation.results_store.FleetStore` — no per-run
 pickles, one queryable artifact per sweep.
 
@@ -34,13 +33,13 @@ Three layers keep the path batch-native end to end:
   worker count or steal order. The chunk's seed words are built from
   ``(seed, scenario, rep0, count)`` as one NumPy block; ``SeedSequence``
   objects are made only for streams Python still draws from.
-* **Columnar rows** — one vectorized builder
-  (:func:`~repro.simulation.simulator._summary_rows`) turns a block of
-  replications into a structured array of store rows, from the
-  kernel's per-replication arrays or from the python fallback's
-  results alike; no row is ever a dict. A chunk's columns come back
-  to the parent as the task's return value and go into the store as
-  one block.
+* **Columnar rows** — the kernel, or the Python engine one unit at a
+  time, fills one block of tallies per chunk;
+  :func:`~repro.simulation.simulator._finalize` computes the block's
+  result columns once, and the store rows are a projection of them,
+  read off the same columns a :class:`SimulationResult` is; no row is
+  ever a dict. A chunk's columns come back to the parent as the task's
+  return value and go into the store as one block.
 
 A worker that dies breaks its pool, and every chunk not yet returned
 is rerun on a fresh one, one chunk per call and at most ``_RERUNS``
@@ -76,12 +75,15 @@ from repro.exceptions import ModelValidationError
 from repro.simulation.parallel import WorkerPool, payload_is_picklable, resolve_n_jobs
 from repro.simulation.results_store import FleetStore
 from repro.simulation.simulator import (
+    _annotate_backend,
     _build_routes,
+    _finalize,
     _row_dtype,
-    _summary_rows,
+    _simulate_python,
+    _Tallies,
+    _validate,
     resolve_backend,
     resolve_engine,
-    simulate,
 )
 
 __all__ = ["FleetScenario", "FleetSummary", "run_fleet", "fleet_columns"]
@@ -204,45 +206,25 @@ def _chunk_plan(
     return chunks
 
 
-def _simulate_units(
-    sc: FleetScenario, master_seed: int, sid: int, reps: range, backend: str
+def _python_batch(
+    sc: FleetScenario, master_seed: int, sid: int, reps: range
 ) -> tuple[np.ndarray, list[tuple[int, str]]]:
-    """Run replications ``reps`` of scenario ``sid`` one :func:`simulate`
-    call at a time; returns the same ``(rows, failures)`` as the batched
-    kernel path, with ``failures`` indexed into ``reps``."""
-    done: list[int] = []
-    results = []
-    walls: list[float] = []
-    failures: list[tuple[int, str]] = []
-    for j, rep in enumerate(reps):
-        start = time.perf_counter()
+    """The Python engine's
+    :func:`~repro.simulation.compiled.maybe_simulate_fleet_batch`: the
+    same ``(rows, failures)``, from a block the engine fills one
+    replication at a time."""
+    cluster, workload, horizon = sc.cluster, sc.workload, sc.horizon
+    _validate(cluster, workload, horizon, sc.warmup_fraction)
+    _annotate_backend("python", "python")
+    warmup = sc.warmup_fraction * horizon
+    block = _Tallies(len(reps), workload.num_classes, cluster.num_tiers)
+    for b, rep in enumerate(reps):
         try:
-            res = simulate(
-                sc.cluster,
-                sc.workload,
-                horizon=sc.horizon,
-                warmup_fraction=sc.warmup_fraction,
-                seed=_unit_seed(master_seed, sid, rep),
-                backend=backend,
-            )
+            seed = _unit_seed(master_seed, sid, rep)
+            _simulate_python(block, b, cluster, workload, horizon, warmup, seed)
         except Exception as exc:
-            failures.append((j, f"{type(exc).__name__}: {exc}"))
-            continue
-        walls.append(time.perf_counter() - start)
-        done.append(rep)
-        results.append(res)
-    n_classes = len(tuple(sc.workload.names))
-    rows = _summary_rows(
-        sid,
-        np.array(done, dtype=np.int64),
-        np.array([res.meta.get("n_events", 0) for res in results], dtype=np.int64),
-        np.array([res.n_completed for res in results], dtype=np.int64).reshape(-1, n_classes),
-        np.array([res.delays for res in results], dtype=np.float64).reshape(-1, n_classes),
-        np.array([res.average_power for res in results], dtype=np.float64),
-        np.array(walls),
-        sc.horizon - sc.warmup_fraction * sc.horizon,
-    )
-    return rows, failures
+            block.rc[b], block.errors[b] = -1, exc
+    return _finalize(cluster, workload, horizon, warmup, block).fleet_rows(sid, reps)
 
 
 def _run_chunk(
@@ -257,10 +239,10 @@ def _run_chunk(
     """Run one chunk of replications of one scenario.
 
     Tries the batched compiled path first (one kernel call for the
-    whole chunk, a one-unit chunk included); falls back to
-    unit-at-a-time :func:`simulate` when batching does not apply
-    (python backend, kernel unavailable, or a tier discipline the
-    kernel does not model). Either way the rows are bit-identical.
+    whole chunk, a one-unit chunk included); falls back to the Python
+    engine, one unit at a time, when batching does not apply (python
+    backend, kernel unavailable, or a tier discipline the kernel does
+    not model). Either way the rows are bit-identical.
 
     Returns ``(columns, failures)``: the rows of the units that
     succeeded as schema-dtyped column arrays (their ids in
@@ -269,24 +251,23 @@ def _run_chunk(
     """
     reps = range(rep0, rep0 + count)
     first_unit = sid * n_replications  # the unit id of replication 0
-    batch = None
-    if backend != "python":
-        from repro.simulation.compiled import maybe_simulate_fleet_batch
+    try:
+        batch = None
+        if backend != "python":
+            from repro.simulation.compiled import maybe_simulate_fleet_batch
 
-        try:
             batch = maybe_simulate_fleet_batch(
                 backend, sc.cluster, sc.workload, sc.horizon, sc.warmup_fraction, reps,
                 master_seed, sid,
             )
-        except Exception as exc:
-            # Scenario-level rejection (validation, instability): every
-            # unit of the chunk fails with the message the unit path
-            # would have raised per unit.
-            msg = f"{type(exc).__name__}: {exc}"
-            rows = np.empty(0, _row_dtype(len(tuple(sc.workload.names))))
-            batch = rows, [(j, msg) for j in range(count)]
-    if batch is None:
-        batch = _simulate_units(sc, master_seed, sid, reps, backend)
+        if batch is None:
+            batch = _python_batch(sc, master_seed, sid, reps)
+    except Exception as exc:
+        # Scenario-level rejection (validation, instability): every unit
+        # of the chunk fails with the message it would raise on its own.
+        msg = f"{type(exc).__name__}: {exc}"
+        rows = np.empty(0, _row_dtype(len(tuple(sc.workload.names))))
+        batch = rows, [(j, msg) for j in range(count)]
     rows, failures = batch
     columns = {"unit": first_unit + rows["replication"]}
     columns.update((c, rows[c]) for c in rows.dtype.names)

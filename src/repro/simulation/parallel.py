@@ -1,14 +1,13 @@
 """One worker pool for independent tasks.
 
-The replication manager (:mod:`repro.simulation.replications`) needs to
-run ``n`` statistically independent :func:`repro.simulation.simulator.simulate`
-calls, :func:`repro.optimize.sweep.run_series` runs several
-independent analytic series, and :func:`repro.simulation.fleet.run_fleet`
-runs chunks of fleet units. Each call is a pure function of its
-payload (a replication's :class:`numpy.random.SeedSequence`, a series'
-arguments, a chunk's scenario and unit indices), so the calls can
-execute in-process or across a process pool without changing the
-numbers. :class:`WorkerPool` owns that
+The replication manager (:mod:`repro.simulation.replications`) runs
+blocks of statistically independent replications,
+:func:`repro.optimize.sweep.run_series` runs several independent
+analytic series, and :func:`repro.simulation.fleet.run_fleet` runs
+chunks of fleet units. Each call is a pure function of its payload (a
+block's replication seeds, a series' arguments, a chunk's scenario and
+unit indices), so the calls can execute in-process or across a process
+pool without changing the numbers. :class:`WorkerPool` owns that
 choice: one worker runs inline, more fan out over one
 :class:`concurrent.futures.ProcessPoolExecutor`.
 
@@ -19,9 +18,8 @@ timed window.
 Each result is handed to the caller's ``on_done`` once, as it
 finishes; callers key results by replication number, series name or
 chunk, so aggregation downstream is bit-identical regardless of worker
-count or completion order. Per-replication wall time and event
-throughput are measured inside the worker and travel back with the
-result.
+count or completion order. Per-replication wall time is measured
+inside the worker and travels back with the result.
 
 A pool supports **incremental dispatch**: the adaptive engine
 (:mod:`repro.simulation.adaptive`) submits one *round* of payloads,
@@ -34,15 +32,12 @@ from __future__ import annotations
 
 import os
 import pickle
-import time
 from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from itertools import islice
 from typing import Any, Callable
 
 from repro.exceptions import ModelValidationError
-from repro.simulation.simulator import SimulationResult, simulate
-from repro.simulation.stats import confidence_halfwidth
 
 __all__ = [
     "ReplicationTiming",
@@ -82,27 +77,6 @@ class ReplicationTiming:
             "events_per_sec": self.events_per_sec,
             "cached": self.cached,
         }
-
-
-def _run_one(payload: tuple[int, dict[str, Any]]) -> tuple[int, SimulationResult, float]:
-    """Worker entry point: run one replication, timed.
-
-    Module-level (not a closure) so :class:`ProcessPoolExecutor` can
-    pickle it; ``payload`` is ``(replication_index, simulate_kwargs)``
-    with ``backend`` ``"python"`` or ``"compiled"``. Priming the
-    Student-t quantile memo (``scipy.special``, ~250 ms in a fresh
-    process) and loading the kernel (~1 s cold build) happen before the
-    timed window opens, so a first replication does not absorb them.
-    """
-    index, kwargs = payload
-    confidence_halfwidth(1.0, 2)
-    if kwargs["backend"] != "python":
-        from repro.simulation.compiled import warm_kernel
-
-        warm_kernel()
-    t0 = time.perf_counter()
-    result = simulate(**kwargs)
-    return index, result, time.perf_counter() - t0
 
 
 def payload_is_picklable(payload: Any) -> bool:

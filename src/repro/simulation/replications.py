@@ -12,10 +12,13 @@ The replication engine is parallel and cached:
   :class:`~repro.simulation.parallel.WorkerPool`, sized to
   ``min(n_jobs, replications still to run)`` when the first round is
   dispatched and reused by every later round; a one-worker pool (or a
-  payload that cannot be pickled) runs inline. Every replication's RNG
-  tree still comes from the same ``RngStreams.replication_seeds``
-  SeedSequence child, and aggregation is ordered by replication index,
-  so the numbers are **bit-identical for any worker count**.
+  payload that cannot be pickled) runs inline. Each round is split
+  into at most one contiguous block of seeds per worker: a compiled
+  block is one kernel call, a Python block one :func:`simulate` call
+  per seed. Every replication's RNG tree still comes from the same
+  ``RngStreams.replication_seeds`` SeedSequence child, and aggregation
+  is ordered by replication index, so the numbers are
+  **bit-identical for any worker count**.
 * ``cache_dir`` memoizes per-replication results on disk
   (:mod:`repro.simulation.cache`), keyed by a content hash of the full
   configuration; re-running a suite skips already-computed work.
@@ -43,12 +46,11 @@ from repro.simulation.cache import (
 from repro.simulation.parallel import (
     ReplicationTiming,
     WorkerPool,
-    _run_one,
     payload_is_picklable,
     resolve_n_jobs,
 )
 from repro.simulation.rng import RngStreams
-from repro.simulation.simulator import SimulationResult, resolve_backend, resolve_engine
+from repro.simulation.simulator import SimulationResult, resolve_backend, resolve_engine, simulate
 from repro.simulation.stats import confidence_halfwidth, confidence_halfwidths
 from repro.workload.arrivals import ArrivalProcess
 from repro.workload.classes import Workload
@@ -367,7 +369,10 @@ class _ReplicationRunner:
         """Make ``results[i]`` available for every ``i`` in ``indices``.
 
         Cache pass first (hits are notified with a zero-cost timing
-        record), then one pool round for whatever is left.
+        record), then one pool round for whatever is left: at most one
+        contiguous block of indices per worker (one inline block when
+        serial). A failed replication raises, once every replication
+        its block finished is stored.
         """
         needed = [i for i in indices if i not in self.results]
         if self.cache is not None:
@@ -397,23 +402,28 @@ class _ReplicationRunner:
                 self.cache_state += "+serial-fallback"
             self._pool = WorkerPool(n)
             self._n_workers = n
-        payloads = [(i, {**self.sim_kwargs, "seed": self.seeds[i]}) for i in needed]
+        n = min(self._pool.n_workers, len(needed))
+        blocks = [needed[len(needed) * j // n : len(needed) * (j + 1) // n] for j in range(n)]
+        payloads = [(b, self.sim_kwargs, [self.seeds[i] for i in b]) for b in blocks]
 
-        def on_done(done: tuple[int, SimulationResult, float]) -> None:
-            index, result, wall = done
-            self.results[index] = result
-            fp = self._fingerprints.get(index)
-            if self.cache is not None and fp is not None:
-                self.cache.store(fp, result)
-            self._notify(
-                ReplicationTiming(
-                    index=index,
-                    wall_time_s=wall,
-                    n_events=int(result.meta.get("n_events", 0)),
+        def on_done(done: tuple[list[tuple[int, SimulationResult, float]], Any]) -> None:
+            finished, error = done
+            for index, result, wall in finished:
+                self.results[index] = result
+                fp = self._fingerprints.get(index)
+                if self.cache is not None and fp is not None:
+                    self.cache.store(fp, result)
+                self._notify(
+                    ReplicationTiming(
+                        index=index,
+                        wall_time_s=wall,
+                        n_events=int(result.meta.get("n_events", 0)),
+                    )
                 )
-            )
+            if error is not None:
+                raise error
 
-        self._pool.run(_run_one, payloads, on_done)
+        self._pool.run(_run_block, payloads, on_done)
 
     def runs(self, n: int) -> list[SimulationResult]:
         """The ordered result prefix ``[0, n)`` (every index must exist)."""
@@ -446,6 +456,44 @@ class _ReplicationRunner:
             "replications": [rec.as_dict() for rec in timings],
             **extra,
         }
+
+
+def _run_block(payload: tuple[list[int], dict[str, Any], list]) -> tuple[list, Any]:
+    """Pool entry point: replications ``indices`` of one family, under
+    their ``seeds``, as one block.
+
+    ``payload`` is ``(indices, simulate_kwargs, seeds)`` with
+    ``backend`` ``"python"`` or ``"compiled"``.  On the compiled engine
+    the block is one kernel call; on the Python engine it is one
+    :func:`simulate` call per seed.  Returns ``(finished, error)``:
+    ``(index, result, wall_s)`` for each replication that finished, in
+    index order, and the exception of the lowest index that failed
+    (``None`` when none did).  The Student-t quantile memo is primed
+    first (``scipy.special``, ~250 ms in a fresh process), so a first
+    replication's timed window does not absorb it.
+    """
+    indices, kwargs, seeds = payload
+    confidence_halfwidth(1.0, 2)
+    if kwargs["backend"] != "python":
+        from repro.simulation.compiled import simulate_block
+
+        block = simulate_block(seeds, **kwargs)
+        if block is not None:
+            finished = [
+                (i, block.result(b), block.scalars[b, 4] / 1e9)
+                for b, i in enumerate(indices)
+                if b not in block.errors
+            ]
+            return finished, block.errors[min(block.errors)] if block.errors else None
+    finished = []
+    for index, seed in zip(indices, seeds):
+        t0 = time.perf_counter()
+        try:
+            result = simulate(**kwargs, seed=seed)
+        except Exception as exc:
+            return finished, exc
+        finished.append((index, result, time.perf_counter() - t0))
+    return finished, None
 
 
 def _sim_kwargs_common(

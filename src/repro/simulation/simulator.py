@@ -28,6 +28,8 @@ from __future__ import annotations
 
 import heapq
 import os
+import sys
+import time
 import warnings
 from bisect import bisect_right
 from collections.abc import Callable, Sequence
@@ -56,6 +58,9 @@ __all__ = ["SimulationResult", "simulate"]
 
 _ARRIVAL = 0
 _COMPLETION = 1
+
+#: Every module of the simulation package lives here (see :func:`_account`).
+_PACKAGE_DIR = os.path.dirname(os.path.abspath(__file__)) + os.sep
 
 #: Record layout of ``SimulationResult.job_log``.
 _JOB_LOG_DTYPE = np.dtype(
@@ -110,15 +115,17 @@ class SimulationResult:
     @property
     def mean_delay(self) -> float:
         """Completion-weighted mean end-to-end delay over all classes."""
-        return _mean_delay(self.n_completed, self.delays)
+        return float(_mean_delay(self.n_completed, self.delays))
 
 
-def _mean_delay(n_completed: np.ndarray, delays: np.ndarray) -> float:
-    """Completion-weighted mean of per-class delays (NaN when empty)."""
-    n = n_completed.sum()
-    if n == 0:
-        return float("nan")
-    return float(np.dot(n_completed, delays) / n)
+def _mean_delay(n_completed: np.ndarray, delays: np.ndarray) -> np.ndarray:
+    """Completion-weighted mean of per-class delays over the last axis
+    (NaN where nothing completed), for one replication or a block.  The
+    weighted sum is a stacked ``matmul``, which NumPy evaluates with the
+    same dot kernel for every row."""
+    n = n_completed.sum(axis=-1)
+    dots = np.matmul(n_completed.astype(np.float64)[..., None, :], delays[..., :, None])
+    return np.divide(dots[..., 0, 0], n, out=np.full(n.shape, np.nan), where=n > 0)
 
 
 def simulate(
@@ -246,10 +253,35 @@ def simulate(
             return compiled_result
     else:
         _annotate_backend("python", "python")
-
-    # The pure-Python event loop: the oracle the compiled kernel is held
-    # to bit for bit.
     warmup = warmup_fraction * horizon
+    block = _Tallies(
+        1, workload.num_classes, cluster.num_tiers, collect_delay_samples, collect_job_log
+    )
+    _simulate_python(
+        block, 0, cluster, workload, horizon, warmup, seed, arrival_processes, routing,
+        epoch_times, epoch_controller,
+    )
+    return _finalize(cluster, workload, horizon, warmup, block).result(0)
+
+
+def _simulate_python(
+    block: _Tallies,
+    row: int,
+    cluster: ClusterModel,
+    workload: Workload,
+    horizon: float,
+    warmup: float,
+    seed,
+    arrival_processes: list[ArrivalProcess] | None = None,
+    routing: list | None = None,
+    epoch_times: Sequence[float] | None = None,
+    epoch_controller: Callable | None = None,
+) -> None:
+    """The pure-Python event loop, the oracle the compiled kernel is held
+    to bit for bit: one replication of a validated scenario, written
+    into row ``row`` of ``block`` (which also says whether delay
+    samples and a job log are kept)."""
+    start_ns = time.perf_counter_ns()
     k_classes = workload.num_classes
     m_stations = cluster.num_tiers
     ledger = None if epoch_controller is None else _SpeedLedger(cluster, epoch_controller)
@@ -326,7 +358,9 @@ def simulate(
         # so the float sums are bit-identical.
         e2e = [Welford() for _ in range(k_classes)]
         delay_buf: list[list[float]] = [[] for _ in range(k_classes)]
-        log_rows: list[tuple[int, int, float, float]] | None = [] if collect_job_log else None
+        log_rows: list[tuple[int, int, float, float]] | None = (
+            None if block.job_logs is None else []
+        )
         wait_sum = [[0.0] * m_stations for _ in range(k_classes)]
         sojourn_sum = [[0.0] * m_stations for _ in range(k_classes)]
         visit_count = [[0] * m_stations for _ in range(k_classes)]
@@ -504,171 +538,178 @@ def simulate(
     # one batched pass (bit-identical to per-event adds; see
     # Welford.add_batch).
     for k in range(k_classes):
-        e2e[k].add_batch(delay_buf[k])
-    tallies = _Tallies(
-        e2e=e2e,
-        busy=busy,
-        class_busy=class_busy,
-        wait_sum=wait_sum,
-        sojourn_sum=sojourn_sum,
-        visit_count=visit_count,
-        n_blocked=n_blocked,
-        offered=offered,
-        n_jobs=jid,
-        n_events=n_events,
-        n_warmup_discarded=n_warmup_discarded,
-        ledger=ledger,
-        delay_samples=[np.asarray(s) for s in delay_buf] if collect_delay_samples else None,
-        job_log=None if log_rows is None else np.array(log_rows, dtype=_JOB_LOG_DTYPE),
-    )
-    return _finalize(cluster, workload, horizon, warmup, tallies)
+        w = e2e[k]
+        w.add_batch(delay_buf[k])
+        block.wf_n[row, k], block.wf_mean[row, k], block.wf_m2[row, k] = w.n, w._mean, w._m2
+    block.wait[row], block.sojourn[row], block.visit[row] = wait_sum, sojourn_sum, visit_count
+    block.blocked[row], block.offered[row] = n_blocked, offered
+    block.busy[row], block.class_busy[row] = busy, class_busy
+    block.ledgers[row] = ledger
+    if block.delay_samples is not None:
+        block.delay_samples[row] = [np.asarray(s) for s in delay_buf]
+    if log_rows is not None:
+        block.job_logs[row] = np.array(log_rows, dtype=_JOB_LOG_DTYPE)
+    wall_ns = time.perf_counter_ns() - start_ns
+    block.scalars[row] = jid, n_events, n_warmup_discarded, hit_horizon, wall_ns
 
 
-@dataclass
 class _Tallies:
-    """One replication's raw measurements, as either engine leaves them.
+    """The raw measurements of ``n`` replications of one scenario, as
+    either engine leaves them: the kernel fills every row of one call,
+    the Python engine one row per replication.
 
-    :func:`_finalize` turns them into a :class:`SimulationResult`, so
-    every result formula, warning and ``sim.*`` counter is defined once
-    for the Python engine and the compiled kernel. Per-visit matrices
-    are ``[class][tier]``; busy times are ``[tier]`` and
-    ``[tier][class]``.
+    :func:`_finalize` adds the result columns (``delays``,
+    ``average_power``, ...: one row per replication, named as in
+    :class:`SimulationResult`), so every result formula, warning and
+    ``sim.*`` counter is defined once for both engines, and a
+    replication's result and a fleet store row are read off the same
+    row.  Per-visit arrays are ``[rep, class, tier]``; busy times
+    ``[rep, tier]`` and ``[rep, tier, class]``.  A failed replication
+    has a nonzero ``rc`` and its exception in ``errors``.
     """
 
-    e2e: list[Welford]
-    busy: Sequence[float]
-    class_busy: Sequence[Sequence[float]]
-    wait_sum: Any
-    sojourn_sum: Any
-    visit_count: Any
-    n_blocked: Any
-    offered: Any
-    n_jobs: int
-    n_events: int
-    n_warmup_discarded: int
-    ledger: _SpeedLedger | None = None
-    delay_samples: list[np.ndarray] | None = None
-    job_log: np.ndarray | None = None
+    def __init__(
+        self,
+        n: int,
+        k_classes: int,
+        m_stations: int,
+        delay_samples: bool = False,
+        job_log: bool = False,
+    ) -> None:
+        shape = (n, k_classes, m_stations)
+        self.wait, self.sojourn = np.zeros(shape), np.zeros(shape)
+        self.visit, self.blocked, self.offered = (np.zeros(shape, np.int64) for _ in range(3))
+        self.busy = np.zeros((n, m_stations))
+        self.class_busy = np.zeros((n, m_stations, k_classes))
+        # jobs, events, warmup-discarded, hit-horizon flag, wall ns
+        self.scalars = np.zeros((n, 5), dtype=np.int64)
+        # Welford moments of each class's end-to-end delays
+        self.wf_n = np.zeros((n, k_classes), dtype=np.int64)
+        self.wf_mean, self.wf_m2 = np.zeros((n, k_classes)), np.zeros((n, k_classes))
+        self.rc = np.zeros(n, dtype=np.int32)
+        self.errors: dict[int, BaseException] = {}
+        self.ledgers: list[_SpeedLedger | None] = [None] * n
+        self.delay_samples: list | None = [None] * n if delay_samples else None
+        self.job_logs: list | None = [None] * n if job_log else None
+
+    def result(self, b: int) -> SimulationResult:
+        """Finalized replication ``b`` (which succeeded) as a
+        :class:`SimulationResult`; its within-run delay CI is formed
+        here, and only here."""
+        n_jobs, n_events, n_discarded, _hit_horizon, _wall_ns = self.scalars[b].tolist()
+        # A counted visit completes at the station exactly when it is
+        # counted toward per-visit delay statistics, so the completion
+        # matrix equals the visit-count matrix (kept as separate meta
+        # arrays for API compatibility).
+        meta: dict[str, Any] = {
+            "n_jobs_created": n_jobs,
+            "n_events": n_events,
+            "n_warmup_discarded": n_discarded,
+            "station_completions": self.visit[b].copy(),
+            "n_blocked": self.blocked[b],
+            "n_offered": self.offered[b],
+        }
+        ledger = self.ledgers[b]
+        if ledger is not None:
+            meta["epoch_trace"] = ledger.trace
+            meta["final_speeds"] = np.array(ledger.speeds)
+            meta["dynamic_energy"] = float(ledger.energy)
+        moments = zip(self.delay_std[b].tolist(), self.wf_n[b].tolist())
+        return SimulationResult(
+            class_names=self.class_names,
+            n_completed=self.wf_n[b],
+            delays=self.delays[b],
+            delay_std=self.delay_std[b],
+            delay_ci=np.array([confidence_halfwidth(std, n) for std, n in moments]),
+            station_waits=self.station_waits[b],
+            station_sojourns=self.station_sojourns[b],
+            utilizations=self.utilizations[b],
+            average_power=float(self.average_power[b]),
+            energy_per_request=float(self.energy_per_request[b]),
+            per_class_dynamic_energy=self.per_class_dynamic_energy[b],
+            horizon=self.horizon,
+            warmup=self.warmup,
+            meta=meta,
+            delay_samples=None if self.delay_samples is None else self.delay_samples[b],
+            job_log=None if self.job_logs is None else self.job_logs[b],
+        )
+
+    def fleet_rows(self, scenario: int, reps) -> tuple[np.ndarray, list[tuple[int, str]]]:
+        """The fleet store rows of the finalized block's successful
+        replications (row ``b`` is replication ``reps[b]`` of
+        ``scenario``; ``wall_s`` is its own time in the engine), and
+        ``(b, "ExcType: message")`` for each failed one."""
+        failures = []
+        for b, exc in self.errors.items():
+            if not isinstance(exc, Exception):
+                raise exc  # an interrupt or exit is not a unit failure
+            failures.append((b, f"{type(exc).__name__}: {exc}"))
+        ok = self.rc == 0
+        rows = np.empty(int(ok.sum()), dtype=_row_dtype(len(self.class_names)))
+        rows["scenario"] = scenario
+        rows["replication"] = np.asarray(reps)[ok]
+        rows["n_events"] = self.scalars[ok, 1]
+        rows["n_completed"] = self.wf_n[ok].sum(axis=1)
+        rows["mean_delay"] = self.mean_delay[ok]
+        for k in range(len(self.class_names)):
+            rows[f"delay_c{k}"] = self.delays[ok, k]
+        rows["average_power"] = self.average_power[ok]
+        rows["energy_per_request"] = self.energy_per_request[ok]
+        rows["wall_s"] = self.scalars[ok, 4] / 1e9
+        return rows, failures
 
 
 def _finalize(
     cluster: ClusterModel, workload: Workload, horizon: float, warmup: float, t: _Tallies
-) -> SimulationResult:
-    """The :class:`SimulationResult` of one replication's tallies."""
-    with obs.span("sim.finalize"):
+) -> _Tallies:
+    """Add every result column to the block ``t``, each computed once
+    for all its rows, after warning for and counting its successful
+    replications; returns ``t``."""
+    with obs.span("sim.finalize", reps=len(t.rc)):
         window = horizon - warmup
-        utilizations = np.array(
-            [t.busy[i] / (tier.servers * window) for i, tier in enumerate(cluster.tiers)]
-        )
-        average_power, per_class_dyn_energy_rate = _average_power(
-            cluster, t.busy, t.class_busy, window, t.ledger
-        )
-        n_completed = np.array([w.n for w in t.e2e], dtype=np.int64)
-        delays = np.array([w.mean for w in t.e2e])
-        stds = np.array([w.std for w in t.e2e])
-        cis = np.array([confidence_halfwidth(w.std, w.n) for w in t.e2e])
-
-        # Per-class dynamic energy per completed request: measured energy
-        # rate divided by the class's measured throughput.
+        n_completed = t.wf_n
+        t.class_names, t.horizon, t.warmup = tuple(workload.names), horizon, warmup
+        # Power: the idle floor plus each tier's dynamic draw at its
+        # static speed, summed in tier order, or what the speed ledger
+        # billed per constant-speed segment.
+        idle = float(sum(tier.servers * tier.spec.power.idle for tier in cluster.tiers))
+        dynamic = np.zeros(len(t.rc))
+        dyn_rate = np.zeros(n_completed.shape)  # per class
+        for i, tier in enumerate(cluster.tiers):
+            p_dyn = tier.spec.power.kappa * tier.speed**tier.spec.power.alpha
+            dynamic = dynamic + p_dyn * t.busy[:, i] / window
+            dyn_rate += p_dyn * t.class_busy[:, i] / window
+        t.average_power = idle + dynamic
+        for b, ledger in enumerate(t.ledgers):
+            if ledger is not None:
+                t.average_power[b] = idle + ledger.energy / window
+                dyn_rate[b] = ledger.class_energy / window
+        servers = np.array([tier.servers for tier in cluster.tiers])
+        t.utilizations = t.busy / (servers * window)
         throughput = n_completed / window
+        total_throughput = throughput.sum(axis=-1)
+        visits = np.maximum(t.visit, 1)
         with np.errstate(divide="ignore", invalid="ignore"):
-            per_class_dyn = np.where(
-                throughput > 0, per_class_dyn_energy_rate / np.maximum(throughput, 1e-300), np.nan
+            t.delays = np.where(n_completed > 0, t.wf_mean, np.nan)
+            t.delay_std = np.where(n_completed > 1, np.sqrt(t.wf_m2 / (n_completed - 1)), np.nan)
+            t.mean_delay = _mean_delay(n_completed, t.delays)
+            t.station_waits = np.where(t.visit > 0, t.wait / visits, np.nan)
+            t.station_sojourns = np.where(t.visit > 0, t.sojourn / visits, np.nan)
+            # Average power over total measured throughput, and per class
+            # the dynamic energy rate over the class's throughput.
+            t.energy_per_request = np.divide(
+                t.average_power,
+                total_throughput,
+                out=np.full(total_throughput.shape, np.nan),
+                where=total_throughput > 0,
             )
-        energy_per_request = _energy_per_request(average_power, throughput)
-
-        wait_sum = np.array(t.wait_sum, dtype=float)
-        sojourn_sum = np.array(t.sojourn_sum, dtype=float)
-        visit_count = np.array(t.visit_count, dtype=np.int64)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            station_waits = np.where(
-                visit_count > 0, wait_sum / np.maximum(visit_count, 1), np.nan
+            t.per_class_dynamic_energy = np.where(
+                throughput > 0, dyn_rate / np.maximum(throughput, 1e-300), np.nan
             )
-            station_sojourns = np.where(
-                visit_count > 0, sojourn_sum / np.maximum(visit_count, 1), np.nan
-            )
-
-    _account(t.n_jobs, t.n_events, t.n_warmup_discarded, n_completed.sum(), horizon, warmup)
-    # A counted visit completes at the station exactly when it is
-    # counted toward per-visit delay statistics, so the completion
-    # matrix equals the visit-count matrix (kept as separate meta arrays
-    # for API compatibility).
-    meta: dict[str, Any] = {
-        "n_jobs_created": t.n_jobs,
-        "n_events": t.n_events,
-        "n_warmup_discarded": t.n_warmup_discarded,
-        "station_completions": visit_count.copy(),
-        "n_blocked": np.array(t.n_blocked, dtype=np.int64),
-        "n_offered": np.array(t.offered, dtype=np.int64),
-    }
-    if t.ledger is not None:
-        meta["epoch_trace"] = t.ledger.trace
-        meta["final_speeds"] = np.array(t.ledger.speeds)
-        meta["dynamic_energy"] = float(t.ledger.energy)
-
-    return SimulationResult(
-        class_names=tuple(workload.names),
-        n_completed=n_completed,
-        delays=delays,
-        delay_std=stds,
-        delay_ci=cis,
-        station_waits=station_waits,
-        station_sojourns=station_sojourns,
-        utilizations=utilizations,
-        average_power=average_power,
-        energy_per_request=energy_per_request,
-        per_class_dynamic_energy=per_class_dyn,
-        horizon=horizon,
-        warmup=warmup,
-        meta=meta,
-        delay_samples=t.delay_samples,
-        job_log=t.job_log,
-    )
-
-
-def _average_power(
-    cluster: ClusterModel,
-    busy: Sequence[float],
-    class_busy: Sequence[Sequence[float]],
-    window: float,
-    ledger: _SpeedLedger | None = None,
-) -> tuple[float, np.ndarray]:
-    """Average power (idle floor plus measured dynamic draw) and the
-    per-class dynamic energy rate over the measurement window."""
-    if ledger is not None:
-        # Energy billed per constant-speed segment: busy time x
-        # kappa*s^alpha at that segment's speed.
-        return _idle_power(cluster) + ledger.energy / window, ledger.class_energy / window
-    per_class_rate = np.zeros(cluster.num_classes)
-    for i, p_dyn in enumerate(_busy_power(cluster)):
-        for k in range(cluster.num_classes):
-            per_class_rate[k] += p_dyn * class_busy[i][k] / window
-    return float(_static_power(cluster, np.asarray(busy), window)), per_class_rate
-
-
-def _idle_power(cluster: ClusterModel) -> float:
-    return float(sum(t.servers * t.spec.power.idle for t in cluster.tiers))
-
-
-def _busy_power(cluster: ClusterModel) -> list[float]:
-    """Each tier's dynamic power draw while busy at its static speed."""
-    return [t.spec.power.kappa * t.speed**t.spec.power.alpha for t in cluster.tiers]
-
-
-def _static_power(cluster: ClusterModel, busy: np.ndarray, window: float) -> np.ndarray:
-    """Average power at static speeds of each replication ``busy[..., :]``
-    (busy time per tier): the idle floor plus the dynamic draw, summed
-    over tiers in tier order."""
-    dynamic = np.zeros(busy.shape[:-1])
-    for i, p_dyn in enumerate(_busy_power(cluster)):
-        dynamic = dynamic + p_dyn * busy[..., i] / window
-    return _idle_power(cluster) + dynamic
-
-
-def _energy_per_request(average_power: float, throughput: np.ndarray) -> float:
-    """Average power divided by total measured throughput."""
-    total_throughput = float(throughput.sum())
-    return average_power / total_throughput if total_throughput > 0 else float("nan")
+        ok = t.rc == 0
+        jobs, events, discarded = t.scalars[ok, :3].T
+        _account(jobs, events, discarded, n_completed[ok].sum(axis=1), horizon, warmup)
+    return t
 
 
 @lru_cache(maxsize=None)
@@ -686,49 +727,6 @@ def _row_dtype(n_classes: int) -> np.dtype:
     return np.dtype([(c, np.int64) for c in ints] + [(c, np.float64) for c in floats])
 
 
-def _summary_rows(
-    scenario: int,
-    reps: np.ndarray,
-    n_events: np.ndarray,
-    n_completed: np.ndarray,
-    means: np.ndarray,
-    average_power: np.ndarray,
-    wall: np.ndarray,
-    window: float,
-) -> np.ndarray:
-    """The fleet rows of a block of replications of one scenario.
-
-    Row ``b`` summarizes replication ``reps[b]`` from its event count,
-    per-class completion counts ``n_completed[b]`` and delay means
-    ``means[b]`` (ignored where a class completed nothing), average
-    power and wall time. Every column applies the per-replication
-    formula of :class:`SimulationResult` in the same operation order, so
-    a row is bit-identical to one unit's result: :func:`_mean_delay`'s
-    ``np.dot`` becomes a stacked ``matmul`` (which NumPy evaluates with
-    the same dot kernel row by row) and the total throughput a row sum
-    over the contiguous class axis (the same pairwise sum per row).
-    """
-    n = len(reps)
-    delays = np.where(n_completed > 0, means, np.nan)
-    n_counted = n_completed.sum(axis=1)
-    dots = np.matmul(n_completed.astype(np.float64)[:, None, :], delays[:, :, None])[:, 0, 0]
-    total_throughput = (n_completed / window).sum(axis=1)
-    rows = np.empty(n, dtype=_row_dtype(n_completed.shape[1]))
-    rows["scenario"] = scenario
-    rows["replication"] = reps
-    rows["n_events"] = n_events
-    rows["n_completed"] = n_counted
-    rows["mean_delay"] = np.divide(dots, n_counted, out=np.full(n, np.nan), where=n_counted > 0)
-    for k in range(delays.shape[1]):
-        rows[f"delay_c{k}"] = delays[:, k]
-    rows["average_power"] = average_power
-    rows["energy_per_request"] = np.divide(
-        average_power, total_throughput, out=np.full(n, np.nan), where=total_throughput > 0
-    )
-    rows["wall_s"] = wall
-    return rows
-
-
 def _account(n_jobs, n_events, n_discarded, n_counted, horizon: float, warmup: float) -> None:
     """Warn for each replication whose warmup window discarded most
     completions, and add the replications to the ``sim.*`` telemetry
@@ -740,6 +738,11 @@ def _account(n_jobs, n_events, n_discarded, n_counted, horizon: float, warmup: f
     for b in np.flatnonzero((n_finished > 0) & (n_discarded > 0.5 * n_finished)).tolist():
         discarded, counted, finished = int(n_discarded[b]), int(n_counted[b]), int(n_finished[b])
         discard_fraction = discarded / finished
+        # Attribute the warning to the first caller outside this package,
+        # however deep below it the engine that finalized the block sits.
+        frame, stacklevel = sys._getframe(1), 2
+        while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
+            frame, stacklevel = frame.f_back, stacklevel + 1
         warnings.warn(
             WarmupDiscardWarning(
                 f"warmup window ({warmup:g} of horizon {horizon:g}) discarded "
@@ -748,7 +751,7 @@ def _account(n_jobs, n_events, n_discarded, n_counted, horizon: float, warmup: f
                 f"{counted} jobs — lengthen the horizon or shrink "
                 f"warmup_fraction"
             ),
-            stacklevel=4,
+            stacklevel=stacklevel,
         )
         obs.event(
             "sim.warmup_discard",

@@ -41,14 +41,6 @@ class Welford:
         self._mean = 0.0
         self._m2 = 0.0
 
-    @classmethod
-    def from_moments(cls, n: int, mean: float, m2: float) -> "Welford":
-        """An accumulator holding state ``(n, mean, m2)`` folded elsewhere
-        (e.g. by the compiled kernel's inline recurrence)."""
-        out = cls()
-        out.n, out._mean, out._m2 = n, mean, m2
-        return out
-
     def add(self, x: float) -> None:
         """Accumulate one observation."""
         self.n += 1

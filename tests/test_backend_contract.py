@@ -80,16 +80,18 @@ def _chunk_task_noting_env(payload):
     return _RUN_CHUNK_TASK(payload)
 
 
-def _run_one_noting_env(payload):
-    """``parallel._run_one`` that notes the ``REPRO_SIM_BACKEND`` its
-    process sees, and the engine its payload names, in the result."""
-    index, result, wall = parallel_mod._run_one(payload)
-    result.meta["env_seen"] = os.environ.get("REPRO_SIM_BACKEND", "<unset>")
-    result.meta["engine"] = payload[1]["backend"]
-    return index, result, wall
+def _run_block_noting_env(payload):
+    """``replications._run_block`` that notes the ``REPRO_SIM_BACKEND``
+    its process sees, and the engine its payload names, in each result."""
+    finished, error = _RUN_BLOCK(payload)
+    for _index, result, _wall in finished:
+        result.meta["env_seen"] = os.environ.get("REPRO_SIM_BACKEND", "<unset>")
+        result.meta["engine"] = payload[1]["backend"]
+    return finished, error
 
 
 _RUN_CHUNK_TASK = fleet_mod._run_chunk_task
+_RUN_BLOCK = replications_mod._run_block
 
 
 def test_library_calls_leave_the_environment_alone(monkeypatch, tmp_path):
@@ -97,7 +99,7 @@ def test_library_calls_leave_the_environment_alone(monkeypatch, tmp_path):
     # worker needs REPRO_SIM_BACKEND changed to honour it.
     monkeypatch.setenv("REPRO_SIM_BACKEND", "compiled")
     monkeypatch.setattr(fleet_mod, "_run_chunk_task", _chunk_task_noting_env)
-    monkeypatch.setattr(replications_mod, "_run_one", _run_one_noting_env)
+    monkeypatch.setattr(replications_mod, "_run_block", _run_block_noting_env)
     before = dict(os.environ)
 
     log = tmp_path / "env.log"
@@ -186,8 +188,9 @@ def test_pooled_fallback_warns_once_in_the_parent(monkeypatch, tmp_path):
         )
     assert len([w for w in caught if w.category is CompiledFallbackWarning]) == 1
     assert rep.meta["n_jobs"] == 2 and summary.n_workers == 2
-    engines = [p[1]["backend"] for p in payloads[:4]] + [p[-1] for p in payloads[4:]]
-    assert len(payloads) == 4 + 4 and engines == ["python"] * 8
+    # Two replication blocks (one per worker), then four fleet chunks.
+    engines = [p[1]["backend"] for p in payloads[:2]] + [p[-1] for p in payloads[2:]]
+    assert len(payloads) == 2 + 4 and engines == ["python"] * 6
 
     ref = simulate_replications(
         cluster, workload, horizon=20.0, n_replications=4, seed=9, backend="python"

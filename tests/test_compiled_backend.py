@@ -29,7 +29,8 @@ from hypothesis import strategies as st
 from repro.exceptions import CompiledFallbackWarning, ModelValidationError
 from repro.simulation import RngStreams, simulate
 from repro.simulation import compiled as compiled_mod
-from repro.simulation.parallel import WorkerPool, _run_one
+from repro.simulation.parallel import WorkerPool
+from repro.simulation.replications import _run_block
 from repro.simulation.rng import fnv1a64
 
 import test_golden_sim_metrics as golden_mod
@@ -76,32 +77,30 @@ def _epoch_controller(t, queues, speeds):
 
 
 def _replication_numbers(backend, n_jobs, with_controller):
-    """Snapshot of 3 replications run through the requested execution
-    backend (serial loop vs 2-worker process pool) on the requested
-    engine, named in each payload as the replication engine does, with
-    the epoch controller optionally engaged (the kernel yields to it at
-    every boundary)."""
+    """Snapshot of 3 replications run as seed blocks through the
+    requested execution backend (one inline block vs one block per
+    worker of a 2-worker process pool) on the requested engine, named
+    in each payload as the replication engine does, with the epoch
+    controller optionally engaged (the kernel yields to it at every
+    boundary, for every replication of a block)."""
     from repro.experiments.common import canonical_cluster, canonical_workload
 
     cluster, workload = canonical_cluster(), canonical_workload()
     extra = {}
     if with_controller:
         extra = {"epoch_times": [20.0, 40.0, 60.0], "epoch_controller": _epoch_controller}
-    payloads = [
-        (
-            i,
-            dict(
-                cluster=cluster, workload=workload, horizon=80.0, seed=child,
-                backend=backend, **extra,
-            ),
-        )
-        for i, child in enumerate(RngStreams.replication_seeds(42, 3))
-    ]
+    kwargs = dict(cluster=cluster, workload=workload, horizon=80.0, backend=backend, **extra)
+    seeds = RngStreams.replication_seeds(42, 3)
+    blocks = [[0, 1, 2]] if n_jobs == 1 else [[0, 1], [2]]
+    payloads = [(b, kwargs, [seeds[i] for i in b]) for b in blocks]
     with warnings.catch_warnings(), WorkerPool(n_jobs) as pool:
         warnings.simplefilter("ignore", CompiledFallbackWarning)
         out = []
-        pool.run(_run_one, payloads, out.append)
-    return {i: golden_mod._snapshot(res) for i, res, _wall in out}  # keyed by index
+        pool.run(_run_block, payloads, out.append)
+    assert [error for _finished, error in out] == [None] * len(blocks)
+    return {  # keyed by index
+        i: golden_mod._snapshot(res) for finished, _error in out for i, res, _wall in finished
+    }
 
 
 @needs_kernel
@@ -117,6 +116,112 @@ def test_replication_matrix_bit_identical(backend, n_jobs, with_controller):
     assert sorted(probe) == sorted(reference)
     for i in reference:
         golden_mod._assert_identical(reference[i], probe[i], path=f"rep[{i}]")
+
+
+@needs_kernel
+def test_replication_rounds_are_one_kernel_call_each(monkeypatch):
+    """A serial replication round is one seed block: one kernel call,
+    whatever its replication count, fixed or adaptive."""
+    from repro.experiments.common import canonical_cluster, canonical_workload
+    from repro.simulation import PrecisionTarget, simulate_replications
+    from repro.simulation import simulate_replications_adaptive
+
+    calls = []
+    real = compiled_mod._run_kernel
+
+    def counting(*args, **kwargs):
+        calls.append(len(args[5]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(compiled_mod, "_run_kernel", counting)
+    cluster, workload = canonical_cluster(), canonical_workload()
+    simulate_replications(
+        cluster, workload, horizon=5.0, n_replications=8, n_jobs=1, backend="compiled"
+    )
+    assert calls == [8]
+
+    calls.clear()
+    target = PrecisionTarget(
+        rel_ci=1e-6, min_replications=4, max_replications=12, round_size=4, estimator="naive"
+    )
+    rep = simulate_replications_adaptive(
+        cluster, workload, horizon=5.0, target=target, n_jobs=1, backend="compiled"
+    )
+    assert rep.meta["adaptive"]["n_rounds"] == 3
+    assert calls == [4, 4, 4]
+
+
+@needs_kernel
+@pytest.mark.parametrize("estimator", [None, "naive", "cv", "antithetic"])
+def test_compiled_replication_rounds_match_python(estimator):
+    """Every replication of a compiled round (one kernel call per seed
+    block) equals the Python engine's per-replication simulate() under
+    its seed bit for bit, delay samples and job log included, fixed
+    count and adaptive (naive, control-variate and antithetic)."""
+    from repro.simulation import PrecisionTarget, simulate_replications
+    from repro.simulation import simulate_replications_adaptive
+
+    cluster, workload = golden_mod._two_tier("priority_np"), golden_mod._workload()
+    kw = dict(horizon=60.0, seed=5, collect_delay_samples=True, collect_job_log=True)
+
+    def run(backend):
+        if estimator is None:
+            return simulate_replications(cluster, workload, n_replications=5, backend=backend, **kw)
+        target = PrecisionTarget(
+            rel_ci=1e-6, min_replications=4, max_replications=8, round_size=2,
+            estimator=estimator,
+        )
+        return simulate_replications_adaptive(
+            cluster, workload, target=target, backend=backend, **kw
+        )
+
+    ref, got = run("python"), run("compiled")
+    assert len(got.replications) == len(ref.replications) >= 4
+    for i, (a, b) in enumerate(zip(ref.replications, got.replications)):
+        golden_mod._assert_identical(golden_mod._snapshot(a), golden_mod._snapshot(b), f"rep[{i}]")
+        assert [s.tobytes() for s in a.delay_samples] == [s.tobytes() for s in b.delay_samples]
+        assert a.job_log.tobytes() == b.job_log.tobytes()
+    assert (got.mean_delay, got.average_power) == (ref.mean_delay, ref.average_power)
+    if estimator is None:
+        seeds = RngStreams.replication_seeds(5, 5)
+        for seed, b in zip(seeds, got.replications):
+            a = simulate(
+                cluster, workload, horizon=60.0, seed=seed, collect_delay_samples=True,
+                collect_job_log=True, backend="python",
+            )
+            golden_mod._assert_identical(golden_mod._snapshot(a), golden_mod._snapshot(b))
+
+
+@needs_kernel
+def test_kernel_calls_leave_no_cyclic_garbage():
+    """Neither a compiled simulate() nor a fleet batch leaves objects
+    only the cyclic collector can free (ctypes array types built per
+    call, ``ndarray.ctypes.data_as`` pointers)."""
+    import gc
+
+    from repro.experiments.common import canonical_cluster, canonical_workload
+
+    cluster, workload = canonical_cluster(), canonical_workload()
+    calls = {
+        "simulate": lambda: simulate(
+            cluster, workload, horizon=5.0, seed=3, backend="compiled"
+        ),
+        "fleet batch": lambda: compiled_mod.maybe_simulate_fleet_batch(
+            "compiled", cluster, workload, 5.0, 0.1, range(40), 3, 0
+        ),
+    }
+    for name, call in calls.items():
+        call()  # warm-up: the kernel, memos and cached ctypes types
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            call()
+            gc.collect()
+            leaked = [type(o).__name__ for o in gc.garbage]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert leaked == [], (name, len(leaked), sorted(set(leaked)))
 
 
 @needs_kernel
@@ -585,8 +690,9 @@ def test_python_drawn_streams_differential(families, arrivals, seed_kind, n_reps
         compiled_mod.load_kernel(), cluster, workload, horizon, warmup, seeds, procs
     )
     assert run.errors == {}
+    cols = _finalize(cluster, workload, horizon, warmup, run)
     for b, seed in enumerate(seeds):
-        got = _finalize(cluster, workload, horizon, warmup, run.tallies(b))
+        got = cols.result(b)
         ref = simulate(
             cluster, workload, horizon=horizon, warmup_fraction=warmup_fraction, seed=seed,
             arrival_processes=procs, allow_unstable=True, backend="python",

@@ -449,14 +449,14 @@ def test_mixed_stream_batch_bit_identical_after_failure(batch_size, monkeypatch)
             load_kernel(), cluster, workload, horizon, warmup, seeds[b0 : b0 + batch_size],
             routing=routing,
         )
-        got.extend(run.errors.get(b) or run.tallies(b) for b in range(len(run.rc)))
+        cols = _finalize(cluster, workload, horizon, warmup, run)
+        got.extend(run.errors.get(b) or cols.result(b) for b in range(len(run.rc)))
     failed = [b for b, t in enumerate(got) if isinstance(t, BaseException)]
     assert failed == [3], failed
     assert "injected draw failure" in str(got[3])
-    for b, t in enumerate(got):
+    for b, res in enumerate(got):
         if b == 3:
             continue
-        res = _finalize(cluster, workload, horizon, warmup, t)
         assert res.delays.tobytes() == ref[b].delays.tobytes(), b
         assert res.average_power == ref[b].average_power, b
         assert res.meta["n_events"] == ref[b].meta["n_events"], b

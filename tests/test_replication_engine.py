@@ -536,7 +536,7 @@ class TestWarmupDiscardWarning:
     """The >50%-discard advisory: Python warning + structured event."""
 
     @staticmethod
-    def _run(warmup_fraction):
+    def _run(warmup_fraction, backend=None):
         cluster = ClusterModel(
             [Tier("only", (Exponential(1.0),), SPEC, servers=1, discipline="fcfs")]
         )
@@ -546,7 +546,18 @@ class TestWarmupDiscardWarning:
             horizon=40.0,
             warmup_fraction=warmup_fraction,
             seed=11,
+            backend=backend,
         )
+
+    @pytest.mark.parametrize("backend", ["python", "compiled"])
+    def test_warning_points_at_the_caller(self, backend):
+        from repro.simulation.compiled import kernel_available
+
+        if backend == "compiled" and not kernel_available():
+            pytest.skip("no C toolchain for the compiled kernel")
+        with pytest.warns(WarmupDiscardWarning) as caught:
+            self._run(0.9, backend)
+        assert [w.filename for w in caught] == [__file__]
 
     def test_high_warmup_warns(self):
         with pytest.warns(WarmupDiscardWarning, match="discarded"):

@@ -54,11 +54,6 @@ def _scipy_modules_after(argv: list[str] | None) -> set[str]:
     return _run_probe(_PROBE, json.dumps(argv))
 
 
-def _public_subpackages(modules: set[str]) -> set[str]:
-    parts = (m.split(".") for m in modules)
-    return {p[1] for p in parts if len(p) > 1 and not p[1].startswith("_")}
-
-
 def test_cli_import_loads_no_scipy():
     assert _scipy_modules_after(None) == set()
 
@@ -71,34 +66,38 @@ def test_cli_import_loads_no_multiprocessing():
     assert loaded == set()
 
 
-# Patches the clock ``_run_one`` reads, and notes what is loaded the
-# first time it does: one replication's timed window opens there.
+# Notes what is loaded when a replication block first starts simulating:
+# its timed window opens there (the Python engine's clock starts just
+# before each simulate() call, the kernel times each replication itself).
 _AT_T0 = """
 import json, sys
-from repro.simulation import compiled, parallel
+from repro.simulation import compiled, replications
 at_t0 = []
-clock = parallel.time.perf_counter
-def perf_counter():
-    if not at_t0 and sys._getframe(1).f_code.co_name == '_run_one':
-        at_t0.append(('scipy.special' in sys.modules, compiled._lib is not None))
-    return clock()
-parallel.time.perf_counter = perf_counter
+def noting(fn):
+    def wrapped(*args, **kwargs):
+        if not at_t0:
+            at_t0.append(('scipy.special' in sys.modules, compiled._lib is not None))
+        return fn(*args, **kwargs)
+    return wrapped
+replications.simulate = noting(replications.simulate)
+compiled._run_kernel = noting(compiled._run_kernel)
 """
 
 
-def test_warm_up_loads_no_scipy_and_run_one_primes_the_t_quantile():
+def test_warm_up_loads_no_scipy_and_run_block_primes_the_t_quantile():
     # A replication pays its one-time costs before its timed window
-    # opens: it primes the t-quantile memo (importing scipy.special)
-    # and, on the compiled engine, loads the kernel. Neither is inside
-    # a replication's wall time, and nothing loads SciPy before it.
+    # opens: its block primes the t-quantile memo (importing
+    # scipy.special) and, on the compiled engine, loads the kernel.
+    # Neither is inside a replication's wall time, and nothing loads
+    # SciPy before it. The block is run as a pool worker runs it.
     backend = "compiled" if kernel_available() else "python"
     loaded = _run_probe(
         _AT_T0
         + "from repro.experiments.common import small_cluster, small_workload\n"
         "before = 'scipy.special' in sys.modules\n"
         "kwargs = dict(cluster=small_cluster(), workload=small_workload(0.5), horizon=5.0,\n"
-        "              seed=1, backend=sys.argv[1])\n"
-        "parallel._run_one((0, kwargs))\n"
+        "              backend=sys.argv[1])\n"
+        "replications._run_block(([0], kwargs, [1]))\n"
         "print(json.dumps([f'before: {before}', f'at t0: {at_t0}']))",
         backend,
     )
@@ -133,12 +132,10 @@ def _fleet_argv(out: Path, backend: str) -> list[str]:
     ]
 
 
-def test_python_fleet_loads_only_scipy_special(tmp_path):
-    # Each Python-engine replication forms its within-run delay CI
-    # (SimulationResult.delay_ci), whose t quantile is stdtrit.
-    loaded = _scipy_modules_after(_fleet_argv(tmp_path / "store", "python"))
-    assert "scipy.stats" not in loaded
-    assert _public_subpackages(loaded) <= {"special", "version"}
+def test_python_fleet_loads_no_scipy(tmp_path):
+    # Fleet rows are read off finalized columns, and only a replication's
+    # SimulationResult forms a within-run delay CI (a t quantile).
+    assert _scipy_modules_after(_fleet_argv(tmp_path / "store", "python")) == set()
 
 
 @pytest.mark.skipif(not kernel_available(), reason="no C toolchain for the compiled kernel")
