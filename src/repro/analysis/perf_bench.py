@@ -352,6 +352,12 @@ def _kernel_fleet_sweep_batched() -> Callable[[], object]:
     toolchain skip. Rows are bit-identical either way (covered by
     ``tests/test_fleet_batch.py``); this kernel gates only the
     throughput.
+
+    It barely sees the event loop: most of the ~19 ms sweep is
+    per-chunk and per-unit fixed cost (descriptor setup, finalize,
+    store writes), so a sweep with 1.5x the events can still pass.
+    ``sim_replication_h500_compiled`` is the event-loop gate; this one
+    mostly guards the per-chunk and per-unit cost.
     """
     import shutil
     import tempfile

@@ -81,7 +81,6 @@ class SimulationResult:
     n_completed: np.ndarray
     delays: np.ndarray
     delay_std: np.ndarray
-    delay_ci: np.ndarray
     station_waits: np.ndarray
     station_sojourns: np.ndarray
     utilizations: np.ndarray
@@ -111,6 +110,14 @@ class SimulationResult:
         if samples.size == 0:
             return float("nan")
         return float(np.quantile(samples, p))
+
+    @property
+    def delay_ci(self) -> np.ndarray:
+        """Per-class 95% within-run Student-t half-width of the delay
+        (NaN below two completions), formed from ``delay_std`` and
+        ``n_completed`` when read."""
+        moments = zip(self.delay_std.tolist(), self.n_completed.tolist())
+        return np.array([confidence_halfwidth(std, n) for std, n in moments])
 
     @property
     def mean_delay(self) -> float:
@@ -594,8 +601,7 @@ class _Tallies:
 
     def result(self, b: int) -> SimulationResult:
         """Finalized replication ``b`` (which succeeded) as a
-        :class:`SimulationResult`; its within-run delay CI is formed
-        here, and only here."""
+        :class:`SimulationResult`."""
         n_jobs, n_events, n_discarded, _hit_horizon, _wall_ns = self.scalars[b].tolist()
         # A counted visit completes at the station exactly when it is
         # counted toward per-visit delay statistics, so the completion
@@ -614,13 +620,11 @@ class _Tallies:
             meta["epoch_trace"] = ledger.trace
             meta["final_speeds"] = np.array(ledger.speeds)
             meta["dynamic_energy"] = float(ledger.energy)
-        moments = zip(self.delay_std[b].tolist(), self.wf_n[b].tolist())
         return SimulationResult(
             class_names=self.class_names,
             n_completed=self.wf_n[b],
             delays=self.delays[b],
             delay_std=self.delay_std[b],
-            delay_ci=np.array([confidence_halfwidth(std, n) for std, n in moments]),
             station_waits=self.station_waits[b],
             station_sojourns=self.station_sojourns[b],
             utilizations=self.utilizations[b],

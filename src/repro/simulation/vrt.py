@@ -37,7 +37,7 @@ from typing import Any
 import numpy as np
 
 from repro.exceptions import ModelValidationError
-from repro.simulation.stats import confidence_halfwidth
+from repro.simulation.stats import _t_quantile_df, confidence_halfwidth
 
 __all__ = [
     "VrEstimate",
@@ -223,8 +223,6 @@ def independent_difference(values_a, values_b, level: float = 0.95) -> VrEstimat
     The no-pairing baseline :func:`paired_difference` is compared
     against; uses the Welch–Satterthwaite degrees of freedom.
     """
-    from scipy.special import stdtrit
-
     a = _as_1d(values_a, "values_a")
     b = _as_1d(values_b, "values_b")
     value = float(a.mean() - b.mean()) if a.size and b.size else float("nan")
@@ -244,7 +242,7 @@ def independent_difference(values_a, values_b, level: float = 0.95) -> VrEstimat
         va, vb = va / m, vb / m
         den = va**2 / (a.size - 1) + vb**2 / (b.size - 1)
     df = (va + vb) ** 2 / den
-    hw = float(stdtrit(df, 0.5 + level / 2.0) * se)
+    hw = _t_quantile_df(df, level) * se
     return VrEstimate(value, hw, n_units, "independent", level)
 
 

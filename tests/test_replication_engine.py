@@ -19,6 +19,7 @@ Covers:
   results, and a corrupted cache file is recomputed, not crashed on.
 """
 
+import time
 import warnings
 
 import numpy as np
@@ -213,7 +214,6 @@ def _fake_result(samples_per_class: list[list[float]]) -> SimulationResult:
         n_completed=n,
         delays=np.array([np.mean(s) if s else np.nan for s in samples_per_class]),
         delay_std=np.zeros(k),
-        delay_ci=np.zeros(k),
         station_waits=np.zeros((k, 1)),
         station_sojourns=np.zeros((k, 1)),
         utilizations=np.zeros(1),
@@ -526,6 +526,36 @@ class TestObservability:
             progress=lambda rec, done, total: seen.append((done, total, rec.cached)),
         )
         assert seen == [(1, 3, False), (2, 3, False), (3, 3, False)]
+
+    @pytest.mark.filterwarnings("ignore::repro.exceptions.WarmupDiscardWarning")
+    @pytest.mark.parametrize("backend", ["python", "compiled"])
+    def test_replication_wall_times_add_up_to_the_block(self, monkeypatch, backend):
+        # A compiled replication is charged its share of the block's
+        # descriptor setup and finalize, not just its kernel time, so
+        # wall_time_s means the same on both engines.
+        from repro.experiments.common import canonical_cluster, canonical_workload
+        from repro.simulation import replications
+        from repro.simulation.compiled import kernel_available
+
+        if backend == "compiled" and not kernel_available():
+            pytest.skip("no C toolchain for the compiled kernel")
+        elapsed = []
+        run_block = replications._run_block
+
+        def timed(payload):
+            t0 = time.perf_counter()
+            out = run_block(payload)
+            elapsed.append(time.perf_counter() - t0)
+            return out
+
+        monkeypatch.setattr(replications, "_run_block", timed)
+        rep = simulate_replications(
+            canonical_cluster(), canonical_workload(1.0), horizon=5.0, n_replications=16,
+            n_jobs=1, backend=backend,
+        )
+        recorded = sum(r["wall_time_s"] for r in rep.meta["replications"])
+        assert len(elapsed) == 1
+        assert 0.9 * elapsed[0] <= recorded <= elapsed[0]
 
     def test_simulator_event_count_exposed(self, two_class_cluster, two_class_workload):
         res = simulate(two_class_cluster, two_class_workload, horizon=100.0, seed=0)

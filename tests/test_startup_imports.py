@@ -1,11 +1,15 @@
 """SciPy and the process pool stay off the start-up path.
 
-Every SciPy import in ``repro`` sits in the function that calls it, and
-Student-t quantiles come from ``scipy.special.stdtrit``, so importing
-the CLI loads no SciPy module and no command loads ``scipy.stats``.
-The process pool is imported only where a command starts one, so
-importing the CLI loads no ``multiprocessing`` module either. Each case
-runs in a fresh interpreter: this test process already holds SciPy.
+Every SciPy import in ``repro`` sits in the function that calls it, so
+importing the CLI loads no SciPy module and no command loads
+``scipy.stats``.  The 95% Student-t quantiles of 2 to 64 observations
+come from a table in :mod:`repro.simulation.stats`, and a replication's
+within-run delay CI is formed only when read, so replicated runs
+(``repro simulate``, ``repro run T1``, pool workers, both engines) load
+no SciPy module at all.  The process pool is imported only where a
+command starts one, so importing the CLI loads no ``multiprocessing``
+module either. Each case runs in a fresh interpreter: this test process
+already holds SciPy.
 """
 
 from __future__ import annotations
@@ -66,49 +70,44 @@ def test_cli_import_loads_no_multiprocessing():
     assert loaded == set()
 
 
-# Notes what is loaded when a replication block first starts simulating:
-# its timed window opens there (the Python engine's clock starts just
-# before each simulate() call, the kernel times each replication itself).
+# Notes what is loaded when a replication block's clock starts: the
+# first perf_counter() call inside replications._run_block.
 _AT_T0 = """
-import json, sys
+import json, sys, time
 from repro.simulation import compiled, replications
 at_t0 = []
-def noting(fn):
-    def wrapped(*args, **kwargs):
-        if not at_t0:
-            at_t0.append(('scipy.special' in sys.modules, compiled._lib is not None))
-        return fn(*args, **kwargs)
-    return wrapped
-replications.simulate = noting(replications.simulate)
-compiled._run_kernel = noting(compiled._run_kernel)
+def perf_counter(clock=time.perf_counter):
+    if not at_t0 and sys._getframe(1).f_code.co_name == '_run_block':
+        scipy = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')
+        at_t0.append((scipy, compiled._lib is not None))
+    return clock()
+time.perf_counter = perf_counter
 """
 
 
-def test_warm_up_loads_no_scipy_and_run_block_primes_the_t_quantile():
-    # A replication pays its one-time costs before its timed window
-    # opens: its block primes the t-quantile memo (importing
-    # scipy.special) and, on the compiled engine, loads the kernel.
-    # Neither is inside a replication's wall time, and nothing loads
-    # SciPy before it. The block is run as a pool worker runs it.
+def test_run_block_clock_starts_with_no_scipy_and_the_kernel_loaded():
+    # A block's replications are charged its elapsed time, so one-time
+    # costs must be paid before its clock starts: on the compiled engine
+    # the kernel is loaded first, and no SciPy module is loaded at all.
+    # The block is run as a pool worker runs it.
     backend = "compiled" if kernel_available() else "python"
     loaded = _run_probe(
         _AT_T0
         + "from repro.experiments.common import small_cluster, small_workload\n"
-        "before = 'scipy.special' in sys.modules\n"
         "kwargs = dict(cluster=small_cluster(), workload=small_workload(0.5), horizon=5.0,\n"
         "              backend=sys.argv[1])\n"
         "replications._run_block(([0], kwargs, [1]))\n"
-        "print(json.dumps([f'before: {before}', f'at t0: {at_t0}']))",
+        "print(json.dumps([f'at t0: {at_t0}']))",
         backend,
     )
-    assert loaded == {"before: False", f"at t0: [(True, {backend == 'compiled'})]"}
+    assert loaded == {f"at t0: [([], {backend == 'compiled'})]"}
 
 
 @pytest.mark.skipif(not kernel_available(), reason="no C toolchain for the compiled kernel")
 def test_inline_replication_loads_the_kernel_before_its_clock_starts():
     # Inline (n_jobs=1) as in a pool, the kernel load must not land in
-    # replication 0's timed window: a cold build there makes replication
-    # 0 read ~500x fewer events/s than replication 1.
+    # the block's timed window: a cold build there makes replication 0
+    # read ~500x fewer events/s than replication 1.
     loaded = _run_probe(
         _AT_T0
         + "from repro.experiments.common import small_cluster, small_workload\n"
@@ -118,7 +117,61 @@ def test_inline_replication_loads_the_kernel_before_its_clock_starts():
         "print(json.dumps([f'at t0: {at_t0}']))",
         backend="compiled",
     )
-    assert loaded == {"at t0: [(True, True)]"}
+    assert loaded == {"at t0: [([], True)]"}
+
+
+@pytest.mark.skipif(not kernel_available(), reason="no C toolchain for the compiled kernel")
+def test_compiled_replications_load_no_scipy():
+    loaded = _run_probe(
+        "import json, sys\n"
+        "from repro.experiments.common import small_cluster, small_workload\n"
+        "from repro.simulation import simulate_replications\n"
+        "rep = simulate_replications(small_cluster(), small_workload(0.5), horizon=20.0,\n"
+        "                            n_replications=4, n_jobs=1, backend='compiled')\n"
+        "assert rep.meta['replications'][0]['n_events'] > 0\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))",
+    )
+    assert loaded == set()
+
+
+@pytest.mark.parametrize(
+    "backend",
+    [
+        "python",
+        pytest.param(
+            "compiled",
+            marks=pytest.mark.skipif(
+                not kernel_available(), reason="no C toolchain for the compiled kernel"
+            ),
+        ),
+    ],
+)
+def test_pooled_replication_worker_loads_no_scipy(backend):
+    # Each block notes, in the worker that ran it, the SciPy modules
+    # loaded there once it finished. The pool forks, so the worker runs
+    # this probe's wrapper around _run_block.
+    loaded = _run_probe(
+        "import json, multiprocessing, os, sys\n"
+        "multiprocessing.set_start_method('fork')\n"
+        "from repro.experiments.common import small_cluster, small_workload\n"
+        "from repro.simulation import replications, simulate_replications\n"
+        "run_block = replications._run_block\n"
+        "def probed(payload):\n"
+        "    finished, error = run_block(payload)\n"
+        "    scipy = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "    for _, result, _ in finished:\n"
+        "        result.meta['probe'] = (os.getpid(), scipy)\n"
+        "    return finished, error\n"
+        "replications._run_block = probed\n"
+        "rep = simulate_replications(small_cluster(), small_workload(0.5), horizon=20.0,\n"
+        "                            n_replications=4, n_jobs=2, backend=sys.argv[1])\n"
+        "pids = {r.meta['probe'][0] for r in rep.replications}\n"
+        "assert os.getpid() not in pids, pids\n"
+        "print(json.dumps(sorted({m for r in rep.replications for m in r.meta['probe'][1]})))",
+        backend,
+        backend=backend,
+    )
+    assert loaded == set()
 
 
 def test_report_loads_no_scipy():
@@ -133,8 +186,6 @@ def _fleet_argv(out: Path, backend: str) -> list[str]:
 
 
 def test_python_fleet_loads_no_scipy(tmp_path):
-    # Fleet rows are read off finalized columns, and only a replication's
-    # SimulationResult forms a within-run delay CI (a t quantile).
     assert _scipy_modules_after(_fleet_argv(tmp_path / "store", "python")) == set()
 
 
@@ -148,5 +199,14 @@ def test_adaptive_simulate_never_loads_scipy_stats():
         ["simulate", "--horizon", "50", "--replications", "2", "--seed", "3",
          "--target-rel-ci", "0.5", "--max-reps", "4"]
     )
-    assert "scipy.special" in loaded
-    assert "scipy.stats" not in loaded
+    assert loaded == set()
+
+
+def test_simulate_loads_no_scipy():
+    assert _scipy_modules_after(
+        ["simulate", "--horizon", "50", "--replications", "2", "--seed", "3"]
+    ) == set()
+
+
+def test_run_t1_quick_loads_no_scipy():
+    assert _scipy_modules_after(["run", "T1", "--quick"]) == set()
