@@ -318,7 +318,6 @@ def _kernel_fleet_sweep_1k() -> Callable[[], object]:
                 f"{tmp}/store",
                 seed=7,
                 n_jobs=1,
-                store_format="npz",
                 progress_every=1e9,
             )
         finally:
@@ -392,7 +391,6 @@ def _kernel_fleet_sweep_batched() -> Callable[[], object]:
                 n_jobs=1,
                 backend="compiled",
                 batch_size=batch_size,
-                store_format="npz",
                 progress_every=1e9,
             )
         finally:

@@ -25,8 +25,7 @@ Commands
     Fleet-scale sweep: (scenario × replication) units run in chunks
     on the worker pool, each worker taking the next chunk as it goes
     idle, one compact metric row per unit streamed into a columnar
-    result store (Parquet when
-    ``pyarrow`` is importable, uncompressed npz otherwise). With
+    result store of uncompressed npz row groups. With
     ``--telemetry DIR``, ``repro status DIR`` tails live progress;
     ``repro telemetry ingest --fleet DIR`` folds per-scenario
     aggregates into the SQLite store.
@@ -190,9 +189,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fleet_p.add_argument(
         "--format",
-        choices=["parquet", "npz"],
-        default=None,
-        help="row-group format (default: parquet when pyarrow is importable, else npz)",
+        choices=["npz"],
+        default="npz",
+        help="row-group format (npz, the only one)",
     )
     fleet_p.add_argument(
         "--jobs",
@@ -595,7 +594,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         n_jobs=args.jobs,
         backend=args.backend,
         batch_size=batch,
-        store_format=args.format,
         progress=progress,
     )
     print()

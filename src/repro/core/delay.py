@@ -29,7 +29,7 @@ import numpy as np
 
 from repro import obs
 from repro.cluster.model import ClusterModel
-from repro.core.batch_eval import BatchEvaluator, TierKernel
+from repro.core.batch_eval import TierKernel
 from repro.exceptions import ModelValidationError
 from repro.queueing.networks import (
     StationDelays,
@@ -44,8 +44,6 @@ __all__ = [
     "end_to_end_delays",
     "mean_end_to_end_delay",
     "per_tier_delays",
-    "end_to_end_delays_batch",
-    "mean_end_to_end_delay_batch",
     "SpeedModel",
     "count_tier_work",
 ]
@@ -225,36 +223,3 @@ def count_tier_work(model) -> None:
     if isinstance(model, SpeedModel):
         for name in ("tier_solves", "tier_hits", "probe_rows", "probe_hits"):
             obs.counter(f"opt.{name}").add(getattr(model, name))
-
-
-def end_to_end_delays_batch(
-    cluster: ClusterModel,
-    workload: Workload,
-    speeds: np.ndarray,
-    servers: np.ndarray | None = None,
-) -> np.ndarray:
-    """Per-class delays for a whole ``(n, M)`` speed matrix at once.
-
-    Vectorized counterpart of :func:`end_to_end_delays`: row ``j`` of
-    the returned ``(n, K)`` array equals
-    ``end_to_end_delays(cluster.with_speeds(speeds[j]), workload)`` bit
-    for bit, except that unstable candidates yield
-    ``inf`` rows instead of raising. ``servers`` optionally varies
-    per-candidate server counts too (same shape as ``speeds``). For
-    repeated batches against one cluster, build a
-    :class:`repro.core.batch_eval.BatchEvaluator` directly — the
-    speed-independent precompute is amortized across calls.
-    """
-    return BatchEvaluator(cluster, workload).end_to_end_delays(speeds, servers)
-
-
-def mean_end_to_end_delay_batch(
-    cluster: ClusterModel,
-    workload: Workload,
-    speeds: np.ndarray,
-    servers: np.ndarray | None = None,
-) -> np.ndarray:
-    """Arrival-weighted mean delay per candidate, shape ``(n,)``
-    (``inf`` for unstable candidates). See
-    :func:`end_to_end_delays_batch`."""
-    return BatchEvaluator(cluster, workload).mean_delay(speeds, servers)

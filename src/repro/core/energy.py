@@ -38,7 +38,6 @@ __all__ = [
     "average_power",
     "energy_per_request",
     "per_class_energy_per_request",
-    "average_power_batch",
 ]
 
 _IDLE_MODES = ("none", "equal", "work")
@@ -106,24 +105,3 @@ def per_class_energy_per_request(
         work_by_class += cluster.visit_ratios[:, i] * lam * demands
     shares = work_by_class / work_by_class.sum()
     return dynamic + total_idle_power * shares / lam
-
-
-def average_power_batch(
-    cluster: ClusterModel,
-    workload: Workload,
-    speeds: np.ndarray,
-    servers: np.ndarray | None = None,
-) -> np.ndarray:
-    """Mean cluster power for a whole ``(n, M)`` speed matrix at once.
-
-    Vectorized counterpart of :func:`average_power`: element ``j`` of
-    the returned ``(n,)`` array equals
-    ``average_power(cluster.with_speeds(speeds[j]), workload)``.
-    Power needs no stability, so every candidate gets a finite value.
-    ``servers`` optionally varies per-candidate server counts. For
-    repeated batches, hold a
-    :class:`repro.core.batch_eval.BatchEvaluator` instead.
-    """
-    from repro.core.batch_eval import BatchEvaluator
-
-    return BatchEvaluator(cluster, workload).average_power(speeds, servers)

@@ -48,7 +48,7 @@ from repro.simulation.adaptive import (
     simulate_replications_adaptive,
 )
 from repro.simulation.fleet import FleetScenario, FleetSummary, fleet_columns, run_fleet
-from repro.simulation.results_store import FleetStore, parquet_available
+from repro.simulation.results_store import FleetStore
 
 __all__ = [
     "AntitheticSeed",
@@ -86,5 +86,4 @@ __all__ = [
     "FleetStore",
     "fleet_columns",
     "run_fleet",
-    "parquet_available",
 ]

@@ -38,14 +38,16 @@
  *    block-sampling contract (tests/test_block_rng.py) makes one
  *    scalar draw per event equal to the Python engine's
  *    block-pregenerated draws;
- *  - streams the kernel cannot drive natively (antithetic coupled
- *    generators, whose inverse transforms go through np.log and are
- *    not bitwise libm log) are consumed through SK_PYBLOCK buffers: a
- *    Python refill callback pre-draws 4096 variates with the engine's
- *    own sampling code, so the value sequence is identical by
- *    construction;
- *  - distribution families without a native mapping fall back to a
- *    per-draw Python callback that performs the same scalar draw.
+ *  - every stream the kernel cannot draw natively (families without a
+ *    native mapping, stateful arrival processes, and every stream of
+ *    an antithetic seed, whose coupled inverse transforms go through
+ *    np.log, not bitwise libm log) is drawn in Python by the stream's
+ *    simulator._draw_plan, the same plan the Python engine draws
+ *    through.  A block plan reaches the kernel as an SK_PYBLOCK
+ *    buffer, refilled with each block its BlockCursor draws (a few
+ *    dozen values first, doubling up to the buffer's size); a scalar
+ *    plan is an SK_PYCALL per-draw callback.  Either way the value
+ *    sequence is identical by construction.
  *
  * Beyond the plain event loop the kernel models:
  *
@@ -612,10 +614,11 @@ typedef struct {
 } ctx_t;
 
 /* Next value from a Python-refilled variate buffer.  The refill
- * callback fills the whole buffer with the engine's own sampling code
- * (block-sampling contract: one size-n block draw consumes the stream
- * exactly like n scalar draws), so handing the values out one at a
- * time is bit-identical to the Python engine's draw sequence. */
+ * callback writes the stream's next BlockCursor block (at most cap
+ * values) with the engine's own sampling code (block-sampling
+ * contract: one size-n block draw consumes the stream exactly like n
+ * scalar draws), so handing the values out one at a time is
+ * bit-identical to the Python engine's draw sequence. */
 static double block_next(ctx_t *c, int id) {
     blockbuf_t *b = &c->blocks[id];
     if (b->pos >= b->len) {
@@ -657,9 +660,10 @@ static double draw_sampler(ctx_t *c, const SamplerDesc *sd) {
         v = sd->p1 * random_weibull(bg, sd->p2);
         break;
     case SK_HYPER: {
-        /* Mirrors the scalar fast path in simulator._make_sampler:
-         * branch by bisect_right on the CDF (count of entries <= u),
-         * then scale * standard_exponential. */
+        /* Mirrors the plain-generator sampler simulator._draw_plan
+         * builds for HyperExponential: branch by bisect_right on the
+         * CDF (count of entries <= u), then scale *
+         * standard_exponential. */
         double u = random_standard_uniform(bg);
         int b = 0;
         while (b < sd->n_branches - 1 && sd->cdf[b] <= u) b++;

@@ -120,7 +120,7 @@ from repro.exceptions import (
     ModelValidationError,
     SimulationError,
 )
-from repro.simulation.rng import AntitheticSeed, BlockCursor, RngStreams, fnv1a64
+from repro.simulation.rng import MAX_BLOCK_SIZE, AntitheticSeed, BlockCursor, RngStreams, fnv1a64
 from repro.simulation.simulator import (
     _JOB_LOG_DTYPE,
     _ROUTING_UNIFORM,
@@ -168,12 +168,6 @@ _SK_PYBLOCK = 8
 _SK_TRACE = 9
 _POST_MUL = 0
 _POST_ADD = 1
-
-# Every Python-refilled variate buffer holds exactly the BlockCursor
-# block size, so each refill is the same block draw the Python engine's
-# cursor makes on that stream, and the two engines call a stream's
-# block sampler equally often.
-_BLOCK_SIZE = 4096
 
 # numpy.random.SeedSequence's default entropy pool size, in uint32 words.
 _SEED_POOL_SIZE = 4
@@ -547,7 +541,7 @@ class _Rep:
 
     def __init__(self) -> None:
         self.calls: list[Any] = []  # SK_PYCALL samplers and pullers, by py_id
-        self.fills: list[Any] = []  # SK_PYBLOCK refills, by block id
+        self.fills: list[Any] = []  # SK_PYBLOCK next_block()s, by block id
         self.epoch: Any = None  # epoch decision (dynamic speed control)
         self.error: BaseException | None = None
 
@@ -556,7 +550,7 @@ class _Rep:
         id of its descriptor: a refill block for a block plan, a
         per-draw callback for a scalar one."""
         if isinstance(plan, BlockCursor):
-            self.fills.append(plan.fill)
+            self.fills.append(plan.next_block)
             return _SK_PYBLOCK, len(self.fills) - 1
         self.calls.append(plan)
         return _SK_PYCALL, len(self.calls) - 1
@@ -892,8 +886,11 @@ def _run_kernel(
             return float(gap)
 
         def _refill(rep: _Rep, block_id: int, buf, cap: int) -> int:
-            arr = np.ascontiguousarray(rep.fills[block_id](int(cap)), dtype=np.float64)
-            ctypes.memmove(buf, arr.ctypes.data, arr.size * 8)
+            # The block the Python engine's cursor would draw next; each
+            # holds at most MAX_BLOCK_SIZE values, the buffer's size.
+            arr = np.ascontiguousarray(rep.fills[block_id](), dtype=np.float64)
+            if arr.size <= cap:  # a larger one aborts the run unwritten
+                ctypes.memmove(buf, arr.ctypes.data, arr.size * 8)
             return arr.size
 
         def _samples(_rep: _Rep, ts, vals, n_rows: int) -> int:
@@ -933,7 +930,7 @@ def _run_kernel(
             _ptr(seed_off, c_longlong),
             _ptr(_stream_digests(k_classes, m_stations), c_uint64),
             n_blocks,
-            _BLOCK_SIZE,
+            MAX_BLOCK_SIZE,
             0 if epoch_sched is None else epoch_sched.size,
             _ptr(epoch_sched, c_double),
             _ptr(speeds, c_double),

@@ -301,7 +301,6 @@ def run_fleet(
     backend: str | None = None,
     batch_size: int | str = "auto",
     rows_per_group: int = 4096,
-    store_format: str | None = None,
     progress: Callable[[int, int, int], None] | None = None,
     progress_every: float = 0.5,
 ) -> FleetSummary:
@@ -391,7 +390,6 @@ def run_fleet(
             ],
         },
         rows_per_group=rows_per_group,
-        fmt=store_format,
     )
 
     start = time.perf_counter()

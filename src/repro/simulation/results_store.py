@@ -6,13 +6,9 @@ per (scenario × replication) unit. Pickling a full
 pre-fleet pattern) costs two orders of magnitude more disk and makes
 cross-scenario queries a deserialization crawl. :class:`FleetStore`
 replaces that with one directory holding a ``manifest.json`` plus a
-sequence of immutable columnar *row groups*:
-
-* **Parquet** row groups when ``pyarrow`` is importable — the format
-  the issue asks for, readable by any Arrow-ecosystem tool; or
-* **npz** row groups (one uncompressed NumPy array per column) as the
-  zero-dependency fallback, bit-identical in content. Groups written
-  with ``np.savez_compressed`` by older versions read the same.
+sequence of immutable columnar *row groups*, each an uncompressed
+``.npz`` file holding one NumPy array per column. Groups written with
+``np.savez_compressed`` by older versions read the same.
 
 The write side streams: :meth:`FleetStore.append_columns` buffers
 column blocks and :meth:`FleetStore.flush` seals a row group to disk,
@@ -39,22 +35,13 @@ import numpy as np
 
 from repro.exceptions import ModelValidationError
 
-__all__ = ["FleetStore", "parquet_available"]
+__all__ = ["FleetStore"]
 
 MANIFEST_FILENAME = "manifest.json"
 _FORMAT_VERSION = 1
 
 #: Columns stored as 64-bit integers; everything else is float64.
 _INT_COLUMNS = frozenset({"unit", "scenario", "replication", "n_events", "n_completed"})
-
-
-def parquet_available() -> bool:
-    """Whether the Parquet backend (``pyarrow``) is importable."""
-    try:
-        import pyarrow.parquet  # noqa: F401
-    except Exception:
-        return False
-    return True
 
 
 def _column_dtype(name: str) -> np.dtype:
@@ -69,19 +56,21 @@ class FleetStore:
 
         <path>/
           manifest.json          # columns, row groups, scenario labels
-          rows-00000.parquet     # or rows-00000.npz without pyarrow
-          rows-00001.parquet
+          rows-00000.npz
+          rows-00001.npz
           ...
 
     All rows share one rectangular schema (fixed per-class / per-station
     column counts), which is what makes the columnar layout possible;
-    :meth:`append` rejects rows whose keys deviate from it.
+    :meth:`append_columns` rejects blocks whose keys deviate from it.
     """
+
+    #: The row-group encoding, recorded in every manifest.
+    fmt = "npz"
 
     def __init__(self) -> None:  # use create()/open()
         self.path: Path
         self.columns: tuple[str, ...] = ()
-        self.fmt: str = "npz"
         self.meta: dict[str, Any] = {}
         self._groups: list[dict[str, Any]] = []
         # Write buffer: the column blocks from append_columns(), merged
@@ -102,7 +91,6 @@ class FleetStore:
         *,
         meta: Mapping[str, Any] | None = None,
         rows_per_group: int = 4096,
-        fmt: str | None = None,
     ) -> "FleetStore":
         """Open a fresh store for writing.
 
@@ -118,9 +106,6 @@ class FleetStore:
             horizon, ...) carried in the manifest.
         rows_per_group:
             Buffered rows per sealed row-group file.
-        fmt:
-            ``"parquet"`` or ``"npz"``; default picks Parquet when
-            ``pyarrow`` is importable, npz otherwise.
         """
         store = cls()
         store.path = Path(path)
@@ -132,11 +117,6 @@ class FleetStore:
         store.columns = tuple(columns)
         if len(set(store.columns)) != len(store.columns):
             raise ModelValidationError(f"duplicate column names: {store.columns}")
-        if fmt is None:
-            fmt = "parquet" if parquet_available() else "npz"
-        if fmt not in ("parquet", "npz"):
-            raise ModelValidationError(f"unknown fleet store format {fmt!r}")
-        store.fmt = fmt
         store.meta = dict(meta or {})
         store._rows_per_group = max(1, int(rows_per_group))
         store._writable = True
@@ -188,21 +168,12 @@ class FleetStore:
             name: np.concatenate([b[name] for b in blocks]) for name in self.columns
         }
         index = len(self._groups)
-        ext = "parquet" if self.fmt == "parquet" else "npz"
-        filename = f"rows-{index:05d}.{ext}"
-        target = self.path / filename
-        if self.fmt == "parquet":
-            import pyarrow as pa
-            import pyarrow.parquet as pq
-
-            table = pa.table({name: pa.array(arrays[name]) for name in self.columns})
-            pq.write_table(table, target)
-        else:
-            # Uncompressed: zlib shrinks the float columns only a few
-            # percent at ~20x the write time. np.load reads both
-            # encodings, so stores written compressed stay readable.
-            with open(target, "wb") as fh:
-                np.savez(fh, **arrays)
+        filename = f"rows-{index:05d}.npz"
+        # Uncompressed: zlib shrinks the float columns only a few
+        # percent at ~20x the write time. np.load reads both
+        # encodings, so stores written compressed stay readable.
+        with open(self.path / filename, "wb") as fh:
+            np.savez(fh, **arrays)
         self._groups.append({"file": filename, "n_rows": self._buffered_rows})
         self._blocks = []
         self._buffered_rows = 0
@@ -264,8 +235,12 @@ class FleetStore:
         manifest = json.loads(manifest_path.read_text())
         if manifest.get("kind") != "fleet_store":
             raise ModelValidationError(f"{manifest_path} is not a fleet store manifest")
+        if manifest.get("fmt") != cls.fmt:
+            raise ModelValidationError(
+                f"{manifest_path} records row-group format {manifest.get('fmt')!r}; "
+                f"only {cls.fmt!r} fleet stores can be read (parquet was removed)"
+            )
         store.columns = tuple(manifest["columns"])
-        store.fmt = manifest["fmt"]
         store.meta = manifest.get("meta", {})
         store._groups = list(manifest.get("row_groups", []))
         return store
@@ -315,15 +290,8 @@ class FleetStore:
         once, so folding a huge store never materializes it.
         """
         for group in self._groups:
-            target = self.path / group["file"]
-            if self.fmt == "parquet":
-                import pyarrow.parquet as pq
-
-                table = pq.read_table(target, columns=list(names))
-                yield {n: table.column(n).to_numpy(zero_copy_only=False) for n in names}
-            else:
-                with np.load(target) as npz:
-                    yield {n: npz[n] for n in names}
+            with np.load(self.path / group["file"]) as npz:
+                yield {n: npz[n] for n in names}
 
     def aggregate(
         self,

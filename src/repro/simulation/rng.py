@@ -233,6 +233,13 @@ class RngStreams:
         return [(AntitheticSeed(c, False), AntitheticSeed(c, True)) for c in children]
 
 
+#: The largest block a :class:`BlockCursor` draws at once; the compiled
+#: kernel's refill buffers hold this many values.
+MAX_BLOCK_SIZE = 4096
+#: A cursor's first block; each later one doubles, up to its block size.
+_FIRST_BLOCK_SIZE = 64
+
+
 class BlockCursor:
     """Refill-on-exhaustion cursor over block-pregenerated variates.
 
@@ -247,30 +254,37 @@ class BlockCursor:
     preserves :class:`RngStreams` reproducibility and common random
     numbers across configurations.
 
-    The block is converted to a Python list once per refill so the hot
-    path hands out cached ``float`` objects instead of paying NumPy
-    scalar boxing on every event.
+    Blocks are sized by use (:meth:`next_block`): a stream that takes a
+    few dozen values draws a few dozen, and a long one soon draws
+    ``block_size`` at a time. The block is converted to a Python list
+    once per refill so the hot path hands out cached ``float`` objects
+    instead of paying NumPy scalar boxing on every event.
     """
 
-    __slots__ = ("_rng", "_draw", "_it", "block_size")
+    __slots__ = ("_rng", "_draw", "_it", "_next_size", "block_size")
 
     def __init__(
         self,
         rng: np.random.Generator,
         draw: Callable[[np.random.Generator, int], np.ndarray],
-        block_size: int = 4096,
+        block_size: int = MAX_BLOCK_SIZE,
     ):
         if block_size < 1:
             raise ModelValidationError(f"block size must be >= 1, got {block_size}")
         self._rng = rng
         self._draw = draw
         self.block_size = block_size
+        self._next_size = min(_FIRST_BLOCK_SIZE, block_size)
         self._it = iter(())
 
-    def fill(self, n: int) -> np.ndarray:
-        """``n`` variates drawn from the stream as one block, bypassing
-        the values the cursor holds; the compiled kernel refills its
-        buffers through this."""
+    def next_block(self) -> np.ndarray:
+        """The stream's next block of variates, bypassing the values the
+        cursor holds: ``_FIRST_BLOCK_SIZE`` values first, each later
+        block twice the last, up to ``block_size``. The cursor refills
+        through this, and so does the compiled kernel's buffer for the
+        stream, so both engines draw the same blocks."""
+        n = self._next_size
+        self._next_size = min(2 * n, self.block_size)
         return self._draw(self._rng, n)
 
     def __call__(self) -> float:
@@ -278,6 +292,6 @@ class BlockCursor:
         # "next value or refill" primitive available in pure Python.
         v = next(self._it, None)
         if v is None:
-            self._it = iter(self.fill(self.block_size).tolist())
+            self._it = iter(self.next_block().tolist())
             v = next(self._it)
         return v

@@ -1055,8 +1055,8 @@ def _draw_plan(source, rng):
     and HyperExponential on a coupled antithetic generator) the plan is
     a :class:`~repro.simulation.rng.BlockCursor`: the Python engine
     reads it one value at a time, and the compiled kernel refills a
-    buffer of the same block size from :meth:`BlockCursor.fill`, so one
-    block draw consumes the stream as the engine does.  Anything else
+    buffer with each :meth:`BlockCursor.next_block`, so both engines
+    draw the stream in the same blocks.  Anything else
     is a zero-argument scalar: a sampler for a distribution, a puller
     returning ``(gap, batch_size)`` for an arrival process (MMPP, batch,
     renewal, NHPP, trace), which the kernel calls once per draw.

@@ -21,14 +21,8 @@ from test_speed_model import model_case
 from repro.baselines.exhaustive import _scalar_search, exhaustive_cost_minimization
 from repro.cluster import ClusterModel, PowerModel, ServerSpec, Tier
 from repro.core.batch_eval import BatchEvaluator, erlang_b_vec, erlang_c_vec
-from repro.core.delay import (
-    SpeedModel,
-    end_to_end_delays,
-    end_to_end_delays_batch,
-    mean_end_to_end_delay,
-    mean_end_to_end_delay_batch,
-)
-from repro.core.energy import average_power, average_power_batch
+from repro.core.delay import SpeedModel, end_to_end_delays, mean_end_to_end_delay
+from repro.core.energy import average_power
 from repro.core.percentile import all_class_percentiles, all_class_percentiles_batch
 from repro.core.sla import SLA, ClassSLA
 from repro.distributions import Exponential, fit_two_moments
@@ -246,24 +240,12 @@ def test_erlang_vec_matches_scalar():
     np.testing.assert_array_equal(erlang_c_vec(np.array([3]), np.array([0.0])), [0.0])
 
 
-def test_batch_wrapper_functions():
-    cluster, workload = canonical_cluster(), canonical_workload()
-    batch = BatchEvaluator(cluster, workload)
-    speeds = np.random.default_rng(4).uniform(0.6, 1.0, size=(7, 3))
-    np.testing.assert_array_equal(
-        end_to_end_delays_batch(cluster, workload, speeds),
-        batch.end_to_end_delays(speeds),
-    )
-    np.testing.assert_array_equal(
-        mean_end_to_end_delay_batch(cluster, workload, speeds),
-        batch.mean_delay(speeds),
-    )
-    np.testing.assert_array_equal(
-        average_power_batch(cluster, workload, speeds),
-        batch.average_power(speeds),
-    )
-    # A 1-D speed vector is one candidate.
-    assert end_to_end_delays_batch(cluster, workload, speeds[0]).shape == (1, 3)
+def test_one_dimensional_speeds_are_one_candidate():
+    batch = BatchEvaluator(canonical_cluster(), canonical_workload())
+    speeds = np.random.default_rng(4).uniform(0.6, 1.0, size=3)
+    delays = batch.end_to_end_delays(speeds)
+    assert delays.shape == (1, 3)
+    np.testing.assert_array_equal(delays, batch.end_to_end_delays(speeds[None, :]))
 
 
 def test_input_validation():

@@ -81,6 +81,20 @@ def test_cursor_refill_boundary_is_invisible():
     assert sequence == blocks[:10].tolist()
 
 
+def test_cursor_blocks_start_small_and_double_to_block_size():
+    sizes = []
+
+    def draw(rng, n):
+        sizes.append(n)
+        return rng.random(n)
+
+    cursor = BlockCursor(np.random.default_rng(0), draw, block_size=300)
+    for _ in range(64 + 128 + 256 + 300 + 1):
+        cursor()
+    assert sizes == [64, 128, 256, 300, 300]
+    assert BlockCursor(np.random.default_rng(0), draw).block_size == 4096
+
+
 def test_cursor_rejects_bad_block_size():
     with pytest.raises(ModelValidationError):
         BlockCursor(np.random.default_rng(0), Exponential(1.0).sample, block_size=0)

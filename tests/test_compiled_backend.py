@@ -600,6 +600,35 @@ def test_antithetic_scalar_stream_drawn_once_per_draw_on_both_engines():
     assert ref.meta["n_events"] == got.meta["n_events"]
 
 
+@needs_kernel
+@pytest.mark.parametrize(
+    "seed", [3, RngStreams.replication_seed_pairs(3, 1)[0][1]], ids=["plain", "antithetic"]
+)
+def test_short_python_drawn_stream_draws_one_small_block_on_both_engines(seed):
+    """A Python-drawn block stream that takes ~50 values draws one
+    64-value block, not a 4096-value one, and both engines draw the
+    same blocks."""
+    from test_fleet_batch import _bombed_scenario
+
+    def run(backend):
+        scenario = _bombed_scenario(0, horizon=40.0)  # fail_at=0: never raises
+        sizes = []
+        demand = scenario.cluster.tiers[0].demands[0]
+        demand.block_sampling_safe = True  # a block plan, drawn in Python
+        inner = demand.sample
+        demand.sample = lambda rng, size=None: sizes.append(size) or inner(rng, size)
+        result = simulate(
+            scenario.cluster, scenario.workload, horizon=40.0, seed=seed, backend=backend
+        )
+        return result, sizes
+
+    ref, ref_sizes = run("python")
+    got, got_sizes = run("compiled")
+    assert 40 < ref.n_completed[0] < 64
+    assert ref_sizes == got_sizes == [64]
+    golden_mod._assert_identical(golden_mod._snapshot(ref), golden_mod._snapshot(got))
+
+
 def _fuzz_service(family: str, mean: float):
     from repro.distributions import Exponential, Mixture, Pareto
     from repro.distributions.base import ScaledDistribution, ShiftedDistribution

@@ -87,7 +87,6 @@ def test_fleet_batched_rows_bit_identical(tmp_path, batch_size, n_jobs, backend)
         n_jobs=1,
         backend="python",
         batch_size=1,
-        store_format="npz",
     )
     got = run_fleet(
         scenarios,
@@ -97,7 +96,6 @@ def test_fleet_batched_rows_bit_identical(tmp_path, batch_size, n_jobs, backend)
         n_jobs=n_jobs,
         backend=backend,
         batch_size=batch_size,
-        store_format="npz",
     )
     assert ref.n_done == got.n_done == 20
     assert ref.n_failed == got.n_failed == 0
@@ -117,7 +115,6 @@ def test_fleet_batched_chunk_boundaries(tmp_path):
         n_jobs=1,
         backend="python",
         batch_size=1,
-        store_format="npz",
     )
     got = run_fleet(
         scenarios,
@@ -127,7 +124,6 @@ def test_fleet_batched_chunk_boundaries(tmp_path):
         n_jobs=1,
         backend="compiled",
         batch_size=64,
-        store_format="npz",
     )
     assert ref.n_done == got.n_done == 70
     assert _canonical_rows(tmp_path / "got") == _canonical_rows(tmp_path / "ref")
@@ -176,7 +172,6 @@ def test_fleet_batch_size_recorded_and_validated(tmp_path):
         seed=0,
         n_jobs=1,
         batch_size=2,
-        store_format="npz",
     )
     assert summary.n_done == 4
     meta = FleetStore.open(tmp_path / "s").meta
@@ -189,7 +184,6 @@ def test_fleet_batch_size_recorded_and_validated(tmp_path):
         seed=0,
         n_jobs=1,
         batch_size=np.int64(2),
-        store_format="npz",
     )
     assert summary.n_done == 4
     assert FleetStore.open(tmp_path / "np").meta["batch_size"] == 2
@@ -305,7 +299,6 @@ def test_mid_batch_failure_costs_one_unit(tmp_path):
         n_jobs=1,
         backend="compiled",
         batch_size=n_reps,
-        store_format="npz",
     )
     assert summary.n_failed == 1
     assert summary.n_done == n_reps - 1
@@ -331,7 +324,6 @@ def test_mid_batch_failure_costs_one_unit(tmp_path):
         n_jobs=1,
         backend="python",
         batch_size=1,
-        store_format="npz",
     )
     assert ref.n_failed == 0
     clean_rows = _canonical_rows(tmp_path / "clean")
@@ -362,7 +354,6 @@ def test_unstable_scenario_fails_whole_chunks_batched(tmp_path):
         n_jobs=1,
         backend="compiled",
         batch_size=4,
-        store_format="npz",
     )
     assert summary.n_failed == 4
     assert summary.n_done == 4
@@ -382,7 +373,7 @@ def test_unroutable_scenario_fails_its_units_under_auto_sizing(tmp_path):
     scenarios = _scenarios(loads=(0.5,)) + [
         FleetScenario(label="markov", cluster=cluster, workload=workload, horizon=8.0)
     ]
-    summary = run_fleet(scenarios, 3, tmp_path / "s", seed=1, n_jobs=1, store_format="npz")
+    summary = run_fleet(scenarios, 3, tmp_path / "s", seed=1, n_jobs=1)
     assert (summary.n_done, summary.n_failed) == (3, 3)
     failures = FleetStore.open(tmp_path / "s").meta["failures"]
     assert [u for u, _ in failures] == [3, 4, 5]

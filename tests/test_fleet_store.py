@@ -16,7 +16,9 @@ import json
 import os
 import shutil
 import signal
+import sys
 import tracemalloc
+import types
 import zipfile
 
 import numpy as np
@@ -31,7 +33,6 @@ from repro.obs.progress import PROGRESS_FILENAME, progress_snapshot, read_progre
 from repro.obs.store import RunStore
 from repro.simulation import FleetScenario, FleetStore, fleet_columns, run_fleet
 from repro.simulation.compiled import kernel_available
-from repro.simulation.results_store import parquet_available
 
 
 def _scenarios(loads=(0.5, 0.8), horizon=8.0):
@@ -114,22 +115,57 @@ def test_store_empty_read_has_schema(tmp_path):
     assert data["unit"].size == 0 and data["unit"].dtype == np.int64
 
 
-@pytest.mark.skipif(not parquet_available(), reason="pyarrow not installed")
-def test_store_parquet_format(tmp_path):
-    with FleetStore.create(tmp_path / "s", ("unit", "x"), meta={}, fmt="parquet") as store:
+@pytest.fixture
+def importable_pyarrow(monkeypatch):
+    """Make ``import pyarrow.parquet`` succeed with empty stand-in modules."""
+    pa = types.ModuleType("pyarrow")
+    pa.parquet = types.ModuleType("pyarrow.parquet")
+    monkeypatch.setitem(sys.modules, "pyarrow", pa)
+    monkeypatch.setitem(sys.modules, "pyarrow.parquet", pa.parquet)
+
+
+def _assert_npz_store(path, n_rows):
+    manifest = json.loads((path / "manifest.json").read_text())
+    assert manifest["fmt"] == "npz"
+    assert manifest["row_groups"]
+    assert all(g["file"].endswith(".npz") for g in manifest["row_groups"])
+    assert FleetStore.open(path).n_rows == n_rows
+
+
+def test_run_fleet_writes_npz_whatever_is_importable(tmp_path, importable_pyarrow):
+    run_fleet(_scenarios(), 2, tmp_path / "s", seed=1, n_jobs=1, rows_per_group=3)
+    _assert_npz_store(tmp_path / "s", 4)
+
+
+def test_cli_fleet_writes_npz_whatever_is_importable(tmp_path, capsys, importable_pyarrow):
+    from repro.cli import main
+
+    argv = ["fleet", "--load-factors", "0.5", "--replications", "2", "--horizon", "8",
+            "--jobs", "1", "--out", str(tmp_path / "s")]
+    assert main(argv) == 0
+    capsys.readouterr()
+    _assert_npz_store(tmp_path / "s", 2)
+    with pytest.raises(SystemExit):  # npz is the only --format choice
+        main([*argv[:-1], str(tmp_path / "p"), "--format", "parquet"])
+    assert not (tmp_path / "p").exists()
+
+
+def test_store_open_rejects_other_formats(tmp_path):
+    with FleetStore.create(tmp_path / "s", ("unit", "x"), meta={}) as store:
         store.append_columns(_row(unit=0, x=1.5))
-    again = FleetStore.open(tmp_path / "s")
-    assert again.read()["x"].tolist() == [1.5]
+    manifest_path = tmp_path / "s" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["fmt"] = "parquet"
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(ModelValidationError, match="'parquet'"):
+        FleetStore.open(tmp_path / "s")
 
 
 def test_store_reads_compressed_row_groups(tmp_path):
     # Row groups are written with np.savez; stores whose groups were
     # written with np.savez_compressed (the earlier encoding) must read,
     # aggregate and join to the same values.
-    run_fleet(
-        _scenarios(), 3, tmp_path / "new", seed=4, n_jobs=1, rows_per_group=2,
-        store_format="npz",
-    )
+    run_fleet(_scenarios(), 3, tmp_path / "new", seed=4, n_jobs=1, rows_per_group=2)
     shutil.copytree(tmp_path / "new", tmp_path / "old")
     new, old = FleetStore.open(tmp_path / "new"), FleetStore.open(tmp_path / "old")
     group = old.path / old._groups[1]["file"]
@@ -166,8 +202,8 @@ def _canonical_rows(store_path):
 
 def test_fleet_serial_vs_pool_bit_identical(tmp_path):
     scenarios = _scenarios()
-    a = run_fleet(scenarios, 4, tmp_path / "serial", seed=11, n_jobs=1, store_format="npz")
-    b = run_fleet(scenarios, 4, tmp_path / "pool", seed=11, n_jobs=3, store_format="npz")
+    a = run_fleet(scenarios, 4, tmp_path / "serial", seed=11, n_jobs=1)
+    b = run_fleet(scenarios, 4, tmp_path / "pool", seed=11, n_jobs=3)
     assert a.n_done == b.n_done == 8
     assert a.n_failed == b.n_failed == 0
     assert _canonical_rows(tmp_path / "serial") == _canonical_rows(tmp_path / "pool")
@@ -242,7 +278,7 @@ def _wrapped_scenario(label, wrap) -> FleetScenario:
 
 
 def _pool_and_serial(tmp_path, scenarios, n_reps):
-    kwargs = dict(seed=3, backend="python", batch_size=2, store_format="npz")
+    kwargs = dict(seed=3, backend="python", batch_size=2)
     pool = run_fleet(scenarios, n_reps, tmp_path / "pool", n_jobs=2, **kwargs)
     serial = run_fleet(scenarios, n_reps, tmp_path / "serial", n_jobs=1, **kwargs)
     return pool, serial
@@ -268,8 +304,7 @@ def test_units_lost_to_dead_workers_on_every_rerun_count_as_failed(tmp_path):
     # is closed with a final manifest.
     killer = _wrapped_scenario("killer", lambda d: _KillingDraw(d, None))
     summary = run_fleet(
-        [killer], 4, tmp_path / "s", seed=3, n_jobs=2, backend="python",
-        batch_size=2, store_format="npz",
+        [killer], 4, tmp_path / "s", seed=3, n_jobs=2, backend="python", batch_size=2
     )
     assert summary.n_done == 0 and summary.n_failed == 4
     manifest = json.loads((tmp_path / "s" / "manifest.json").read_text())
@@ -318,7 +353,7 @@ def test_sweep_memory_does_not_grow_with_its_rows(tmp_path, n_jobs):
         try:
             run_fleet(
                 _scenarios(), n_reps, tmp_path / str(n_reps), seed=0, n_jobs=n_jobs,
-                backend="compiled", batch_size=40, rows_per_group=200, store_format="npz",
+                backend="compiled", batch_size=40, rows_per_group=200,
             )
             return tracemalloc.get_traced_memory()[1]
         finally:
@@ -342,7 +377,7 @@ def test_fleet_failures_counted_not_fatal(tmp_path):
             horizon=8.0,
         )
     ]
-    summary = run_fleet(scenarios, 3, tmp_path / "s", seed=1, n_jobs=1, store_format="npz")
+    summary = run_fleet(scenarios, 3, tmp_path / "s", seed=1, n_jobs=1)
     assert summary.n_failed == 3
     assert summary.n_done == 3
     store = FleetStore.open(tmp_path / "s")
@@ -373,7 +408,7 @@ def test_fleet_validates_inputs(tmp_path):
 
 def test_fleet_manifest_and_scenario_table(tmp_path):
     scenarios = _scenarios()
-    run_fleet(scenarios, 2, tmp_path / "s", seed=5, n_jobs=1, store_format="npz")
+    run_fleet(scenarios, 2, tmp_path / "s", seed=5, n_jobs=1)
     store = FleetStore.open(tmp_path / "s")
     assert store.meta["seed"] == 5
     assert [s["label"] for s in store.meta["scenarios"]] == ["load=0.5", "load=0.8"]
@@ -391,7 +426,7 @@ def test_fleet_manifest_and_scenario_table(tmp_path):
 def test_fleet_progress_stream_and_snapshot(tmp_path):
     tel_dir = tmp_path / "tel"
     with obs.telemetry_session(tel_dir, command=["test-fleet"]):
-        run_fleet(_scenarios(), 2, tmp_path / "s", seed=2, n_jobs=1, store_format="npz")
+        run_fleet(_scenarios(), 2, tmp_path / "s", seed=2, n_jobs=1)
     records = read_progress(tel_dir / PROGRESS_FILENAME)
     snap = progress_snapshot(records)
     assert snap["fleet"]["n_done"] == 4
@@ -401,7 +436,7 @@ def test_fleet_progress_stream_and_snapshot(tmp_path):
 
 
 def test_runstore_ingest_fleet_idempotent(tmp_path):
-    run_fleet(_scenarios(), 2, tmp_path / "s", seed=2, n_jobs=1, store_format="npz")
+    run_fleet(_scenarios(), 2, tmp_path / "s", seed=2, n_jobs=1)
     with RunStore(tmp_path / "runs.sqlite") as rs:
         sweep_id = rs.ingest_fleet(tmp_path / "s")
         again = rs.ingest_fleet(tmp_path / "s")  # re-ingest replaces, not duplicates
@@ -472,7 +507,7 @@ def test_fleet_columns_schema():
 
 
 def test_store_manifest_is_valid_json(tmp_path):
-    run_fleet(_scenarios(loads=(0.5,)), 1, tmp_path / "s", n_jobs=1, store_format="npz")
+    run_fleet(_scenarios(loads=(0.5,)), 1, tmp_path / "s", n_jobs=1)
     manifest = json.loads((tmp_path / "s" / "manifest.json").read_text())
     assert manifest["kind"] == "fleet_store"
     assert manifest["final"] is True

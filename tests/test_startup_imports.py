@@ -181,7 +181,7 @@ def test_report_loads_no_scipy():
 def _fleet_argv(out: Path, backend: str) -> list[str]:
     return [
         "fleet", "--backend", backend, "--jobs", "1", "--replications", "4",
-        "--horizon", "5", "--format", "npz", "--out", str(out),
+        "--horizon", "5", "--out", str(out),
     ]
 
 
