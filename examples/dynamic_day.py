@@ -63,7 +63,7 @@ def main() -> None:
     # 2. Plan the day: hourly P2a re-solves.
     # ------------------------------------------------------------------
     plans = plan_speed_schedule(
-        cluster, names, starts, hourly_rates, DAY, DELAY_BOUND, n_starts=2
+        cluster, names, starts, hourly_rates, DAY, DELAY_BOUND
     )
     rows = [
         [

@@ -82,9 +82,10 @@ DEFAULT_HISTORY = "benchmarks/results/BENCH_history.jsonl"
 #: fallback for any of these classes re-opens the envelope and must
 #: fail the bench outright, not drift past as a slowdown.
 #: ``plan_schedule_p2a`` gates the analytic layer: A7's quick diurnal
-#: schedule spends most of its time in SpeedModel's tier solves through
-#: the tier kernels, so a slower kernel, a lost memo or a fallback to
-#: building station specs per probe shows up here.
+#: schedule is one P2a solve by tier decomposition per planning epoch,
+#: most of it tier-kernel calls on grids of speeds and the multiplier
+#: search over them, so a slower kernel, a costlier search or a P2a
+#: solve falling back to SLSQP shows up here.
 DEFAULT_GATES = (
     "sim_replication_h500",
     "sim_replication_h500_compiled",
@@ -477,7 +478,7 @@ def _kernel_p1_solve_3starts() -> Callable[[], object]:
 
 def _kernel_plan_schedule_p2a() -> Callable[[], object]:
     """P2a planning (gated): the A7 quick diurnal oracle schedule, one
-    SLSQP solve of P2a per planning epoch."""
+    P2a solve by tier decomposition per planning epoch."""
     from repro.core.controller import plan_speed_schedule
     from repro.experiments import exp_a7_online_control as a7
     from repro.experiments.common import CLASS_NAMES, canonical_cluster
@@ -490,7 +491,7 @@ def _kernel_plan_schedule_p2a() -> Callable[[], object]:
     cluster = canonical_cluster()
     # A7's planners solve at its default bound: 0.35 s times the 0.8 margin.
     return lambda: plan_speed_schedule(
-        cluster, CLASS_NAMES, starts, rates, trace.horizon, 0.35 * 0.8, n_starts=1
+        cluster, CLASS_NAMES, starts, rates, trace.horizon, 0.35 * 0.8
     )
 
 

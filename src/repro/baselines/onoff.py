@@ -78,7 +78,7 @@ def min_power_onoff(
 
 
 def min_power_onoff_with_dvfs(
-    cluster: ClusterModel, workload: Workload, max_mean_delay: float, n_starts: int = 3
+    cluster: ClusterModel, workload: Workload, max_mean_delay: float
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Combined mechanism: consolidate servers, then DVFS the rest.
 
@@ -106,9 +106,7 @@ def min_power_onoff_with_dvfs(
     for cand in candidates:
         reduced = cluster.with_servers(cand)
         try:
-            res = minimize_energy(
-                reduced, workload, max_mean_delay=max_mean_delay, n_starts=n_starts
-            )
+            res = minimize_energy(reduced, workload, max_mean_delay=max_mean_delay)
         except InfeasibleProblemError:
             continue
         if res.success and (best is None or res.meta["power"] < best[2]):

@@ -440,7 +440,9 @@ class BatchEvaluator:
     def end_to_end_delays(self, speeds, servers=None) -> np.ndarray:
         """Per-class delays ``T_k = Σ_i v_{ik} T_{ik}``, shape ``(n, K)``;
         ``inf`` for unstable candidates."""
-        sojourns = self.per_tier_sojourns(speeds, servers)  # (n, M, K)
+        return self._delays_of(self.per_tier_sojourns(speeds, servers))
+
+    def _delays_of(self, sojourns: np.ndarray) -> np.ndarray:
         # As tandem_delays: a row sum over the tiers of v_{ik} T_{ik}.
         weighted = np.ascontiguousarray(self.visit_ratios * np.swapaxes(sojourns, 1, 2))
         return weighted.sum(axis=2)
@@ -448,9 +450,13 @@ class BatchEvaluator:
     def mean_delay(self, speeds, servers=None) -> np.ndarray:
         """Arrival-weighted mean end-to-end delay per candidate,
         shape ``(n,)``."""
-        t = self.end_to_end_delays(speeds, servers)
+        return self.mean_delay_of(self.per_tier_sojourns(speeds, servers))
+
+    def mean_delay_of(self, sojourns: np.ndarray) -> np.ndarray:
+        """:meth:`mean_delay` from per-tier sojourns ``(n, M, K)`` (rows
+        of :meth:`TierKernel.sojourns`), with the same bits."""
         lam = self.arrival_rates
-        return _dot_rows(t, lam) / lam.sum()
+        return _dot_rows(self._delays_of(sojourns), lam) / lam.sum()
 
     def average_power(self, speeds, servers=None) -> np.ndarray:
         """Mean cluster power per candidate, shape ``(n,)``:

@@ -7,10 +7,9 @@ floor, DVFS shrinks the dynamic term. This ablation solves the same
 P2a problem (min power s.t. a mean-delay bound) with each mechanism
 and with their combination across a sweep of delay bounds.
 
-The DVFS frontier runs by warm-start continuation
-(:func:`repro.optimize.sweep.continuation_sweep`); the on/off and
-combined mechanisms re-enumerate server counts per bound, so they stay
-cold, and all three mechanisms run as independent series (``n_jobs``).
+Each mechanism solves every bound on its own (P2a by tier
+decomposition, exactly), and the three mechanisms run as independent
+series (``n_jobs``).
 
 Expected shape: the combination is never worse than either mechanism
 alone; DVFS wins where the dynamic term dominates (tight bounds force
@@ -57,20 +56,14 @@ class A4Result:
 
 
 def _dvfs_series(
-    cluster: ClusterModel,
-    workload: Workload,
-    bounds: np.ndarray,
-    n_starts: int,
-    warm_start: bool,
+    cluster: ClusterModel, workload: Workload, bounds: np.ndarray
 ) -> ContinuationSweep:
-    """P2a at fixed counts (pure DVFS), warm-started along the bounds."""
+    """P2a at fixed counts (pure DVFS), one solve per bound."""
 
-    def solve(d: float, hint: np.ndarray | None):
-        return minimize_energy(
-            cluster, workload, max_mean_delay=float(d), n_starts=n_starts, x0_hint=hint
-        )
+    def solve(d: float, _hint: None):
+        return minimize_energy(cluster, workload, max_mean_delay=float(d))
 
-    return continuation_sweep(solve, bounds, warm_start=warm_start, label="a4.dvfs")
+    return continuation_sweep(solve, bounds, warm_start=False, label="a4.dvfs")
 
 
 def _onoff_series(
@@ -90,16 +83,14 @@ def _onoff_series(
 
 
 def _combined_series(
-    cluster: ClusterModel, workload: Workload, bounds: np.ndarray, n_starts: int
+    cluster: ClusterModel, workload: Workload, bounds: np.ndarray
 ) -> np.ndarray:
     """On/off + DVFS combined: the count enumeration re-solves DVFS per
-    candidate, so there is no single continuation path — stays cold."""
+    candidate."""
     out = []
     for d in bounds:
         try:
-            _, _, p_both = min_power_onoff_with_dvfs(
-                cluster, workload, float(d), n_starts=n_starts
-            )
+            _, _, p_both = min_power_onoff_with_dvfs(cluster, workload, float(d))
             out.append(p_both)
         except InfeasibleProblemError:
             out.append(float("nan"))
@@ -109,8 +100,6 @@ def _combined_series(
 def run(
     n_points: int = 6,
     load_factor: float = 1.0,
-    n_starts: int = 3,
-    warm_start: bool = True,
     n_jobs: int | None = None,
 ) -> A4Result:
     """Sweep mean-delay bounds; solve P2a by each mechanism."""
@@ -122,9 +111,9 @@ def run(
 
     series_out = run_series(
         {
-            "dvfs": (_dvfs_series, (cluster, workload, bounds, n_starts, warm_start)),
+            "dvfs": (_dvfs_series, (cluster, workload, bounds)),
             "onoff": (_onoff_series, (cluster, workload, bounds)),
-            "combined": (_combined_series, (cluster, workload, bounds, n_starts)),
+            "combined": (_combined_series, (cluster, workload, bounds)),
         },
         n_jobs=n_jobs,
     )

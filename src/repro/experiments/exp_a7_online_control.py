@@ -125,7 +125,6 @@ def _policy_set(
     max_mean_delay: float,
     plan_margin: float,
     v_param: float,
-    n_starts: int,
     selected: tuple[str, ...],
     schedules: dict[tuple, list],
 ):
@@ -143,7 +142,7 @@ def _policy_set(
         if key not in schedules:
             schedules[key] = plan_speed_schedule(
                 cluster, CLASS_NAMES, starts, rates, trace.horizon,
-                max_mean_delay * plan_margin, n_starts=n_starts,
+                max_mean_delay * plan_margin,
             )
         return PlannedSpeedPolicy(schedules[key], name=name)
 
@@ -169,7 +168,6 @@ def run(
     peak: float = 1.3,
     surge_factor: float = 1.8,
     plan_margin: float = 0.8,
-    n_starts: int = 1,
     seed: int = 11,
     trace_seed: int = 3,
     controller: str = "all",
@@ -217,7 +215,7 @@ def run(
     for scen_name, trace in scenarios.items():
         policies = _policy_set(
             cluster, trace, history_rates, plan_window, max_mean_delay,
-            plan_margin, v_param, n_starts, selected, schedules,
+            plan_margin, v_param, selected, schedules,
         )
         for pol_name in selected:
             score = run_controlled(

@@ -4,11 +4,10 @@ The dual of F3: sweep the aggregate mean-delay bound from just above
 the fastest achievable delay to a loose bound and solve P2a at each
 point, against the uniform-speed baseline meeting the same bound.
 
-Like F3 the sweep runs on the continuation engine
-(:func:`repro.optimize.sweep.continuation_sweep`): each bound's solve
-is warm-started from its neighbor, the baselines run as independent
-series (``n_jobs``), and the frontier values are identical to a cold
-sweep by the solver's acceptance guard.
+P2a is solved by tier decomposition, exactly at every bound, so the
+sweep (:func:`repro.optimize.sweep.continuation_sweep`, kept for its
+per-point telemetry) seeds no point from its neighbor; the baseline
+runs as an independent series (``n_jobs``).
 
 Expected shape: a convex frontier — power explodes as the bound
 tightens toward the zero-headroom delay, flattens to the minimum
@@ -53,20 +52,15 @@ class F4Result:
 
 
 def _optimal_series(
-    cluster: ClusterModel,
-    workload: Workload,
-    bounds: np.ndarray,
-    n_starts: int,
-    warm_start: bool,
+    cluster: ClusterModel, workload: Workload, bounds: np.ndarray
 ) -> ContinuationSweep:
-    """The P2a frontier, one continuation solve per delay bound."""
+    """The P2a frontier, one solve per delay bound (each solve is exact,
+    so no point is seeded from its neighbor)."""
 
-    def solve(bound: float, hint: np.ndarray | None):
-        return minimize_energy(
-            cluster, workload, max_mean_delay=float(bound), n_starts=n_starts, x0_hint=hint
-        )
+    def solve(bound: float, _hint: None):
+        return minimize_energy(cluster, workload, max_mean_delay=float(bound))
 
-    return continuation_sweep(solve, bounds, warm_start=warm_start, label="f4.optimal")
+    return continuation_sweep(solve, bounds, warm_start=False, label="f4.optimal")
 
 
 def _uniform_series(cluster: ClusterModel, workload: Workload, bounds: np.ndarray) -> np.ndarray:
@@ -82,8 +76,6 @@ def _uniform_series(cluster: ClusterModel, workload: Workload, bounds: np.ndarra
 def run(
     n_points: int = 8,
     load_factor: float = 1.0,
-    n_starts: int = 3,
-    warm_start: bool = True,
     n_jobs: int | None = None,
 ) -> F4Result:
     """Solve P2a along a delay-bound sweep on the canonical cluster."""
@@ -98,7 +90,7 @@ def run(
 
     series_out = run_series(
         {
-            "optimal": (_optimal_series, (cluster, workload, bounds, n_starts, warm_start)),
+            "optimal": (_optimal_series, (cluster, workload, bounds)),
             "uniform": (_uniform_series, (cluster, workload, bounds)),
         },
         n_jobs=n_jobs,

@@ -76,15 +76,8 @@ class F8Result:
 def run(
     max_mean_delay: float = 0.35,
     n_epochs: int = 24,
-    n_starts: int = 2,
-    warm_start: bool = True,
 ) -> F8Result:
-    """Run the four policies over one synthetic day.
-
-    ``warm_start`` seeds each epoch's P2a solve with the previous
-    epoch's speeds (continuation along the load curve); the schedule
-    itself is unchanged by the solver's acceptance guard.
-    """
+    """Run the four policies over one synthetic day."""
     cluster = canonical_cluster()
     names = list(canonical_workload().names)
     starts, rates = diurnal_rates(n_epochs)
@@ -104,10 +97,7 @@ def run(
         )
 
     # Dynamic controller.
-    dynamic = plan_speed_schedule(
-        cluster, names, starts, rates, DAY, max_mean_delay, n_starts=n_starts,
-        warm_start=warm_start,
-    )
+    dynamic = plan_speed_schedule(cluster, names, starts, rates, DAY, max_mean_delay)
     add("dynamic P2a", dynamic)
     result.dynamic_energy = evaluate_schedule(dynamic).total_energy
 
@@ -120,7 +110,7 @@ def run(
 
         wl = Workload([CustomerClass(n, float(x)) for n, x in zip(names, r)])
         try:
-            return minimize_energy(cluster, wl, max_mean_delay=max_mean_delay, n_starts=n_starts).x
+            return minimize_energy(cluster, wl, max_mean_delay=max_mean_delay).x
         except InfeasibleProblemError:
             return max_speeds
 

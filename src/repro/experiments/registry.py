@@ -117,7 +117,7 @@ REGISTRY: dict[str, Experiment] = {
             "P2a trade-off: minimal power vs aggregate delay bound",
             exp_f4_energy_opt_tradeoff,
             full_kwargs=dict(n_points=8),
-            quick_kwargs=dict(n_points=4, n_starts=2),
+            quick_kwargs=dict(n_points=4),
         ),
         Experiment(
             "F5",
@@ -160,7 +160,7 @@ REGISTRY: dict[str, Experiment] = {
             "F8",
             "dynamic vs static power management (diurnal day)",
             exp_f8_dynamic_power,
-            quick_kwargs=dict(n_epochs=8, n_starts=1),
+            quick_kwargs=dict(n_epochs=8),
         ),
         Experiment(
             "F9",
@@ -193,7 +193,7 @@ REGISTRY: dict[str, Experiment] = {
             "A4",
             "ablation: DVFS vs server on/off vs combined",
             exp_a4_dvfs_vs_onoff,
-            quick_kwargs=dict(n_points=3, n_starts=2),
+            quick_kwargs=dict(n_points=3),
         ),
         Experiment(
             "A5",

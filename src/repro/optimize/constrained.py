@@ -1,9 +1,12 @@
 """Multistart box-constrained nonlinear minimization.
 
-The paper's P1/P2 programs are smooth, low-dimensional (one speed per
-tier) and mildly nonconvex, so the workhorse is SciPy's SLSQP run from
-several deterministic starting points across the box, keeping the best
-feasible outcome. Objectives are wrapped so that any
+The paper's P1 and P2b programs (P2b also inside P3 and the TCO
+problem) are smooth, low-dimensional (one speed per tier) and mildly
+nonconvex, so the workhorse is SciPy's SLSQP run from several
+deterministic starting points across the box, keeping the best
+feasible outcome. P2a is solved by tier decomposition instead
+(:mod:`repro.core.tier_decomposition`); SLSQP is its fallback and its
+test oracle. Objectives are wrapped so that any
 :class:`UnstableSystemError` escaping from the queueing formulas turns
 into a large finite penalty instead of crashing the line search.
 """

@@ -4,11 +4,12 @@ Every trade-off figure in the paper (F3/F4/F5/F6/F9, the A4/T4 studies,
 the F8 controller) is a sweep of *adjacent* optimization problems: the
 same cluster and workload, one constraint value moving along a grid.
 Solving each point cold re-pays the full multistart bill at every grid
-value even though neighboring optima sit next to each other.
+value even though neighboring optima sit next to each other (P2a, solved
+exactly by tier decomposition, has no such bill and sweeps cold).
 
 :func:`continuation_sweep` solves an ordered grid by **continuation**:
 each point's solve is seeded with the previous point's optimum (the
-``x0_hint`` / ``counts_hint`` threading in the P1/P2/P3 solvers), and
+``x0_hint`` / ``counts_hint`` threading in the P1/P2b/P3 solvers), and
 the solver's batch-scored multistart seeds act as the fallback — a warm
 start that fails its acceptance guard degenerates to today's cold
 solve, so the frontier *values* are unchanged while the solver effort

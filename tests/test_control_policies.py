@@ -119,7 +119,7 @@ class TestStaticAndPlanned:
         starts = np.array([0.0, 6.0, 12.0, 18.0])
         base = canonical_workload().arrival_rates
         rates = np.array([0.4, 0.8, 1.5, 1.0])[:, None] * base[None, :]
-        plans = plan_speed_schedule(cluster, names, starts, rates, 24.0, 0.35, n_starts=1)
+        plans = plan_speed_schedule(cluster, names, starts, rates, 24.0, 0.35)
         pol = PlannedSpeedPolicy(plans)
         # Decision instants inside each plan epoch pick that epoch's
         # speeds; instants before the first epoch clamp to it.

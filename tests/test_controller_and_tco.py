@@ -27,13 +27,13 @@ def diurnal_setup():
 class TestController:
     def test_dynamic_meets_bound_everywhere(self, diurnal_setup):
         cluster, names, starts, rates = diurnal_setup
-        plans = plan_speed_schedule(cluster, names, starts, rates, 24.0, 0.35, n_starts=2)
+        plans = plan_speed_schedule(cluster, names, starts, rates, 24.0, 0.35)
         assert all(p.meets_bound for p in plans)
         assert len(plans) == 4
 
     def test_dynamic_cheaper_than_static_max(self, diurnal_setup):
         cluster, names, starts, rates = diurnal_setup
-        dyn = plan_speed_schedule(cluster, names, starts, rates, 24.0, 0.35, n_starts=2)
+        dyn = plan_speed_schedule(cluster, names, starts, rates, 24.0, 0.35)
         static = static_plan(
             cluster, names, starts, rates, 24.0, 0.35, np.ones(cluster.num_tiers)
         )
@@ -41,7 +41,7 @@ class TestController:
 
     def test_speeds_track_the_load(self, diurnal_setup):
         cluster, names, starts, rates = diurnal_setup
-        plans = plan_speed_schedule(cluster, names, starts, rates, 24.0, 0.35, n_starts=2)
+        plans = plan_speed_schedule(cluster, names, starts, rates, 24.0, 0.35)
         # Peak epoch (index 2) needs faster speeds than the trough (0).
         assert plans[2].speeds.mean() > plans[0].speeds.mean()
 
@@ -49,7 +49,7 @@ class TestController:
         cluster, names, starts, rates = diurnal_setup
         rates = rates.copy()
         rates[1] = 0.0
-        plans = plan_speed_schedule(cluster, names, starts, rates, 24.0, 0.35, n_starts=1)
+        plans = plan_speed_schedule(cluster, names, starts, rates, 24.0, 0.35)
         idle = plans[1]
         assert idle.meets_bound
         np.testing.assert_allclose(idle.speeds, [t.spec.min_speed for t in cluster.tiers])
@@ -61,7 +61,7 @@ class TestController:
         cluster, names, starts, rates = diurnal_setup
         rates = rates.copy()
         rates[2] *= 4.0  # unstabilizable even at max speed
-        plans = plan_speed_schedule(cluster, names, starts, rates, 24.0, 0.35, n_starts=1)
+        plans = plan_speed_schedule(cluster, names, starts, rates, 24.0, 0.35)
         assert not plans[2].meets_bound
         assert plans[0].meets_bound
         report = evaluate_schedule(plans)
@@ -96,36 +96,24 @@ class TestController:
         plans = static_plan(cluster, names, starts, rates, 24.0, 0.35, speeds)
         assert all(p.duration > 0.0 for p in plans)
 
-    def test_warm_hint_reset_after_overload_fallback(self, diurnal_setup, monkeypatch):
-        # Regression: after an infeasible/overload epoch fell back to
-        # max speeds, the next epoch was still seeded from the
-        # *pre-overload* optimum. The hint must reset on the fallback
-        # path so the post-overload epoch solves cold.
-        import repro.core.controller as ctrl
+    def test_epoch_after_overload_fallback_is_solved_on_its_own(self, diurnal_setup):
+        # After an overload epoch falls back to max speeds, the next
+        # epoch's plan is its own P2a optimum: each epoch is solved
+        # exactly, with nothing carried over from an earlier epoch.
+        from repro.core import controller as ctrl
 
         cluster, names, starts, rates = diurnal_setup
         rates = rates.copy()
         rates[1] *= 4.0  # unstabilizable even at max speed
-        hints = []
-        real = ctrl.minimize_energy
-
-        def spy(*args, **kwargs):
-            hints.append(kwargs.get("x0_hint"))
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(ctrl, "minimize_energy", spy)
-        warm = ctrl.plan_speed_schedule(
-            cluster, names, starts, rates, 24.0, 0.35, n_starts=2, warm_start=True
+        plans = ctrl.plan_speed_schedule(cluster, names, starts, rates, 24.0, 0.35)
+        max_speeds = [t.spec.max_speed for t in cluster.tiers]
+        np.testing.assert_array_equal(plans[1].speeds, max_speeds)
+        assert not plans[1].meets_bound
+        alone = ctrl.minimize_energy(
+            cluster, ctrl._workload_at(names, rates[2]), max_mean_delay=0.35
         )
-        assert len(hints) == 4
-        assert hints[0] is None  # first epoch is always cold
-        assert hints[2] is None  # post-overload epoch must be cold again
-        assert hints[3] is not None  # continuation resumes afterwards
-        monkeypatch.setattr(ctrl, "minimize_energy", real)
-        cold = plan_speed_schedule(
-            cluster, names, starts, rates, 24.0, 0.35, n_starts=2, warm_start=False
-        )
-        np.testing.assert_allclose(warm[2].speeds, cold[2].speeds)
+        assert plans[2].speeds.tobytes() == alone.x.tobytes()
+        assert plans[2].meets_bound
 
     def test_only_fallback_epochs_reevaluate_the_scalar_path(self, monkeypatch, diurnal_setup):
         """A solved epoch's power and mean delay come from its solve,
@@ -141,7 +129,7 @@ class TestController:
         monkeypatch.setattr(
             controller, "mean_end_to_end_delay", lambda *args: calls.append(args) or real(*args)
         )
-        plans = plan_speed_schedule(cluster, names, starts, rates, 24.0, 0.35, n_starts=1)
+        plans = plan_speed_schedule(cluster, names, starts, rates, 24.0, 0.35)
         assert len(calls) == 1
         for plan, r in zip(plans, rates):
             if plan is plans[2]:
@@ -156,7 +144,7 @@ class TestController:
         cluster, names, starts, rates = diurnal_setup
         rates = rates.copy()
         rates[2] *= 4.0
-        plans = plan_speed_schedule(cluster, names, starts, rates, 24.0, 0.35, n_starts=1)
+        plans = plan_speed_schedule(cluster, names, starts, rates, 24.0, 0.35)
         report = evaluate_schedule(plans)
         assert np.isinf(report.worst_mean_delay)
         assert np.isfinite(report.total_energy)
@@ -169,7 +157,7 @@ class TestController:
         cluster, names, starts, rates = diurnal_setup
         rates = rates.copy()
         rates[1] = 0.0
-        plans = plan_speed_schedule(cluster, names, starts, rates, 24.0, 0.35, n_starts=1)
+        plans = plan_speed_schedule(cluster, names, starts, rates, 24.0, 0.35)
         assert all(p.duration > 0.0 for p in plans)
         idle_power = sum(t.servers * t.spec.power.idle for t in cluster.tiers)
         report = evaluate_schedule(plans)

@@ -12,7 +12,6 @@ TINY = dict(
     epoch_length=0.5,
     v_param=5e-4,
     v_sweep=(1e-4, 2e-3),
-    n_starts=1,
 )
 
 

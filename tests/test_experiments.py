@@ -94,7 +94,7 @@ class TestAnalyticExperiments:
         assert "True" in f3.render(r)
 
     def test_f4_shape(self):
-        r = f4.run(n_points=4, n_starts=2)
+        r = f4.run(n_points=4)
         assert r.optimal_dominates
         opt = r.series.columns["optimal power (W)"]
         assert np.all(np.diff(opt) <= 1e-6)  # power falls as bound loosens
@@ -166,13 +166,13 @@ class TestExtensionExperiments:
     def test_a4_shape(self):
         from repro.experiments import exp_a4_dvfs_vs_onoff as a4
 
-        r = a4.run(n_points=3, n_starts=2)
+        r = a4.run(n_points=3)
         assert r.combined_never_worse
 
     def test_f8_shape(self):
         from repro.experiments import exp_f8_dynamic_power as f8
 
-        r = f8.run(n_epochs=8, n_starts=1)
+        r = f8.run(n_epochs=8)
         assert r.dynamic_fully_compliant
         assert r.dynamic_saves_vs_peak > 0.0
         assert r.static_mean_compliance < 1.0

@@ -137,10 +137,8 @@ class TestOnOff:
         cluster, workload = canonical_cluster(), canonical_workload()
         bound = mean_end_to_end_delay(cluster, workload) * 2.0
         _, onoff_power = min_power_onoff(cluster, workload, bound)
-        dvfs = minimize_energy(cluster, workload, max_mean_delay=bound, n_starts=2)
-        counts, speeds, both_power = min_power_onoff_with_dvfs(
-            cluster, workload, bound, n_starts=2
-        )
+        dvfs = minimize_energy(cluster, workload, max_mean_delay=bound)
+        counts, speeds, both_power = min_power_onoff_with_dvfs(cluster, workload, bound)
         assert both_power <= onoff_power + 1.0
         assert both_power <= dvfs.meta["power"] + 1.0
         # The combined configuration honors the bound.

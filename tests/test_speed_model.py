@@ -267,28 +267,38 @@ class TestSolverParity:
     workload = canonical_workload()
 
     @pytest.mark.parametrize(
-        "solve",
+        "solve, gap_rtol",
         [
-            lambda c, w: opt_delay.minimize_delay(
-                c, w, 0.9 * c.average_power(w.arrival_rates), n_starts=3
+            (
+                lambda c, w: opt_delay.minimize_delay(
+                    c, w, 0.9 * c.average_power(w.arrival_rates), n_starts=3
+                ),
+                None,
             ),
-            lambda c, w: opt_energy.minimize_energy(c, w, max_mean_delay=0.3, n_starts=3),
-            lambda c, w: opt_energy.minimize_energy(
-                c, w, max_mean_delay=0.3, n_starts=3, x0_hint=np.array([0.8, 0.7, 0.9])
+            (lambda c, w: opt_energy.minimize_energy(c, w, max_mean_delay=0.3), None),
+            # The SLSQP solve P2a falls back to, warm-started.
+            (
+                lambda c, w: opt_energy.minimize_energy(
+                    c, w, max_mean_delay=0.3, n_starts=3, x0_hint=np.array([0.8, 0.7, 0.9])
+                ),
+                -1.0,
             ),
-            lambda c, w: opt_energy.minimize_energy(c, w, sla=canonical_sla(), n_starts=3),
-            lambda c, w: opt_energy.minimize_energy_robust(
-                c, w, 0.1, max_mean_delay=0.3, n_starts=3
-            ),
+            (lambda c, w: opt_energy.minimize_energy(c, w, sla=canonical_sla(), n_starts=3), None),
+            (lambda c, w: opt_energy.minimize_energy_robust(c, w, 0.1, max_mean_delay=0.3), None),
         ],
         ids=["p1", "p2a", "p2a_warm", "p2b", "p2_robust"],
     )
-    def test_solve_is_bit_identical(self, monkeypatch, solve):
+    def test_solve_is_bit_identical(self, monkeypatch, solve, gap_rtol):
+        if gap_rtol is not None:
+            monkeypatch.setattr(opt_energy, "P2A_GAP_RTOL", gap_rtol)
         memoized, reference = _with_both_models(
             monkeypatch, lambda: solve(self.cluster, self.workload)
         )
+        if gap_rtol is not None:
+            assert "warm_start" in memoized.meta and "duality_gap" not in memoized.meta
         assert _fingerprint(memoized) == _fingerprint(reference)
         assert memoized.meta["power"] == reference.meta["power"]
+        assert memoized.meta.get("duality_gap") == reference.meta.get("duality_gap")
         assert np.asarray(memoized.meta.get("delays", ())).tobytes() == np.asarray(
             reference.meta.get("delays", ())
         ).tobytes()
@@ -302,8 +312,7 @@ class TestSolverParity:
             memoized, reference = _with_both_models(
                 monkeypatch,
                 lambda: controller.plan_speed_schedule(
-                    canonical_cluster(), CLASS_NAMES, starts, rates, trace.horizon,
-                    0.35 * 0.8, n_starts=1,
+                    canonical_cluster(), CLASS_NAMES, starts, rates, trace.horizon, 0.35 * 0.8
                 ),
             )
             assert [

@@ -1,8 +1,8 @@
 """Continuation sweep engine tests.
 
 Two layers: unit tests of :mod:`repro.optimize.sweep` against synthetic
-solvers, and the warm-vs-cold equivalence contract on the real F3/F4
-frontiers — identical frontier values (relative 1e-6, the solver's own
+solvers, and the warm-vs-cold equivalence contract on the real F3 (P1)
+frontier — identical frontier values (relative 1e-6, the solver's own
 feasibility tolerance), bit-reproducible run-to-run and across worker
 counts, with warm sweeps doing strictly less work on interior points.
 """
@@ -13,10 +13,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import InfeasibleProblemError, ModelValidationError
-from repro.experiments import (
-    exp_f3_delay_opt_tradeoff as f3,
-    exp_f4_energy_opt_tradeoff as f4,
-)
+from repro.experiments import exp_f3_delay_opt_tradeoff as f3
 from repro.optimize.sweep import ContinuationSweep, SweepPoint, continuation_sweep, run_series
 
 
@@ -170,25 +167,11 @@ def f3_pair():
     return warm, cold
 
 
-@pytest.fixture(scope="module")
-def f4_pair():
-    warm = f4.run(**_GRID)
-    cold = f4.run(**_GRID, warm_start=False)
-    return warm, cold
-
-
 class TestWarmColdEquivalence:
     """The headline contract: continuation changes effort, not values."""
 
     def test_f3_frontier_identical(self, f3_pair):
         warm, cold = f3_pair
-        for name in warm.series.columns:
-            np.testing.assert_allclose(
-                warm.series.columns[name], cold.series.columns[name], rtol=1e-6, err_msg=name
-            )
-
-    def test_f4_frontier_identical(self, f4_pair):
-        warm, cold = f4_pair
         for name in warm.series.columns:
             np.testing.assert_allclose(
                 warm.series.columns[name], cold.series.columns[name], rtol=1e-6, err_msg=name
@@ -208,10 +191,6 @@ class TestWarmColdEquivalence:
         assert accepted, "no warm start was accepted on the F3 grid"
         for w, c in accepted:
             assert w.n_evaluations < c.n_evaluations
-
-    def test_f4_warm_does_less_total_work(self, f4_pair):
-        warm, cold = f4_pair
-        assert warm.optimal_sweep.total_evaluations < cold.optimal_sweep.total_evaluations
 
     def test_f3_deterministic_run_to_run(self, f3_pair):
         warm, _ = f3_pair
