@@ -13,7 +13,7 @@ between them are pure policy effects.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Callable
 
 import numpy as np
 
@@ -42,16 +42,16 @@ class ControlRunResult:
     result: SimulationResult = field(repr=False)
 
     @property
-    def epoch_trace(self) -> list[dict[str, Any]]:
-        """Per-boundary records: time, queue matrix, applied speeds,
-        cumulative dynamic energy."""
+    def epoch_trace(self) -> np.ndarray:
+        """Per-boundary records, one structured row each: ``t``,
+        ``queues`` (tiers × classes), applied ``speeds`` and cumulative
+        ``dynamic_energy``."""
         return self.result.meta["epoch_trace"]
 
     @property
     def mean_speeds(self) -> np.ndarray:
         """Time-average per-tier speeds over the decision epochs."""
-        trace = self.epoch_trace
-        return np.mean([rec["speeds"] for rec in trace], axis=0)
+        return np.mean(self.epoch_trace["speeds"], axis=0)
 
 
 def run_controlled(

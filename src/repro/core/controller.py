@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.cluster.model import ClusterModel
 from repro.core.delay import mean_end_to_end_delay
-from repro.core.opt_energy import minimize_energy
+from repro.core.opt_energy import _p2a_problems
 from repro.exceptions import InfeasibleProblemError, ModelValidationError, UnstableSystemError
 from repro.queueing.networks import arrival_weighted_mean
 from repro.workload.classes import Workload, CustomerClass
@@ -124,14 +124,20 @@ def plan_speed_schedule(
     stabilized) fall back to maximum speeds and are flagged
     non-compliant rather than aborting the schedule — a controller
     must keep running through overload.
+
+    The busy epochs' P2a problems are solved together, in one lockstep
+    tier decomposition; each epoch's plan is what
+    ``minimize_energy(max_mean_delay=...)`` on its workload gives.
     """
     starts, rates, ends = _validate_epochs(class_names, epoch_starts, epoch_rates, horizon)
 
     max_speeds = np.array([t.spec.max_speed for t in cluster.tiers])
+    workloads = [_workload_at(class_names, r) for r in rates]
+    busy = [w for w in workloads if w is not None]
+    outcomes = iter(_p2a_problems(cluster, busy, [max_mean_delay] * len(busy)))
     plans: list[EpochPlan] = []
-    for start, end, r in zip(starts, ends, rates):
+    for start, end, r, workload in zip(starts, ends, rates, workloads):
         duration = float(end - start)
-        workload = _workload_at(class_names, r)
         if workload is None:
             # Idle epoch: slowest speeds, zero traffic, idle power only.
             min_speeds = np.array([t.spec.min_speed for t in cluster.tiers])
@@ -142,14 +148,8 @@ def plan_speed_schedule(
                 EpochPlan(start, duration, r.copy(), min_speeds, idle_power, 0.0, True)
             )
             continue
-        try:
-            res = minimize_energy(cluster, workload, max_mean_delay=max_mean_delay)
-            speeds = res.x
-            # The solve evaluated its optimum already, with the bits the
-            # scalar path gives at these speeds.
-            power = res.meta["power"]
-            delay = arrival_weighted_mean(workload.arrival_rates, res.meta["delays"])
-        except (InfeasibleProblemError, UnstableSystemError):
+        res = next(outcomes)
+        if isinstance(res, (InfeasibleProblemError, UnstableSystemError)):
             chosen = cluster.with_speeds(max_speeds)
             speeds = max_speeds
             power = chosen.average_power(workload.arrival_rates)
@@ -157,6 +157,14 @@ def plan_speed_schedule(
                 delay = mean_end_to_end_delay(chosen, workload)
             except UnstableSystemError:
                 delay = float("inf")
+        elif isinstance(res, Exception):
+            raise res
+        else:
+            speeds = res.x
+            # The solve evaluated its optimum already, with the bits the
+            # scalar path gives at these speeds.
+            power = res.meta["power"]
+            delay = arrival_weighted_mean(workload.arrival_rates, res.meta["delays"])
         # A solved epoch meets the bound exactly; the tolerance covers a
         # P2a solve that fell back to SLSQP, whose optimum may sit just
         # past the constraint.

@@ -734,9 +734,7 @@ def _epoch_decision(ledger, busy, class_busy, counts, speeds):
 
     def decide(t: float) -> int:
         ledger.bill(busy.tolist(), class_busy.tolist())
-        # One counts array per epoch, shared by the controller and the
-        # trace row (the engine passes the trace's own array too).
-        if not ledger.decide(t, counts.copy()):
+        if not ledger.decide(t, counts):
             return 0
         speeds[:] = ledger.speeds
         return 1
@@ -849,7 +847,7 @@ def _run_kernel(
             speeds = np.tile([float(t.speed) for t in cluster.tiers], (n, 1))
             counts = np.zeros((m_stations, k_classes), dtype=np.int64)
             for b, rep in enumerate(reps):
-                run.ledgers[b] = _SpeedLedger(cluster, epoch_controller)
+                run.ledgers[b] = _SpeedLedger(cluster, epoch_controller, epoch_sched)
                 rep.epoch = _epoch_decision(
                     run.ledgers[b], run.busy[b], run.class_busy[b], counts, speeds[b]
                 )

@@ -206,7 +206,10 @@ def simulate(
         changes apply mid-run with preserved *work*: the remaining time
         of every in-service job rescales by ``old_speed / new_speed``,
         and dynamic energy is accounted per constant-speed segment.
-        Per-boundary records land in ``result.meta["epoch_trace"]``.
+        Per-boundary records land in ``result.meta["epoch_trace"]``, a
+        structured array with one row per boundary that fired: ``t``,
+        ``queues``, the applied ``speeds`` and the cumulative
+        ``dynamic_energy``.
         Not supported with PS tiers. When no controller is attached the
         engine takes the exact static path (seeded runs stay
         bit-identical).
@@ -291,7 +294,11 @@ def _simulate_python(
     start_ns = time.perf_counter_ns()
     k_classes = workload.num_classes
     m_stations = cluster.num_tiers
-    ledger = None if epoch_controller is None else _SpeedLedger(cluster, epoch_controller)
+    ledger = (
+        None
+        if epoch_controller is None
+        else _SpeedLedger(cluster, epoch_controller, epoch_times)
+    )
 
     with obs.span("sim.setup", classes=k_classes, stations=m_stations, horizon=horizon):
         streams = RngStreams(seed)
@@ -687,7 +694,7 @@ def _finalize(
         for b, ledger in enumerate(t.ledgers):
             if ledger is not None:
                 t.average_power[b] = idle + ledger.energy / window
-                dyn_rate[b] = ledger.class_energy / window
+                dyn_rate[b] = np.array(ledger.class_energy) / window
         servers = np.array([tier.servers for tier in cluster.tiers])
         t.utilizations = t.busy / (servers * window)
         throughput = n_completed / window
@@ -770,12 +777,27 @@ def _account(n_jobs, n_events, n_discarded, n_counted, horizon: float, warmup: f
     obs.counter("sim.jobs_counted").add(int(n_counted.sum()))
 
 
+@lru_cache(maxsize=None)
+def _epoch_dtype(m_stations: int, k_classes: int) -> np.dtype:
+    """One epoch-trace row: the boundary time, the queue counts the
+    controller saw, the speeds applied and the dynamic energy so far."""
+    return np.dtype(
+        [
+            ("t", np.float64),
+            ("queues", np.int64, (m_stations, k_classes)),
+            ("speeds", np.float64, (m_stations,)),
+            ("dynamic_energy", np.float64),
+        ]
+    )
+
+
 class _SpeedLedger:
     """Online speed control state shared by both engines: the current
     per-tier speeds, the controller's decisions, dynamic energy billed
-    per constant-speed segment, and the epoch trace."""
+    per constant-speed segment, and the epoch trace, one row of
+    :func:`_epoch_dtype` per boundary of ``epoch_times`` that fired."""
 
-    def __init__(self, cluster: ClusterModel, controller: Callable) -> None:
+    def __init__(self, cluster: ClusterModel, controller: Callable, epoch_times) -> None:
         self.controller = controller
         self.power = [(t.spec.power.kappa, t.spec.power.alpha) for t in cluster.tiers]
         self.bounds = [(t.spec.min_speed, t.spec.max_speed) for t in cluster.tiers]
@@ -783,32 +805,47 @@ class _SpeedLedger:
         self.busy_mark = [0.0] * cluster.num_tiers
         self.class_busy_mark = [[0.0] * cluster.num_classes for _ in cluster.tiers]
         self.energy = 0.0
-        self.class_energy = np.zeros(cluster.num_classes)
-        self.trace: list[dict[str, Any]] = []
+        self.class_energy = [0.0] * cluster.num_classes
+        self._trace = np.zeros(
+            len(epoch_times), dtype=_epoch_dtype(cluster.num_tiers, cluster.num_classes)
+        )
+        self._columns = [self._trace[name] for name in self._trace.dtype.names]
+        self.fired = 0
+
+    @property
+    def trace(self) -> np.ndarray:
+        """The rows of the boundaries that fired."""
+        return self._trace[: self.fired]
 
     def bill(self, busy: Sequence[float], class_busy: Sequence[Sequence[float]]) -> None:
         """Bill the busy time closed since the last call at each tier's
         current speed."""
+        energy, class_energy = self.energy, self.class_energy
         for i, (kappa, alpha) in enumerate(self.power):
             p_dyn = kappa * self.speeds[i] ** alpha
             delta = busy[i] - self.busy_mark[i]
             if delta > 0.0:
-                self.energy += p_dyn * delta
+                energy += p_dyn * delta
                 self.busy_mark[i] = busy[i]
             mark = self.class_busy_mark[i]
             for k, cbk in enumerate(class_busy[i]):
                 dk = cbk - mark[k]
                 if dk > 0.0:
-                    self.class_energy[k] += p_dyn * dk
+                    class_energy[k] += p_dyn * dk
                     mark[k] = cbk
+        self.energy = energy
 
     def decide(self, t: float, counts: np.ndarray) -> list[tuple[int, float]]:
         """One controller decision at boundary ``t`` on the ``(tiers,
         classes)`` queue ``counts``: clamp the returned speeds to each
         tier's DVFS range, record the epoch, and return the ``(tier,
         old_speed / new_speed)`` rescales to apply."""
-        speeds_now = np.array(self.speeds)
-        new_speeds = self.controller(t, counts, speeds_now.copy())
+        e = self.fired
+        times, queue_rows, speed_rows, energies = self._columns
+        # The controller sees the trace row's own queue counts.
+        queue_rows[e] = counts
+        queues = queue_rows[e]
+        new_speeds = self.controller(t, queues, np.array(self.speeds))
         changes: list[tuple[int, float]] = []
         if new_speeds is not None:
             new_arr = np.asarray(new_speeds, dtype=float)
@@ -817,28 +854,26 @@ class _SpeedLedger:
                     f"epoch controller must return {len(self.speeds)} speeds, "
                     f"got shape {new_arr.shape}"
                 )
-            for i, (lo, hi) in enumerate(self.bounds):
-                s_new = min(max(float(new_arr[i]), lo), hi)
+            for i, ((lo, hi), s_new) in enumerate(zip(self.bounds, new_arr.tolist())):
+                s_new = min(max(s_new, lo), hi)
                 s_old = self.speeds[i]
                 if s_new != s_old:
                     changes.append((i, s_old / s_new))
                     self.speeds[i] = s_new
-                    speeds_now[i] = s_new
-        self.trace.append(
-            {"t": t, "queues": counts, "speeds": speeds_now, "dynamic_energy": self.energy}
-        )
+        times[e], speed_rows[e], energies[e] = t, self.speeds, self.energy
+        self.fired = e + 1
         # Controller-trace telemetry: epochs are decision instants
-        # (hundreds per run, never per-event), so emitting here keeps
-        # the epoch trace ingestable from events.jsonl without touching
-        # the hot loop. No-op while disabled.
-        obs.event(
-            "sim.epoch",
-            epoch=len(self.trace) - 1,
-            t=t,
-            queues=counts,
-            speeds=speeds_now,
-            dynamic_energy=self.energy,
-        )
+        # (hundreds per run, never per-event), so the epoch trace stays
+        # ingestable from events.jsonl without touching the hot loop.
+        if obs.TELEMETRY.enabled:
+            obs.event(
+                "sim.epoch",
+                epoch=e,
+                t=t,
+                queues=queues,
+                speeds=speed_rows[e],
+                dynamic_energy=self.energy,
+            )
         return changes
 
 

@@ -367,3 +367,94 @@ def test_objective_batch_shape_mismatch_raises():
             n_starts=3,
             objective_batch=lambda pts: np.zeros(len(pts) + 1),
         )
+
+
+def _rate_rows(workload, factors):
+    return workload.arrival_rates[None, :] * np.asarray(factors)[:, None]
+
+
+@given(case=model_case(), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_per_row_rates_are_one_evaluator_per_rate_row(case, data):
+    """An evaluator whose rows carry their own arrival rates gives each
+    row the bytes one evaluator on that row's workload gives: per-tier
+    sojourns (``inf`` where unstable) and mean delay, over every
+    discipline, SCV band and server count, and on rows picked out by
+    :meth:`BatchEvaluator.rows`. Power is compared to 1e-12, as
+    everywhere: NumPy's power of one-element arrays can round apart
+    from its power of longer ones."""
+    cluster, workload = case
+    tiers = [dataclasses.replace(t, capacity=None) for t in cluster.tiers]
+    cluster = ClusterModel(tiers, visit_ratios=cluster.visit_ratios)
+    assume(np.all((cluster.visit_ratios * workload.arrival_rates[:, None]).sum(axis=0) > 0.0))
+    m = cluster.num_tiers
+    n = data.draw(st.integers(min_value=1, max_value=6))
+    factors = data.draw(st.lists(st.floats(0.3, 1.4), min_size=n, max_size=n))
+    speeds = np.array(
+        data.draw(st.lists(st.lists(st.floats(0.3, 1.0), min_size=m, max_size=m),
+                           min_size=n, max_size=n))
+    )
+    servers = np.array(
+        data.draw(st.lists(st.lists(st.integers(1, 4), min_size=m, max_size=m),
+                           min_size=n, max_size=n))
+    )
+    rates = _rate_rows(workload, factors)
+    batch = BatchEvaluator(cluster, rates)
+    got = batch.per_tier_sojourns(speeds, servers)
+    power = batch.average_power(speeds, servers)
+    mean = batch.mean_delay(speeds, servers)
+    for j in range(n):
+        alone = BatchEvaluator(cluster, workload_from_rates(rates[j].tolist()))
+        assert got[j].tobytes() == alone.per_tier_sojourns(speeds[j], servers[j])[0].tobytes()
+        assert power[j] == pytest.approx(alone.average_power(speeds[j], servers[j])[0], rel=1e-12)
+        assert mean[j].tobytes() == alone.mean_delay(speeds[j], servers[j]).tobytes()
+    order = np.arange(n)[::-1]
+    picked = batch.rows(order).per_tier_sojourns(speeds[order], servers[order])
+    assert picked.tobytes() == got[order].tobytes()
+
+
+@pytest.mark.parametrize("discipline", DISCIPLINES)
+@pytest.mark.parametrize("k_classes", [1, 3, 4])
+def test_tier_kernel_rows_match_one_kernel_per_rate_row(discipline, k_classes):
+    """The tier kernel itself, one rate row per kernel row, against one
+    kernel per rate row on one and on several servers: sojourns and the
+    first failed stability guard, bit for bit. Four classes take the
+    one-``ddot``-per-row path, whose rounding depends on the strides."""
+    from repro.core.batch_eval import TierKernel
+
+    spec = ServerSpec(PowerModel(idle=20.0, kappa=60.0, alpha=3.0), min_speed=0.3, max_speed=1.0)
+    demands = tuple(
+        fit_two_moments(0.05 + 0.03 * k, 2.5 if k % 2 else 0.5) for k in range(k_classes)
+    )
+    visits = np.linspace(0.5, 1.7, 2 * k_classes).reshape(k_classes, 2)
+    rng = np.random.default_rng(k_classes)
+    rates = rng.uniform(0.5, 4.0, size=(9, k_classes))
+    station = (visits[None, :, :] * rates[:, :, None])[..., 1]  # strided rows, as in a cluster
+    speeds = rng.uniform(0.3, 1.0, size=9)
+    for servers in (1, 3):
+        tier = Tier("t", demands, spec, servers=servers, discipline=discipline)
+        got, failed = TierKernel(tier, station).sojourns(speeds, servers)
+        for j in range(9):
+            one, one_failed = TierKernel(tier, station[j]).sojourns(speeds[j : j + 1], servers)
+            assert got[j].tobytes() == one[0].tobytes()
+            expected = np.nan if one_failed is None else one_failed[0]
+            assert np.array_equal(
+                np.nan if failed is None else failed[j], expected, equal_nan=True
+            )
+
+
+def test_kella_yechiali_and_bondi_buzen_rows_split_with_their_rates():
+    """Rows whose scaled exponential rates tie take Kella–Yechiali and the
+    rest Bondi–Buzen, each on its own rate rows."""
+    from repro.core.batch_eval import TierKernel
+
+    spec = ServerSpec(PowerModel(idle=20.0, kappa=60.0, alpha=3.0), min_speed=0.3, max_speed=1.0)
+    demands = (Exponential(10.540707088297202), Exponential(10.540707088307743))
+    tier = Tier("t", demands, spec, servers=3)
+    tie = 0.5045229447959845
+    speeds = np.array([tie, 0.7, tie, 0.9, tie])
+    rates = np.array([[1.0, 1.5], [2.0, 0.5], [0.5, 0.5], [1.2, 1.1], [3.0, 2.0]])
+    got, _ = TierKernel(tier, rates).sojourns(speeds, 3)
+    for j in range(speeds.size):
+        one, _ = TierKernel(tier, rates[j]).sojourns(speeds[j : j + 1], 3)
+        assert got[j].tobytes() == one[0].tobytes()

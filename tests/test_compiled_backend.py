@@ -755,12 +755,11 @@ def test_epoch_controller_trace_bit_identical(monkeypatch):
     assert ref.meta["dynamic_energy"] == got.meta["dynamic_energy"]
     assert np.array_equal(ref.meta["final_speeds"], got.meta["final_speeds"])
     ta, tb = ref.meta["epoch_trace"], got.meta["epoch_trace"]
-    assert len(ta) == len(tb)
-    for ra, rb in zip(ta, tb):
-        assert ra["t"] == rb["t"]
-        assert np.array_equal(ra["queues"], rb["queues"])
-        assert np.array_equal(ra["speeds"], rb["speeds"])
-        assert ra["dynamic_energy"] == rb["dynamic_energy"]
+    assert len(ta) == len(tb) == 3
+    assert ta.dtype == tb.dtype
+    for name in ("t", "queues", "speeds", "dynamic_energy"):
+        assert np.array_equal(ta[name], tb[name])
+    assert ta.tobytes() == tb.tobytes()
 
 
 @needs_kernel

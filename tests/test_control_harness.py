@@ -10,6 +10,8 @@ from repro.control import (
 )
 from repro.exceptions import ModelValidationError
 from repro.experiments.common import CLASS_NAMES, canonical_cluster, canonical_workload
+from repro.simulation import compiled, simulator
+from repro.simulation.compiled import kernel_available
 from repro.simulation.simulator import simulate
 from repro.workload.timevarying import diurnal_trace
 
@@ -92,7 +94,9 @@ class TestSimulatorEpochHook:
         )
         lo = np.array([t.spec.min_speed for t in cluster.tiers])
         hi = np.array([t.spec.max_speed for t in cluster.tiers])
-        applied = res.meta["epoch_trace"][0]["speeds"]
+        trace = res.meta["epoch_trace"]
+        assert len(trace) == 1
+        applied = trace["speeds"][0]
         np.testing.assert_allclose(applied, [lo[0], hi[1], 0.5])
         np.testing.assert_allclose(res.meta["final_speeds"], applied)
 
@@ -113,9 +117,10 @@ class TestSimulatorEpochHook:
             allow_unstable=True,
         )
         trace = res.meta["epoch_trace"]
-        energies = [rec["dynamic_energy"] for rec in trace]
-        assert all(b >= a for a, b in zip(energies, energies[1:]))
-        assert trace[0]["queues"].shape == (3, 3)
+        assert len(trace) == 20
+        assert np.all(np.diff(trace["dynamic_energy"]) >= 0.0)
+        assert trace["queues"].shape == (20, 3, 3) and trace[0]["queues"].shape == (3, 3)
+        np.testing.assert_array_equal(trace["t"], np.arange(0.0, 200.0, 10.0))
         # Total power decomposes into idle floor + segmented dynamic.
         idle = sum(t.servers * t.spec.power.idle for t in cluster.tiers)
         assert res.average_power == pytest.approx(
@@ -158,6 +163,7 @@ class TestRunControlled:
         assert score.total_energy == pytest.approx(score.average_power * 120.0)
         assert score.sla_met == (score.mean_delay <= 0.35)
         assert len(score.epoch_trace) == 24
+        np.testing.assert_array_equal(score.epoch_trace["speeds"], np.ones((24, 3)))
         np.testing.assert_allclose(score.mean_speeds, np.ones(3))
 
     def test_dpp_saves_energy_vs_max(self, cluster, trace):
@@ -176,3 +182,83 @@ class TestRunControlled:
         b = run_controlled(cluster, trace, pol, 2.0, 0.35, seed=7)
         assert a.total_energy == b.total_energy
         np.testing.assert_array_equal(a.delays, b.delays)
+
+
+class _DictLedger(simulator._SpeedLedger):
+    """The speed ledger as it kept its trace before the trace became a
+    structured array: one dict per boundary (its own queue array and
+    applied-speed array), with the per-class energy in a NumPy array."""
+
+    def __init__(self, cluster, controller, epoch_times):
+        super().__init__(cluster, controller, epoch_times)
+        self.class_energy = np.zeros(cluster.num_classes)
+        self.records = []
+
+    @property
+    def trace(self):
+        return self.records
+
+    def decide(self, t, counts):
+        counts = counts.copy()
+        speeds_now = np.array(self.speeds)
+        new_speeds = self.controller(t, counts, speeds_now.copy())
+        changes = []
+        if new_speeds is not None:
+            new_arr = np.asarray(new_speeds, dtype=float)
+            for i, (lo, hi) in enumerate(self.bounds):
+                s_new = min(max(float(new_arr[i]), lo), hi)
+                s_old = self.speeds[i]
+                if s_new != s_old:
+                    changes.append((i, s_old / s_new))
+                    self.speeds[i] = s_new
+                    speeds_now[i] = s_new
+        self.records.append(
+            {"t": t, "queues": counts, "speeds": speeds_now, "dynamic_energy": self.energy}
+        )
+        return changes
+
+
+@pytest.mark.parametrize(
+    "backend",
+    ["python", pytest.param("compiled", marks=pytest.mark.skipif(
+        not kernel_available(), reason="no C toolchain for the compiled kernel"))],
+)
+def test_epoch_trace_rows_are_the_old_dict_records(monkeypatch, cluster, trace, backend):
+    """The structured trace holds, field by field, what the dict records
+    held, and billing in Python floats leaves the energies' bits as the
+    NumPy per-class array left them; the trace is the same array on
+    both engines."""
+    def run(seed):
+        return run_controlled(
+            cluster, trace, DriftPlusPenaltyController(cluster, 5e-4), 0.5, 0.35,
+            seed=seed, backend=backend,
+        )
+
+    new = [run(seed) for seed in (3, 4)]
+    monkeypatch.setattr(simulator, "_SpeedLedger", _DictLedger)
+    monkeypatch.setattr(compiled, "_SpeedLedger", _DictLedger)
+    old = [run(seed) for seed in (3, 4)]
+    for a, b in zip(new, old):
+        rows, records = a.epoch_trace, b.epoch_trace
+        assert rows.dtype.names == ("t", "queues", "speeds", "dynamic_energy")
+        assert len(rows) == len(records) == 240
+        for row, rec in zip(rows, records):
+            assert row["t"] == rec["t"]
+            assert row["queues"].tobytes() == rec["queues"].tobytes()
+            assert row["speeds"].tobytes() == rec["speeds"].tobytes()
+            assert row["dynamic_energy"] == rec["dynamic_energy"]
+        assert a.result.meta["dynamic_energy"] == b.result.meta["dynamic_energy"]
+        assert a.result.meta["final_speeds"].tobytes() == b.result.meta["final_speeds"].tobytes()
+        assert a.average_power == b.average_power
+        assert a.result.per_class_dynamic_energy.tobytes() == (
+            b.result.per_class_dynamic_energy.tobytes()
+        )
+        assert a.delays.tobytes() == b.delays.tobytes()
+    if backend == "compiled":
+        monkeypatch.undo()
+        python = run_controlled(
+            cluster, trace, DriftPlusPenaltyController(cluster, 5e-4), 0.5, 0.35,
+            seed=3, backend="python",
+        )
+        assert python.epoch_trace.tobytes() == new[0].epoch_trace.tobytes()
+        assert python.epoch_trace.dtype == new[0].epoch_trace.dtype

@@ -101,6 +101,7 @@ class TestController:
         # epoch's plan is its own P2a optimum: each epoch is solved
         # exactly, with nothing carried over from an earlier epoch.
         from repro.core import controller as ctrl
+        from repro.core.opt_energy import minimize_energy
 
         cluster, names, starts, rates = diurnal_setup
         rates = rates.copy()
@@ -109,7 +110,7 @@ class TestController:
         max_speeds = [t.spec.max_speed for t in cluster.tiers]
         np.testing.assert_array_equal(plans[1].speeds, max_speeds)
         assert not plans[1].meets_bound
-        alone = ctrl.minimize_energy(
+        alone = minimize_energy(
             cluster, ctrl._workload_at(names, rates[2]), max_mean_delay=0.35
         )
         assert plans[2].speeds.tobytes() == alone.x.tobytes()

@@ -240,3 +240,28 @@ def test_run_a7_quick_loads_no_scipy_optimize(backend):
 def test_p2a_experiments_quick_load_no_scipy_optimize(experiment):
     loaded = _scipy_modules_after(["run", experiment, "--quick"])
     assert not _loads_scipy_optimize(loaded), sorted(loaded)
+
+
+# Prints the numpy.ma modules loaded after ``repro.cli.main(argv)``.
+_MA_PROBE = _PROBE.replace(
+    'm == "scipy" or m.startswith("scipy.")', 'm == "numpy.ma" or m.startswith("numpy.ma.")'
+)
+
+
+@pytest.mark.parametrize(
+    "backend",
+    [
+        "python",
+        pytest.param(
+            "compiled",
+            marks=pytest.mark.skipif(
+                not kernel_available(), reason="no C toolchain for the compiled kernel"
+            ),
+        ),
+    ],
+)
+def test_run_a7_quick_loads_no_numpy_ma(backend):
+    # NumPy's first np.unique call imports numpy.ma (1.2 MB, 14 ms on
+    # NumPy 2.4); the planners' zoom grids dedupe without it.
+    loaded = _run_probe(_MA_PROBE, json.dumps(["run", "A7", "--quick"]), backend=backend)
+    assert loaded == set()
