@@ -189,7 +189,7 @@ def _compiled_floor_setup(
 
 
 def _kernel_a7_epoch_compiled() -> Callable[[], object]:
-    """The A7 controller-in-the-loop run on the compiled kernel.
+    """The A7 controller-in-the-loop run on the compiled kernel (gated).
 
     Same scenario as ``controller_epoch`` (drift-plus-penalty speed
     decisions on a diurnal trace; 100 epoch boundaries at epoch length
