@@ -160,11 +160,17 @@ class DriftPlusPenaltyController(EpochPolicy):
             )
         self._lo = np.array([t.spec.min_speed for t in cluster.tiers])
         self._hi = np.array([t.spec.max_speed for t in cluster.tiers])
+        # The stationary point's per-tier constants, computed once. A
+        # positive denominator cannot divide by zero, so only one that
+        # underflowed to 0 (a tiny V) needs the warning silenced.
+        self._denominator = self.v_param * self._kappa * self._alpha
+        self._exponent = 1.0 / (self._alpha - 1.0)
+        self._silence = bool(np.any(self._denominator == 0.0))
 
     def decide(self, t, queue_counts, speeds):
         # Work backlog per tier: queued jobs weighted by class weight
         # and mean demand (seconds of work at speed 1).
-        q = (queue_counts * self._weights[None, :] * self._demand_means).sum(axis=1)
+        q = np.add.reduce(queue_counts * self._weights * self._demand_means, axis=1)
         return self.speeds_for_backlog(q)
 
     def speeds_for_backlog(self, backlog: np.ndarray) -> np.ndarray:
@@ -174,11 +180,12 @@ class DriftPlusPenaltyController(EpochPolicy):
             # Pure drift minimization: any backlog pins the tier at max
             # speed; an empty tier idles at the floor.
             return np.where(backlog > 0.0, self._hi, self._lo)
-        with np.errstate(divide="ignore"):
-            s_star = (backlog / (self.v_param * self._kappa * self._alpha)) ** (
-                1.0 / (self._alpha - 1.0)
-            )
-        return np.clip(s_star, self._lo, self._hi)
+        if self._silence:
+            with np.errstate(divide="ignore"):
+                s_star = (backlog / self._denominator) ** self._exponent
+        else:
+            s_star = (backlog / self._denominator) ** self._exponent
+        return np.minimum(np.maximum(s_star, self._lo), self._hi)
 
     def fresh(self) -> "DriftPlusPenaltyController":
         return DriftPlusPenaltyController(self._cluster, self.v_param, self._weights)

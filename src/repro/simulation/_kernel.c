@@ -55,12 +55,14 @@
  *    first-minimal completion pick, epoch-cancelled re-arm) mirroring
  *    repro/simulation/ps_station.py;
  *  - an epoch-boundary yield protocol for online speed control: at
- *    each scheduled boundary the kernel closes busy intervals,
- *    publishes per-tier queue counts and busy totals, flushes queue
- *    samples, and calls epoch_cb; when the callback reports new
- *    speeds (written into the shared speeds array) the kernel applies
- *    them with the engine's work-preserving remaining-time rescale
- *    and re-arms affected stations;
+ *    each scheduled boundary the kernel closes busy intervals, bills
+ *    the segment's dynamic energy (simulator._SpeedLedger.bill), writes
+ *    the epoch-trace row's time, queue counts and energy, flushes queue
+ *    samples, and calls epoch_cb for the controller's decision; when
+ *    the callback reports new speeds (written into the shared speeds
+ *    array) the kernel applies them with the engine's work-preserving
+ *    remaining-time rescale, re-arms affected stations and writes the
+ *    row's speeds;
  *  - SK_TRACE arrivals replaying a recorded timestamp array without
  *    any RNG or callback round trip;
  *  - buffered per-tier queue-length sampling, batch-flushed through
@@ -110,7 +112,7 @@
 typedef double (*service_cb_t)(int rep, int sampler_id);
 typedef double (*arrival_cb_t)(int rep, int cls, long long *batch_out);
 typedef long long (*refill_cb_t)(int rep, int block_id, double *buf, long long cap);
-typedef int (*epoch_cb_t)(int rep, double t);
+typedef int (*epoch_cb_t)(int rep, long long epoch, double t);
 typedef int (*sample_cb_t)(int rep, const double *ts, const long long *vals, long long n_rows);
 
 /* ---- descriptors passed from Python (layout mirrored in ctypes) ---- */
@@ -572,7 +574,11 @@ typedef struct {
     int dynamic;
     double *cur_speed;       /* M, current per-tier speeds */
     double *speeds;          /* M, shared channel written by epoch_cb */
-    long long *counts_out;   /* M*K queue counts published per epoch */
+    const double *power;     /* M (kappa, alpha): dynamic power kappa * s^alpha */
+    char *ledger;            /* epoch-trace rows: t, M*K queues, M speeds, energy */
+    size_t row_bytes;
+    double *energy;          /* 1 + K: dynamic energy billed, then per class */
+    double *busy_mark;       /* M + M*K busy totals billed so far */
     double *busy_out;        /* M busy totals (the caller's output) */
     epoch_cb_t epoch_cb;
 
@@ -1035,19 +1041,51 @@ static void close_intervals(ctx_t *c, double t) {
     }
 }
 
-/* One epoch boundary: close busy intervals at tb (exactly like the
- * engine's _accrue_segments call to close_open_intervals), publish the
- * per-tier busy totals and queue counts, flush buffered samples, yield
- * to the Python controller, and -- when it reports new speeds -- apply
- * the engine's work-preserving remaining-time rescale.  Returns
- * non-zero on error (abort flag distinguishes callback exceptions). */
-static int fire_epoch(ctx_t *c, double tb) {
+/* Bill the busy time closed since the last call at each tier's current
+ * speed: simulator._SpeedLedger.bill in its tier and class order, with
+ * p_dyn = kappa * pow(s, alpha) (CPython's float ** is libm pow for
+ * these operands). */
+static void bill(ctx_t *c) {
+    double *class_mark = c->busy_mark + c->M;
+    for (int i = 0; i < c->M; i++) {
+        station_t *st = &c->stations[i];
+        double p_dyn = c->power[2 * i] * pow(c->cur_speed[i], c->power[2 * i + 1]);
+        double delta = st->busy_total - c->busy_mark[i];
+        if (delta > 0.0) {
+            c->energy[0] += p_dyn * delta;
+            c->busy_mark[i] = st->busy_total;
+        }
+        double *mark = class_mark + (size_t)i * c->K;
+        for (int k = 0; k < c->K; k++) {
+            double dk = st->class_busy[k] - mark[k];
+            if (dk > 0.0) {
+                c->energy[1 + k] += p_dyn * dk;
+                mark[k] = st->class_busy[k];
+            }
+        }
+    }
+}
+
+/* Epoch boundary e at tb: close busy intervals (exactly like the
+ * engine's close_open_intervals), bill the segment, write the trace
+ * row's time, queue counts and cumulative energy, flush buffered
+ * samples, yield to the Python controller, and -- when it reports new
+ * speeds -- apply the engine's work-preserving remaining-time rescale;
+ * then write the row's speeds.  Returns non-zero on error (abort flag
+ * distinguishes callback exceptions). */
+static int fire_epoch(ctx_t *c, long long e, double tb) {
     close_intervals(c, tb);
+    bill(c);
+    double *rec = (double *)(c->ledger + (size_t)e * c->row_bytes);
+    long long *queues = (long long *)(rec + 1);
+    double *rec_speeds = rec + 1 + (size_t)c->M * c->K;
+    rec[0] = tb;
+    rec_speeds[c->M] = c->energy[0];
     for (int i = 0; i < c->M; i++) {
         station_t *st = &c->stations[i];
         /* Queue counts in SimStation.class_counts order (servers, then
          * FIFO, then priority queues) -- integer adds, order-free. */
-        long long *row = c->counts_out + (long long)i * c->K;
+        long long *row = queues + (long long)i * c->K;
         for (int k = 0; k < c->K; k++) row[k] = 0;
         if (st->discipline == DISC_PS) {
             for (int idx = 0; idx < st->ps_len; idx++)
@@ -1071,7 +1109,7 @@ static int fire_epoch(ctx_t *c, double tb) {
     /* Samples recorded before this boundary reach the sink before the
      * epoch's own telemetry event, matching the engine's inline order. */
     if (flush_samples(c)) return 1;
-    int decision = c->epoch_cb(c->rep, tb);
+    int decision = c->epoch_cb(c->rep, e, tb);
     if (decision < 0 || *c->abort_flag) return 1;
     if (decision > 0) {
         /* The callback wrote the full clipped speed vector into the
@@ -1108,6 +1146,7 @@ static int fire_epoch(ctx_t *c, double tb) {
             }
         }
     }
+    for (int i = 0; i < c->M; i++) rec_speeds[i] = c->cur_speed[i];
     return 0;
 }
 
@@ -1154,6 +1193,7 @@ static void free_ctx(ctx_t *c) {
     free(c->bitgens);
     free(c->seeded);
     free(c->cur_speed);
+    free(c->busy_mark);
     free(c->scratch_counts);
     free(c->sample_ts.buf);
     free(c->sample_vals.buf);
@@ -1229,7 +1269,8 @@ static int ctx_alloc(ctx_t *c, const StationDesc *station_desc,
     if (c->scratch_counts == NULL) return 1;
     if (c->dynamic) {
         c->cur_speed = (double *)malloc(sizeof(double) * c->M);
-        if (c->cur_speed == NULL) return 1;
+        c->busy_mark = (double *)malloc(sizeof(double) * c->M * (1 + c->K));
+        if (c->cur_speed == NULL || c->busy_mark == NULL) return 1;
     }
     if (c->collect_delays) {
         c->delay_buf = (dbuf_t *)calloc(c->K, sizeof(dbuf_t));
@@ -1380,7 +1421,7 @@ static int run_core(ctx_t *c) {
              * rescaled completion popped this iteration is caught by
              * the sched_epoch staleness check below. */
             while (next_epoch <= t) {
-                if (fire_epoch(c, next_epoch))
+                if (fire_epoch(c, epoch_idx, next_epoch))
                     return *c->abort_flag ? RC_ABORT : RC_NOMEM;
                 epoch_idx++;
                 next_epoch = epoch_idx < c->n_epochs ? c->epoch_times[epoch_idx] : INFINITY;
@@ -1498,6 +1539,7 @@ static int run_core(ctx_t *c) {
     if (flush_samples(c)) return *c->abort_flag ? RC_ABORT : RC_NOMEM;
 
     close_intervals(c, horizon);
+    if (c->dynamic) bill(c); /* the horizon closes the last segment */
 
     /* processed events = pushes - still-enqueued - the post-horizon pop */
     long long pushes = c->next_seq - 1;
@@ -1531,7 +1573,9 @@ static long long monotonic_ns(void) {
  * seeds, whose streams all come through Python blocks).
  *
  * Optional features switch on by pointer: routing tables (entry_cum_v
- * non-NULL, fixed routes otherwise), epoch yields (epoch_cb non-NULL),
+ * non-NULL, fixed routes otherwise), epoch yields (epoch_cb non-NULL:
+ * each replication bills into its energy_out block and writes one row
+ * of its ledgers[b] epoch trace per boundary),
  * queue sampling (sample_interval > 0), per-job delay samples
  * (delay_ptrs) and the job log (log_ptrs).  Delay moments are always
  * folded inline through the Welford recurrence.  Growable delay/log
@@ -1554,7 +1598,9 @@ int run_kernel(
     int n_blocks, long long block_size, /* Python block buffers per replication */
     long long n_epochs, const double *epoch_times,
     double *speeds,                 /* n_reps blocks of M (epoch mode) */
-    long long *counts_out,          /* M*K queue counts per epoch */
+    const double *power,            /* M (kappa, alpha) pairs */
+    void **ledgers,                 /* n_reps epoch-trace row arrays */
+    double *energy_out,             /* n_reps blocks of 1 + K */
     double sample_interval,
     service_cb_t service_cb, arrival_cb_t arrival_cb, refill_cb_t refill_cb,
     epoch_cb_t epoch_cb, sample_cb_t sample_cb, int *abort_flag,
@@ -1588,7 +1634,8 @@ int run_kernel(
     c.dynamic = epoch_cb != NULL;
     c.n_epochs = n_epochs;
     c.epoch_times = epoch_times;
-    c.counts_out = counts_out;
+    c.power = power;
+    c.row_bytes = sizeof(double) * (2 + (size_t)M * K + M);
     c.epoch_cb = epoch_cb;
     c.sample_interval = sample_interval;
     c.sample_cb = sample_cb;
@@ -1611,6 +1658,10 @@ int run_kernel(
         if (c.dynamic) {
             c.speeds = speeds + (size_t)b * M;
             for (int i = 0; i < M; i++) c.cur_speed[i] = c.speeds[i];
+            c.ledger = (char *)ledgers[b];
+            c.energy = energy_out + (size_t)b * (1 + K);
+            for (int k = 0; k <= K; k++) c.energy[k] = 0.0;
+            for (size_t x = 0; x < (size_t)M * (1 + K); x++) c.busy_mark[x] = 0.0;
         }
         c.wait_sum = wait_sum + (size_t)b * km;
         c.sojourn_sum = sojourn_sum + (size_t)b * km;
@@ -1685,5 +1736,18 @@ void k_stream_probe(const uint32_t *words, long long n_words, uint64_t digest,
             break;
         default: draws_out[i] = bg.next_raw(bg.state); break;
         }
+    }
+}
+
+/* Lewis-Shedler thinning candidates for NonHomogeneousPoisson: n
+ * (exponential(scale), uniform) pairs drawn on a Generator's own
+ * bitgen_t, in the order its scalar loop calls rng.exponential(scale)
+ * then rng.random() -- the C functions those methods run -- so the
+ * bits are equal by construction.  The caller holds the bit
+ * generator's lock. */
+void k_thinning_draws(bitgen_t *bg, double scale, long long n, double *gaps, double *uniforms) {
+    for (long long i = 0; i < n; i++) {
+        gaps[i] = random_exponential(bg, scale);
+        uniforms[i] = next_double(bg);
     }
 }

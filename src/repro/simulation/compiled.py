@@ -57,8 +57,9 @@ there once; its tasks are handed ``compiled`` or ``python``.
 The support envelope is closed: processor-sharing tiers run natively
 (the kernel mirrors :mod:`repro.simulation.ps_station`'s share law),
 dynamic speed control yields to the Python controller at every epoch
-boundary (queue counts and segmented energy out, clipped speeds back
-in, work-preserving rescale applied in C), trace-driven arrivals
+boundary (the kernel bills the segment's energy and writes the epoch
+trace row; the clipped speeds come back in and the work-preserving
+rescale is applied in C), trace-driven arrivals
 replay their timestamp arrays in C, and telemetry queue sampling is
 buffered kernel-side and batch-flushed to the sink at epoch/end-of-run
 boundaries in the engine's exact event order.  The streams the kernel
@@ -129,6 +130,7 @@ from repro.simulation.simulator import (
     _build_routes,
     _build_routing_tables,
     _draw_plan,
+    _emit_epoch,
     _emit_queue_sample,
     _finalize,
     _SpeedLedger,
@@ -143,6 +145,7 @@ __all__ = [
     "kernel_available",
     "kernel_status",
     "load_kernel",
+    "loaded_kernel",
     "maybe_simulate_compiled",
     "maybe_simulate_fleet_batch",
     "simulate_block",
@@ -216,6 +219,10 @@ def _source_digest() -> str:
     return hashlib.sha256(payload + tag.encode()).hexdigest()[:16]
 
 
+def _kernel_file() -> str:
+    return f"repro_sim_kernel_{_source_digest()}.so"
+
+
 def _cache_dir() -> Path:
     override = os.environ.get("REPRO_KERNEL_CACHE")
     if override:
@@ -245,7 +252,7 @@ def build_kernel() -> Path:
     except OSError:
         cache = Path(tempfile.gettempdir()) / "repro-kernels"
         cache.mkdir(parents=True, exist_ok=True)
-    target = cache / f"repro_sim_kernel_{_source_digest()}.so"
+    target = cache / _kernel_file()
     if target.exists():
         return target
     compiler = _find_compiler()
@@ -294,8 +301,8 @@ _SERVICE_CB = CFUNCTYPE(c_double, c_int, c_int)
 _ARRIVAL_CB = CFUNCTYPE(c_double, c_int, c_int, POINTER(c_longlong))
 # (rep, block_id, buf, cap) -> number of variates written (0 = error/abort)
 _REFILL_CB = CFUNCTYPE(c_longlong, c_int, c_int, POINTER(c_double), c_longlong)
-# (rep, t_boundary) -> -1 error, 0 keep speeds, 1 apply the speeds slice
-_EPOCH_CB = CFUNCTYPE(c_int, c_int, c_double)
+# (rep, epoch, t_boundary) -> -1 error, 0 keep speeds, 1 apply the speeds slice
+_EPOCH_CB = CFUNCTYPE(c_int, c_int, c_longlong, c_double)
 # (rep, ts[n], vals[n*2M], n) -> 0 ok, -1 error
 _SAMPLE_CB = CFUNCTYPE(c_int, c_int, POINTER(c_double), POINTER(c_longlong), c_longlong)
 
@@ -369,7 +376,9 @@ def load_kernel() -> ctypes.CDLL:
             c_longlong,  # n_epochs
             POINTER(c_double),  # epoch_times
             POINTER(c_double),  # speeds (n_reps blocks of M)
-            POINTER(c_longlong),  # counts_out (M*K queue counts)
+            POINTER(c_double),  # power (M kappa, alpha pairs)
+            POINTER(c_void_p),  # ledgers (n_reps epoch-trace arrays)
+            POINTER(c_double),  # energy_out (n_reps blocks of 1 + K)
             c_double,  # sample_interval
             _SERVICE_CB,
             _ARRIVAL_CB,
@@ -396,6 +405,8 @@ def load_kernel() -> ctypes.CDLL:
         ]
         lib.k_free.restype = None
         lib.k_free.argtypes = [c_void_p]
+        lib.k_thinning_draws.restype = None
+        lib.k_thinning_draws.argtypes = [c_void_p, c_double, c_longlong, c_void_p, c_void_p]
     except KernelBuildError as exc:
         _load_error = str(exc)
         raise
@@ -404,6 +415,18 @@ def load_kernel() -> ctypes.CDLL:
         raise KernelBuildError(_load_error) from exc
     _lib = lib
     return lib
+
+
+def loaded_kernel() -> ctypes.CDLL | None:
+    """The kernel when it loads without compiling (already loaded, or
+    its shared object is cached), else ``None``.  Never builds and never
+    warns: for callers whose Python path gives the same bits."""
+    if _lib is None and not (_cache_dir() / _kernel_file()).exists():
+        return None
+    try:
+        return load_kernel()
+    except KernelBuildError:
+        return None
 
 
 def kernel_available() -> bool:
@@ -725,19 +748,24 @@ def _describe(cluster, workload, seeds, reps, arrival_processes, routed, dynamic
     return sampler_desc, arrival_desc, routing_block
 
 
-def _epoch_decision(ledger, busy, class_busy, counts, speeds):
-    """The Python half of the epoch-yield protocol for one replication:
-    bill the busy time the kernel closed at the boundary (it flushed
-    the totals into ``busy``/``class_busy``), let the controller decide
-    on the published queue ``counts``, and hand the clamped speeds back
-    through ``speeds`` (return 1 = apply, 0 = keep)."""
+def _epoch_decision(ledger, speeds):
+    """The Python half of the epoch-yield protocol for one replication.
+    At boundary ``e`` the kernel has billed the segment and written the
+    ledger's trace row ``e`` but its speeds; the controller decides on
+    the row's queue counts and the current ``speeds``, and the clamped
+    speeds go back through ``speeds`` (return 1 = apply, 0 = keep)."""
+    controller, clamp = ledger.controller, ledger.clamp
+    _, queue_rows, _, energies = ledger._columns
+    tel = obs.TELEMETRY
 
-    def decide(t: float) -> int:
-        ledger.bill(busy.tolist(), class_busy.tolist())
-        if not ledger.decide(t, counts):
-            return 0
-        speeds[:] = ledger.speeds
-        return 1
+    def decide(e: int, t: float) -> int:
+        new_speeds = controller(t, queue_rows[e], speeds.copy())
+        if new_speeds is not None:
+            clamp(new_speeds, out=speeds)
+        ledger.fired = e + 1
+        if tel.enabled:
+            _emit_epoch(e, t, queue_rows[e], speeds, float(energies[e]))
+        return new_speeds is not None
 
     return decide
 
@@ -837,20 +865,20 @@ def _run_kernel(
             log_ptrs = _array(c_void_p, n * 4)()
             log_count = np.zeros(n, dtype=np.int64)
 
-        # Epoch-boundary yield protocol: the kernel pauses at each
-        # boundary, publishes the queue counts and closed busy totals,
-        # and calls the replication's decision; a positive return
-        # applies its speeds slice with the work-preserving rescale.
-        epoch_sched = speeds = counts = None
+        # Epoch-boundary yield protocol: at each boundary the kernel
+        # bills the segment into ``energy``, writes the replication's
+        # trace row and calls its decision; a positive return applies
+        # its speeds slice with the work-preserving rescale.
+        epoch_sched = speeds = power = ledgers = energy = None
         if dynamic:
             epoch_sched = np.ascontiguousarray(epoch_times, dtype=np.float64)
             speeds = np.tile([float(t.speed) for t in cluster.tiers], (n, 1))
-            counts = np.zeros((m_stations, k_classes), dtype=np.int64)
+            energy = np.zeros((n, 1 + k_classes))
             for b, rep in enumerate(reps):
                 run.ledgers[b] = _SpeedLedger(cluster, epoch_controller, epoch_sched)
-                rep.epoch = _epoch_decision(
-                    run.ledgers[b], run.busy[b], run.class_busy[b], counts, speeds[b]
-                )
+                rep.epoch = _epoch_decision(run.ledgers[b], speeds[b])
+            power = np.array(run.ledgers[0].power, dtype=np.float64)
+            ledgers = _array(c_void_p, n)(*[ledger._trace.ctypes.data for ledger in run.ledgers])
 
         # Buffered queue-length sampling: the kernel records (t,
         # populations, busy) rows and batch-flushes them at epoch
@@ -905,7 +933,7 @@ def _run_kernel(
             _SERVICE_CB(_guard(lambda rep, i: rep.calls[i](), 0.0)) if calls else _SERVICE_CB(),
             _ARRIVAL_CB(_guard(_arrival, 0.0)) if calls else _ARRIVAL_CB(),
             _REFILL_CB(_guard(_refill, 0)) if n_blocks else _REFILL_CB(),
-            _EPOCH_CB(_guard(lambda rep, t: rep.epoch(t), -1)) if dynamic else _EPOCH_CB(),
+            _EPOCH_CB(_guard(lambda rep, e, t: rep.epoch(e, t), -1)) if dynamic else _EPOCH_CB(),
             _SAMPLE_CB(_guard(_samples, -1)) if sample_interval > 0.0 else _SAMPLE_CB(),
         )
 
@@ -932,7 +960,9 @@ def _run_kernel(
             0 if epoch_sched is None else epoch_sched.size,
             _ptr(epoch_sched, c_double),
             _ptr(speeds, c_double),
-            _ptr(counts, c_longlong),
+            _ptr(power, c_double),
+            ledgers,
+            _ptr(energy, c_double),
             float(sample_interval),
             *callbacks,
             abort,
@@ -958,11 +988,12 @@ def _run_kernel(
     for b in np.flatnonzero(run.rc).tolist():
         run.errors[b] = _kernel_error(int(run.rc[b]), reps[b].error)
     ok = [b for b in range(n) if b not in run.errors]
-    for b in ok:
-        if run.ledgers[b] is not None:
-            # The kernel closed the busy intervals at the horizon; billing
-            # them closes the last constant-speed segment.
-            run.ledgers[b].bill(run.busy[b].tolist(), run.class_busy[b].tolist())
+    if dynamic:
+        for b in ok:
+            # The kernel billed the last segment, closed at the horizon.
+            ledger = run.ledgers[b]
+            ledger.energy, *ledger.class_energy = energy[b].tolist()
+            ledger.speeds = speeds[b].tolist()
     if collect_delay_samples:
         for b in ok:
             run.delay_samples[b] = [

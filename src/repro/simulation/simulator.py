@@ -780,7 +780,8 @@ def _account(n_jobs, n_events, n_discarded, n_counted, horizon: float, warmup: f
 @lru_cache(maxsize=None)
 def _epoch_dtype(m_stations: int, k_classes: int) -> np.dtype:
     """One epoch-trace row: the boundary time, the queue counts the
-    controller saw, the speeds applied and the dynamic energy so far."""
+    controller saw, the speeds applied and the dynamic energy so far
+    (packed float64/int64 fields, in the order the kernel writes them)."""
     return np.dtype(
         [
             ("t", np.float64),
@@ -792,15 +793,21 @@ def _epoch_dtype(m_stations: int, k_classes: int) -> np.dtype:
 
 
 class _SpeedLedger:
-    """Online speed control state shared by both engines: the current
-    per-tier speeds, the controller's decisions, dynamic energy billed
-    per constant-speed segment, and the epoch trace, one row of
-    :func:`_epoch_dtype` per boundary of ``epoch_times`` that fired."""
+    """Online speed control state: the current per-tier speeds, the
+    controller's decisions, dynamic energy billed per constant-speed
+    segment, and the epoch trace, one row of :func:`_epoch_dtype` per
+    boundary of ``epoch_times`` that fired.
+
+    The Python engine bills and decides through :meth:`bill` and
+    :meth:`decide`. The compiled kernel bills and writes the rows
+    itself, and calls only the controller and :meth:`clamp`; this class
+    is its oracle."""
 
     def __init__(self, cluster: ClusterModel, controller: Callable, epoch_times) -> None:
         self.controller = controller
         self.power = [(t.spec.power.kappa, t.spec.power.alpha) for t in cluster.tiers]
         self.bounds = [(t.spec.min_speed, t.spec.max_speed) for t in cluster.tiers]
+        self._lo, self._hi = (np.array(side, dtype=float) for side in zip(*self.bounds))
         self.speeds = [float(t.speed) for t in cluster.tiers]
         self.busy_mark = [0.0] * cluster.num_tiers
         self.class_busy_mark = [[0.0] * cluster.num_classes for _ in cluster.tiers]
@@ -848,33 +855,38 @@ class _SpeedLedger:
         new_speeds = self.controller(t, queues, np.array(self.speeds))
         changes: list[tuple[int, float]] = []
         if new_speeds is not None:
-            new_arr = np.asarray(new_speeds, dtype=float)
-            if new_arr.shape != (len(self.speeds),):
-                raise ModelValidationError(
-                    f"epoch controller must return {len(self.speeds)} speeds, "
-                    f"got shape {new_arr.shape}"
-                )
-            for i, ((lo, hi), s_new) in enumerate(zip(self.bounds, new_arr.tolist())):
-                s_new = min(max(s_new, lo), hi)
+            for i, s_new in enumerate(self.clamp(new_speeds).tolist()):
                 s_old = self.speeds[i]
                 if s_new != s_old:
                     changes.append((i, s_old / s_new))
                     self.speeds[i] = s_new
         times[e], speed_rows[e], energies[e] = t, self.speeds, self.energy
         self.fired = e + 1
-        # Controller-trace telemetry: epochs are decision instants
-        # (hundreds per run, never per-event), so the epoch trace stays
-        # ingestable from events.jsonl without touching the hot loop.
         if obs.TELEMETRY.enabled:
-            obs.event(
-                "sim.epoch",
-                epoch=e,
-                t=t,
-                queues=queues,
-                speeds=speed_rows[e],
-                dynamic_energy=self.energy,
-            )
+            _emit_epoch(e, t, queues, speed_rows[e], self.energy)
         return changes
+
+    def clamp(self, new_speeds, out: np.ndarray | None = None) -> np.ndarray:
+        """A controller's speed vector clamped to each tier's DVFS range
+        (written into ``out`` when given)."""
+        new_arr = np.asarray(new_speeds, dtype=float)
+        if new_arr.shape != self._lo.shape:
+            raise ModelValidationError(
+                f"epoch controller must return {self._lo.size} speeds, "
+                f"got shape {new_arr.shape}"
+            )
+        return np.minimum(np.maximum(new_arr, self._lo), self._hi, out=out)
+
+
+def _emit_epoch(e: int, t: float, queues, speeds, dynamic_energy: float) -> None:
+    """Controller-trace telemetry, one ``sim.epoch`` event per boundary
+    while telemetry is on (both engines emit through here). Epochs are
+    decision instants (hundreds per run, never per event), so the epoch
+    trace stays ingestable from events.jsonl without touching the hot
+    loop."""
+    obs.event(
+        "sim.epoch", epoch=e, t=t, queues=queues, speeds=speeds, dynamic_energy=dynamic_energy
+    )
 
 
 _BACKENDS = ("python", "compiled", "auto")

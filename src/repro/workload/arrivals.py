@@ -46,6 +46,20 @@ class ArrivalProcess(ABC):
     def fresh(self) -> "ArrivalProcess":
         """A new instance with pristine state for an independent run."""
 
+    def arrival_times(self, rng: np.random.Generator, horizon: float) -> np.ndarray:
+        """Every arrival time in ``(0, horizon]``, one per job (a batch
+        repeats its epoch), from successive :meth:`next_arrival` gaps
+        summed from 0: what :func:`~repro.workload.traces.generate_trace`
+        records for one class."""
+        t = 0.0
+        stamps: list[float] = []
+        while True:
+            gap, batch = self.next_arrival(rng)
+            t += gap
+            if t > horizon:
+                return np.asarray(stamps)
+            stamps.extend([t] * batch)
+
 
 class PoissonProcess(ArrivalProcess):
     """Homogeneous Poisson process at ``rate``."""
@@ -129,10 +143,16 @@ class NonHomogeneousPoisson(ArrivalProcess):
     ``rate_fn(t) / rate_max``). Models diurnal load curves for the
     dynamic power-management experiments.
 
+    :meth:`next_arrival` calls ``rate_fn`` on one float per candidate;
+    :meth:`arrival_times` (trace synthesis) calls it on arrays of
+    candidate times, so it must work elementwise on a float64 array and
+    give each element the bits it gives that float alone (a scalar
+    result broadcasts). NumPy ufuncs and ``np.where`` do.
+
     Parameters
     ----------
     rate_fn:
-        Callable ``t -> λ(t) >= 0``.
+        Callable ``t -> λ(t) >= 0``, elementwise on arrays.
     rate_max:
         A finite upper bound on ``rate_fn`` over the simulated horizon.
     mean_rate:
@@ -168,11 +188,89 @@ class NonHomogeneousPoisson(ArrivalProcess):
                 self._clock = t
                 return t - start, 1
 
+    def arrival_times(self, rng: np.random.Generator, horizon: float) -> np.ndarray:
+        """The base method's arrival times, bit for bit, thinned in blocks.
+
+        :meth:`next_arrival` draws one exponential gap and then one
+        uniform per candidate, accepted or not, so the draws do not
+        depend on ``rate_fn`` and the candidate times are one running
+        sum.  Each block draws its candidate pairs at once, sums them
+        with ``np.add.accumulate`` (sequential, like ``t += gap``),
+        calls ``rate_fn`` once on the array, and rebuilds the stamps by
+        summing the accepted candidates' gaps from 0.  Candidates past
+        the loop's stopping point are drawn and dropped, so ``rng`` ends
+        further on than the loop would leave it.
+        """
+        rate_max = self.rate_max
+        bound = rate_max * (1.0 + 1e-9)
+        start = clock = last = self._clock  # first / latest candidate, latest accepted
+        stamp = 0.0
+        parts = []
+        while True:
+            expected = rate_max * (horizon - (clock - start)) * 1.05
+            gaps, uniforms = _thinning_draws(
+                rng, 1.0 / rate_max, int(min(max(expected, 0.0), _THINNING_BLOCK)) + 64
+            )
+            gaps[0] += clock
+            cand = np.add.accumulate(gaps, out=gaps)
+            lam = np.broadcast_to(np.asarray(self.rate_fn(cand), dtype=float), cand.shape)
+            taken = np.flatnonzero(uniforms * rate_max <= lam)
+            stamps = np.diff(cand[taken], prepend=last)  # each accepted candidate's gap
+            if stamps.size:
+                stamps[0] += stamp
+                np.add.accumulate(stamps, out=stamps)
+            over = np.flatnonzero(stamps > horizon)
+            stop = taken[over[0]] if over.size else cand.size  # the loop's last candidate
+            bad = np.flatnonzero((lam[: stop + 1] < 0.0) | (lam[: stop + 1] > bound))
+            if bad.size:
+                i = bad[0]
+                raise ModelValidationError(
+                    f"rate_fn({float(cand[i]):.6g}) = {float(lam[i]):.6g} outside "
+                    f"[0, rate_max={rate_max:.6g}]"
+                )
+            if over.size:
+                self._clock = float(cand[stop])
+                parts.append(stamps[: over[0]])
+                return np.concatenate(parts)
+            parts.append(stamps)
+            clock = float(cand[-1])
+            if stamps.size:
+                last, stamp = float(cand[taken[-1]]), float(stamps[-1])
+
     def fresh(self) -> "NonHomogeneousPoisson":
         return NonHomogeneousPoisson(self.rate_fn, self.rate_max, self._mean_rate)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"NonHomogeneousPoisson(rate_max={self.rate_max:.6g})"
+
+
+#: Most thinning candidates :meth:`NonHomogeneousPoisson.arrival_times`
+#: draws at once (two float64 arrays of this length, 0.5 MB each).
+_THINNING_BLOCK = 1 << 16
+
+
+def _thinning_draws(rng: np.random.Generator, scale: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``n`` thinning candidates' ``(exponential(scale), random())``
+    pairs, as that many alternating scalar calls draw them.
+
+    The compiled kernel draws them with the C functions those methods
+    run, when it loads without compiling; otherwise (same bits) the
+    methods are called here.
+    """
+    from repro.simulation import compiled
+
+    lib = compiled.loaded_kernel()
+    if lib is None:
+        exponential, uniform = rng.exponential, rng.random
+        pairs = np.array([(exponential(scale), uniform()) for _ in range(n)]).reshape(n, 2)
+        return pairs[:, 0].copy(), pairs[:, 1].copy()
+    gaps, uniforms = np.empty(n), np.empty(n)
+    bitgen = rng.bit_generator
+    with bitgen.lock:
+        lib.k_thinning_draws(
+            bitgen.ctypes.bit_generator, scale, n, gaps.ctypes.data, uniforms.ctypes.data
+        )
+    return gaps, uniforms
 
 
 class BatchPoissonProcess(ArrivalProcess):

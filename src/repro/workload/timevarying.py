@@ -18,7 +18,10 @@ trace-driven control harness replays:
 Profiles are plain ``t -> factor`` callables applied to a base rate
 vector, so the same shape drives both trace synthesis (via
 Lewis–Shedler thinning) and oracle/forecast rate grids (via
-:func:`profile_rates`).
+:func:`profile_rates`). Both call a profile on arrays of times, so a
+profile must work elementwise on float64 arrays, giving each element
+the bits it gives that time alone; a scalar result broadcasts. The
+profiles built here are NumPy ufunc expressions and ``np.where``.
 """
 
 from __future__ import annotations
@@ -65,7 +68,7 @@ def diurnal_profile(
     amp = (peak - trough) / 2.0
     two_pi = 2.0 * np.pi
 
-    def factor(t: float) -> float:
+    def factor(t):
         return mid + amp * np.cos(two_pi * (t - t_peak) / period)
 
     return factor
@@ -85,11 +88,9 @@ def flash_crowd_profile(
         raise ModelValidationError(f"surge factor must be >= 1, got {surge_factor}")
     surge_end = surge_start + surge_duration
 
-    def factor(t: float) -> float:
+    def factor(t):
         f = base_profile(t)
-        if surge_start <= t < surge_end:
-            f *= surge_factor
-        return f
+        return np.where((surge_start <= t) & (t < surge_end), f * surge_factor, f)
 
     return factor
 
@@ -104,7 +105,8 @@ def profile_rates(
     base = np.asarray(base_rates, dtype=float)
     if base.ndim != 1 or base.size == 0 or np.any(base < 0.0):
         raise ModelValidationError("base_rates must be a non-empty vector of rates >= 0")
-    factors = np.array([float(profile(t)) for t in np.asarray(epoch_starts, dtype=float)])
+    starts = np.asarray(epoch_starts, dtype=float)
+    factors = np.broadcast_to(np.asarray(profile(starts), dtype=float), starts.shape)
     if np.any(factors < 0.0):
         raise ModelValidationError("profile produced a negative factor")
     return factors[:, None] * base[None, :]
@@ -128,15 +130,14 @@ def profile_processes(
     if horizon <= 0.0 or not np.isfinite(horizon):
         raise ModelValidationError(f"horizon must be positive and finite, got {horizon}")
     if factor_max is None:
-        grid = np.linspace(0.0, horizon, 4097)
-        factor_max = max(float(profile(t)) for t in grid) * 1.05
+        factor_max = float(np.max(profile(np.linspace(0.0, horizon, 4097)))) * 1.05
     if factor_max <= 0.0:
         raise ModelValidationError(f"factor_max must be positive, got {factor_max}")
 
     procs = []
     for r in base:
-        def rate_fn(t: float, _r=float(r)) -> float:
-            return min(_r * float(profile(t)), _r * factor_max)
+        def rate_fn(t, _r=float(r)):
+            return np.minimum(_r * np.asarray(profile(t), dtype=float), _r * factor_max)
 
         procs.append(
             NonHomogeneousPoisson(rate_fn, rate_max=float(r) * factor_max, mean_rate=float(r))

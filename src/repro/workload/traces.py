@@ -205,23 +205,16 @@ def generate_trace(
     seed: int = 0,
     class_names: Sequence[str] | None = None,
 ) -> ArrivalTrace:
-    """Synthesize a trace by running arrival processes to a horizon."""
+    """Synthesize a trace by running arrival processes to a horizon:
+    class ``k`` is ``processes[k].fresh().arrival_times(rng, horizon)``
+    on the ``k``-th stream spawned from ``seed``."""
     if len(processes) == 0:
         raise ModelValidationError("need at least one arrival process")
     if horizon <= 0.0 or not np.isfinite(horizon):
         raise ModelValidationError(f"horizon must be positive and finite, got {horizon}")
     rng_master = np.random.SeedSequence(seed).spawn(len(processes))
-    arrivals = []
-    for proc, seq in zip(processes, rng_master):
-        rng = np.random.default_rng(seq)
-        p = proc.fresh()
-        t = 0.0
-        stamps: list[float] = []
-        while True:
-            gap, batch = p.next_arrival(rng)
-            t += gap
-            if t > horizon:
-                break
-            stamps.extend([t] * batch)
-        arrivals.append(np.asarray(stamps))
+    arrivals = [
+        proc.fresh().arrival_times(np.random.default_rng(seq), horizon)
+        for proc, seq in zip(processes, rng_master)
+    ]
     return ArrivalTrace(arrivals, horizon=horizon, class_names=class_names)

@@ -10,7 +10,7 @@ from repro.control import (
 )
 from repro.exceptions import ModelValidationError
 from repro.experiments.common import CLASS_NAMES, canonical_cluster, canonical_workload
-from repro.simulation import compiled, simulator
+from repro.simulation import simulator
 from repro.simulation.compiled import kernel_available
 from repro.simulation.simulator import simulate
 from repro.workload.timevarying import diurnal_trace
@@ -225,19 +225,19 @@ class _DictLedger(simulator._SpeedLedger):
 )
 def test_epoch_trace_rows_are_the_old_dict_records(monkeypatch, cluster, trace, backend):
     """The structured trace holds, field by field, what the dict records
-    held, and billing in Python floats leaves the energies' bits as the
-    NumPy per-class array left them; the trace is the same array on
-    both engines."""
-    def run(seed):
+    of the Python engine's ledger held, and billing in Python floats (or
+    in C, on the compiled engine, which calls no ledger method but
+    ``clamp``) leaves the energies' bits as the NumPy per-class array
+    left them; the trace is the same array on both engines."""
+    def run(seed, engine):
         return run_controlled(
             cluster, trace, DriftPlusPenaltyController(cluster, 5e-4), 0.5, 0.35,
-            seed=seed, backend=backend,
+            seed=seed, backend=engine,
         )
 
-    new = [run(seed) for seed in (3, 4)]
+    new = [run(seed, backend) for seed in (3, 4)]
     monkeypatch.setattr(simulator, "_SpeedLedger", _DictLedger)
-    monkeypatch.setattr(compiled, "_SpeedLedger", _DictLedger)
-    old = [run(seed) for seed in (3, 4)]
+    old = [run(seed, "python") for seed in (3, 4)]
     for a, b in zip(new, old):
         rows, records = a.epoch_trace, b.epoch_trace
         assert rows.dtype.names == ("t", "queues", "speeds", "dynamic_energy")
