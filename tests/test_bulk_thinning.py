@@ -6,6 +6,7 @@ and calls ``rate_fn`` once per block; the base class's loop of scalar
 both draw paths (the kernel export and the Python fallback).
 """
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -196,19 +197,38 @@ def _tiny_kappa_cluster():
 _CLUSTERS = {"canonical": canonical_cluster(), "tiny-kappa": _tiny_kappa_cluster()}
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(
-    cluster=st.sampled_from(sorted(_CLUSTERS)),
-    v=st.one_of(st.just(0.0), st.just(1e-30), st.floats(1e-7, 1e3)),
-    weights=st.one_of(st.none(), st.lists(st.floats(0.01, 100.0), min_size=3, max_size=3)),
-    counts=st.one_of(
-        st.just([0] * 9), st.lists(st.integers(0, 200), min_size=9, max_size=9)
-    ),
-)
-def test_lean_dpp_decision_equals_the_old_formula(cluster, v, weights, counts):
+_V = {
+    "zero": st.just(0.0),
+    "underflow": st.just(1e-30),
+    "log-uniform": st.floats(-7.0, 3.0).map(lambda x: 10.0**x),
+    # Mostly inside the canonical DVFS box rather than on its edges.
+    "interior": st.floats(-1.5, -0.3).map(lambda x: 10.0**x),
+}
+
+
+@pytest.mark.parametrize("cluster", sorted(_CLUSTERS))
+@pytest.mark.parametrize("v_kind", sorted(_V))
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_lean_dpp_decision_equals_the_old_formula(cluster, v_kind, data):
+    """Same bits and the same floating-point warnings (a zero backlog
+    over an underflowed denominator is 0/0 in both), for drawn and for
+    zero backlogs."""
+    v = data.draw(_V[v_kind])
+    weights = data.draw(
+        st.one_of(st.none(), st.lists(st.floats(0.01, 100.0), min_size=3, max_size=3))
+    )
+    counts = data.draw(st.lists(st.integers(0, 200), min_size=9, max_size=9))
     ctrl = DriftPlusPenaltyController(_CLUSTERS[cluster], v, class_weights=weights)
-    q = np.array(counts, dtype=np.int64).reshape(3, 3)
-    with np.errstate(invalid="ignore"):
-        expected = _old_dpp_speeds(ctrl, q)
-        got = ctrl.decide(0.0, q, np.ones(3))
-    assert got.tobytes() == expected.tobytes()
+    for q in (np.array(counts, dtype=np.int64).reshape(3, 3), np.zeros((3, 3), np.int64)):
+        expected, old_warnings = _with_warnings(lambda: _old_dpp_speeds(ctrl, q))
+        got, new_warnings = _with_warnings(lambda: ctrl.decide(0.0, q, np.ones(3)))
+        assert got.tobytes() == expected.tobytes()
+        assert new_warnings == old_warnings
+
+
+def _with_warnings(fn):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = fn()
+    return out, [(w.category, str(w.message)) for w in caught]
