@@ -525,8 +525,16 @@ class BatchEvaluator:
 
     def _delays_of(self, sojourns: np.ndarray) -> np.ndarray:
         # As tandem_delays: a row sum over the tiers of v_{ik} T_{ik}.
+        # An unstable row's sojourns are inf, and a class that skips a
+        # tier (v_{ik} = 0) would read 0 * inf = NaN there, so those
+        # rows are summed as zeros and then set to inf.
+        unstable = np.isinf(sojourns).any(axis=(1, 2))
+        if unstable.any():
+            sojourns = np.where(unstable[:, None, None], 0.0, sojourns)
         weighted = np.ascontiguousarray(self.visit_ratios * np.swapaxes(sojourns, 1, 2))
-        return weighted.sum(axis=2)
+        delays = weighted.sum(axis=2)
+        delays[unstable] = np.inf
+        return delays
 
     def mean_delay(self, speeds, servers=None) -> np.ndarray:
         """Arrival-weighted mean end-to-end delay per candidate,
@@ -544,10 +552,13 @@ class BatchEvaluator:
         arrival rates ``R_i`` are configuration-independent, so power
         is a closed form in the decision variables."""
         s, c = self._canon_inputs(speeds, servers)
-        idle = np.array([tk.idle for tk in self.kernels])
-        kappa = np.array([tk.kappa for tk in self.kernels])
-        alpha = np.array([tk.alpha for tk in self.kernels])
-        work = np.atleast_2d(np.stack([tk.work_rate for tk in self.kernels], axis=-1))
-        return (c * idle[None, :]).sum(axis=1) + (
-            work * kappa[None, :] * s ** (alpha[None, :] - 1.0)
-        ).sum(axis=1)
+        # Tier by tier with a scalar exponent, as the decomposition takes
+        # it: NumPy rounds a power with an array of exponents apart by
+        # the array's length, so one row would not give the bits it
+        # gives among others. The tiers add left to right, as a row sum
+        # of fewer than eight terms does.
+        idle = dynamic = 0.0
+        for i, tk in enumerate(self.kernels):
+            idle = idle + c[:, i] * tk.idle
+            dynamic = dynamic + tk.work_rate * tk.kappa * s[:, i] ** (tk.alpha - 1.0)
+        return idle + dynamic

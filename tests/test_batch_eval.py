@@ -11,6 +11,7 @@ baseline against their scalar counterparts.
 """
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -220,6 +221,25 @@ def test_unstable_rows_are_inf_power_stays_finite():
         end_to_end_delays(cluster, workload)
 
 
+def test_a_class_skipping_an_unstable_tier_reads_inf_not_nan():
+    # Class 0 never visits tier 1, which saturates at minimum speeds:
+    # its delay is inf like the others', not 0 * inf = NaN.
+    base = canonical_cluster()
+    visits = base.visit_ratios.copy()
+    visits[0, 1] = 0.0
+    cluster = ClusterModel(list(base.tiers), visit_ratios=visits)
+    batch = BatchEvaluator(cluster, canonical_workload())
+    lowest = [[t.spec.min_speed for t in cluster.tiers], [1.0, 1.0, 1.0]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        delays = batch.end_to_end_delays(lowest)
+        mean = batch.mean_delay(lowest)
+    assert np.isposinf(delays[0]).all() and np.isposinf(mean[0])
+    assert np.isfinite(delays[1]).all() and np.isfinite(mean[1])
+    alone = BatchEvaluator(cluster, canonical_workload())
+    assert delays[1].tobytes() == alone.end_to_end_delays([1.0, 1.0, 1.0])[0].tobytes()
+
+
 def test_erlang_vec_matches_scalar():
     rng = np.random.default_rng(3)
     c = rng.integers(1, 40, size=200)
@@ -380,9 +400,7 @@ def test_per_row_rates_are_one_evaluator_per_rate_row(case, data):
     row the bytes one evaluator on that row's workload gives: per-tier
     sojourns (``inf`` where unstable) and mean delay, over every
     discipline, SCV band and server count, and on rows picked out by
-    :meth:`BatchEvaluator.rows`. Power is compared to 1e-12, as
-    everywhere: NumPy's power of one-element arrays can round apart
-    from its power of longer ones."""
+    :meth:`BatchEvaluator.rows`."""
     cluster, workload = case
     tiers = [dataclasses.replace(t, capacity=None) for t in cluster.tiers]
     cluster = ClusterModel(tiers, visit_ratios=cluster.visit_ratios)
@@ -406,7 +424,7 @@ def test_per_row_rates_are_one_evaluator_per_rate_row(case, data):
     for j in range(n):
         alone = BatchEvaluator(cluster, workload_from_rates(rates[j].tolist()))
         assert got[j].tobytes() == alone.per_tier_sojourns(speeds[j], servers[j])[0].tobytes()
-        assert power[j] == pytest.approx(alone.average_power(speeds[j], servers[j])[0], rel=1e-12)
+        assert power[j].tobytes() == alone.average_power(speeds[j], servers[j])[0].tobytes()
         assert mean[j].tobytes() == alone.mean_delay(speeds[j], servers[j]).tobytes()
     order = np.arange(n)[::-1]
     picked = batch.rows(order).per_tier_sojourns(speeds[order], servers[order])
