@@ -53,7 +53,7 @@ class HyperExponential(Distribution):
             raise ModelValidationError(f"branch rates must be positive and finite, got {rates_arr}")
         self.probs = probs_arr / probs_arr.sum()
         self.rates = rates_arr
-        # Precomputed branch CDF and scales for the scalar fast path:
+        # Precomputed branch CDF and scales for the engines' draws:
         # Generator.choice(n, p=p) internally draws one uniform double
         # and inverts the normalized cumsum of p, so searchsorted on the
         # same cumsum consumes the bit stream identically — without

@@ -417,12 +417,25 @@ def load_kernel() -> ctypes.CDLL:
     return lib
 
 
+#: The cache directory :func:`loaded_kernel` last found without this
+#: source's shared object; it does not look there again.
+_absent_from: Path | None = None
+
+
 def loaded_kernel() -> ctypes.CDLL | None:
     """The kernel when it loads without compiling (already loaded, or
     its shared object is cached), else ``None``.  Never builds and never
-    warns: for callers whose Python path gives the same bits."""
-    if _lib is None and not (_cache_dir() / _kernel_file()).exists():
-        return None
+    warns: for callers whose Python path gives the same bits.  A cache
+    directory without the kernel is remembered, so later calls neither
+    re-read nor re-hash the source while it stays the cache."""
+    global _absent_from
+    if _lib is None:
+        cache = _cache_dir()
+        if cache == _absent_from:
+            return None
+        if not (cache / _kernel_file()).exists():
+            _absent_from = cache
+            return None
     try:
         return load_kernel()
     except KernelBuildError:

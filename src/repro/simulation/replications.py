@@ -469,18 +469,21 @@ def _run_block(payload: tuple[list[int], dict[str, Any], list]) -> tuple[list, A
     ``(index, result, wall_s)`` for each replication that finished, in
     index order, and the exception of the lowest index that failed
     (``None`` when none did).  The block's clock starts once the kernel
-    is loaded, and the ``wall_s`` of a block that did not fail add up
-    to its elapsed time on either engine: a compiled replication is
-    charged its own kernel time plus an equal share of the block's
-    descriptor setup and finalize.
+    is loaded (on the Python engine, once it is loaded when cached: its
+    hyperexponential blocks draw in C then), and the ``wall_s`` of a
+    block that did not fail add up to its elapsed time on either engine:
+    a compiled replication is charged its own kernel time plus an equal
+    share of the block's descriptor setup and finalize.
     """
-    indices, kwargs, seeds = payload
-    if kwargs["backend"] != "python":
-        from repro.simulation.compiled import kernel_available, simulate_block
+    from repro.simulation import compiled
 
-        kernel_available()  # loads the kernel outside the block's clock
+    indices, kwargs, seeds = payload
+    if kwargs["backend"] == "python":
+        compiled.loaded_kernel()  # decides the draw path outside the block's clock
+    else:
+        compiled.kernel_available()  # loads the kernel outside the block's clock
         t0 = time.perf_counter()
-        block = simulate_block(seeds, **kwargs)
+        block = compiled.simulate_block(seeds, **kwargs)
         if block is not None:
             finished = [
                 (i, block.result(b), block.scalars[b, 4] / 1e9)

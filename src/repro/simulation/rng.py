@@ -40,8 +40,9 @@ draws, so the pair-mean estimator stays unbiased.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -240,6 +241,14 @@ MAX_BLOCK_SIZE = 4096
 _FIRST_BLOCK_SIZE = 64
 
 
+def _blocks(rng, draw, size: int, block_size: int):
+    """A stream's blocks, ``size`` values first, each later block twice
+    the last, up to ``block_size``."""
+    while True:
+        yield draw(rng, size)
+        size = min(2 * size, block_size)
+
+
 class BlockCursor:
     """Refill-on-exhaustion cursor over block-pregenerated variates.
 
@@ -256,12 +265,15 @@ class BlockCursor:
 
     Blocks are sized by use (:meth:`next_block`): a stream that takes a
     few dozen values draws a few dozen, and a long one soon draws
-    ``block_size`` at a time. The block is converted to a Python list
-    once per refill so the hot path hands out cached ``float`` objects
-    instead of paying NumPy scalar boxing on every event.
+    ``block_size`` at a time. :attr:`take` returns the next value, and
+    iterating the cursor yields the same values. Both run in C: a
+    ``chain`` over each block's ``tolist()``, so the hot path hands out
+    cached ``float`` objects with no Python frame per value and none of
+    NumPy's scalar boxing. The chain holds the block generator, not the
+    cursor, so a cursor is freed as soon as its last user drops it.
     """
 
-    __slots__ = ("_rng", "_draw", "_it", "_next_size", "block_size")
+    __slots__ = ("_blocks", "_values", "take", "block_size")
 
     def __init__(
         self,
@@ -271,27 +283,19 @@ class BlockCursor:
     ):
         if block_size < 1:
             raise ModelValidationError(f"block size must be >= 1, got {block_size}")
-        self._rng = rng
-        self._draw = draw
         self.block_size = block_size
-        self._next_size = min(_FIRST_BLOCK_SIZE, block_size)
-        self._it = iter(())
+        self._blocks = _blocks(rng, draw, min(_FIRST_BLOCK_SIZE, block_size), block_size)
+        self._values = chain.from_iterable(map(np.ndarray.tolist, self._blocks))
+        #: The next value, refilling when the block runs out.
+        self.take: Callable[[], float] = self._values.__next__
 
     def next_block(self) -> np.ndarray:
         """The stream's next block of variates, bypassing the values the
         cursor holds: ``_FIRST_BLOCK_SIZE`` values first, each later
         block twice the last, up to ``block_size``. The cursor refills
-        through this, and so does the compiled kernel's buffer for the
-        stream, so both engines draw the same blocks."""
-        n = self._next_size
-        self._next_size = min(2 * n, self.block_size)
-        return self._draw(self._rng, n)
+        through the same blocks, and so does the compiled kernel's
+        buffer for the stream, so both engines draw the same blocks."""
+        return next(self._blocks)
 
-    def __call__(self) -> float:
-        # A list-iterator with a sentinel default is the cheapest
-        # "next value or refill" primitive available in pure Python.
-        v = next(self._it, None)
-        if v is None:
-            self._it = iter(self.next_block().tolist())
-            v = next(self._it)
-        return v
+    def __iter__(self) -> Iterator[float]:
+        return self._values

@@ -31,11 +31,10 @@ import os
 import sys
 import time
 import warnings
-from bisect import bisect_right
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from itertools import chain, count
+from itertools import chain, count, repeat
 from typing import Any
 
 import numpy as np
@@ -48,10 +47,17 @@ from repro.distributions.uniform_dist import Uniform
 from repro.exceptions import ModelValidationError, WarmupDiscardWarning
 from repro.simulation.job import Job
 from repro.simulation.ps_station import PSStation
-from repro.simulation.rng import _TINY, AntitheticSeed, BlockCursor, CoupledGenerator, RngStreams
+from repro.simulation.rng import (
+    _TINY,
+    MAX_BLOCK_SIZE,
+    AntitheticSeed,
+    BlockCursor,
+    CoupledGenerator,
+    RngStreams,
+)
 from repro.simulation.station import SimStation
 from repro.simulation.stats import Welford, confidence_halfwidth
-from repro.workload.arrivals import ArrivalProcess, PoissonProcess
+from repro.workload.arrivals import ArrivalProcess, PoissonProcess, _thinning_draws
 from repro.workload.classes import Workload
 
 __all__ = ["SimulationResult", "simulate"]
@@ -311,7 +317,7 @@ def _simulate_python(
             routing_tables = _build_routing_tables(cluster, routing)
             # One uniform per routing decision, from each class's stream.
             routing_uniforms = [
-                _draw_plan(_ROUTING_UNIFORM, streams.stream(f"routing/{k}"))
+                _python_pull(_ROUTING_UNIFORM, streams.stream(f"routing/{k}"))
                 for k in range(k_classes)
             ]
 
@@ -319,9 +325,9 @@ def _simulate_python(
             arrival_processes = [PoissonProcess(c.arrival_rate) for c in workload.classes]
         arrival_pull = []
         for k, proc in enumerate(arrival_processes):
-            plan = _draw_plan(proc, streams.stream(f"arrivals/{k}"))
+            plan = _draw_plan(proc, streams.stream(f"arrivals/{k}"), _PYTHON_BLOCK_SIZE)
             if isinstance(plan, BlockCursor):  # Poisson gaps, one job each
-                plan = partial(_single, plan)
+                plan = zip(plan, repeat(1)).__next__
             arrival_pull.append(plan)
 
         heap: list[tuple[float, int, int, int, int]] = []
@@ -344,12 +350,12 @@ def _simulate_python(
                     # speed change affects every subsequent draw.
                     samplers.append(
                         _make_dynamic_sampler(
-                            _draw_plan(tier.demands[k], rng), ledger.speeds, i
+                            _python_pull(tier.demands[k], rng), ledger.speeds, i
                         )
                     )
                 else:
                     dist = tier.demands[k].scaled(1.0 / tier.speed)
-                    samplers.append(_draw_plan(dist, rng))
+                    samplers.append(_python_pull(dist, rng))
             if tier.discipline == "ps":
                 st = PSStation(i, k_classes, tier.servers, samplers, heap, next_seq)
             else:
@@ -1093,58 +1099,64 @@ def _draw_from_cumulative(cum: np.ndarray, u: float) -> int:
 _ROUTING_UNIFORM = Uniform(0.0, 1.0)
 
 
-def _draw_plan(source, rng):
+def _draw_plan(source, rng, block_size: int = MAX_BLOCK_SIZE):
     """How one stream is drawn, decided here for both engines.
 
     ``source`` is a distribution or an arrival process and ``rng`` its
     named stream.  When ``n`` draws may be taken as one vectorized block
-    (a ``block_sampling_safe`` family, Poisson gaps, routing uniforms,
-    and HyperExponential on a coupled antithetic generator) the plan is
-    a :class:`~repro.simulation.rng.BlockCursor`: the Python engine
-    reads it one value at a time, and the compiled kernel refills a
-    buffer with each :meth:`BlockCursor.next_block`, so both engines
-    draw the stream in the same blocks.  Anything else
-    is a zero-argument scalar: a sampler for a distribution, a puller
-    returning ``(gap, batch_size)`` for an arrival process (MMPP, batch,
-    renewal, NHPP, trace), which the kernel calls once per draw.
+    (a ``block_sampling_safe`` family, Poisson gaps, routing uniforms
+    and HyperExponential) the plan is a
+    :class:`~repro.simulation.rng.BlockCursor` of up to ``block_size``
+    values a block: the Python engine reads it one value at a time, and
+    the compiled kernel refills a buffer with each
+    :meth:`BlockCursor.next_block`, so both engines draw the stream in
+    the same blocks.  Anything else is a zero-argument scalar: a sampler
+    for a distribution, a puller returning ``(gap, batch_size)`` for an
+    arrival process (MMPP, batch, renewal, NHPP, trace), which the
+    kernel calls once per draw.
 
-    HyperExponential — the paper's canonical high-variability demand,
-    so the most common *unsafe* family — takes its scalar draw as
-    (branch uniform, ``standard_exponential``).  On a plain generator
-    that is a closure inlining the draw: branch by
-    :func:`bisect.bisect_right` on the Python-list CDF (same
-    count-of-entries-<=-u semantics as
-    ``ndarray.searchsorted(side="right")``, which itself emulates
-    ``Generator.choice`` bit-exactly), then ``scale *
-    standard_exponential()``.  On a coupled generator the exponential
-    is ``-log(1 - U)`` of the next uniform, so the pair of uniforms per
-    draw is one ``random(2n)`` block (:func:`_draw_coupled_hyper`).
+    HyperExponential — the paper's canonical high-variability demand —
+    is not block-safe for NumPy's own ``sample(rng, n)`` (all branch
+    choices, then all exponentials), but its scalar draw is (branch
+    uniform, ``standard_exponential``), and a block of those is drawn
+    in the same order by :func:`_draw_hyper` on a plain generator and
+    by :func:`_draw_coupled_hyper` on a coupled one.
     """
     if isinstance(source, ArrivalProcess):
         if type(source) is not PoissonProcess:
             return partial(source.fresh().next_arrival, rng)
         source = Exponential(source.rate)  # the gaps of a Poisson process
     if source.block_sampling_safe:
-        return BlockCursor(rng, source.sample)
+        return BlockCursor(rng, source.sample, block_size)
     if isinstance(source, HyperExponential):
-        if isinstance(rng, CoupledGenerator):
-            cdf, scales = np.asarray(source._cdf), np.asarray(source._scales)
-            return BlockCursor(rng, partial(_draw_coupled_hyper, cdf, scales))
-        cdf = source._cdf.tolist()
-        scales = source._scales
-        random = rng.random
-        std_exp = rng.standard_exponential
-
-        def sampler() -> float:
-            return scales[bisect_right(cdf, random())] * std_exp()
-
-        return sampler
+        draw = _draw_coupled_hyper if isinstance(rng, CoupledGenerator) else _draw_hyper
+        cdf, scales = np.asarray(source._cdf), np.asarray(source._scales)
+        return BlockCursor(rng, partial(draw, cdf, scales), block_size)
     sample = source.sample
 
     def generic_sampler() -> float:
         return float(sample(rng))
 
     return generic_sampler
+
+
+def _draw_hyper(cdf, scales, rng: np.random.Generator, n: int) -> np.ndarray:
+    """``n`` HyperExponential draws on a plain generator as one block.
+
+    The scalar draw is ``scales[bisect_right(cdf, random())] *
+    standard_exponential()``, so ``n`` of them consume ``u0, e0, u1,
+    e1, ...``: one ``random()``, the ``n - 1`` ``(e_j, u_{j+1})`` pairs
+    :func:`~repro.workload.arrivals._thinning_draws` draws (in C when
+    the kernel is cached, with ``exponential(1.0)``, which is
+    ``standard_exponential`` times 1.0), then one
+    ``standard_exponential()``.  ``searchsorted(side="right")`` counts
+    the CDF entries ``<= u`` as ``bisect_right`` does.
+    """
+    first = rng.random()
+    exps, uniforms = _thinning_draws(rng, 1.0, n - 1)
+    u = np.concatenate(([first], uniforms))
+    e = np.append(exps, rng.standard_exponential())
+    return scales[cdf.searchsorted(u, side="right")] * e
 
 
 def _draw_coupled_hyper(cdf, scales, rng: CoupledGenerator, n: int) -> np.ndarray:
@@ -1162,9 +1174,17 @@ def _draw_coupled_hyper(cdf, scales, rng: CoupledGenerator, n: int) -> np.ndarra
     return scales[branch] * -np.log(np.maximum(1.0 - u[1::2], _TINY))
 
 
-def _single(gaps: BlockCursor) -> tuple[float, int]:
-    """The next Poisson arrival: a block-drawn gap and one job."""
-    return gaps(), 1
+#: Most values a Python-engine cursor draws at once.  The engine holds
+#: each block as a list of floats, so larger blocks cost memory and win
+#: no speed; the compiled kernel's buffers take MAX_BLOCK_SIZE.
+_PYTHON_BLOCK_SIZE = 1024
+
+
+def _python_pull(source, rng):
+    """The Python engine's zero-argument draw from one stream: the
+    C-level :attr:`BlockCursor.take` of a block plan, else the plan."""
+    plan = _draw_plan(source, rng, _PYTHON_BLOCK_SIZE)
+    return plan.take if isinstance(plan, BlockCursor) else plan
 
 
 def _make_dynamic_sampler(base, speeds, i):

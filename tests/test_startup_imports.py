@@ -89,20 +89,24 @@ time.perf_counter = perf_counter
 
 def test_run_block_clock_starts_with_no_scipy_and_the_kernel_loaded():
     # A block's replications are charged its elapsed time, so one-time
-    # costs must be paid before its clock starts: on the compiled engine
-    # the kernel is loaded first, and no SciPy module is loaded at all.
-    # The block is run as a pool worker runs it.
-    backend = "compiled" if kernel_available() else "python"
-    loaded = _run_probe(
-        _AT_T0
-        + "from repro.experiments.common import small_cluster, small_workload\n"
-        "kwargs = dict(cluster=small_cluster(), workload=small_workload(0.5), horizon=5.0,\n"
-        "              backend=sys.argv[1])\n"
-        "replications._run_block(([0], kwargs, [1]))\n"
-        "print(json.dumps([f'at t0: {at_t0}']))",
-        backend,
-    )
-    assert loaded == {f"at t0: [([], {backend == 'compiled'})]"}
+    # costs must be paid before its clock starts: the kernel is loaded
+    # first on the compiled engine, and on the Python engine too when it
+    # is cached (hyperexponential blocks then draw in C); no SciPy
+    # module is loaded at all. The block is run as a pool worker runs
+    # it. kernel_available() has built the kernel into the cache the
+    # probes share, if it can be built.
+    cached = kernel_available()
+    for backend in ("python", "compiled"):
+        loaded = _run_probe(
+            _AT_T0
+            + "from repro.experiments.common import small_cluster, small_workload\n"
+            "kwargs = dict(cluster=small_cluster(), workload=small_workload(0.5), horizon=5.0,\n"
+            "              backend=sys.argv[1])\n"
+            "replications._run_block(([0], kwargs, [1]))\n"
+            "print(json.dumps([f'at t0: {at_t0}']))",
+            backend,
+        )
+        assert loaded == {f"at t0: [([], {cached})]"}, backend
 
 
 @pytest.mark.skipif(not kernel_available(), reason="no C toolchain for the compiled kernel")
