@@ -469,11 +469,12 @@ def _run_block(payload: tuple[list[int], dict[str, Any], list]) -> tuple[list, A
     ``(index, result, wall_s)`` for each replication that finished, in
     index order, and the exception of the lowest index that failed
     (``None`` when none did).  The block's clock starts once the kernel
-    is loaded (on the Python engine, once it is loaded when cached: its
-    hyperexponential blocks draw in C then), and the ``wall_s`` of a
-    block that did not fail add up to its elapsed time on either engine:
-    a compiled replication is charged its own kernel time plus an equal
-    share of the block's descriptor setup and finalize.
+    is loaded (on the Python engine, only when it is cached: its
+    hyperexponential blocks then draw their pairs in C), and the
+    ``wall_s`` of a block that did not fail add up to its elapsed time
+    on either engine: a compiled replication is charged its own kernel
+    time plus an equal share of the block's descriptor setup and
+    finalize.
     """
     from repro.simulation import compiled
 
